@@ -1,22 +1,21 @@
-"""Halfspaces, polyhedral projection by an active-set QP, and normal-bundle
-conditioning.
+"""Halfspaces, polyhedral projection by a dual active-set QP, and
+normal-bundle conditioning.
 
 The projection solver minimizes ||x - x0||^2 over an intersection of
 inequality and equality constraints.  Equalities are eliminated first by an
-orthogonal reduction, the remaining inequality problem is solved by a dual
-active-set iteration on the QR of the active normals, and infeasible systems
-are certified with a Farkas vector (a phase-1 LP supplies the certificate
-when no cheap pairwise conflict explains the emptiness).
+orthogonal reduction, and the remaining inequality problem is solved by the
+Goldfarb–Idnani dual method on a QR factor of the active normals that is
+updated as rows enter and leave.  An empty polyhedron is certified by a Farkas vector: a parallel
+pair, the equality residual, or the dual ray at the step where the entering
+row admits no primal step.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
-import scipy.optimize
 
 __all__ = [
     "Halfspace",
@@ -30,7 +29,12 @@ __all__ = [
     "ZeroGapError",
     "NoSeparationError",
     "InfeasiblePolyhedronError",
+    "QPBreakdownError",
 ]
+
+# A unit row whose part off the active normals is this short depends on
+# them; multiplier directions below it count as zero.
+_DEPENDENT = 1e-12
 
 
 class ZeroGapError(ValueError):
@@ -39,6 +43,15 @@ class ZeroGapError(ValueError):
 
 class NoSeparationError(ValueError):
     """derived_halfspace called with a point already inside the polyhedron."""
+
+
+class QPBreakdownError(RuntimeError):
+    """Roundoff kept the polyhedral QP from proving its answer.
+
+    Raised when the dual active-set iteration passes its finite-termination
+    bound (see ``_dual_active_set``), or when an infeasibility certificate
+    fails verification; exact arithmetic reaches neither.
+    """
 
 
 class InfeasiblePolyhedronError(RuntimeError):
@@ -145,65 +158,55 @@ class QPResult:
 def _pairwise_reduction(A, b, is_eq, scale):
     """Drop parallel nested constraints; detect parallel conflicts.
 
-    Returns (keep_indices, certificate_or_None).  Directions are compared
-    after normalization, so "parallel" means unit normals within 1e-10.
+    A has unit rows.  Returns (keep_indices, certificate_or_None);
+    "parallel" means unit normals within 1e-10.
     """
     k = A.shape[0]
-    norms = np.linalg.norm(A, axis=1)
-    Ah = A / norms[:, None]
-    bh = b / norms
+    # |cos| >= 1 - 1e-9 is a safe superset of the pairs within 1e-10.
+    cosines = (A @ A.T).tolist()
     dropped = [False] * k
     for i in range(k):
-        if dropped[i]:
-            continue
         for j in range(i):
-            if dropped[j]:
+            if dropped[i]:
+                break
+            if dropped[j] or abs(cosines[i][j]) < 1.0 - 1e-9:
                 continue
-            same = np.linalg.norm(Ah[i] - Ah[j]) <= 1e-10
-            opp = np.linalg.norm(Ah[i] + Ah[j]) <= 1e-10
-            if not (same or opp):
+            sgn = math.copysign(1.0, cosines[i][j])
+            if np.linalg.norm(A[i] - sgn * A[j]) > 1e-10:
                 continue
-            # Express constraint i in j's direction.
-            bi = bh[i] if same else -bh[i]
-            sgn = 1.0 if same else -1.0
+            same = sgn > 0.0
+            bi = sgn * b[i]  # constraint i in j's direction
             if is_eq[i] and is_eq[j]:
-                if abs(bi - bh[j]) <= 1e-9 * scale:
+                if abs(bi - b[j]) <= 1e-9 * scale:
                     dropped[i] = True
                 else:
                     cert = np.zeros(k)
-                    s = -np.sign(bh[j] - bi)
-                    cert[j] = s / norms[j]
-                    cert[i] = -s * sgn / norms[i]
+                    s = -np.sign(b[j] - bi)
+                    cert[j], cert[i] = s, -s * sgn
                     return None, cert
             elif is_eq[i] or is_eq[j]:
                 # Orient everything along j's unit normal: sigma_x = +1 when
                 # constraint x points that way.  The equality forces the
-                # value t; the inequality reads sigma_q * <dir, x> <= bh[q].
+                # value t; the inequality reads sigma_q * <dir, x> <= b[q].
                 e, q = (i, j) if is_eq[i] else (j, i)
-                sigma = {j: 1.0, i: 1.0 if same else -1.0}
-                t = sigma[e] * bh[e]
-                if sigma[q] * t <= bh[q] + 1e-9 * scale:
+                sigma = {j: 1.0, i: sgn}
+                t = sigma[e] * b[e]
+                if sigma[q] * t <= b[q] + 1e-9 * scale:
                     dropped[q] = True
                 else:
                     cert = np.zeros(k)
-                    cert[q] = 1.0 / norms[q]
-                    cert[e] = -sigma[q] * sigma[e] / norms[e]
+                    cert[q], cert[e] = 1.0, -sigma[q] * sigma[e]
                     return None, cert
-            else:
-                if same:
-                    if bi <= bh[j]:
-                        dropped[j] = True
-                    else:
-                        dropped[i] = True
+            elif same:
+                if bi <= b[j]:
+                    dropped[j] = True
                 else:
-                    # A slab: feasible iff -b_i <= b_j in j's direction.
-                    if bh[i] + bh[j] < -1e-9 * scale:
-                        cert = np.zeros(k)
-                        cert[i] = 1.0 / norms[i]
-                        cert[j] = 1.0 / norms[j]
-                        return None, cert
-            if dropped[i]:
-                break
+                    dropped[i] = True
+            elif b[i] + b[j] < -1e-9 * scale:
+                # An empty slab: feasible iff -b_i <= b_j in j's direction.
+                cert = np.zeros(k)
+                cert[i] = cert[j] = 1.0
+                return None, cert
     keep = [i for i in range(k) if not dropped[i]]
     return keep, None
 
@@ -219,154 +222,167 @@ def _verify_certificate(A, b, is_eq, cert, scale) -> bool:
     lam = lam / weight
     if np.any(lam[~is_eq] < -1e-12):
         return False
-    comb = A.T @ lam
-    value = b @ lam
-    return np.linalg.norm(comb) <= 1e-9 * max(1.0, scale) and value < -1e-12 * scale
+    return np.linalg.norm(lam @ A) <= 1e-9 * max(1.0, scale) and b @ lam < -1e-12 * scale
 
 
-def _phase_one_certificate(A, b, is_eq, scale):
-    """Minimize the worst violation; return (feasible, certificate).
+def _back_substitute(R, y):
+    """x with R x = y for upper-triangular R (nested lists, a few rows)."""
+    x = [0.0] * len(y)
+    for i in reversed(range(len(y))):
+        x[i] = (y[i] - sum(R[i][j] * x[j] for j in range(i + 1, len(y)))) / R[i][i]
+    return x
 
-    Equality rows enter as a pair of soft inequalities so that the LP is
-    always solvable; the Farkas certificate comes from the row marginals
-    and is verified numerically before use.
+
+class _ActiveFactor:
+    """Thin QR factor N = Q R of the active normals N (one column each).
+
+    The first q columns of Q are orthonormal and R is q x q upper
+    triangular, kept as nested lists because q <= d stays tiny.  A row
+    enters by Gram–Schmidt with one reorthogonalization and leaves by Givens
+    rotations, so the factor is never rebuilt and N^T N is never formed.
     """
-    k, n = A.shape
-    ineq_idx = np.flatnonzero(~is_eq)
-    eq_idx = np.flatnonzero(is_eq)
-    ki, ke = ineq_idx.size, eq_idx.size
-    # variables (x, t); every row becomes <a, x> - t <= b (both signs for =)
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    A_ub = np.vstack(
-        [
-            np.hstack([A[ineq_idx], -np.ones((ki, 1))]),
-            np.hstack([A[eq_idx], -np.ones((ke, 1))]),
-            np.hstack([-A[eq_idx], -np.ones((ke, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([b[ineq_idx], b[eq_idx], -b[eq_idx]])
-    # t measures the worst violation and only its zero level matters, so it
-    # is clamped below at 0: a free t is driven to -inf whenever the
-    # polyhedron is strictly feasible and the LP comes back "unbounded".
-    bounds = [(None, None)] * n + [(0.0, None)]
-    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError("phase-1 feasibility LP failed: " + res.message)
-    if res.fun <= 1e-9 * scale:
-        return True, None
-    marg = -np.asarray(res.ineqlin.marginals)
-    cert = np.zeros(k)
-    cert[ineq_idx] = marg[:ki]
-    cert[eq_idx] = marg[ki : ki + ke] - marg[ki + ke :]
-    if _verify_certificate(A, b, is_eq, cert, scale):
-        return False, cert
-    # Rare marginal trouble: solve the homogeneous dual explicitly with
-    # equality multipliers split into nonnegative halves.
-    # min b^T lam  s.t. A^T lam = 0, sum |lam| = 1 (via the split), lam >= 0
-    cols = np.hstack([A[ineq_idx].T, A[eq_idx].T, -A[eq_idx].T]) if k else np.zeros((n, 0))
-    A_eq2 = np.vstack([cols, np.ones((1, ki + 2 * ke))])
-    b_eq2 = np.concatenate([np.zeros(n), [1.0]])
-    costs = np.concatenate([b[ineq_idx], b[eq_idx], -b[eq_idx]])
-    res2 = scipy.optimize.linprog(
-        costs, A_eq=A_eq2, b_eq=b_eq2, bounds=[(0.0, None)] * (ki + 2 * ke), method="highs"
-    )
-    if res2.success:
-        cert2 = np.zeros(k)
-        cert2[ineq_idx] = res2.x[:ki]
-        cert2[eq_idx] = res2.x[ki : ki + ke] - res2.x[ki + ke :]
-        if _verify_certificate(A, b, is_eq, cert2, scale):
-            return False, cert2
-    raise RuntimeError("infeasible polyhedron but no verifiable Farkas certificate")
+
+    def __init__(self, d):
+        self.Q = np.empty((d, d))
+        self.R: list[list[float]] = []
+
+    def split(self, g):
+        """(Q^T g, g - Q Q^T g): coordinates on the active span, and the
+        part of g off it."""
+        if not self.R:
+            return [], g
+        Q = self.Q[:, : len(self.R)]
+        dv = Q.T @ g
+        z = g - Q @ dv
+        s = Q.T @ z  # "twice is enough" for Gram–Schmidt
+        return (dv + s).tolist(), z - Q @ s
+
+    def add(self, dv, z, zn):
+        q = len(self.R)
+        self.Q[:, q] = z / zn
+        for row, v in zip(self.R, dv):
+            row.append(v)
+        self.R.append([0.0] * q + [zn])
+
+    def remove(self, k):
+        """Delete column k and rotate R back to triangular form."""
+        R, Q = self.R, self.Q
+        for row in R:
+            del row[k]
+        for j in range(k, len(R) - 1):
+            rho = math.hypot(R[j][j], R[j + 1][j])
+            c, s = R[j][j] / rho, R[j + 1][j] / rho
+            top, low = R[j], R[j + 1]
+            R[j] = [c * x + s * y for x, y in zip(top, low)]
+            R[j + 1] = [c * y - s * x for x, y in zip(top, low)]
+            R[j + 1][j] = 0.0
+            Q[:, j : j + 2] = Q[:, j : j + 2] @ np.array([[c, -s], [s, c]])
+        R.pop()
+
+    def solve(self, h_active):
+        """Least-norm u with N^T u = h_active, and its multipliers."""
+        R, y = self.R, []
+        if not R:
+            return np.zeros(len(self.Q)), []
+        for i, hi in enumerate(h_active):  # forward substitution, R^T y = h
+            y.append((hi - sum(R[j][i] * y[j] for j in range(i))) / R[i][i])
+        return self.Q[:, : len(y)] @ y, [-v for v in _back_substitute(R, y)]
 
 
-def _least_norm_with_multipliers(G, h, active):
-    """min ||u||^2 s.t. G[active] u = h[active]; returns (u, multipliers)."""
-    if not active:
-        return np.zeros(G.shape[1]), np.zeros(0)
-    Ga = G[active]
-    M = Ga @ Ga.T
-    w, *_ = np.linalg.lstsq(M, h[active], rcond=None)
-    u = Ga.T @ w
-    return u, -w
+def _dual_active_set(G, h, warm, feas_tol):
+    """Goldfarb–Idnani dual method for min 1/2 ||u||^2 s.t. G u <= h.
 
+    G has unit rows.  The iterate is always the optimum over its active
+    rows with nonnegative multipliers; the most violated row p then enters
+    along the primal direction z (g_p off the active normals N) while the
+    active multipliers move along -r, where g_p = N r + z.  A step either
+    makes p tight (full step) or drives a multiplier to zero and drops that
+    row (partial step).  When z = 0 and no r_j is positive there is no
+    step: g_p - N r = 0 with -r >= 0, and p's violation makes the dual ray
+    (1 on p, -r on the active rows) a Farkas certificate.
 
-def _active_set_nearest(G, h, warm, feas_tol):
-    """Dual active-set iteration for min ||u||^2 s.t. G u <= h.
+    Termination: every full step raises the dual objective 1/2 ||u||^2
+    strictly, and u is then the least-norm point of its active rows, so no
+    active set recurs after a full step; at most d partial steps separate
+    two full steps.  The number of row subsets of size <= d, times d + 1,
+    therefore bounds the steps in exact arithmetic; passing it raises
+    QPBreakdownError rather than returning an unproven point.
 
-    Returns (u, active, lam_active, status) with status in
-    {"optimal", "stalled"}.
+    Returns (u, active, lam_active, None) at the optimum, or
+    (None, None, None, certificate) with the certificate over G's rows.
     """
     m, d = G.shape
+    if m == 0:
+        return np.zeros(d), [], np.zeros(0), None
+    fac = _ActiveFactor(d)
     active: list[int] = []
     for i in warm:
-        if 0 <= i < m and i not in active:
-            active.append(i)
-    cap = max(50 * m, 100)
-    for _ in range(cap):
-        u, lam = _least_norm_with_multipliers(G, h, active)
-        if lam.size and lam.min() < -1e-11:
-            worst = int(np.argmin(lam))
-            active.pop(worst)
-            continue
+        if i not in active and len(active) < d:
+            dv, z = fac.split(G[i])
+            zn = math.sqrt(z @ z)
+            if zn > _DEPENDENT:
+                fac.add(dv, z, zn)
+                active.append(i)
+    while True:  # the warm rows are only a hint: shed negative multipliers
+        u, lam = fac.solve(h[active])
+        if not lam or min(lam) >= 0.0:
+            break
+        k = lam.index(min(lam))
+        fac.remove(k)
+        del active[k]
+    cap = (d + 1) * sum(math.comb(m, s) for s in range(min(m, d) + 1))
+    steps = 0
+    while True:
         viol = G @ u - h
-        p = int(np.argmax(viol)) if m else 0
-        if m == 0 or viol[p] <= feas_tol:
-            return u, active, lam, "optimal"
-        if p in active:
-            return u, active, lam, "stalled"
-        active.append(p)
-    return u, active, lam, "stalled"
-
-
-def _enumerate_nearest(G, h, feas_tol):
-    """Exact nearest point by active-subset enumeration.
-
-    Cost grows with the number of candidate active subsets, not the raw
-    constraint count, so long pools in low dimension stay cheap.
-    """
-    m, d = G.shape
-    subsets = sum(math.comb(m, s) for s in range(min(m, d) + 1))
-    if subsets > 200_000:
-        raise RuntimeError(
-            f"enumeration fallback would visit {subsets} active subsets"
-        )
-    best = None
-    for size in range(0, min(m, d) + 1):
-        for subset in itertools.combinations(range(m), size):
-            rows = list(subset)
-            u, lam = _least_norm_with_multipliers(G, h, rows)
-            if rows:
-                # One refinement pass: near-parallel subsets put the
-                # candidate far from the origin, where the first solve's
-                # roundoff exceeds any fixed tolerance.
-                du, dlam = _least_norm_with_multipliers(G, h - G @ u, rows)
-                u = u + du
-                lam = lam + dlam
-            # Feasibility is judged relative to the candidate's magnitude;
-            # a vertex at distance D cannot be located more precisely than
-            # roundoff times D.
-            tol = feas_tol * (1.0 + float(np.linalg.norm(u)))
-            if rows and np.max(np.abs(G[rows] @ u - h[rows])) > tol * 10:
+        viol[active] = -np.inf
+        p = int(viol.argmax())
+        if viol[p] <= feas_tol:
+            break
+        g, lam_p = G[p], 0.0
+        while True:
+            steps += 1
+            if steps > cap:
+                raise QPBreakdownError(f"dual active-set QP passed its bound of {cap} steps")
+            dv, z = fac.split(g)
+            zz = float(z @ z)
+            r = _back_substitute(fac.R, dv)
+            t1, k = math.inf, -1
+            for j, (lj, rj) in enumerate(zip(lam, r)):
+                if rj > _DEPENDENT and lj / rj < t1:
+                    t1, k = lj / rj, j
+            if zz <= _DEPENDENT**2:
+                if k < 0:
+                    cert = np.zeros(m)
+                    cert[p] = 1.0
+                    cert[active] = np.maximum(0.0, np.negative(r))
+                    return None, None, None, cert
+                t = t1
+            else:
+                t = min(t1, float(g @ u - h[p]) / zz)
+                u = u - t * z
+            lam = [lj - t * rj for lj, rj in zip(lam, r)]
+            lam_p += t
+            if t == t1:
+                fac.remove(k)
+                del active[k], lam[k]
                 continue
-            if np.max(G @ u - h, initial=-np.inf) > tol:
-                continue
-            if best is None or u @ u < best[0] - 1e-15:
-                best = (u @ u, u, rows, lam)
-    if best is None:
-        return None
-    _, u, active, lam = best
-    keep = [(i, la) for i, la in zip(active, lam) if la > 1e-11]
-    return u, [i for i, _ in keep], np.array([la for _, la in keep])
+            fac.add(dv, z, math.sqrt(zz))
+            active.append(p)
+            lam.append(lam_p)
+            break
+    u, lam = fac.solve(h[active])
+    return u, active, np.maximum(lam, 0.0), None
 
 
 def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
     """Nearest point of the polyhedron to ``x0``.
 
-    Equality constraints are eliminated by an orthogonal reduction, the
-    inequality subproblem runs a dual active-set iteration (with an exact
-    enumeration fallback), and empty polyhedra come back with
-    ``status="infeasible"`` plus a Farkas certificate.
+    Parallel pairs are settled first, equality constraints are eliminated
+    by an orthogonal reduction, and the inequality subproblem runs the
+    Goldfarb–Idnani dual active-set method on a QR factor of the active
+    normals.  Empty polyhedra come back with ``status="infeasible"`` plus a
+    verified Farkas certificate.  ``warm_start`` lists constraint indices
+    to try as the initial active set; it is only a hint.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.shape[0] != poly.dimension:
@@ -376,118 +392,100 @@ def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
     A = np.array([c.normal for c in cons], dtype=float)
     b = np.array([c.offset for c in cons], dtype=float)
     is_eq = np.array([c.kind == "equality" for c in cons])
-    row_norms = np.linalg.norm(A, axis=1)
-    scale = float(max(1.0, np.linalg.norm(x0), np.max(np.abs(b / row_norms))))
-    feas_tol = 1e-11 * scale
+    row_norms = np.sqrt(np.einsum("ij,ij->i", A, A))
     # Row-normalize up front: constraints born from projections carry normals
     # as short as the gap itself, and mixed row scales wreck the conditioning
     # of the equality elimination.  Multipliers and certificates are mapped
     # back to the original rows on exit.
     A = A / row_norms[:, None]
     b = b / row_norms
-    norms = np.ones(k)
+    scale = max(1.0, math.sqrt(x0 @ x0), float(np.abs(b).max()))
+    feas_tol = 1e-11 * scale
 
     def infeasible(cert):
         if not _verify_certificate(A, b, is_eq, cert, scale):
-            _, cert = _phase_one_certificate(A, b, is_eq, scale)
+            raise QPBreakdownError("empty polyhedron, but its Farkas certificate does not verify")
         return QPResult(
-            point=x0.copy(),
-            status="infeasible",
-            active_set=(),
-            multipliers=np.zeros(k),
-            kkt_residual=np.inf,
-            certificate=cert / row_norms,
+            point=x0.copy(), status="infeasible", active_set=(), multipliers=np.zeros(k),
+            kkt_residual=np.inf, certificate=cert / row_norms,
         )
 
     keep, cert = _pairwise_reduction(A, b, is_eq, scale)
     if keep is None:
         return infeasible(cert)
-
     eq_idx = [i for i in keep if is_eq[i]]
-    in_idx = [i for i in keep if not is_eq[i]]
+    in_idx = np.array([i for i in keep if not is_eq[i]], dtype=int)
 
-    n = poly.dimension
+    def ray_certificate(rows, lam):
+        # A combination of inequality rows that the equality normals span
+        # (or that vanishes): the equality multipliers cancel it.
+        cert = np.zeros(k)
+        cert[rows] = lam
+        if eq_idx:
+            cert[eq_idx] = eq_multipliers(-(cert @ A))
+        return infeasible(cert)
+
     if eq_idx:
-        Ae = A[eq_idx]
-        be = b[eq_idx]
-        x_ls, *_ = np.linalg.lstsq(Ae, be, rcond=None)
-        r = be - Ae @ x_ls
+        U, s, Vt = np.linalg.svd(A[eq_idx])
+        rank = int(np.sum(s > 1e-12 * max(1.0, s[0])))
+        U, s, Z = U[:, :rank], s[:rank], Vt[rank:].T  # Z spans the null space
+
+        def eq_multipliers(v):
+            """Least-squares mu with sum_e mu_e a_e = v."""
+            return U @ ((Vt[:rank] @ v) / s)
+
+        x_ls = Vt[:rank].T @ ((U.T @ b[eq_idx]) / s)
+        r = b[eq_idx] - A[eq_idx] @ x_ls
         if np.max(np.abs(r)) > 1e-9 * scale:
             cert = np.zeros(k)
             cert[eq_idx] = -r
             return infeasible(cert)
-        U, s, Vt = np.linalg.svd(Ae)
-        rank = int(np.sum(s > 1e-12 * max(1.0, s[0] if s.size else 1.0)))
-        Z = Vt[rank:].T  # columns span the null space
         x_p = x_ls + Z @ (Z.T @ (x0 - x_ls))
+        # The inequality rows on the affine span, as unit rows of G u <= h
+        # in null-space coordinates (x = x_p + Z u).
+        G = A[in_idx] @ Z
+        h = b[in_idx] - A[in_idx] @ x_p
+        gn = np.sqrt(np.einsum("ij,ij->i", G, G))
+        flat = gn <= 1e-12
+        contradicted = flat & (h < -1e-9 * scale)
+        if contradicted.any():
+            # a_i is spanned by the equality normals but contradicts them
+            return ray_certificate(in_idx[contradicted.argmax()], 1.0)
+        # Rows flat on the span are trivially satisfied.
+        in_idx, gn = in_idx[~flat], gn[~flat]
+        G = G[~flat] / gn[:, None]
+        h = h[~flat] / gn
     else:
-        Z = np.eye(n)
-        x_p = x0.copy()
+        Z = None
+        G = A[in_idx]
+        h = b[in_idx] - G @ x0
+        gn = np.ones(in_idx.size)
 
-    d = Z.shape[1]
-    G_rows = []
-    h_vals = []
-    row_to_orig = []
-    for i in in_idx:
-        g = Z.T @ A[i] if d else np.zeros(0)
-        hv = b[i] - A[i] @ x_p
-        if d == 0 or np.linalg.norm(g) <= 1e-12 * norms[i]:
-            if hv < -1e-9 * scale:
-                # a_i is spanned by the equality normals but contradicts them
-                cert = np.zeros(k)
-                cert[i] = 1.0
-                if eq_idx:
-                    mu, *_ = np.linalg.lstsq(A[eq_idx].T, -A[i], rcond=None)
-                    cert[eq_idx] = mu
-                return infeasible(cert)
-            continue  # trivially satisfied on the affine span
-        G_rows.append(g)
-        h_vals.append(hv)
-        row_to_orig.append(i)
+    warm = []
+    if len(warm_start):
+        position = {int(i): j for j, i in enumerate(in_idx)}
+        warm = [position[w] for w in warm_start if w in position]
+    u, active, lam, ray = _dual_active_set(G, h, warm, feas_tol)
+    if ray is not None:
+        return ray_certificate(in_idx, ray / gn)
 
-    if d == 0 or not G_rows:
-        u = np.zeros(d)
-        active_rows: list[int] = []
-        lam_rows = np.zeros(0)
-    else:
-        G = np.array(G_rows)
-        h = np.array(h_vals)
-        u, active_rows, lam_rows, status = _active_set_nearest(G, h, [
-            row_to_orig.index(w) for w in warm_start if w in row_to_orig
-        ], feas_tol)
-        if status != "optimal":
-            enum = _enumerate_nearest(G, h, feas_tol)
-            if enum is None:
-                feasible, cert = _phase_one_certificate(A, b, is_eq, scale)
-                if not feasible:
-                    return infeasible(cert)
-                raise RuntimeError("active-set stall on a feasible polyhedron")
-            u, active_rows, lam_rows = enum
-
-    x = x_p + (Z @ u if d else 0.0)
-
+    x = x0 + u if Z is None else x_p + Z @ u
     mult = np.zeros(k)
-    for row, lam in zip(active_rows, np.atleast_1d(lam_rows)):
-        mult[row_to_orig[row]] = max(0.0, float(lam))
+    mult[in_idx[active]] = lam / gn[active]
     if eq_idx:
-        rhs = -(x - x0 + A.T @ mult)
-        mu, *_ = np.linalg.lstsq(A[eq_idx].T, rhs, rcond=None)
-        mult[eq_idx] = mu
-
-    stationarity = np.linalg.norm(x - x0 + A.T @ mult)
-    primal = max((c.violation(x) for c in cons), default=0.0)
-    comp = 0.0
-    for i in in_idx:
-        comp = max(comp, abs(mult[i] * (A[i] @ x - b[i]) / norms[i]))
-    kkt = max(stationarity, primal, comp)
-
-    active = sorted(
-        set(eq_idx) | {row_to_orig[rw] for rw in active_rows}
+        mult[eq_idx] = eq_multipliers(-(x - x0 + mult @ A))
+    slack = A @ x - b
+    resid = x - x0 + mult @ A
+    kkt = max(
+        math.sqrt(resid @ resid),
+        slack.max(initial=0.0),
+        -slack.min(initial=0.0, where=is_eq),
+        np.abs(mult * slack).max(initial=0.0, where=~is_eq),
     )
     return QPResult(
         point=x,
         status="optimal",
-        active_set=tuple(active),
+        active_set=tuple(sorted(set(eq_idx) | set(in_idx[active].tolist()))),
         multipliers=mult / row_norms,
         kkt_residual=float(kkt),
     )

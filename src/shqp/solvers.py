@@ -668,7 +668,9 @@ def global_step(problem, x, polyhedron, merit: str, config: SolverConfig):
                 kind = "qp-step" if len(cons) == len(polyhedron) else "qp-drop-oldest"
                 return res.point.copy(), True, (kind, *fields)
             warm = res.active_set
+        # Dropping the oldest row shifts every index down by one.
         cons = cons[1:]
+        warm = tuple(w - 1 for w in warm if w > 0)
     if first_qp is None:
         return x, False, None
     nearest, _ = _distances(problem, x)

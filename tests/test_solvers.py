@@ -303,3 +303,46 @@ def test_explicit_x0_overrides_problem_start():
     assert trace.status == "converged"
     assert len(trace.records) == 1  # already a member: only the start row
     np.testing.assert_allclose(trace.final_point(), prob.known_solution)
+
+
+def test_global_rank1_affine_from_a_base_start_converges():
+    """This start once ended in an unverifiable-certificate RuntimeError
+    from a drop-oldest QP; the run must end in a mapped status."""
+    from shqp import harness
+
+    prob = gallery.get_entry("rank1-affine").problem
+    x0 = [0.9622652284945473, 0.4259582302726168, 0.38777222741573175, 0.09217595875133319]
+    trace = solvers.run_global(prob, x0=np.array(x0))
+    assert trace.status in harness._STATUS_EXIT
+    assert trace.status == "converged"
+    assert max(sets.project(s, trace.final_point())[1] for s in prob.sets) <= 1e-10
+
+
+def test_global_step_warm_start_follows_dropped_rows(monkeypatch):
+    """Each drop-oldest attempt is warm-started with the rows that were
+    active in the last solved attempt, minus the dropped one."""
+    calls = []
+    project = polyhedra.project_onto_polyhedron
+
+    def spy(poly, x0, warm_start=()):
+        res = project(poly, x0, warm_start=warm_start)
+        calls.append((list(poly.constraints), tuple(warm_start), res))
+        return res
+
+    monkeypatch.setattr(polyhedra, "project_onto_polyhedron", spy)
+    trace = solvers.run_global(gallery.get_entry("rank1-affine").problem)
+    assert trace.status == "converged"
+    drops = 0
+    warm_rows = []
+    for (prev, _, prev_res), (cons, warm, _) in zip(calls, calls[1:]):
+        if prev_res.status == "optimal":
+            warm_rows = [prev[i] for i in prev_res.active_set]
+        if not (len(cons) == len(prev) - 1 and all(a is b for a, b in zip(cons, prev[1:]))):
+            warm_rows = []  # a fresh pool: the next global step starts cold
+            continue
+        drops += 1
+        expect = [h for h in warm_rows if h is not prev[0]]
+        # Halfspace compares by identity, so this checks the objects.
+        assert [cons[i] for i in warm] == expect
+        warm_rows = expect
+    assert drops >= 3
