@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 
+_RADII = (0.25, 0.1, 0.05)
+
+
 class InsufficientDataError(RuntimeError):
     """Trace too short for rate statistics (fewer than 5 usable errors)."""
 
@@ -179,18 +182,12 @@ def _sample_normal(oracle, xstar, radius, rng, tries: int = 50):
     return None
 
 
-def estimate_regularity(
-    problem,
-    xstar,
-    radii=(0.25, 0.1, 0.05),
-    samples: int = 40,
-    rng_seed: int = 0,
-) -> RegularityEstimate:
-    """Probe the geometry of a problem near an intersection point.
+def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> float:
+    """The beta_hat of estimate_regularity, without its other samplers.
 
-    xstar must belong to every set within 1e-8.  d(x, K) uses the problem's
-    intersection oracle when present; otherwise a pooled-halfspace run from
-    each probe supplies an upper proxy (recorded in distance_oracle).
+    Validates xstar and radii, then draws the probes from ``rng`` (a
+    Generator, or a seed for a fresh one) before anything else does, so
+    the value is the same whichever function asks for it.
     """
     xstar = np.asarray(xstar, dtype=float)
     for s in problem.sets:
@@ -200,15 +197,10 @@ def estimate_regularity(
     radii = tuple(float(r) for r in radii)
     if not radii or min(radii) <= 0:
         raise ValueError("radii must be positive")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng)
     big = max(radii)
     proxy_config = solvers.SolverConfig(stop_tolerance=1e-12, max_outer_iterations=300)
-    oracle_kind = (
-        "intersection-oracle"
-        if problem.intersection_oracle is not None
-        else "mass-shqp-proxy"
-    )
-
+    proj = solvers._Projections(problem)
     beta_hat = 1.0
     for _ in range(samples):
         u = rng.standard_normal(problem.dimension)
@@ -217,12 +209,38 @@ def estimate_regularity(
             continue
         r = big * rng.uniform() ** (1.0 / problem.dimension)
         x = xstar + r * u / nu
-        _, dists = solvers._distances(problem, x)
+        _, dists = proj.at(x)
         worst = dists.max()
         if worst <= 1e-10:
             continue
         dk = _intersection_distance(problem, x, proxy_config)
         beta_hat = max(beta_hat, dk / worst)
+    return float(beta_hat)
+
+
+def estimate_regularity(
+    problem,
+    xstar,
+    radii=_RADII,
+    samples: int = 40,
+    rng_seed: int = 0,
+) -> RegularityEstimate:
+    """Probe the geometry of a problem near an intersection point.
+
+    xstar must belong to every set within 1e-8.  d(x, K) uses the problem's
+    intersection oracle when present; otherwise a pooled-halfspace run from
+    each probe supplies an upper proxy (recorded in distance_oracle).
+    """
+    rng = np.random.default_rng(rng_seed)
+    beta_hat = _beta_probe(problem, xstar, rng, radii, samples)
+    xstar = np.asarray(xstar, dtype=float)
+    radii = tuple(float(r) for r in radii)
+    big = max(radii)
+    oracle_kind = (
+        "intersection-oracle"
+        if problem.intersection_oracle is not None
+        else "mass-shqp-proxy"
+    )
 
     normals = []
     manifold_flags = []

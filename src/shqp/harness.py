@@ -4,7 +4,8 @@ A run takes an ExperimentConfig (JSON document or keyword dict), executes
 one algorithm on one problem, and writes a trace file plus a report JSON.
 A sweep runs a grid of (tau, pbar, x0_seed) cells through a worker pool and
 writes one summary row per cell.  Exit codes: 0 converged, 2 iteration
-budget exhausted, 3 no further progress possible, 64 bad configuration.
+budget exhausted, 3 no further progress possible (including a set oracle
+that failed to converge), 64 bad configuration.
 """
 
 from __future__ import annotations
@@ -54,7 +55,15 @@ _STATUS_EXIT = {
     "max-iterations": EXIT_MAX_ITERATIONS,
     "stalled": EXIT_NO_PROGRESS,
     "qp-infeasible-fallback-exhausted": EXIT_NO_PROGRESS,
+    "oracle-failed": EXIT_NO_PROGRESS,
 }
+
+
+def _exit_code(status: str) -> int:
+    try:
+        return _STATUS_EXIT[status]
+    except KeyError:
+        raise RuntimeError(f"solver ended with an unmapped status {status!r}") from None
 
 
 class UsageError(ValueError):
@@ -198,7 +207,6 @@ class ExperimentConfig:
             pbar=self.pbar,
             max_outer_iterations=self.max_iters,
             stop_tolerance=self.tol,
-            rng_seed=self.seed,
         )
 
 
@@ -475,11 +483,15 @@ def build_report(cfg: ExperimentConfig, problem, trace: solvers.Trace, x0, wallc
                     diagnostics.predicted_bounds(len(problem.sets), est.beta_hat, cfg.tau)
                 )
             )
-        except (diagnostics.NoDistanceOracleError, ValueError) as exc:
+        except (
+            diagnostics.NoDistanceOracleError,
+            sets_mod.ProjectionNotConvergedError,
+            ValueError,
+        ) as exc:
             regularity = {"error": str(exc)}
             bounds = {"error": "no-beta-estimate"}
 
-    return {
+    report = {
         "config_echo": echo,
         "terminal_status": trace.status,
         "rate_report": rate,
@@ -487,6 +499,9 @@ def build_report(cfg: ExperimentConfig, problem, trace: solvers.Trace, x0, wallc
         "predicted_bounds": bounds,
         "wallclock_ms": float(wallclock_ms),
     }
+    if trace.oracle_failure is not None:
+        report["oracle_failure"] = trace.oracle_failure
+    return report
 
 
 def write_trace_csv(trace: solvers.Trace, set_count: int, path: str) -> None:
@@ -560,8 +575,7 @@ def run_experiment(config, out_dir: str | None = None) -> tuple[int, dict]:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    exit_code = _STATUS_EXIT.get(trace.status, EXIT_NO_PROGRESS)
-    return exit_code, {
+    return _exit_code(trace.status), {
         "trace": trace_path,
         "report": report_path,
         "report_data": report,
@@ -628,11 +642,14 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
 
     beta_hat = None
     if problem.known_solution is not None:
+        # Only beta feeds the rows; the rest of estimate_regularity is skipped.
         try:
-            beta_hat = diagnostics.estimate_regularity(
-                problem, problem.known_solution, rng_seed=cfg.seed
-            ).beta_hat
-        except (diagnostics.NoDistanceOracleError, ValueError):
+            beta_hat = diagnostics._beta_probe(problem, problem.known_solution, cfg.seed)
+        except (
+            diagnostics.NoDistanceOracleError,
+            sets_mod.ProjectionNotConvergedError,
+            ValueError,
+        ):
             beta_hat = None
 
     cells = list(itertools.product(taus, pbars, seeds))

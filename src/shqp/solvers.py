@@ -8,6 +8,11 @@ memory window, and move to the nearest point of the polyhedron the pool
 describes.  Specializing the schedule, the pairing rule, and the relaxation
 parameter recovers cyclic projections, simultaneous supporting halfspaces,
 and the greedy farthest-set method with memory.
+
+Every solver call projects through its own small cache, so each point is
+projected onto each set once: the projections that fill a record's distance
+column are the ones the next step starts from.  An oracle that fails to
+converge ends the run with status "oracle-failed" instead of raising.
 """
 
 from __future__ import annotations
@@ -149,7 +154,6 @@ class SolverConfig:
     pbar: int = 8
     max_outer_iterations: int = 500
     stop_tolerance: float = 1e-10
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.tau < 1.0:
@@ -186,14 +190,18 @@ class TraceRecord:
 class Trace:
     """Recorded run: one row per accepted step plus the starting row.
 
-    Per-set distances are recomputed at recording time, and consecutive
+    Per-set distances are computed once per point, and consecutive
     recorded points always differ (a stalled run stops instead of
-    repeating itself).
+    repeating itself).  A run whose set oracle fails ends with status
+    "oracle-failed"; ``oracle_failure`` then names the set (its index, or
+    None for the problem's intersection oracle) and the error, and the
+    start row carries NaN distances if the start itself failed.
     """
 
     records: list
     status: str = "running"
     copy_steps: int = 0
+    oracle_failure: dict | None = None
 
     def final_point(self) -> np.ndarray:
         return self.records[-1].point
@@ -224,14 +232,102 @@ class Trace:
         return cls(records, status=status)
 
 
-def _distances(problem: ProblemInstance, x):
-    nearest = []
-    dists = np.empty(len(problem.sets))
-    for l, s in enumerate(problem.sets):
-        p, d = sets_mod.project(s, x)
-        nearest.append(p)
-        dists[l] = d
-    return nearest, dists
+# Points a run's projection cache holds.  Every reuse in the loops below is
+# of one of the last two points projected.
+_PROJECTION_MEMORY = 4
+
+
+class _Projections:
+    """Projections of one solver call's recent points onto every set.
+
+    A point is projected when it is recorded and again when the next step
+    starts from it; routing both through one instance per call projects each
+    (set, point) pair once.  Points are keyed by their bytes, so a hit is
+    bit-identical to projecting afresh, and the least recently used point is
+    forgotten beyond _PROJECTION_MEMORY.  Distances are returned read-only.
+    A failing oracle is described in ``failure`` before its
+    ProjectionNotConvergedError propagates.
+    """
+
+    def __init__(self, problem: ProblemInstance):
+        self.problem = problem
+        self.failure: dict | None = None
+        self._memo: dict = {}
+
+    def at(self, x: np.ndarray):
+        """(nearest points, distances) from x to every set."""
+        return self._remember(x.tobytes(), lambda: self._all_sets(x))
+
+    def intersection_distance(self, x: np.ndarray) -> float:
+        oracle = self.problem.intersection_oracle
+        for l, s in enumerate(self.problem.sets):
+            if s is oracle:  # a one-set problem is its own intersection
+                return self.at(x)[1][l]
+        return self._remember(
+            ("intersection", x.tobytes()), lambda: self._project(None, oracle, x)[1]
+        )
+
+    def _remember(self, key, compute):
+        hit = self._memo.pop(key, None)
+        if hit is None:
+            hit = compute()
+            if len(self._memo) >= _PROJECTION_MEMORY:
+                del self._memo[next(iter(self._memo))]
+        self._memo[key] = hit
+        return hit
+
+    def _all_sets(self, x):
+        nearest = []
+        dists = np.empty(len(self.problem.sets))
+        for l, s in enumerate(self.problem.sets):
+            p, dists[l] = self._project(l, s, x)
+            nearest.append(p)
+        dists.flags.writeable = False
+        return tuple(nearest), dists
+
+    def _project(self, index, oracle, x):
+        try:
+            return sets_mod.project(oracle, x)
+        except sets_mod.ProjectionNotConvergedError as exc:
+            self.failure = {"set_index": index, "set_kind": oracle.kind, "message": str(exc)}
+            raise
+
+
+def _record(proj: _Projections, i, j, kind, x, active=0, kkt=0.0) -> TraceRecord:
+    """A trace row at x that owns copies of the point and its distances."""
+    return TraceRecord(i, j, kind, x.copy(), proj.at(x)[1].copy(), active, kkt)
+
+
+def _run(problem: ProblemInstance, x0, loop, *args) -> Trace:
+    """Record the start, then let ``loop(proj, x, trace, *args)`` advance
+    the iterate and return the terminal status.  An oracle failure ends the
+    run with status "oracle-failed" and keeps the records made so far."""
+    proj = _Projections(problem)
+    x = np.asarray(x0 if x0 is not None else problem.start, dtype=float).copy()
+    trace = Trace([])
+    try:
+        trace.records.append(_record(proj, 0, -1, "start", x))
+        trace.status = loop(proj, x, trace, *args)
+    except sets_mod.ProjectionNotConvergedError:
+        if not trace.records:
+            nan = np.full(len(problem.sets), np.nan)
+            trace.records.append(TraceRecord(0, -1, "start", x, nan))
+        trace.status = "oracle-failed"
+        trace.oracle_failure = proj.failure
+    return trace
+
+
+def _merit(proj: _Projections, merit: str, x) -> float:
+    if merit == "intersection-distance":
+        if proj.problem.intersection_oracle is None:
+            raise ValueError("intersection-distance merit needs an intersection oracle")
+        return float(proj.intersection_distance(x))
+    _, dists = proj.at(x)
+    if merit == "sum-of-squares":
+        return float(dists @ dists)
+    if merit == "max-distance":
+        return float(dists.max())
+    raise ValueError(f"unknown merit {merit!r}")
 
 
 def merit_value(problem: ProblemInstance, merit: str, x) -> float:
@@ -241,17 +337,7 @@ def merit_value(problem: ProblemInstance, merit: str, x) -> float:
     the largest set distance, and "intersection-distance" the distance to
     the intersection itself (requires problem.intersection_oracle).
     """
-    if merit == "intersection-distance":
-        if problem.intersection_oracle is None:
-            raise ValueError("intersection-distance merit needs an intersection oracle")
-        _, d = sets_mod.project(problem.intersection_oracle, x)
-        return float(d)
-    _, dists = _distances(problem, x)
-    if merit == "sum-of-squares":
-        return float(dists @ dists)
-    if merit == "max-distance":
-        return float(dists.max())
-    raise ValueError(f"unknown merit {merit!r}")
+    return _merit(_Projections(problem), merit, np.asarray(x, dtype=float))
 
 
 def _qp_attempt(constraints, x):
@@ -285,8 +371,8 @@ def _qp_attempt(constraints, x):
     return None, None
 
 
-def _zero_gap_tangent(s, x, came_from):
-    """Unit normal of a manifold at a point the iterate already sits on.
+def _zero_gap_tangent(proj, l, x, came_from):
+    """Unit normal of manifold l at a point the iterate already sits on.
 
     Once an iterate lands on one manifold of the family, its projection gap
     there vanishes and the set would stop contributing constraints, dropping
@@ -296,7 +382,7 @@ def _zero_gap_tangent(s, x, came_from):
     the projection residual of the previous iterate.  Returns None when no
     reliable direction exists.
     """
-    g = s.analytic_normal(x)
+    g = proj.problem.sets[l].analytic_normal(x)
     if g is not None:
         g = np.asarray(g, dtype=float)
         ng = np.linalg.norm(g)
@@ -304,10 +390,10 @@ def _zero_gap_tangent(s, x, came_from):
             return g / ng
     if came_from is None:
         return None
-    p, dist = sets_mod.project(s, came_from)
-    if dist <= 1e-12:
+    nearest, dists = proj.at(came_from)
+    if dists[l] <= 1e-12:
         return None
-    return (np.asarray(came_from, dtype=float) - p) / dist
+    return (came_from - nearest[l]) / dists[l]
 
 
 def _run_engine(
@@ -318,25 +404,23 @@ def _run_engine(
     force_inequality: bool = False,
     persistent: bool = False,
 ) -> Trace:
-    x = np.asarray(x0 if x0 is not None else problem.start, dtype=float).copy()
-    m = len(problem.sets)
-    schedule.validate_for(m)
+    schedule.validate_for(len(problem.sets))
+    return _run(problem, x0, _engine_loop, schedule, config, force_inequality, persistent)
+
+
+def _engine_loop(proj, x, trace, schedule, config, force_inequality, persistent):
+    problem = proj.problem
+    records = trace.records
     zero_gap = max(config.stop_tolerance, _ZERO_GAP_FLOOR)
     pool: list[polyhedra.Halfspace] = []
-    nearest, dists = _distances(problem, x)
-    records = [TraceRecord(0, -1, "start", x.copy(), dists.copy())]
-    trace = Trace(records)
-    status = "max-iterations"
     fallback_streak = 0
     fallback_last = np.inf
     came_from = None
 
     for i in range(config.max_outer_iterations):
-        if i > 0:
-            nearest, dists = _distances(problem, x)
+        _, dists = proj.at(x)
         if dists.max() <= config.stop_tolerance:
-            status = "converged"
-            break
+            return "converged"
         if persistent:
             # Memory window: keep constraints from the last pbar iterations.
             pool = [h for h in pool if h.outer_iteration >= i - config.pbar]
@@ -353,12 +437,8 @@ def _run_engine(
                 if h.kind == "inequality" and h.outer_iteration >= i - config.pbar
             ]
         moved = False
-        halted = False
         for j, group in enumerate(schedule.groups(dists)):
-            if j == 0:
-                cur_nearest, cur_dists = nearest, dists
-            else:
-                cur_nearest, cur_dists = _distances(problem, x)
+            cur_nearest, cur_dists = proj.at(x)
             fresh: list[tuple[polyhedra.Halfspace, np.ndarray | None]] = []
             for l in group:
                 p, dl = cur_nearest[l], cur_dists[l]
@@ -368,7 +448,7 @@ def _run_engine(
                     # constrains the move through its tangent hyperplane at x;
                     # a convex set that is satisfied simply drops out.
                     if s.is_manifold and not force_inequality:
-                        v = _zero_gap_tangent(s, x, came_from)
+                        v = _zero_gap_tangent(proj, l, x, came_from)
                         if v is not None:
                             fresh.append(
                                 (
@@ -424,23 +504,15 @@ def _run_engine(
                 hs, target = fresh[-1]
                 came_from = x
                 x = target.copy()
-                _, rec_d = _distances(problem, x)
-                records.append(
-                    TraceRecord(
-                        i, j, f"set-projection-{hs.source_set + 1}", x.copy(), rec_d, 1, 0.0
-                    )
-                )
+                records.append(_record(proj, i, j, f"set-projection-{hs.source_set + 1}", x, 1))
                 moved = True
                 continue
             res, kind = _qp_attempt(qp_cons, x)
             if res is not None:
                 came_from = x
                 x = res.point.copy()
-                _, rec_d = _distances(problem, x)
                 records.append(
-                    TraceRecord(
-                        i, j, kind, x.copy(), rec_d, len(res.active_set), res.kkt_residual
-                    )
+                    _record(proj, i, j, kind, x, len(res.active_set), res.kkt_residual)
                 )
                 moved = True
                 continue
@@ -448,34 +520,27 @@ def _run_engine(
             # farthest set so the run can keep making progress.
             prev = x
             x, fallback_streak, fallback_last, ok = _fallback_projection(
-                problem, x, records, i, j, fallback_streak, fallback_last
+                proj, x, records, i, j, fallback_streak, fallback_last
             )
             if x is not prev:
                 came_from = prev
             if not ok:
-                status = "qp-infeasible-fallback-exhausted"
-                halted = True
-                break
+                return "qp-infeasible-fallback-exhausted"
             moved = True
-        if halted:
-            break
         if not moved:
             prev = x
             x, fallback_streak, fallback_last, ok = _fallback_projection(
-                problem, x, records, i, m, fallback_streak, fallback_last
+                proj, x, records, i, len(problem.sets), fallback_streak, fallback_last
             )
             if x is not prev:
                 came_from = prev
             if not ok:
-                status = "qp-infeasible-fallback-exhausted"
-                break
-
-    trace.status = status
-    return trace
+                return "qp-infeasible-fallback-exhausted"
+    return "max-iterations"
 
 
-def _fallback_projection(problem, x, records, i, j, streak, last_dist):
-    nearest, dists = _distances(problem, x)
+def _fallback_projection(proj, x, records, i, j, streak, last_dist):
+    nearest, dists = proj.at(x)
     worst = float(dists.max())
     if worst >= last_dist - 1e-16:
         streak += 1
@@ -487,8 +552,7 @@ def _fallback_projection(problem, x, records, i, j, streak, last_dist):
     x_new = nearest[l].copy()
     if np.linalg.norm(x_new - x) <= _NO_MOVE:
         return x, 3, worst, False
-    _, rec_d = _distances(problem, x_new)
-    records.append(TraceRecord(i, j, "fallback-projection", x_new.copy(), rec_d, 0, 0.0))
+    records.append(_record(proj, i, j, "fallback-projection", x_new))
     return x_new, streak, worst, True
 
 
@@ -557,27 +621,23 @@ def run_two_shqp(problem, x0=None, config: SolverConfig | None = None) -> Trace:
     config = config or SolverConfig()
     if len(problem.sets) != 2:
         raise ValueError("the two-set method needs exactly two sets")
-    x = np.asarray(x0 if x0 is not None else problem.start, dtype=float).copy()
-    _, dists = _distances(problem, x)
-    records = [TraceRecord(0, -1, "start", x.copy(), dists.copy())]
-    trace = Trace(records)
-    status = "max-iterations"
+    return _run(problem, x0, _two_shqp_loop, config)
+
+
+def _two_shqp_loop(proj, x, trace, config):
+    records = trace.records
     for i in range(config.max_outer_iterations):
-        if i > 0:
-            _, dists = _distances(problem, x)
+        nearest, dists = proj.at(x)
         if dists.max() <= config.stop_tolerance:
-            status = "converged"
-            break
+            return "converged"
         moved = False
-        x1, _ = sets_mod.project(problem.sets[0], x)
+        x1 = nearest[0]
         if np.linalg.norm(x1 - x) > _NO_MOVE:
-            _, rec_d = _distances(problem, x1)
-            records.append(TraceRecord(i, 0, "set-projection-1", x1.copy(), rec_d))
+            records.append(_record(proj, i, 0, "set-projection-1", x1))
             moved = True
-        x2, _ = sets_mod.project(problem.sets[1], x1)
+        x2 = proj.at(x1)[0][1]
         if np.linalg.norm(x2 - x1) > _NO_MOVE:
-            _, rec_d = _distances(problem, x2)
-            records.append(TraceRecord(i, 1, "set-projection-2", x2.copy(), rec_d))
+            records.append(_record(proj, i, 1, "set-projection-2", x2))
             moved = True
         u = x - x1
         w = x2 - x1
@@ -591,21 +651,16 @@ def run_two_shqp(problem, x0=None, config: SolverConfig | None = None) -> Trace:
             res = polyhedra.project_onto_polyhedron(polyhedra.Polyhedron(cons), x2)
             if res.status == "optimal":
                 x = res.point.copy()
-                _, rec_d = _distances(problem, x)
                 records.append(
-                    TraceRecord(
-                        i, 2, "qp-step", x.copy(), rec_d, len(res.active_set), res.kkt_residual
-                    )
+                    _record(proj, i, 2, "qp-step", x, len(res.active_set), res.kkt_residual)
                 )
                 stepped = True
         if not stepped:
             x = x2.copy()
             trace.copy_steps += 1
             if not moved:
-                status = "stalled"
-                break
-    trace.status = status
-    return trace
+                return "stalled"
+    return "max-iterations"
 
 
 def run_averaged_projections(problem, x0=None, config: SolverConfig | None = None) -> Trace:
@@ -615,27 +670,20 @@ def run_averaged_projections(problem, x0=None, config: SolverConfig | None = Non
     distance column) never increases along these steps, whatever the sets
     are.  A fixed point that is not in the intersection stops the run.
     """
-    config = config or SolverConfig()
-    x = np.asarray(x0 if x0 is not None else problem.start, dtype=float).copy()
-    nearest, dists = _distances(problem, x)
-    records = [TraceRecord(0, -1, "start", x.copy(), dists.copy())]
-    trace = Trace(records)
-    status = "max-iterations"
+    return _run(problem, x0, _averaged_loop, config or SolverConfig())
+
+
+def _averaged_loop(proj, x, trace, config):
     for i in range(config.max_outer_iterations):
-        if i > 0:
-            nearest, dists = _distances(problem, x)
+        nearest, dists = proj.at(x)
         if dists.max() <= config.stop_tolerance:
-            status = "converged"
-            break
+            return "converged"
         x_new = np.mean(nearest, axis=0)
         if np.linalg.norm(x_new - x) <= _NO_MOVE:
-            status = "stalled"
-            break  # fixed point of the averaging map outside the intersection
+            return "stalled"  # fixed point of the averaging map outside the intersection
         x = x_new
-        _, rec_d = _distances(problem, x)
-        records.append(TraceRecord(i, 0, "averaged-step", x.copy(), rec_d, 0, 0.0))
-    trace.status = status
-    return trace
+        trace.records.append(_record(proj, i, 0, "averaged-step", x))
+    return "max-iterations"
 
 
 def global_step(problem, x, polyhedron, merit: str, config: SolverConfig):
@@ -643,16 +691,22 @@ def global_step(problem, x, polyhedron, merit: str, config: SolverConfig):
 
     Tries the pool-QP point first; if the merit does not decrease, drops the
     oldest constraint and re-solves (warm-started) until the pool runs out,
-    then bisects t over {1, 1/2, ..., 2^-8} on t * qp_point +
-    (1 - t) * averaged_point.  Returns (next_point, accepted, record_fields)
+    then bisects t over {1/2, ..., 2^-8} on t * qp_point +
+    (1 - t) * averaged_point (t = 1 is the first QP point, already
+    rejected).  Returns (next_point, accepted, record_fields)
     with record_fields = (step_kind, active_size, kkt_residual); accepted is
     False when nothing decreased the merit (the caller then takes the pure
     averaged step).
     """
-    x = np.asarray(x, dtype=float)
-    base = merit_value(problem, merit, x)
+    return _global_step(_Projections(problem), np.asarray(x, dtype=float), polyhedron, merit)
+
+
+def _global_step(proj, x, polyhedron, merit):
+    base = _merit(proj, merit, x)
     if base == 0.0:
         return x, True, ("qp-step", 0, 0.0)
+    # The averaged point is taken now, while x's projections are at hand.
+    x_avg = np.mean(proj.at(x)[0], axis=0)
     cons = list(polyhedron)
     first_qp = None
     warm: tuple = ()
@@ -664,7 +718,7 @@ def global_step(problem, x, polyhedron, merit: str, config: SolverConfig):
             fields = (len(res.active_set), res.kkt_residual)
             if first_qp is None:
                 first_qp = (res.point, fields)
-            if merit_value(problem, merit, res.point) < base:
+            if _merit(proj, merit, res.point) < base:
                 kind = "qp-step" if len(cons) == len(polyhedron) else "qp-drop-oldest"
                 return res.point.copy(), True, (kind, *fields)
             warm = res.active_set
@@ -673,15 +727,13 @@ def global_step(problem, x, polyhedron, merit: str, config: SolverConfig):
         warm = tuple(w - 1 for w in warm if w > 0)
     if first_qp is None:
         return x, False, None
-    nearest, _ = _distances(problem, x)
-    x_avg = np.mean(nearest, axis=0)
     x_qp, fields = first_qp
     t = 1.0
-    for _ in range(9):
-        cand = t * x_qp + (1.0 - t) * x_avg
-        if merit_value(problem, merit, cand) < base:
-            return cand, True, ("line-search", *fields)
+    for _ in range(8):
         t *= 0.5
+        cand = t * x_qp + (1.0 - t) * x_avg
+        if _merit(proj, merit, cand) < base:
+            return cand, True, ("line-search", *fields)
     return x, False, None
 
 
@@ -694,26 +746,21 @@ def run_global(
     """Globalized method: refresh the pool from every set, take the QP step
     only when the merit function decreases, otherwise fall back to the
     averaged-projection step."""
-    config = config or SolverConfig()
-    x = np.asarray(x0 if x0 is not None else problem.start, dtype=float).copy()
-    m = len(problem.sets)
+    return _run(problem, x0, _global_loop, config or SolverConfig(), merit)
+
+
+def _global_loop(proj, x, trace, config, merit):
+    problem = proj.problem
     zero_gap = max(config.stop_tolerance, _ZERO_GAP_FLOOR)
     pool: list[polyhedra.Halfspace] = []
-    nearest, dists = _distances(problem, x)
-    records = [TraceRecord(0, -1, "start", x.copy(), dists.copy())]
-    trace = Trace(records)
-    status = "max-iterations"
     for i in range(config.max_outer_iterations):
-        if i > 0:
-            nearest, dists = _distances(problem, x)
+        nearest, dists = proj.at(x)
         if dists.max() <= config.stop_tolerance:
-            status = "converged"
-            break
+            return "converged"
         pool = [h for h in pool if h.outer_iteration >= i - config.pbar]
-        for l in range(m):
+        for l, s in enumerate(problem.sets):
             if dists[l] <= zero_gap:
                 continue
-            s = problem.sets[l]
             tau = config.tau_at(i)
             if config.tau_zero_for_convex and s.is_convex:
                 tau = 0.0
@@ -738,8 +785,8 @@ def run_global(
         fields = None
         if pool:
             ordered = sorted(pool, key=lambda h: (h.outer_iteration, h.inner_step, h.source_set))
-            x_next, accepted, fields = global_step(
-                problem, x, polyhedra.Polyhedron(ordered), merit, config
+            x_next, accepted, fields = _global_step(
+                proj, x, polyhedra.Polyhedron(ordered), merit
             )
         if accepted:
             kind, active, kkt = fields
@@ -748,13 +795,10 @@ def run_global(
             kind, active, kkt = "averaged-step", 0, 0.0
             x_new = np.mean(nearest, axis=0)
         if np.linalg.norm(x_new - x) <= _NO_MOVE:
-            status = "stalled"
-            break  # no step decreased the merit and the average froze
+            return "stalled"  # no step decreased the merit and the average froze
         x = np.asarray(x_new, dtype=float)
-        _, rec_d = _distances(problem, x)
-        records.append(TraceRecord(i, 0, kind, x.copy(), rec_d, active, kkt))
-    trace.status = status
-    return trace
+        trace.records.append(_record(proj, i, 0, kind, x, active, kkt))
+    return "max-iterations"
 
 
 SOLVERS = {

@@ -286,6 +286,78 @@ def test_run_experiment_exit_codes(tmp_path):
     assert out["report_data"]["terminal_status"] == "stalled"
 
 
+DISJOINT_BALLS_PROBLEM = {
+    "name": "disjoint",
+    "sets": [
+        {
+            "kind": "intersection",
+            "members": [
+                {"kind": "ball", "center": [0, 0], "radius": 1},
+                {"kind": "ball", "center": [3, 0], "radius": 1},
+            ],
+        },
+        {"kind": "hyperplane", "normal": [0, 1], "offset": 0},
+    ],
+    "start": [1.5, 1.0],
+}
+
+
+def test_cli_oracle_failure_exits_3_with_outputs(tmp_path):
+    """The intersection of two disjoint balls cannot be projected onto; the
+    run ends with a status and writes its files instead of raising."""
+    path = tmp_path / "disjoint.json"
+    path.write_text(json.dumps({"problem": DISJOINT_BALLS_PROBLEM, "algorithm": "mass"}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["terminal_status"] == "oracle-failed"
+    assert report["oracle_failure"]["set_index"] == 0
+    assert report["oracle_failure"]["set_kind"] == "intersection"
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[2] for r in rows[1:]] == ["start"]
+
+
+def test_every_solver_status_has_an_exit_code():
+    """Every terminal status string in the solvers module maps to an exit
+    code, and an unmapped status is an error rather than a default."""
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(solvers))
+    statuses = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Return):
+            value = node.value
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", getattr(t, "attr", None)) == "status" for t in node.targets
+        ):
+            value = node.value
+        else:
+            continue
+        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+            statuses.add(value.value)
+    assert {"converged", "max-iterations", "stalled", "oracle-failed"} <= statuses
+    assert statuses <= set(harness._STATUS_EXIT)
+    with pytest.raises(RuntimeError, match="unmapped status 'running'"):
+        harness._exit_code("running")
+
+
+def test_build_report_records_oracle_failure_in_regularity(monkeypatch):
+    from shqp import diagnostics
+
+    def failing(*args, **kwargs):
+        raise sets.ProjectionNotConvergedError("probe projection stalled", np.zeros(2))
+
+    monkeypatch.setattr(diagnostics, "estimate_regularity", failing)
+    cfg, problem = harness.validate_experiment(_cfg())
+    trace = solvers.run_map(problem)
+    report = harness.build_report(cfg, problem, trace, problem.start, 0.0)
+    assert report["regularity_estimate"] == {"error": "probe projection stalled"}
+    assert report["predicted_bounds"] == {"error": "no-beta-estimate"}
+    assert "oracle_failure" not in report
+
+
 def test_trace_json_format(tmp_path):
     _, out = harness.run_experiment(
         _cfg(problem="two-shqp-wedge", algorithm="two-shqp", format="json"),
@@ -369,6 +441,26 @@ def test_run_sweep_records_cell_errors_and_validates(tmp_path):
     row = out["rows"][0]
     assert row["status"] == ""
     assert "x0_seed requires a problem" in row["error"]
+
+
+def test_sweep_contraction_matches_the_full_regularity_estimate(tmp_path):
+    """The sweep probes only beta, and gets the value estimate_regularity
+    reports, bit for bit."""
+    from shqp import diagnostics
+
+    cfg = _cfg(
+        problem="two-parabolas",
+        algorithm="memory-shqp",
+        seed=3,
+        sweep={"tau": [0.05, 0.2], "pbar": [2], "x0_seeds": [0]},
+    )
+    _, out = harness.run_sweep(cfg, out_dir=str(tmp_path))
+    problem = gallery.get_entry("two-parabolas").problem
+    beta = diagnostics.estimate_regularity(problem, problem.known_solution, rng_seed=3).beta_hat
+    assert len(out["rows"]) == 2
+    for row in out["rows"]:
+        want = diagnostics.predicted_bounds(len(problem.sets), beta, row["tau"]).contraction
+        assert row["predicted_contraction"] == want
 
 
 # ------------------------------------------------------------------- CLI

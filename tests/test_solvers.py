@@ -346,3 +346,136 @@ def test_global_step_warm_start_follows_dropped_rows(monkeypatch):
         assert [cons[i] for i in warm] == expect
         warm_rows = expect
     assert drops >= 3
+
+
+def _count_projections(monkeypatch):
+    """Count the solver's own sets.project calls by (oracle id, point
+    bytes); calls an oracle makes inside its projection (an intersection
+    oracle projecting onto its members) are not the solver's."""
+    import collections
+
+    calls = collections.Counter()
+    project = sets.project
+    depth = [0]
+
+    def counting(oracle, x):
+        if depth[0] == 0:
+            calls[id(oracle), np.asarray(x, dtype=float).tobytes()] += 1
+        depth[0] += 1
+        try:
+            return project(oracle, x)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(sets, "project", counting)
+    return calls
+
+
+def _applicable_runs():
+    for name in gallery.gallery_names():
+        prob = gallery.get_entry(name).problem
+        for alg, runner in solvers.SOLVERS.items():
+            if alg != "two-shqp" or len(prob.sets) == 2:
+                yield f"{name}/{alg}", prob, runner
+        if prob.intersection_oracle is not None:
+            yield (
+                f"{name}/global/intersection-distance",
+                prob,
+                lambda p: solvers.run_global(p, merit="intersection-distance"),
+            )
+
+
+def test_every_solver_projects_each_point_once(monkeypatch):
+    """Within one solver call no (set, point) pair is projected twice: the
+    projections behind a record's distances are the ones the next step
+    uses."""
+    calls = _count_projections(monkeypatch)
+    repeated = []
+    for label, prob, runner in _applicable_runs():
+        calls.clear()
+        runner(prob)
+        twice = sum(1 for n in calls.values() if n > 1)
+        if twice:
+            repeated.append((label, twice))
+    assert repeated == []
+
+
+@pytest.mark.parametrize(
+    "name, alg, oracle_calls, qp_calls",
+    [
+        ("two-lines-45", "averaged", 280, 0),
+        ("backtrack-example", "map", 2002, 1001),
+        ("two-parabolas", "global", 24, 27),
+    ],
+)
+def test_projection_counts_of_benchmark_anchors(monkeypatch, name, alg, oracle_calls, qp_calls):
+    """Exact oracle and QP call counts; a second identical solve makes the
+    same counts, so no cached state outlives a call."""
+    calls = _count_projections(monkeypatch)
+    qps = []
+    project = polyhedra.project_onto_polyhedron
+
+    def counting_qp(*args, **kwargs):
+        qps.append(1)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "project_onto_polyhedron", counting_qp)
+    prob = gallery.get_entry(name).problem
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        qps.clear()
+        solvers.SOLVERS[alg](prob)
+        counts.append((sum(calls.values()), len(qps)))
+    assert counts == [(oracle_calls, qp_calls)] * 2
+
+
+def test_records_own_their_arrays():
+    prob = gallery.get_entry("circle-line").problem
+    trace = solvers.run_mass_projection(prob)
+    for rec in trace.records:
+        assert rec.distances.flags.writeable and rec.point.flags.writeable
+        assert rec.distances.base is None and rec.point.base is None
+    assert len({id(r.distances) for r in trace.records}) == len(trace.records)
+
+
+class _FlakyBall(sets.Ball):
+    """A ball whose projection stops converging after a number of calls."""
+
+    def __init__(self, center, radius, calls_left):
+        super().__init__(center, radius)
+        self.calls_left = calls_left
+
+    def _project(self, x):
+        self.calls_left -= 1
+        if self.calls_left < 0:
+            raise sets.ProjectionNotConvergedError("flaky ball gave up", x)
+        return super()._project(x)
+
+
+@pytest.mark.parametrize("alg", sorted(solvers.SOLVERS))
+def test_oracle_failure_mid_run_ends_with_status(alg):
+    from shqp import harness
+
+    ball = _FlakyBall([0.0, 0.0], 1.0, calls_left=4)
+    line = sets.HyperplaneSet([0.0, 1.0], 1.0)  # tangent: slow for every solver
+    prob = solvers.ProblemInstance("flaky", [line, ball], [2.0, 3.0])
+    trace = solvers.SOLVERS[alg](prob)
+    assert trace.status == "oracle-failed"
+    assert harness._STATUS_EXIT[trace.status] == harness.EXIT_NO_PROGRESS
+    assert trace.oracle_failure["set_index"] == 1
+    assert trace.oracle_failure["set_kind"] == "ball"
+    assert "flaky ball gave up" in trace.oracle_failure["message"]
+    assert len(trace.records) >= 2
+    assert all(np.all(np.isfinite(r.distances)) for r in trace.records)
+
+
+def test_oracle_failure_at_the_start_keeps_a_start_row():
+    ball = _FlakyBall([0.0, 0.0], 1.0, calls_left=0)
+    prob = solvers.ProblemInstance("flaky", [ball], [2.0, 3.0])
+    trace = solvers.run_map(prob)
+    assert trace.status == "oracle-failed"
+    assert trace.oracle_failure["set_index"] == 0
+    (start,) = trace.records
+    assert start.step_kind == "start" and np.all(np.isnan(start.distances))
+    np.testing.assert_array_equal(start.point, [2.0, 3.0])
