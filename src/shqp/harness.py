@@ -2,7 +2,7 @@
 
 A run takes an ExperimentConfig (JSON document or keyword dict), executes
 one algorithm on one problem, and writes a trace file plus a report JSON.
-A sweep runs a grid of (tau, pbar, x0_seed) cells through a worker pool and
+A sweep runs a grid of (tau, pbar, x0_seed) cells one after another and
 writes one summary row per cell.  Exit codes: 0 converged, 2 iteration
 budget exhausted, 3 no further progress possible (including a set oracle
 that failed to converge), 64 bad configuration.
@@ -10,7 +10,6 @@ that failed to converge), 64 bad configuration.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import itertools
@@ -625,8 +624,8 @@ def _sweep_cell(cfg: ExperimentConfig, problem, tau, pbar, x0_seed, beta_hat):
 def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
     """Run a (tau, pbar, x0_seed) grid and write one summary row per cell.
 
-    Cells execute in a thread pool; rows are collected and written in grid
-    order by this single caller, so output is deterministic given seeds.
+    Cells run one after another in grid order, so output is deterministic
+    given seeds.
     """
     cfg, problem = validate_experiment(config)
     grid = cfg.sweep or {}
@@ -652,14 +651,10 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
         ):
             beta_hat = None
 
-    cells = list(itertools.product(taus, pbars, seeds))
-    workers = min(8, len(cells))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_sweep_cell, cfg, problem, tau, pbar, seed, beta_hat)
-            for tau, pbar, seed in cells
-        ]
-        rows = [f.result() for f in futures]
+    rows = [
+        _sweep_cell(cfg, problem, tau, pbar, seed, beta_hat)
+        for tau, pbar, seed in itertools.product(taus, pbars, seeds)
+    ]
 
     directory = out_dir or cfg.out_dir or "."
     os.makedirs(directory, exist_ok=True)

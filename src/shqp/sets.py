@@ -601,20 +601,25 @@ class PolyhedralSet(SetOracle):
         return worst
 
 
+# Sweeps of member projections an intersection refinement makes at most.
+INTERSECTION_SWEEPS = 20000
+
+
 class IntersectionSet(SetOracle):
     """Intersection of member oracles, projected by cyclic refinement.
 
     The refinement is a local projection oracle, not an exact nearest-point
     map: starting from x it alternates member projections until every
-    membership residual is below 1e-12 or the movement stalls.  Good enough
-    for distance estimates d(x, K) and for sampling normals of K near a
-    reference point.
+    membership residual is below 1e-12, or the movement stalls, or a sweep
+    ends where it began (members that do not meet make such a cycle).  Good
+    enough for distance estimates d(x, K) and for sampling normals of K near
+    a reference point.
     """
 
     kind = "intersection"
     iterative = True
 
-    def __init__(self, members: Sequence[SetOracle], max_sweeps: int = 20000):
+    def __init__(self, members: Sequence[SetOracle]):
         members = list(members)
         if not members:
             raise ValueError("intersection needs at least one member")
@@ -624,11 +629,11 @@ class IntersectionSet(SetOracle):
                 raise DimensionMismatchError("members disagree on dimension")
         super().__init__(dim)
         self.members = members
-        self.max_sweeps = int(max_sweeps)
 
     def _project(self, x):
         y = x.copy()
-        for _ in range(self.max_sweeps):
+        for _ in range(INTERSECTION_SWEEPS):
+            y_start = y
             moved = 0.0
             for mem in self.members:
                 y2, _ = project(mem, y)
@@ -636,7 +641,7 @@ class IntersectionSet(SetOracle):
                 y = y2
             if max(mem.membership_residual(y) for mem in self.members) <= 1e-12:
                 return y
-            if moved <= 1e-15:
+            if moved <= 1e-15 or np.linalg.norm(y - y_start) <= 1e-15:
                 break
         if max(mem.membership_residual(y) for mem in self.members) <= self.membership_tol:
             return y

@@ -1,13 +1,14 @@
 """Set-intersection solvers built on supporting halfspaces and a QP
 projection step.
 
-Most methods share one engine: project the current point onto one or more
-sets, turn each projection into a supporting halfspace (or a supporting
-hyperplane for manifolds), keep the constraints in a pool with a finite
-memory window, and move to the nearest point of the polyhedron the pool
-describes.  Specializing the schedule, the pairing rule, and the relaxation
-parameter recovers cyclic projections, simultaneous supporting halfspaces,
-and the greedy farthest-set method with memory.
+Every method runs one outer loop, ``_run``, with a step rule of its own.
+The loop records the start, tests convergence and spends the iteration
+budget; a step rule projects the iterate onto the sets, turns each
+projection into a supporting halfspace (or a supporting hyperplane for
+manifolds) and moves by a small QP over them.  The pooled rule keeps its
+constraints in a pool with a finite memory window; its schedule, pairing
+rule and relaxation parameter give cyclic projections, simultaneous
+supporting halfspaces and the greedy farthest-set method with memory.
 
 Every solver call projects through its own small cache, so each point is
 projected onto each set once: the projections that fill a record's distance
@@ -232,8 +233,8 @@ class Trace:
         return cls(records, status=status)
 
 
-# Points a run's projection cache holds.  Every reuse in the loops below is
-# of one of the last two points projected.
+# Points a run's projection cache holds.  Every reuse in the step rules below
+# is of one of the last two points projected.
 _PROJECTION_MEMORY = 4
 
 
@@ -293,21 +294,36 @@ class _Projections:
             raise
 
 
-def _record(proj: _Projections, i, j, kind, x, active=0, kkt=0.0) -> TraceRecord:
-    """A trace row at x that owns copies of the point and its distances."""
-    return TraceRecord(i, j, kind, x.copy(), proj.at(x)[1].copy(), active, kkt)
+def _record(proj: _Projections, trace: Trace, i, j, kind, x, active=0, kkt=0.0):
+    """Append a trace row at x that owns copies of the point and its distances."""
+    trace.records.append(TraceRecord(i, j, kind, x.copy(), proj.at(x)[1].copy(), active, kkt))
 
 
-def _run(problem: ProblemInstance, x0, loop, *args) -> Trace:
-    """Record the start, then let ``loop(proj, x, trace, *args)`` advance
-    the iterate and return the terminal status.  An oracle failure ends the
-    run with status "oracle-failed" and keeps the records made so far."""
+def _run(problem: ProblemInstance, x0, config: SolverConfig, step) -> Trace:
+    """The outer loop of every solver.
+
+    Records the start, then in outer iteration i stops with "converged" once
+    every set is within stop_tolerance, and otherwise lets the method's step
+    rule ``step(proj, x, i, trace)`` record the points it moves through and
+    return the next iterate, or a terminal status string that ends the run.
+    A run that spends max_outer_iterations ends with "max-iterations".  An
+    oracle failure ends the run with status "oracle-failed" and keeps the
+    records made so far.
+    """
     proj = _Projections(problem)
     x = np.asarray(x0 if x0 is not None else problem.start, dtype=float).copy()
     trace = Trace([])
     try:
-        trace.records.append(_record(proj, 0, -1, "start", x))
-        trace.status = loop(proj, x, trace, *args)
+        _record(proj, trace, 0, -1, "start", x)
+        for i in range(config.max_outer_iterations):
+            if proj.at(x)[1].max() <= config.stop_tolerance:
+                trace.status = "converged"
+                return trace
+            x = step(proj, x, i, trace)
+            if isinstance(x, str):
+                trace.status = x
+                return trace
+        trace.status = "max-iterations"
     except sets_mod.ProjectionNotConvergedError:
         if not trace.records:
             nan = np.full(len(problem.sets), np.nan)
@@ -396,164 +412,121 @@ def _zero_gap_tangent(proj, l, x, came_from):
     return (came_from - nearest[l]) / dists[l]
 
 
-def _run_engine(
-    problem: ProblemInstance,
-    x0,
-    schedule: Schedule,
-    config: SolverConfig,
-    force_inequality: bool = False,
-    persistent: bool = False,
-) -> Trace:
-    schedule.validate_for(len(problem.sets))
-    return _run(problem, x0, _engine_loop, schedule, config, force_inequality, persistent)
+class _PooledRule:
+    """Step rule of map, basic-shqp (which describes the step), mass and
+    memory-shqp.  It keeps the pool, the previous iterate and the fallback
+    streak across outer iterations.  ``force_inequality`` makes manifolds
+    contribute relaxed inequalities, so no equality ever enters the pool.
+    """
 
+    def __init__(self, schedule: Schedule, config: SolverConfig, force_inequality=False):
+        self.schedule = schedule
+        self.config = config
+        self.hyperplanes = not force_inequality
+        self.pool: list[polyhedra.Halfspace] = []
+        self.came_from = None
+        self.streak = 0
+        self.last_worst = np.inf
 
-def _engine_loop(proj, x, trace, schedule, config, force_inequality, persistent):
-    problem = proj.problem
-    records = trace.records
-    zero_gap = max(config.stop_tolerance, _ZERO_GAP_FLOOR)
-    pool: list[polyhedra.Halfspace] = []
-    fallback_streak = 0
-    fallback_last = np.inf
-    came_from = None
+    def window(self, i):
+        """Keep the inequalities of the last pbar outer iterations: they stay
+        valid outer approximations (the relaxation absorbs curvature), while
+        a stale tangent hyperplane would pin the QP to an old linearization."""
+        oldest = i - self.config.pbar
+        self.pool = [h for h in self.pool if h.kind == "inequality" and h.outer_iteration >= oldest]
 
-    for i in range(config.max_outer_iterations):
-        _, dists = proj.at(x)
-        if dists.max() <= config.stop_tolerance:
-            return "converged"
-        if persistent:
-            # Memory window: keep constraints from the last pbar iterations.
-            pool = [h for h in pool if h.outer_iteration >= i - config.pbar]
-        else:
-            # Inequality cuts from earlier iterations remain valid outer
-            # approximations (the relaxation absorbs curvature), so they are
-            # kept within the same window.  Tangent hyperplanes are only
-            # trustworthy where they were built: stale equalities would pin
-            # the QP to an old linearization, so they expire with their
-            # iteration.
-            pool = [
-                h
-                for h in pool
-                if h.kind == "inequality" and h.outer_iteration >= i - config.pbar
-            ]
+    def cuts(self, proj, x, i, j, group):
+        """(cut, target) for each set of ``group`` that x is not on.
+
+        target is where projecting x onto the cut alone lands; it is None
+        for the tangent hyperplane of a manifold the iterate already sits
+        on.  A convex set that x already belongs to drops out.
+        """
+        config = self.config
+        zero_gap = max(config.stop_tolerance, _ZERO_GAP_FLOOR)
+        nearest, dists = proj.at(x)
+        fresh: list[tuple[polyhedra.Halfspace, np.ndarray | None]] = []
+        for l in group:
+            s = proj.problem.sets[l]
+            manifold = s.is_manifold and self.hyperplanes
+            if dists[l] <= zero_gap:
+                if manifold:
+                    v = _zero_gap_tangent(proj, l, x, self.came_from)
+                    if v is not None:
+                        fresh.append(
+                            (polyhedra.Halfspace(v, float(v @ x), "equality", l, i, j), None)
+                        )
+                continue
+            tau = config.tau_at(i)
+            if manifold or (config.tau_zero_for_convex and s.is_convex):
+                tau = 0.0
+            hs = polyhedra.halfspace_from_projection(
+                x, nearest[l], manifold, tau, source_set=l, outer_iteration=i, inner_step=j
+            )
+            target = nearest[l] if manifold else polyhedra.relaxed_point(nearest[l], x, tau)
+            fresh.append((hs, target))
+        return fresh
+
+    def admit(self, fresh):
+        """Pool the fresh cuts, each replacing its set's cut from the same
+        outer iteration, and return the pool oldest first."""
+        for hs, _ in fresh:
+            key = (hs.source_set, hs.outer_iteration)
+            self.pool = [h for h in self.pool if (h.source_set, h.outer_iteration) != key]
+            self.pool.append(hs)
+        return sorted(self.pool, key=lambda h: (h.outer_iteration, h.inner_step, h.source_set))
+
+    def move(self, proj, trace, x, x_new, i, j, kind, active=0, kkt=0.0):
+        self.came_from = x
+        _record(proj, trace, i, j, kind, x_new, active, kkt)
+        return x_new
+
+    def fallback(self, proj, trace, x, i, j):
+        """Project onto the farthest set, unless the farthest distance has
+        not shrunk over three tries in a row or the projection stays put."""
+        nearest, dists = proj.at(x)
+        worst = float(dists.max())
+        self.streak = self.streak + 1 if worst >= self.last_worst - 1e-16 else 1
+        self.last_worst = worst
+        x_new = nearest[int(np.argmax(dists))]
+        if self.streak >= 3 or np.linalg.norm(x_new - x) <= _NO_MOVE:
+            return "qp-infeasible-fallback-exhausted"
+        return self.move(proj, trace, x, x_new.copy(), i, j, "fallback-projection")
+
+    def __call__(self, proj, x, i, trace):
+        self.window(i)
         moved = False
-        for j, group in enumerate(schedule.groups(dists)):
-            cur_nearest, cur_dists = proj.at(x)
-            fresh: list[tuple[polyhedra.Halfspace, np.ndarray | None]] = []
-            for l in group:
-                p, dl = cur_nearest[l], cur_dists[l]
-                s = problem.sets[l]
-                if dl <= zero_gap:
-                    # The iterate already sits on this set.  A manifold still
-                    # constrains the move through its tangent hyperplane at x;
-                    # a convex set that is satisfied simply drops out.
-                    if s.is_manifold and not force_inequality:
-                        v = _zero_gap_tangent(proj, l, x, came_from)
-                        if v is not None:
-                            fresh.append(
-                                (
-                                    polyhedra.Halfspace(v, float(v @ x), "equality", l, i, j),
-                                    None,
-                                )
-                            )
-                    continue
-                manifold = s.is_manifold and not force_inequality
-                tau = config.tau_at(i)
-                if manifold or (config.tau_zero_for_convex and s.is_convex):
-                    tau = 0.0
-                hs = polyhedra.halfspace_from_projection(
-                    x,
-                    p,
-                    is_manifold=manifold,
-                    tau=tau,
-                    source_set=l,
-                    outer_iteration=i,
-                    inner_step=j,
-                )
-                target = p if manifold else polyhedra.relaxed_point(p, x, tau)
-                fresh.append((hs, target))
+        for j, group in enumerate(self.schedule.groups(proj.at(x)[1])):
+            fresh = self.cuts(proj, x, i, j, group)
             if not fresh:
                 continue
-            if schedule.pairing == "latest":
-                for hs, _ in fresh:
-                    pool = [
-                        h
-                        for h in pool
-                        if (h.source_set, h.outer_iteration)
-                        != (hs.source_set, hs.outer_iteration)
-                    ]
-                    pool.append(hs)
-                qp_cons = sorted(
-                    pool, key=lambda h: (h.outer_iteration, h.inner_step, h.source_set)
-                )
-            else:
-                qp_cons = [hs for hs, _ in fresh]
-            if all(t is None for _, t in fresh) and all(
-                h.violation(x) <= 1e-12 for h in qp_cons
-            ):
+            latest = self.schedule.pairing == "latest"
+            qp_cons = self.admit(fresh) if latest else [hs for hs, _ in fresh]
+            if all(t is None for _, t in fresh) and all(h.violation(x) <= 1e-12 for h in qp_cons):
                 # Only tangent constraints, all satisfied at x: nothing to
                 # project onto, leave the iterate alone.
                 continue
-            if (
-                len(qp_cons) == 1
-                and qp_cons[0] is fresh[-1][0]
-                and fresh[-1][1] is not None
-            ):
+            hs, target = fresh[-1]
+            if len(qp_cons) == 1 and qp_cons[0] is hs and target is not None:
                 # Projecting onto a single supporting constraint built from x
                 # lands exactly on the relaxation target; skip the QP.
-                hs, target = fresh[-1]
-                came_from = x
-                x = target.copy()
-                records.append(_record(proj, i, j, f"set-projection-{hs.source_set + 1}", x, 1))
-                moved = True
-                continue
-            res, kind = _qp_attempt(qp_cons, x)
-            if res is not None:
-                came_from = x
-                x = res.point.copy()
-                records.append(
-                    _record(proj, i, j, kind, x, len(res.active_set), res.kkt_residual)
-                )
-                moved = True
-                continue
-            # Every QP rung failed: take a plain projection onto the
-            # farthest set so the run can keep making progress.
-            prev = x
-            x, fallback_streak, fallback_last, ok = _fallback_projection(
-                proj, x, records, i, j, fallback_streak, fallback_last
-            )
-            if x is not prev:
-                came_from = prev
-            if not ok:
-                return "qp-infeasible-fallback-exhausted"
+                kind = f"set-projection-{hs.source_set + 1}"
+                x = self.move(proj, trace, x, target.copy(), i, j, kind, 1)
+            else:
+                res, kind = _qp_attempt(qp_cons, x)
+                if res is not None:
+                    active, kkt = len(res.active_set), res.kkt_residual
+                    x = self.move(proj, trace, x, res.point.copy(), i, j, kind, active, kkt)
+                else:
+                    # Every QP rung failed: take a plain projection onto the
+                    # farthest set so the run can keep making progress.
+                    x = self.fallback(proj, trace, x, i, j)
+                    if isinstance(x, str):
+                        return x
             moved = True
         if not moved:
-            prev = x
-            x, fallback_streak, fallback_last, ok = _fallback_projection(
-                proj, x, records, i, len(problem.sets), fallback_streak, fallback_last
-            )
-            if x is not prev:
-                came_from = prev
-            if not ok:
-                return "qp-infeasible-fallback-exhausted"
-    return "max-iterations"
-
-
-def _fallback_projection(proj, x, records, i, j, streak, last_dist):
-    nearest, dists = proj.at(x)
-    worst = float(dists.max())
-    if worst >= last_dist - 1e-16:
-        streak += 1
-    else:
-        streak = 1
-    if streak >= 3:
-        return x, streak, worst, False
-    l = int(np.argmax(dists))
-    x_new = nearest[l].copy()
-    if np.linalg.norm(x_new - x) <= _NO_MOVE:
-        return x, 3, worst, False
-    records.append(_record(proj, i, j, "fallback-projection", x_new))
-    return x_new, streak, worst, True
+            return self.fallback(proj, trace, x, i, len(proj.problem.sets))
+        return x
 
 
 def run_basic_shqp(
@@ -572,23 +545,23 @@ def run_basic_shqp(
     config = config or SolverConfig()
     if schedule is None:
         schedule = Schedule.cyclic(len(problem.sets))
-    return _run_engine(problem, x0, schedule, config)
+    schedule.validate_for(len(problem.sets))
+    return _run(problem, x0, config, _PooledRule(schedule, config))
 
 
 def run_map(problem, x0=None, config: SolverConfig | None = None) -> Trace:
-    """Cyclic projections: the schedule engine with singleton pairing and
+    """Cyclic projections: the pooled rule with singleton pairing and
     tau = 0, so every move is the plain set projection itself."""
     base = config or SolverConfig()
     cfg = dataclasses.replace(base, tau=0.0, tau_schedule=None)
-    return _run_engine(problem, x0, Schedule.cyclic(len(problem.sets), "fixed"), cfg)
+    return _run(problem, x0, cfg, _PooledRule(Schedule.cyclic(len(problem.sets), "fixed"), cfg))
 
 
 def run_mass_projection(problem, x0=None, config: SolverConfig | None = None) -> Trace:
     """Simultaneous supporting halfspaces: every set contributes from the
     same outer point, then one QP per outer iteration."""
-    return _run_engine(
-        problem, x0, Schedule.mass(len(problem.sets)), config or SolverConfig()
-    )
+    config = config or SolverConfig()
+    return _run(problem, x0, config, _PooledRule(Schedule.mass(len(problem.sets)), config))
 
 
 def run_memory_shqp(problem, x0=None, config: SolverConfig | None = None) -> Trace:
@@ -601,9 +574,8 @@ def run_memory_shqp(problem, x0=None, config: SolverConfig | None = None) -> Tra
     config = config or SolverConfig()
     if config.pbar < 1:
         raise ValueError("the memory method needs pbar >= 1")
-    return _run_engine(
-        problem, x0, Schedule.farthest(), config, force_inequality=True, persistent=True
-    )
+    rule = _PooledRule(Schedule.farthest(), config, force_inequality=True)
+    return _run(problem, x0, config, rule)
 
 
 def run_two_shqp(problem, x0=None, config: SolverConfig | None = None) -> Trace:
@@ -621,46 +593,35 @@ def run_two_shqp(problem, x0=None, config: SolverConfig | None = None) -> Trace:
     config = config or SolverConfig()
     if len(problem.sets) != 2:
         raise ValueError("the two-set method needs exactly two sets")
-    return _run(problem, x0, _two_shqp_loop, config)
+    return _run(problem, x0, config, _two_shqp_step)
 
 
-def _two_shqp_loop(proj, x, trace, config):
-    records = trace.records
-    for i in range(config.max_outer_iterations):
-        nearest, dists = proj.at(x)
-        if dists.max() <= config.stop_tolerance:
-            return "converged"
-        moved = False
-        x1 = nearest[0]
-        if np.linalg.norm(x1 - x) > _NO_MOVE:
-            records.append(_record(proj, i, 0, "set-projection-1", x1))
-            moved = True
-        x2 = proj.at(x1)[0][1]
-        if np.linalg.norm(x2 - x1) > _NO_MOVE:
-            records.append(_record(proj, i, 1, "set-projection-2", x2))
-            moved = True
-        u = x - x1
-        w = x2 - x1
-        degenerate = np.linalg.norm(u) <= 1e-14 or np.linalg.norm(w) <= 1e-14
-        stepped = False
-        if not degenerate and u @ w > 0.0:
-            cons = [
-                polyhedra.Halfspace(u, float(u @ x1), "inequality", 0, i, 0),
-                polyhedra.Halfspace(x1 - x2, float((x1 - x2) @ x2), "inequality", 1, i, 0),
-            ]
-            res = polyhedra.project_onto_polyhedron(polyhedra.Polyhedron(cons), x2)
-            if res.status == "optimal":
-                x = res.point.copy()
-                records.append(
-                    _record(proj, i, 2, "qp-step", x, len(res.active_set), res.kkt_residual)
-                )
-                stepped = True
-        if not stepped:
-            x = x2.copy()
-            trace.copy_steps += 1
-            if not moved:
-                return "stalled"
-    return "max-iterations"
+def _two_shqp_step(proj, x, i, trace):
+    moved = False
+    x1 = proj.at(x)[0][0]
+    if np.linalg.norm(x1 - x) > _NO_MOVE:
+        _record(proj, trace, i, 0, "set-projection-1", x1)
+        moved = True
+    x2 = proj.at(x1)[0][1]
+    if np.linalg.norm(x2 - x1) > _NO_MOVE:
+        _record(proj, trace, i, 1, "set-projection-2", x2)
+        moved = True
+    u, w = x - x1, x2 - x1
+    degenerate = np.linalg.norm(u) <= 1e-14 or np.linalg.norm(w) <= 1e-14
+    if not degenerate and u @ w > 0.0:
+        cons = [
+            polyhedra.Halfspace(u, float(u @ x1), "inequality", 0, i, 0),
+            polyhedra.Halfspace(x1 - x2, float((x1 - x2) @ x2), "inequality", 1, i, 0),
+        ]
+        res = polyhedra.project_onto_polyhedron(polyhedra.Polyhedron(cons), x2)
+        if res.status == "optimal":
+            x = res.point.copy()
+            _record(proj, trace, i, 2, "qp-step", x, len(res.active_set), res.kkt_residual)
+            return x
+    trace.copy_steps += 1
+    if not moved:
+        return "stalled"
+    return x2.copy()
 
 
 def run_averaged_projections(problem, x0=None, config: SolverConfig | None = None) -> Trace:
@@ -670,20 +631,23 @@ def run_averaged_projections(problem, x0=None, config: SolverConfig | None = Non
     distance column) never increases along these steps, whatever the sets
     are.  A fixed point that is not in the intersection stops the run.
     """
-    return _run(problem, x0, _averaged_loop, config or SolverConfig())
+    return _run(problem, x0, config or SolverConfig(), _averaged_step)
 
 
-def _averaged_loop(proj, x, trace, config):
-    for i in range(config.max_outer_iterations):
-        nearest, dists = proj.at(x)
-        if dists.max() <= config.stop_tolerance:
-            return "converged"
-        x_new = np.mean(nearest, axis=0)
-        if np.linalg.norm(x_new - x) <= _NO_MOVE:
-            return "stalled"  # fixed point of the averaging map outside the intersection
-        x = x_new
-        trace.records.append(_record(proj, i, 0, "averaged-step", x))
-    return "max-iterations"
+def _averaged_step(proj, x, i, trace, x_avg=None):
+    """Move to x_avg, the mean of x's projections unless the caller passes
+    it in; a fixed point of the averaging map stops the run."""
+    if x_avg is None:
+        x_avg = np.mean(proj.at(x)[0], axis=0)
+    return _settle(proj, trace, x, x_avg, i, "averaged-step")
+
+
+def _settle(proj, trace, x, x_new, i, kind, active=0, kkt=0.0):
+    """Record the move from x to x_new, or stop when it does not move."""
+    if np.linalg.norm(x_new - x) <= _NO_MOVE:
+        return "stalled"
+    _record(proj, trace, i, 0, kind, x_new, active, kkt)
+    return x_new
 
 
 def global_step(problem, x, polyhedron, merit: str, config: SolverConfig):
@@ -746,59 +710,30 @@ def run_global(
     """Globalized method: refresh the pool from every set, take the QP step
     only when the merit function decreases, otherwise fall back to the
     averaged-projection step."""
-    return _run(problem, x0, _global_loop, config or SolverConfig(), merit)
+    config = config or SolverConfig()
+    return _run(problem, x0, config, _GlobalRule(config, merit))
 
 
-def _global_loop(proj, x, trace, config, merit):
-    problem = proj.problem
-    zero_gap = max(config.stop_tolerance, _ZERO_GAP_FLOOR)
-    pool: list[polyhedra.Halfspace] = []
-    for i in range(config.max_outer_iterations):
-        nearest, dists = proj.at(x)
-        if dists.max() <= config.stop_tolerance:
-            return "converged"
-        pool = [h for h in pool if h.outer_iteration >= i - config.pbar]
-        for l, s in enumerate(problem.sets):
-            if dists[l] <= zero_gap:
-                continue
-            tau = config.tau_at(i)
-            if config.tau_zero_for_convex and s.is_convex:
-                tau = 0.0
-            # Pool across iterations as halfspaces only: stale tangent
-            # hyperplanes from curved manifolds would pin or empty the QP.
-            hs = polyhedra.halfspace_from_projection(
-                x,
-                nearest[l],
-                is_manifold=False,
-                tau=tau,
-                source_set=l,
-                outer_iteration=i,
-                inner_step=0,
-            )
-            pool = [
-                h
-                for h in pool
-                if (h.source_set, h.outer_iteration) != (hs.source_set, hs.outer_iteration)
-            ]
-            pool.append(hs)
-        accepted = False
-        fields = None
-        if pool:
-            ordered = sorted(pool, key=lambda h: (h.outer_iteration, h.inner_step, h.source_set))
-            x_next, accepted, fields = _global_step(
-                proj, x, polyhedra.Polyhedron(ordered), merit
-            )
-        if accepted:
-            kind, active, kkt = fields
-            x_new = x_next
-        else:
-            kind, active, kkt = "averaged-step", 0, 0.0
-            x_new = np.mean(nearest, axis=0)
-        if np.linalg.norm(x_new - x) <= _NO_MOVE:
-            return "stalled"  # no step decreased the merit and the average froze
-        x = np.asarray(x_new, dtype=float)
-        trace.records.append(_record(proj, i, 0, kind, x, active, kkt))
-    return "max-iterations"
+class _GlobalRule(_PooledRule):
+    """Step rule of the globalized method: every set contributes a relaxed
+    inequality (stale tangent hyperplanes from curved manifolds would pin or
+    empty the QP), and the averaged step moves when no merit decreases."""
+
+    def __init__(self, config: SolverConfig, merit: str):
+        super().__init__(None, config, force_inequality=True)
+        self.merit = merit
+
+    def __call__(self, proj, x, i, trace):
+        self.window(i)
+        # Averaged now, while x's projections are still in the cache.
+        x_avg = np.mean(proj.at(x)[0], axis=0)
+        ordered = self.admit(self.cuts(proj, x, i, 0, range(len(proj.problem.sets))))
+        if ordered:
+            pool = polyhedra.Polyhedron(ordered)
+            x_next, accepted, fields = _global_step(proj, x, pool, self.merit)
+            if accepted:
+                return _settle(proj, trace, x, x_next, i, *fields)
+        return _averaged_step(proj, x, i, trace, x_avg)
 
 
 SOLVERS = {

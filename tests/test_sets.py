@@ -149,6 +149,23 @@ def test_intersection_set_agrees_with_polyhedral_route():
         assert d1 == pytest.approx(d2, abs=1e-6)
 
 
+def test_intersection_of_disjoint_balls_fails_fast(monkeypatch):
+    """Alternating between two disjoint balls settles into a 2-cycle; the
+    refinement notices that a sweep ends where it began and gives up."""
+    calls = []
+    original = sets.project
+
+    def counting(oracle, x):
+        calls.append(oracle.kind)
+        return original(oracle, x)
+
+    monkeypatch.setattr(sets, "project", counting)
+    inter = IntersectionSet([Ball((0.0, 0.0), 1.0), Ball((3.0, 1.0), 1.0)])
+    with pytest.raises(sets.ProjectionNotConvergedError):
+        sets.project(inter, np.array([0.5, 2.0]))
+    assert calls.count("ball") <= 200
+
+
 def test_fixed_rank_projection_truncates_svd():
     rng = np.random.default_rng(6)
     rank1 = FixedRankSet(2, 2, 1)

@@ -222,6 +222,39 @@ def test_averaged_stalls_at_midpoint_of_disjoint_points():
     np.testing.assert_allclose(trace.final_point(), [0.5, 0.0], atol=1e-12)
 
 
+def _parallel_lines_problem():
+    """Two parallel lines: every pool QP with a cut from each is empty."""
+    line0 = sets.HyperplaneSet([1.0, 0.0], 0.0)
+    line1 = sets.HyperplaneSet([1.0, 0.0], 1.0)
+    return solvers.ProblemInstance("parallel-lines", [line0, line1], [2.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "runner, landing, steps",
+    [
+        # The two tangent hyperplanes are inconsistent; their relaxed
+        # halfspaces still meet on the first line.
+        (solvers.run_mass_projection, "qp-inequality-relaxation", [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]),
+        # The first inner step's lone cut is a plain projection; the second
+        # step's pool is empty and falls back to the farthest set.
+        (solvers.run_basic_shqp, "set-projection-1", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]),
+    ],
+)
+def test_parallel_lines_exhaust_the_fallback(runner, landing, steps):
+    """The fallback projection bounces between the lines, the farthest
+    distance never shrinks, and the third try ends the run."""
+    trace = runner(_parallel_lines_problem())
+    assert trace.status == "qp-infeasible-fallback-exhausted"
+    kinds = [landing, "fallback-projection"] * 2 + [landing]
+    points = [[0.0, 0.5], [1.0, 0.5]] * 2 + [[0.0, 0.5]]
+    expected = [("start", (0, -1), [2.0, 0.5])] + list(zip(kinds, steps, points))
+    assert len(trace.records) == 6
+    for rec, (kind, step, point) in zip(trace.records, expected):
+        assert rec.step_kind == kind
+        assert (rec.outer_iteration, rec.inner_step) == step
+        np.testing.assert_array_equal(rec.point, point)
+
+
 def test_map_cycles_forever_on_disjoint_points():
     cfg = solvers.SolverConfig(max_outer_iterations=30)
     trace = solvers.run_map(_point_problem(), config=cfg)
