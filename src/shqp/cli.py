@@ -84,7 +84,7 @@ def _add_run_flags(sub) -> None:
     sub.add_argument("--x0-radius", type=float, dest="x0_radius", help="radius of the seeded-start ball")
     sub.add_argument("--tau", type=float, help="halfspace relaxation parameter in [0,1)")
     sub.add_argument("--pbar", type=int, help="memory depth in outer iterations")
-    sub.add_argument("--seed", type=int, help="rng seed for solver and report sampling")
+    sub.add_argument("--seed", type=int, help="seed for the report's regularity sampling (no solver draws from it)")
     sub.add_argument("--max-iters", type=int, dest="max_iters", help="outer iteration cap")
     sub.add_argument("--tol", type=float, help="stop when every set distance is below this")
     sub.add_argument("--out-dir", dest="out_dir", help="directory for trace and report files")

@@ -263,11 +263,11 @@ def estimate_regularity(
             eta_hat = min(eta_hat, polyhedra.eta(bundle))
         eta_hat = float(eta_hat)
 
+    centers = [sets_mod.project(s, xstar)[0] for s in problem.sets]
     delta_profile: dict[float, float] = {}
     for k, r in enumerate(radii):
         worst_ratio = None
-        for li, s in enumerate(problem.sets):
-            center, _ = sets_mod.project(s, xstar)
+        for li, (s, center) in enumerate(zip(problem.sets, centers)):
             try:
                 _, ratio = sets_mod.check_super_regular(
                     s, center, 0.0, r, sample_count=160, rng_seed=rng_seed + 7 * k + li
@@ -278,8 +278,7 @@ def estimate_regularity(
         delta_profile[r] = 0.0 if worst_ratio is None else float(worst_ratio)
 
     sosh = None
-    for li, s in enumerate(problem.sets):
-        center, _ = sets_mod.project(s, xstar)
+    for li, (s, center) in enumerate(zip(problem.sets, centers)):
         try:
             _, worst_m = sets_mod.check_sosh(
                 s, center, np.inf, big, sample_count=160, rng_seed=rng_seed + 31 * li

@@ -8,6 +8,11 @@ Goldfarb–Idnani dual method on a QR factor of the active normals that is
 updated as rows enter and leave.  An empty polyhedron is certified by a Farkas vector: a parallel
 pair, the equality residual, or the dual ray at the step where the entering
 row admits no primal step.
+
+The conditioning measure ``eta`` of a bundle of unit normals v_i, the
+distance from the origin to their convex hull, is one call of the same QP:
+by duality the least-norm point of {u : <v_i, u> >= 1} has norm 1 / eta,
+so eta's cost carries the QP's step bound.
 """
 
 from __future__ import annotations
@@ -544,89 +549,17 @@ def derived_halfspace(poly: Polyhedron, x_prev) -> Halfspace:
     return Halfspace(gap, float(gap @ res.point), "inequality")
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _eta_enumeration(V: np.ndarray) -> float:
-    k = V.shape[1]
-    Q = V.T @ V
-    best = np.inf
-    for mask in range(1, 2**k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        s = len(idx)
-        Qs = Q[np.ix_(idx, idx)]
-        KKT = np.zeros((s + 1, s + 1))
-        KKT[:s, :s] = Qs
-        KKT[:s, s] = 1.0
-        KKT[s, :s] = 1.0
-        rhs = np.zeros(s + 1)
-        rhs[s] = 1.0
-        sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        lam = sol[:s]
-        if abs(lam.sum() - 1.0) > 1e-9 or lam.min() < -1e-12:
-            continue
-        val = float(np.sqrt(max(0.0, lam @ Qs @ lam)))
-        best = min(best, val)
-    return best
-
-
-def _eta_projected_gradient(V: np.ndarray, max_iterations: int = 10_000) -> float:
-    k = V.shape[1]
-    lam = np.full(k, 1.0 / k)
-
-    def f(l):
-        return float(np.linalg.norm(V @ l))
-
-    val = f(lam)
-    for _ in range(max_iterations):
-        if val <= 1e-14:
-            return 0.0
-        grad = V.T @ (V @ lam) / val
-        t = 1.0
-        improved = False
-        gnorm2 = grad @ grad
-        while t >= 1e-16:
-            cand = _project_simplex(lam - t * grad)
-            fc = f(cand)
-            if fc <= val - 1e-4 * t * gnorm2:
-                lam, val = cand, fc
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    # Polish on the identified support for near-exact face solutions.
-    support = [i for i in range(k) if lam[i] > 1e-9]
-    if support:
-        Vs = V[:, support]
-        Qs = Vs.T @ Vs
-        s = len(support)
-        KKT = np.zeros((s + 1, s + 1))
-        KKT[:s, :s] = Qs
-        KKT[:s, s] = 1.0
-        KKT[s, :s] = 1.0
-        rhs = np.zeros(s + 1)
-        rhs[s] = 1.0
-        sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        cand = sol[:s]
-        if abs(cand.sum() - 1.0) <= 1e-9 and cand.min() >= -1e-12:
-            val = min(val, float(np.sqrt(max(0.0, cand @ Qs @ cand))))
-    return val
-
-
 def eta(normals) -> float:
     """Distance from the origin to the convex hull of the unit normals.
 
     Quantifies how linearly regular a bundle of supporting directions is:
-    eta = min over the unit simplex of ||sum_i lam_i v_i||.  Exact subset
-    enumeration for up to six vectors, projected gradient with an Armijo
-    line search beyond that.
+    eta = min over the unit simplex of ||sum_i lam_i v_i||, which by duality
+    is max over unit w of min_i <v_i, w>.  When the hull misses the origin,
+    the least-norm u with <v_i, u> >= 1 for every i has norm 1 / eta, so
+    one polyhedral QP from the origin gives eta.  When no such u exists,
+    Gordan's theorem puts the origin in the hull: the QP certifies the empty
+    polyhedron and eta = 0, meaning some convex combination of the normals
+    vanishes and no direction w has <v_i, w> > 0 for every i.
     """
     V = np.column_stack([np.asarray(v, dtype=float) for v in normals])
     if V.ndim != 2 or V.shape[1] < 1:
@@ -634,6 +567,9 @@ def eta(normals) -> float:
     lens = np.linalg.norm(V, axis=0)
     if np.any(np.abs(lens - 1.0) > 1e-10):
         raise ValueError("normals must be unit vectors")
-    if V.shape[1] <= 6:
-        return _eta_enumeration(V)
-    return _eta_projected_gradient(V)
+    res = project_onto_polyhedron(
+        Polyhedron([Halfspace(-v, -1.0) for v in V.T]), np.zeros(V.shape[0])
+    )
+    if res.status == "infeasible":
+        return 0.0
+    return 1.0 / float(np.linalg.norm(res.point))

@@ -582,7 +582,12 @@ class PolyhedralSet(SetOracle):
         self._poly = polyhedra.Polyhedron(hs)
 
     def _project(self, x):
-        res = polyhedra.project_onto_polyhedron(self._poly, x)
+        try:
+            res = polyhedra.project_onto_polyhedron(self._poly, x)
+        except polyhedra.QPBreakdownError as exc:
+            raise ProjectionNotConvergedError(
+                "polyhedral set projection failed: " + str(exc), x
+            ) from exc
         if res.status != "optimal":
             raise ProjectionNotConvergedError(
                 "polyhedral set projection failed: " + res.status, x

@@ -318,6 +318,47 @@ def test_cli_oracle_failure_exits_3_with_outputs(tmp_path):
     assert [r[2] for r in rows[1:]] == ["start"]
 
 
+# Two equality rows with one offset whose unit normals differ by 2.7e-10:
+# too far apart for the QP's parallel-pair check (1e-10), too close for the
+# Farkas certificate it then finds to verify.
+TWIN_EQUALITIES_PROBLEM = {
+    "name": "twin-equalities",
+    "sets": [
+        {
+            "kind": "polyhedron",
+            "halfspaces": [
+                {
+                    "normal": [0.30512942729120457, -0.9902701051808576],
+                    "offset": 0.0004255930654568889,
+                    "kind": "equality",
+                },
+                {"normal": [174.37625334230282, 238.23910313041532], "offset": 0.07178392517211876},
+                {
+                    "normal": [0.30512942721128516, -0.9902701058754966],
+                    "offset": 0.0004255930654568889,
+                    "kind": "equality",
+                },
+            ],
+        },
+        {"kind": "ball", "center": [0, 0], "radius": 1},
+    ],
+    "start": [-0.0013520526948978043, 0.0006956518408253057],
+}
+
+
+def test_cli_qp_breakdown_in_a_polyhedron_exits_3(tmp_path):
+    """A polyhedral set whose QP breaks down is an oracle failure: the run
+    exits 3 with its files instead of escaping with a traceback."""
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps({"problem": TWIN_EQUALITIES_PROBLEM, "algorithm": "mass"}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["terminal_status"] == "oracle-failed"
+    assert report["oracle_failure"]["set_index"] == 0
+    assert report["oracle_failure"]["set_kind"] == "polyhedron"
+
+
 def test_every_solver_status_has_an_exit_code():
     """Every terminal status string in the solvers module maps to an exit
     code, and an unmapped status is an error rather than a default."""

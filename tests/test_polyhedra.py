@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refs
 from shqp import polyhedra
@@ -343,8 +345,8 @@ def test_eta_matches_certified_grid():
 
 
 def test_eta_descent_path_agrees_with_enumeration():
-    """Beyond six vectors eta switches to projected descent; duplicating a
-    row crosses that boundary without changing the answer."""
+    """Duplicating a row of a six-vector bundle leaves eta unchanged, and
+    adding vectors can only shrink it."""
     rng = np.random.default_rng(5)
     v6 = rng.standard_normal((6, 4))
     v6 /= np.linalg.norm(v6, axis=1, keepdims=True)
@@ -355,3 +357,43 @@ def test_eta_descent_path_agrees_with_enumeration():
     v8 = np.vstack([v6, rng.standard_normal((2, 4))])
     v8 /= np.linalg.norm(v8, axis=1, keepdims=True)
     assert polyhedra.eta(list(v8)) <= exact + 1e-9
+
+
+def test_eta_ignores_a_vector_beyond_the_nearest_face():
+    """A seventh vector on the far side of the hull's nearest face
+    (<w, d> = 0.932 > eta = 0.3812 along that face's unit direction d)
+    leaves the least-norm point, and so eta, where it was."""
+    v6 = np.random.default_rng(6).standard_normal((6, 3))
+    v6 /= np.linalg.norm(v6, axis=1, keepdims=True)
+    w = np.array([-0.0157636247950328, 0.8365581547573104, -0.5476513141063072])
+    seven = np.vstack([v6, w / np.linalg.norm(w)])
+    assert polyhedra.eta(list(seven)) == pytest.approx(polyhedra.eta(list(v6)), abs=1e-9)
+
+
+@st.composite
+def bundles(draw):
+    """(V, y, lam): k <= 8 unit rows in R^n, generic or normalized integer
+    vectors, with a unit vector y and weights lam on the unit simplex."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+        V = np.array(draw(st.lists(row, min_size=k, max_size=k)), float)
+    else:
+        V = rng.standard_normal((k, n))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    y = rng.standard_normal(n)
+    lam = rng.exponential(size=k)
+    return V, y / np.linalg.norm(y), lam / lam.sum()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bundles())
+def test_eta_lies_between_its_primal_and_dual_bounds(bundle):
+    """eta = min over the simplex of ||V lam|| = max over unit w of
+    min_i <v_i, w>, so every simplex point bounds it above and every unit
+    direction bounds it below."""
+    V, y, lam = bundle
+    value = polyhedra.eta(list(V))
+    assert float(np.min(V @ y)) - 1e-12 <= value <= float(np.linalg.norm(lam @ V)) + 1e-12
