@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import gallery, harness
+from . import gallery, harness, solvers
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +77,7 @@ def _add_run_flags(sub) -> None:
     sub.add_argument("--problem", help="gallery name (see `list`)")
     sub.add_argument(
         "--algorithm",
-        help="one of: map, basic-shqp, mass, memory-shqp, two-shqp, averaged, global",
+        help="one of: " + ", ".join(solvers.SOLVERS),
     )
     sub.add_argument("--x0", help="starting point, comma-separated (e.g. 0,1,0)")
     sub.add_argument("--x0-seed", type=int, dest="x0_seed", help="seed a random start near the known solution")

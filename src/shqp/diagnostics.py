@@ -11,6 +11,8 @@ worst-case rate constants that the estimated quantities plug into.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -132,9 +134,7 @@ def analyze_trace(trace, xbar=None, pbar: int = 1) -> RateReport:
         )
     e = np.array(errors)
     q_ratios = (e[1:] / e[:-1]).tolist()
-    tail_n = min(len(q_ratios), max(4, math.ceil(0.25 * len(q_ratios))))
-    tail = np.array(q_ratios[-tail_n:])
-    tail_qlinear_rate = float(np.exp(np.mean(np.log(tail))))
+    tail_qlinear_rate, tail_n = _tail_geometric_mean(q_ratios)
     # Tail error pairs feed the log-log order fit.
     le = np.log(e[len(e) - tail_n - 1 :])
     if np.ptp(le[:-1]) < 1e-12:
@@ -152,6 +152,14 @@ def analyze_trace(trace, xbar=None, pbar: int = 1) -> RateReport:
         estimated_order=estimated_order,
         fejer_ok=fejer_ok,
     )
+
+
+def _tail_geometric_mean(ratios) -> tuple[float, int]:
+    """Geometric mean of the tail of a nonempty ratio list, and the tail's
+    length: the last quartile, at least 4 ratios (all of them if fewer)."""
+    n = min(len(ratios), max(4, math.ceil(0.25 * len(ratios))))
+    tail = np.asarray(ratios[-n:], dtype=float)
+    return float(np.exp(np.mean(np.log(tail)))), n
 
 
 def _intersection_distance(problem, x, proxy_config):
@@ -182,25 +190,28 @@ def _sample_normal(oracle, xstar, radius, rng, tries: int = 50):
     return None
 
 
-def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> float:
+def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> tuple[float, list]:
     """The beta_hat of estimate_regularity, without its other samplers.
 
     Validates xstar and radii, then draws the probes from ``rng`` (a
     Generator, or a seed for a fresh one) before anything else does, so
-    the value is the same whichever function asks for it.
+    the value is the same whichever function asks for it.  Returns
+    ``(beta_hat, centers)``, where centers are xstar's projections onto the
+    sets, made once for the membership check.
     """
     xstar = np.asarray(xstar, dtype=float)
+    centers = []
     for s in problem.sets:
-        _, d = sets_mod.project(s, xstar)
+        center, d = sets_mod.project(s, xstar)
         if d > 1e-7:
             raise ValueError("xstar must lie in the intersection (within 1e-8)")
+        centers.append(center)
     radii = tuple(float(r) for r in radii)
     if not radii or min(radii) <= 0:
         raise ValueError("radii must be positive")
     rng = np.random.default_rng(rng)
     big = max(radii)
     proxy_config = solvers.SolverConfig(stop_tolerance=1e-12, max_outer_iterations=300)
-    proj = solvers._Projections(problem)
     beta_hat = 1.0
     for _ in range(samples):
         u = rng.standard_normal(problem.dimension)
@@ -209,13 +220,12 @@ def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> float:
             continue
         r = big * rng.uniform() ** (1.0 / problem.dimension)
         x = xstar + r * u / nu
-        _, dists = proj.at(x)
-        worst = dists.max()
+        worst = max(sets_mod.project(s, x)[1] for s in problem.sets)
         if worst <= 1e-10:
             continue
         dk = _intersection_distance(problem, x, proxy_config)
         beta_hat = max(beta_hat, dk / worst)
-    return float(beta_hat)
+    return float(beta_hat), centers
 
 
 def estimate_regularity(
@@ -230,9 +240,16 @@ def estimate_regularity(
     xstar must belong to every set within 1e-8.  d(x, K) uses the problem's
     intersection oracle when present; otherwise a pooled-halfspace run from
     each probe supplies an upper proxy (recorded in distance_oracle).
+
+    The super-regularity profile draws 160 points per set and radius r_k
+    with seed rng_seed + 7k + l (set l), centered at xstar's projection onto
+    the set; the second-order bound draws 160 per set at the largest radius
+    with seed rng_seed + 31l.  Draws with the same (set, radius, seed) are
+    made and projected once and feed both checks; with the default radii
+    that is set 0's sosh draws, which are its first super-regularity draws.
     """
     rng = np.random.default_rng(rng_seed)
-    beta_hat = _beta_probe(problem, xstar, rng, radii, samples)
+    beta_hat, centers = _beta_probe(problem, xstar, rng, radii, samples)
     xstar = np.asarray(xstar, dtype=float)
     radii = tuple(float(r) for r in radii)
     big = max(radii)
@@ -242,56 +259,40 @@ def estimate_regularity(
         else "mass-shqp-proxy"
     )
 
-    normals = []
-    manifold_flags = []
-    probe_r = min(radii) / 5.0
-    for s in problem.sets:
-        v = _sample_normal(s, xstar, probe_r, rng)
-        if v is not None:
-            normals.append(v)
-            manifold_flags.append(s.is_manifold)
-    if not normals:
-        eta_hat = 1.0
-    else:
-        eta_hat = np.inf
-        flips = [i for i, f in enumerate(manifold_flags) if f]
-        for mask in range(1 << len(flips)):
-            bundle = [v.copy() for v in normals]
-            for bit, idx in enumerate(flips):
-                if mask >> bit & 1:
-                    bundle[idx] = -bundle[idx]
-            eta_hat = min(eta_hat, polyhedra.eta(bundle))
-        eta_hat = float(eta_hat)
+    # One sampled unit normal per set, of either sign on a manifold; eta_hat
+    # is the smallest separation over those orientations.
+    sampled = [(_sample_normal(s, xstar, min(radii) / 5.0, rng), s.is_manifold) for s in problem.sets]
+    signs = [(v, -v) if flip else (v,) for v, flip in sampled if v is not None]
+    eta_hat = float(min(polyhedra.eta(list(b)) for b in itertools.product(*signs))) if signs else 1.0
 
-    centers = [sets_mod.project(s, xstar)[0] for s in problem.sets]
-    delta_profile: dict[float, float] = {}
-    for k, r in enumerate(radii):
-        worst_ratio = None
+    centers = [sets_mod._member_center(s, c, "center") for s, c in zip(problem.sets, centers)]
+
+    @functools.cache
+    def draws(li, radius, seed):
+        return sets_mod._ball_draws(problem.sets[li], centers[li], radius, 160, seed)
+
+    def worst_over_sets(reduce, radius, seed_of):
+        """The largest reduction of set l's draws with seed seed_of(l) over
+        the sets that have samples, or 0.0 if none has."""
+        found = []
         for li, (s, center) in enumerate(zip(problem.sets, centers)):
             try:
-                _, ratio = sets_mod.check_super_regular(
-                    s, center, 0.0, r, sample_count=160, rng_seed=rng_seed + 7 * k + li
-                )
+                found.append(reduce(s, center, draws(li, radius, seed_of(li))))
             except sets_mod.InsufficientSamplesError:
                 continue
-            worst_ratio = ratio if worst_ratio is None else max(worst_ratio, ratio)
-        delta_profile[r] = 0.0 if worst_ratio is None else float(worst_ratio)
+        return float(max(found, default=0.0))
 
-    sosh = None
-    for li, (s, center) in enumerate(zip(problem.sets, centers)):
-        try:
-            _, worst_m = sets_mod.check_sosh(
-                s, center, np.inf, big, sample_count=160, rng_seed=rng_seed + 31 * li
-            )
-        except sets_mod.InsufficientSamplesError:
-            continue
-        sosh = worst_m if sosh is None else max(sosh, worst_m)
+    delta_profile = {
+        r: worst_over_sets(sets_mod._super_regular_worst, r, lambda li: rng_seed + 7 * k + li)
+        for k, r in enumerate(radii)
+    }
+    sosh = worst_over_sets(sets_mod._sosh_worst, big, lambda li: rng_seed + 31 * li)
 
     return RegularityEstimate(
         beta_hat=float(beta_hat),
         eta_hat=eta_hat,
         delta_profile=delta_profile,
-        sosh_M_hat=0.0 if sosh is None else float(sosh),
+        sosh_M_hat=sosh,
         distance_oracle=oracle_kind,
         probe_count=samples,
     )

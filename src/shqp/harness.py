@@ -97,17 +97,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "problem": {"oneOf": [{"type": "string", "minLength": 1}, _PROBLEM_SCHEMA]},
-        "algorithm": {
-            "enum": [
-                "map",
-                "basic-shqp",
-                "mass",
-                "memory-shqp",
-                "two-shqp",
-                "averaged",
-                "global",
-            ]
-        },
+        "algorithm": {"enum": list(solvers.SOLVERS)},
         "x0": {"oneOf": [_VECTOR, {"type": "null"}]},
         "x0_seed": {"oneOf": [{"type": "integer", "minimum": 0}, {"type": "null"}]},
         "x0_radius": {"type": "number", "exclusiveMinimum": 0},
@@ -582,15 +572,6 @@ def run_experiment(config, out_dir: str | None = None) -> tuple[int, dict]:
     }
 
 
-def _tail_geometric_mean(values) -> float | None:
-    vals = [v for v in values if v > 0.0]
-    if not vals:
-        return None
-    k = min(len(vals), max(4, math.ceil(0.25 * len(vals))))
-    tail = np.asarray(vals[-k:], dtype=float)
-    return float(np.exp(np.mean(np.log(tail))))
-
-
 def _sweep_cell(cfg: ExperimentConfig, problem, tau, pbar, x0_seed, beta_hat):
     row = {
         "tau": tau,
@@ -613,7 +594,8 @@ def _sweep_cell(cfg: ExperimentConfig, problem, tau, pbar, x0_seed, beta_hat):
             ).contraction
         rate = diagnostics.analyze_trace(trace, xbar=problem.known_solution, pbar=pbar)
         row["tail_qlinear_rate"] = rate.tail_qlinear_rate
-        row["pbar_step_ratio"] = _tail_geometric_mean(rate.pbar_ratios)
+        if rate.pbar_ratios:
+            row["pbar_step_ratio"] = diagnostics._tail_geometric_mean(rate.pbar_ratios)[0]
     except diagnostics.InsufficientDataError as exc:
         row["error"] = str(exc)
     except Exception as exc:  # cell failures are recorded, the sweep continues
@@ -643,7 +625,7 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
     if problem.known_solution is not None:
         # Only beta feeds the rows; the rest of estimate_regularity is skipped.
         try:
-            beta_hat = diagnostics._beta_probe(problem, problem.known_solution, cfg.seed)
+            beta_hat, _ = diagnostics._beta_probe(problem, problem.known_solution, cfg.seed)
         except (
             diagnostics.NoDistanceOracleError,
             sets_mod.ProjectionNotConvergedError,

@@ -721,6 +721,35 @@ def _uniform_ball(rng: np.random.Generator, n: int) -> np.ndarray:
     return g * rng.uniform() ** (1.0 / n)
 
 
+def _member_center(oracle: SetOracle, center, name: str) -> np.ndarray:
+    """``center`` as a point, after checking that it belongs to the set."""
+    c = _as_point(center, oracle.dimension)
+    if oracle.membership_residual(c) > oracle.membership_tol:
+        raise ValueError(f"{name} must be a member of the set")
+    return c
+
+
+def _ball_draws(oracle: SetOracle, center, radius: float, count: int, seed: int) -> list:
+    """Project ``count`` uniform draws w from B(center, radius).
+
+    Returns ``(w, y, gap)`` for each draw whose projection y converged and
+    lies in the ball, with gap = ||w - y||.  Both samplers below reduce
+    these draws; the same arguments always give the same draws.
+    """
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        w = center + radius * _uniform_ball(rng, oracle.dimension)
+        try:
+            y, gap = project(oracle, w)
+        except ProjectionNotConvergedError:
+            continue
+        if np.linalg.norm(y - center) > radius:
+            continue
+        draws.append((w, y, gap))
+    return draws
+
+
 def check_super_regular(
     oracle: SetOracle,
     center,
@@ -737,22 +766,16 @@ def check_super_regular(
     ``(holds, worst_ratio)`` where worst_ratio is the largest sampled value
     of <z - y, v> / ||z - y||.
     """
-    c = _as_point(center, oracle.dimension)
-    if oracle.membership_residual(c) > oracle.membership_tol:
-        raise ValueError("center must be a member of the set")
-    rng = np.random.default_rng(rng_seed)
-    n = oracle.dimension
+    c = _member_center(oracle, center, "center")
+    worst = _super_regular_worst(oracle, c, _ball_draws(oracle, c, radius, sample_count, rng_seed))
+    return (worst <= delta + 1e-9, worst)
 
-    members = [c]
+
+def _super_regular_worst(oracle: SetOracle, center: np.ndarray, draws: list) -> float:
+    """check_super_regular's worst ratio over the members and normals of draws."""
+    members = [center]
     normals: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(sample_count):
-        w = c + radius * _uniform_ball(rng, n)
-        try:
-            y, gap = project(oracle, w)
-        except ProjectionNotConvergedError:
-            continue
-        if np.linalg.norm(y - c) > radius:
-            continue
+    for w, y, gap in draws:
         members.append(y)
         if gap > 1e-12:
             v = (w - y) / gap
@@ -781,7 +804,7 @@ def check_super_regular(
         worst = max(worst, float(ratios.max()))
     if not np.isfinite(worst):
         raise InsufficientSamplesError("no usable member/normal pairs")
-    return (worst <= delta + 1e-9, worst)
+    return worst
 
 
 def check_sosh(
@@ -799,29 +822,25 @@ def check_sosh(
     Returns ``(holds, worst_m)`` with worst_m the largest sampled quotient
     <v, x - xbar> / ||x - xbar||^2.
     """
-    xb = _as_point(xbar, oracle.dimension)
-    if oracle.membership_residual(xb) > oracle.membership_tol:
-        raise ValueError("xbar must be a member of the set")
-    rng = np.random.default_rng(rng_seed)
-    n = oracle.dimension
+    xb = _member_center(oracle, xbar, "xbar")
+    worst = _sosh_worst(oracle, xb, _ball_draws(oracle, xb, radius, sample_count, rng_seed))
+    return (worst <= bound + 1e-9, worst)
 
+
+def _sosh_worst(oracle: SetOracle, xbar: np.ndarray, draws: list) -> float:
+    """check_sosh's worst quotient over the boundary samples among draws."""
     worst = -np.inf
     used = 0
-    for _ in range(sample_count):
-        w = xb + radius * _uniform_ball(rng, n)
-        try:
-            y, gap = project(oracle, w)
-        except ProjectionNotConvergedError:
-            continue
-        r = np.linalg.norm(y - xb)
-        if gap <= 1e-12 or r > radius or r <= 1e-9:
+    for w, y, gap in draws:
+        r = np.linalg.norm(y - xbar)
+        if gap <= 1e-12 or r <= 1e-9:
             continue
         v = (w - y) / gap
-        quotients = [(v @ (y - xb)) / r**2]
+        quotients = [(v @ (y - xbar)) / r**2]
         if oracle.is_manifold:
-            quotients.append((-v @ (y - xb)) / r**2)
+            quotients.append((-v @ (y - xbar)) / r**2)
         worst = max(worst, max(quotients))
         used += 1
     if used == 0:
         raise InsufficientSamplesError("no boundary samples with normals in the ball")
-    return (worst <= bound + 1e-9, float(worst))
+    return float(worst)

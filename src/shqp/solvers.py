@@ -38,7 +38,6 @@ __all__ = [
     "run_memory_shqp",
     "run_two_shqp",
     "run_averaged_projections",
-    "global_step",
     "run_global",
     "merit_value",
     "SOLVERS",
@@ -650,7 +649,7 @@ def _settle(proj, trace, x, x_new, i, kind, active=0, kkt=0.0):
     return x_new
 
 
-def global_step(problem, x, polyhedron, merit: str, config: SolverConfig):
+def _global_step(proj, x, polyhedron, merit):
     """One globalized step controlled by a merit function.
 
     Tries the pool-QP point first; if the merit does not decrease, drops the
@@ -662,10 +661,6 @@ def global_step(problem, x, polyhedron, merit: str, config: SolverConfig):
     False when nothing decreased the merit (the caller then takes the pure
     averaged step).
     """
-    return _global_step(_Projections(problem), np.asarray(x, dtype=float), polyhedron, merit)
-
-
-def _global_step(proj, x, polyhedron, merit):
     base = _merit(proj, merit, x)
     if base == 0.0:
         return x, True, ("qp-step", 0, 0.0)

@@ -151,6 +151,56 @@ def test_estimate_regularity_input_validation():
         diagnostics.estimate_regularity(prob, prob.known_solution, radii=(0.1, -0.2))
 
 
+def test_estimate_regularity_projects_each_sample_once(monkeypatch):
+    """One circle-line estimate at seed 0 makes 1,244 top-level oracle
+    calls: set 0's second-order draws are its first super-regularity draws,
+    so they are projected once, and so is xstar onto each set.  Calls an
+    oracle makes inside its own projection are not counted."""
+    calls = [0]
+    depth = [0]
+    project = sets.project
+
+    def counting(oracle, x):
+        if depth[0] == 0:
+            calls[0] += 1
+        depth[0] += 1
+        try:
+            return project(oracle, x)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(sets, "project", counting)
+    prob = gallery.get_entry("circle-line").problem
+    diagnostics.estimate_regularity(prob, prob.known_solution, rng_seed=0)
+    assert calls[0] == 1244
+
+
+@pytest.mark.parametrize("name", ["two-parabolas", "parabola-lens"])
+@pytest.mark.parametrize("radii", [(0.25, 0.1, 0.05), (0.1, 0.25)])
+def test_shared_draws_equal_the_public_checks(name, radii):
+    """The estimate's profile and second-order bound are the public
+    samplers' values at its documented seeds, bit for bit."""
+    prob = gallery.get_entry(name).problem
+    seed = 3
+    est = diagnostics.estimate_regularity(prob, prob.known_solution, radii=radii, rng_seed=seed)
+    centers = [sets.project(s, prob.known_solution)[0] for s in prob.sets]
+
+    def worst(check, arg, radius, seed_of):
+        found = []
+        for li, (s, c) in enumerate(zip(prob.sets, centers)):
+            try:
+                found.append(check(s, c, arg, radius, sample_count=160, rng_seed=seed_of(li))[1])
+            except sets.InsufficientSamplesError:
+                pass
+        return max(found, default=0.0)
+
+    for k, r in enumerate(radii):
+        want = worst(sets.check_super_regular, 0.0, r, lambda li: seed + 7 * k + li)
+        assert est.delta_profile[r] == want
+    want = worst(sets.check_sosh, np.inf, max(radii), lambda li: seed + 31 * li)
+    assert est.sosh_M_hat == want
+
+
 def test_memory_contraction_bound_is_sharp_somewhere():
     """A case where the memory-method bound is far from vacuous: duplicated
     halfspaces have beta = 1, so 8 * L * tau < 1 for small tau, and the
