@@ -12,6 +12,8 @@ points exist, the lexicographically smallest one is returned.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,13 +79,20 @@ def _as_point(x, dimension: int | None = None) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"expected a 1-d point, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite entries")
     if dimension is not None and p.shape[0] != dimension:
         raise DimensionMismatchError(
             f"point has dimension {p.shape[0]}, oracle expects {dimension}"
         )
     return p
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) for a contiguous 1-d float array, bit for bit,
+    without its dispatch.  A strided view can sum in another order, so it
+    takes np.linalg.norm (which copies it first)."""
+    return math.sqrt(v.dot(v))
 
 
 def _lex_smallest(candidates: Sequence[np.ndarray]) -> np.ndarray:
@@ -238,7 +247,7 @@ class Ball(SetOracle):
 
     def _project(self, x):
         v = x - self.center
-        nv = np.linalg.norm(v)
+        nv = _norm(v)
         if nv <= self.radius:
             return x.copy()
         return self.center + (self.radius / nv) * v
@@ -287,7 +296,7 @@ class Sphere(SetOracle):
 
     def _project(self, x):
         v = x - self.center
-        nv = np.linalg.norm(v)
+        nv = _norm(v)
         if nv <= 1e-14:
             out = self.center.copy()
             out[0] -= self.radius
@@ -314,23 +323,29 @@ def _newton_stationarity(f, grad, hess, x, y0, lam0, max_iterations, tol):
     n = x.shape[0]
     y = np.asarray(y0, dtype=float).copy()
     lam = float(lam0)
+    # Cap wild steps; keeps the iteration from overshooting on the first
+    # few corrections without changing the local quadratic phase.  x is the
+    # caller's point, possibly a strided view, so it keeps np.linalg.norm.
+    cap = 10.0 * (1.0 + np.linalg.norm(x))
+    eye = np.eye(n)
+    # The bordered Jacobian [[I + lam H, g], [g^T, 0]] and the residual are
+    # rewritten in place; J[n, n] stays 0.
+    J = np.zeros((n + 1, n + 1))
+    residual = np.empty(n + 1)
     for _ in range(max_iterations):
         g = grad(y)
-        residual = np.concatenate([y - x + lam * g, [f(y)]])
-        if np.max(np.abs(residual)) <= tol:
+        residual[:n] = y - x + lam * g
+        residual[n] = f(y)
+        if np.abs(residual).max() <= tol:
             return y
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = np.eye(n) + lam * hess(y)
+        J[:n, :n] = eye + lam * hess(y)
         J[:n, n] = g
         J[n, :n] = g
         try:
             step = np.linalg.solve(J, -residual)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -residual, rcond=None)[0]
-        # Cap wild steps; keeps the iteration from overshooting on the first
-        # few corrections without changing the local quadratic phase.
-        cap = 10.0 * (1.0 + np.linalg.norm(x))
-        ns = np.linalg.norm(step)
+        ns = _norm(step)
         if ns > cap:
             step *= cap / ns
         y = y + step[:n]
@@ -338,10 +353,11 @@ def _newton_stationarity(f, grad, hess, x, y0, lam0, max_iterations, tol):
     return None
 
 
-def _ray_scan_seeds(f, x, max_rays: int = 8):
-    """Boundary seeds for the nearest-point Newton: bisected zeros of f
-    along a deterministic fan of rays from x."""
-    n = x.shape[0]
+@functools.lru_cache(maxsize=64)
+def _ray_fan(n: int, max_rays: int) -> np.ndarray:
+    """The fan of _ray_scan_seeds in R^n: the first ``max_rays`` nonzero
+    standard-normal draws of default_rng(0), normalized, one per row.
+    Built once per (n, max_rays) and shared, so it is read-only."""
     rng = np.random.default_rng(0)
     dirs = []
     while len(dirs) < max_rays:
@@ -349,12 +365,25 @@ def _ray_scan_seeds(f, x, max_rays: int = 8):
         nu = np.linalg.norm(u)
         if nu > 1e-12:
             dirs.append(u / nu)
+    fan = np.array(dirs).reshape(max_rays, n)
+    fan.flags.writeable = False
+    return fan
+
+
+# The ray scan's steps along each ray, in units of 1 + ||x||.
+_RAY_STEPS = 2.0 ** np.arange(-4.0, 6.0)
+_RAY_STEPS.flags.writeable = False
+
+
+def _ray_scan_seeds(f, x, max_rays: int = 8):
+    """Boundary seeds for the nearest-point Newton: bisected zeros of f
+    along a deterministic fan of rays from x."""
     f0 = f(x)
     scale = 1.0 + float(np.linalg.norm(x))
     seeds = []
-    for u in dirs:
+    for u in _ray_fan(x.shape[0], max_rays):
         t_prev, f_prev = 0.0, f0
-        for t in scale * 2.0 ** np.arange(-4.0, 6.0):
+        for t in scale * _RAY_STEPS:
             ft = f(x + t * u)
             if (ft > 0.0) != (f_prev > 0.0):
                 lo, hi, flo = t_prev, t, f_prev
@@ -390,7 +419,7 @@ def _newton_boundary_projection(
     """
     best = _newton_stationarity(f, grad, hess, x, x, 0.0, max_iterations, tol)
     near_gate = 0.15 * (1.0 + np.linalg.norm(x))
-    if best is not None and np.linalg.norm(best - x) <= near_gate:
+    if best is not None and _norm(best - x) <= near_gate:
         return best
     for seed in _ray_scan_seeds(f, x):
         g = grad(seed)
@@ -398,9 +427,7 @@ def _newton_boundary_projection(
         y = _newton_stationarity(f, grad, hess, x, seed, lam0, max_iterations, tol)
         if y is None:
             continue
-        if best is None or np.linalg.norm(y - x) < np.linalg.norm(best - x) * (
-            1.0 - 1e-12
-        ):
+        if best is None or _norm(y - x) < _norm(best - x) * (1.0 - 1e-12):
             best = y
     if best is None:
         raise ProjectionNotConvergedError(
@@ -668,7 +695,7 @@ def project(oracle: SetOracle, x) -> tuple[np.ndarray, float]:
     """
     p = _as_point(x, oracle.dimension)
     nearest = oracle._project(p)
-    return nearest, float(np.linalg.norm(p - nearest))
+    return nearest, _norm(p - nearest)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -717,7 +744,7 @@ def normal_at(oracle: SetOracle, base, hint) -> NormalSample:
 
 def _uniform_ball(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal(n)
-    g /= np.linalg.norm(g)
+    g /= _norm(g)
     return g * rng.uniform() ** (1.0 / n)
 
 
@@ -744,7 +771,7 @@ def _ball_draws(oracle: SetOracle, center, radius: float, count: int, seed: int)
             y, gap = project(oracle, w)
         except ProjectionNotConvergedError:
             continue
-        if np.linalg.norm(y - center) > radius:
+        if _norm(y - center) > radius:
             continue
         draws.append((w, y, gap))
     return draws
@@ -771,37 +798,59 @@ def check_super_regular(
     return (worst <= delta + 1e-9, worst)
 
 
+# Normals reduced together by _super_regular_worst.  A block holds a
+# (normals x members x n) difference tensor; one tensor over all normals
+# grows with the square of the draw count, blocks of 16 stay small.
+_RATIO_BLOCK = 16
+
+
+def _pair_ratios(members: np.ndarray, bases: np.ndarray, directions: np.ndarray):
+    """<z - y, v> / ||z - y|| for each normal (y, v) in the rows of bases and
+    directions (one row of the result) against every member z (one column).
+    Pairs much closer than the probe scale measure projection roundoff, not
+    geometry: the numerator carries the projectors' absolute error, so tiny
+    denominators amplify it arbitrarily.  Such pairs read -inf."""
+    diff = members[None] - bases[:, None]
+    nd = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    keep = nd > 1e-9
+    num = np.matmul(diff, directions[:, :, None])[..., 0]
+    # For a normal with one kept member, diff[keep] @ v is a one-row product,
+    # which numpy computes with its dot kernel, not gemv, and the two round
+    # differently; match it.  (From 8 dimensions on, gemv may also round a
+    # row by its position in the matrix, so there a ratio can differ from
+    # diff[keep] @ v in the last bit.)
+    for b in np.flatnonzero(np.count_nonzero(keep, axis=1) == 1):
+        i = np.flatnonzero(keep[b])[0]
+        num[b, i] = diff[b, i] @ directions[b]
+    return np.divide(num, nd, out=np.full_like(nd, -np.inf), where=keep)
+
+
 def _super_regular_worst(oracle: SetOracle, center: np.ndarray, draws: list) -> float:
     """check_super_regular's worst ratio over the members and normals of draws."""
     members = [center]
-    normals: list[tuple[np.ndarray, np.ndarray]] = []
+    bases, directions = [], []
     for w, y, gap in draws:
         members.append(y)
         if gap > 1e-12:
             v = (w - y) / gap
-            normals.append((y, v))
+            bases.append(y)
+            directions.append(v)
             if oracle.is_manifold:
-                normals.append((y, -v))
+                bases.append(y)
+                directions.append(-v)
 
-    distinct = {tuple(np.round(m, 12)) for m in members}
-    if len(distinct) < 2 or not normals:
+    M = np.array(members)
+    rounded = np.round(M, 12)
+    if not np.any(rounded != rounded[0]) or not bases:
         raise InsufficientSamplesError(
             "could not sample two distinct members plus a normal in the ball"
         )
 
-    M = np.array(members)
+    Y, V = np.array(bases), np.array(directions)
     worst = -np.inf
-    for y, v in normals:
-        diff = M - y
-        nd = np.linalg.norm(diff, axis=1)
-        # Pairs much closer than the probe scale measure projection roundoff,
-        # not geometry: the quotient's numerator carries the projectors'
-        # absolute error, so tiny denominators amplify it arbitrarily.
-        keep = nd > 1e-9
-        if not np.any(keep):
-            continue
-        ratios = (diff[keep] @ v) / nd[keep]
-        worst = max(worst, float(ratios.max()))
+    for s in range(0, len(Y), _RATIO_BLOCK):
+        block = _pair_ratios(M, Y[s : s + _RATIO_BLOCK], V[s : s + _RATIO_BLOCK])
+        worst = max(worst, float(block.max()))
     if not np.isfinite(worst):
         raise InsufficientSamplesError("no usable member/normal pairs")
     return worst
@@ -832,7 +881,7 @@ def _sosh_worst(oracle: SetOracle, xbar: np.ndarray, draws: list) -> float:
     worst = -np.inf
     used = 0
     for w, y, gap in draws:
-        r = np.linalg.norm(y - xbar)
+        r = _norm(y - xbar)
         if gap <= 1e-12 or r <= 1e-9:
             continue
         v = (w - y) / gap
