@@ -105,23 +105,47 @@ class PowerCusp(sets_mod.SetOracle):
         return np.array([t, abs(t) ** p])
 
 
+def _horner(coefficients):
+    """t -> np.polynomial.polynomial.polyval(t, coefficients) for a scalar t,
+    bit for bit, without polyval's array handling: the same operations in
+    the same order.  Like polyval it starts from ``c[-1] + t * 0``, which
+    fixes the sign of a zero result and turns an infinite t into NaN."""
+    c = [float(v) for v in coefficients]
+    last, rest = c[-1], c[-2::-1]
+
+    def value(t):
+        acc = last + t * 0
+        for ci in rest:
+            acc = ci + acc * t
+        return acc
+
+    return value
+
+
+def _polynomial_and_derivatives(coefficients):
+    """Scalar evaluators of a polynomial and its first two derivatives."""
+    c = np.array(coefficients, dtype=float, ndmin=1)
+    if c.size == 0:
+        raise ValueError("polynomial coefficients must be a nonempty list")
+    if not np.isfinite(c).all():
+        raise ValueError("polynomial coefficients must be finite")
+    P = np.polynomial.polynomial
+    return _horner(c), _horner(P.polyder(c)), _horner(P.polyder(c, 2))
+
+
 def polynomial_curve(coefficients, name: str = "") -> sets_mod.ManifoldCurve:
     """The curve x2 = c0 + c1*x1 + c2*x1^2 + ... as a manifold in the
     plane."""
-    c = np.asarray(coefficients, dtype=float)
-    dc = np.polynomial.polynomial.polyder(c)
-    ddc = np.polynomial.polynomial.polyder(c, 2)
+    p, dp, ddp = _polynomial_and_derivatives(coefficients)
 
     def f(x):
-        return float(x[1] - np.polynomial.polynomial.polyval(x[0], c))
+        return float(x[1] - p(float(x[0])))
 
     def grad(x):
-        return np.array([-np.polynomial.polynomial.polyval(x[0], dc), 1.0])
+        return np.array([-dp(float(x[0])), 1.0])
 
     def hess(x):
-        return np.array(
-            [[-np.polynomial.polynomial.polyval(x[0], ddc), 0.0], [0.0, 0.0]]
-        )
+        return np.array([[-ddp(float(x[0])), 0.0], [0.0, 0.0]])
 
     return sets_mod.ManifoldCurve(2, f, grad, hess, name=name or "polynomial-curve")
 
@@ -133,21 +157,17 @@ def polynomial_level_set(
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
     sign = 1.0 if side == "above" else -1.0
-    c = np.asarray(coefficients, dtype=float)
-    dc = np.polynomial.polynomial.polyder(c)
-    ddc = np.polynomial.polynomial.polyder(c, 2)
+    p, dp, ddp = _polynomial_and_derivatives(coefficients)
 
     # side "above" keeps x2 >= poly(x1): f = poly(x1) - x2 <= 0.
     def f(x):
-        return sign * float(np.polynomial.polynomial.polyval(x[0], c) - x[1])
+        return sign * float(p(float(x[0])) - x[1])
 
     def grad(x):
-        return sign * np.array([np.polynomial.polynomial.polyval(x[0], dc), -1.0])
+        return sign * np.array([dp(float(x[0])), -1.0])
 
     def hess(x):
-        return sign * np.array(
-            [[np.polynomial.polynomial.polyval(x[0], ddc), 0.0], [0.0, 0.0]]
-        )
+        return sign * np.array([[ddp(float(x[0])), 0.0], [0.0, 0.0]])
 
     return sets_mod.LevelSet(
         2, f, grad, hess, name=name or f"polynomial-{side}", convex=convex

@@ -76,7 +76,10 @@ class InsufficientSamplesError(RuntimeError):
 
 
 def _as_point(x, dimension: int | None = None) -> np.ndarray:
-    p = np.asarray(x, dtype=float)
+    """x as a C-contiguous 1-d float array, so that no oracle's result
+    depends on the memory layout of the caller's point: a BLAS dot over a
+    strided view can round differently from the same values contiguous."""
+    p = np.ascontiguousarray(x, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"expected a 1-d point, got shape {p.shape}")
     if not np.isfinite(p).all():
@@ -90,8 +93,9 @@ def _as_point(x, dimension: int | None = None) -> np.ndarray:
 
 def _norm(v: np.ndarray) -> float:
     """np.linalg.norm(v) for a contiguous 1-d float array, bit for bit,
-    without its dispatch.  A strided view can sum in another order, so it
-    takes np.linalg.norm (which copies it first)."""
+    without its dispatch.  A strided view can sum in another order; every
+    point an oracle sees is contiguous (_as_point), and so is every array
+    computed from them."""
     return math.sqrt(v.dot(v))
 
 
@@ -324,21 +328,26 @@ def _newton_stationarity(f, grad, hess, x, y0, lam0, max_iterations, tol):
     y = np.asarray(y0, dtype=float).copy()
     lam = float(lam0)
     # Cap wild steps; keeps the iteration from overshooting on the first
-    # few corrections without changing the local quadratic phase.  x is the
-    # caller's point, possibly a strided view, so it keeps np.linalg.norm.
-    cap = 10.0 * (1.0 + np.linalg.norm(x))
+    # few corrections without changing the local quadratic phase.  x is an
+    # oracle's point, so contiguous, and _norm is np.linalg.norm.
+    cap = 10.0 * (1.0 + _norm(x))
     eye = np.eye(n)
     # The bordered Jacobian [[I + lam H, g], [g^T, 0]] and the residual are
     # rewritten in place; J[n, n] stays 0.
     J = np.zeros((n + 1, n + 1))
+    JH = J[:n, :n]
     residual = np.empty(n + 1)
     for _ in range(max_iterations):
         g = grad(y)
         residual[:n] = y - x + lam * g
         residual[n] = f(y)
-        if np.abs(residual).max() <= tol:
+        # Not max(|r|) <= tol through numpy's dispatch, and not a bare
+        # max(): a NaN entry must still mean "not converged".
+        if all(abs(v) <= tol for v in residual.tolist()):
             return y
-        J[:n, :n] = eye + lam * hess(y)
+        # eye + lam * H, entry for entry: the same products and sums.
+        np.multiply(hess(y), lam, out=JH)
+        JH += eye
         J[:n, n] = g
         J[n, :n] = g
         try:
@@ -379,7 +388,7 @@ def _ray_scan_seeds(f, x, max_rays: int = 8):
     """Boundary seeds for the nearest-point Newton: bisected zeros of f
     along a deterministic fan of rays from x."""
     f0 = f(x)
-    scale = 1.0 + float(np.linalg.norm(x))
+    scale = 1.0 + _norm(x)
     seeds = []
     for u in _ray_fan(x.shape[0], max_rays):
         t_prev, f_prev = 0.0, f0
@@ -418,7 +427,7 @@ def _newton_boundary_projection(
     Raises ProjectionNotConvergedError when no start converges.
     """
     best = _newton_stationarity(f, grad, hess, x, x, 0.0, max_iterations, tol)
-    near_gate = 0.15 * (1.0 + np.linalg.norm(x))
+    near_gate = 0.15 * (1.0 + _norm(x))
     if best is not None and _norm(best - x) <= near_gate:
         return best
     for seed in _ray_scan_seeds(f, x):
@@ -669,11 +678,11 @@ class IntersectionSet(SetOracle):
             moved = 0.0
             for mem in self.members:
                 y2, _ = project(mem, y)
-                moved = max(moved, float(np.linalg.norm(y2 - y)))
+                moved = max(moved, _norm(y2 - y))
                 y = y2
             if max(mem.membership_residual(y) for mem in self.members) <= 1e-12:
                 return y
-            if moved <= 1e-15 or np.linalg.norm(y - y_start) <= 1e-15:
+            if moved <= 1e-15 or _norm(y - y_start) <= 1e-15:
                 break
         if max(mem.membership_residual(y) for mem in self.members) <= self.membership_tol:
             return y

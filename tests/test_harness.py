@@ -520,6 +520,35 @@ def test_cli_run_prints_summary(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "smooth",
+    [
+        {"kind": "smooth-manifold", "function": "polynomial-curve", "coefficients": []},
+        {"kind": "smooth-manifold", "function": "polynomial-curve", "coefficients": [0.0, float("nan")]},
+        {"kind": "smooth-level-set", "function": "polynomial-curve", "coefficients": [],
+         "side": "above", "convex": False},
+        {"kind": "smooth-level-set", "function": "polynomial-curve",
+         "coefficients": [float("inf"), 1.0], "side": "below", "convex": False},
+    ],
+    ids=["curve-empty", "curve-nan", "level-empty", "level-inf"],
+)
+def test_cli_run_rejects_bad_coefficients(tmp_path, capsys, smooth):
+    # json writes NaN and Infinity, and reads them back, as a user's file may.
+    problem = {
+        "name": "p",
+        "start": [0.5, 0.5],
+        "sets": [{"kind": "hyperplane", "normal": [1.0, 0.0], "offset": 0.0}, smooth],
+    }
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"problem": problem}))
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", str(path), "--algorithm", "map", "--out-dir", str(out)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.problem.sets[1]: polynomial coefficients must be")
+    assert not out.exists()
+
+
 def test_cli_list_gallery(capsys):
     assert cli.main(["list"]) == 0
     lines = capsys.readouterr().out.splitlines()
