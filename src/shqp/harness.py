@@ -385,6 +385,9 @@ def _check_algorithm(cfg: ExperimentConfig, problem: solvers.ProblemInstance) ->
         raise UsageError("memory-shqp requires pbar >= 1")
     if cfg.schedule is not None and cfg.algorithm != "basic-shqp":
         raise UsageError("schedule applies only to basic-shqp")
+    merit_needs_oracle = cfg.algorithm == "global" and cfg.merit == "intersection-distance"
+    if merit_needs_oracle and problem.intersection_oracle is None:
+        raise UsageError("merit 'intersection-distance' needs a problem with an intersection")
 
 
 def _schedule_from_config(cfg: ExperimentConfig, set_count: int):
@@ -572,17 +575,16 @@ def run_experiment(config, out_dir: str | None = None) -> tuple[int, dict]:
     }
 
 
+# One sweep row's fields, in the order of sweep.csv's columns.
+_SWEEP_COLUMNS = (
+    "tau", "pbar", "x0_seed", "status",
+    "tail_qlinear_rate", "pbar_step_ratio", "predicted_contraction", "error",
+)
+
+
 def _sweep_cell(cfg: ExperimentConfig, problem, tau, pbar, x0_seed, beta_hat):
-    row = {
-        "tau": tau,
-        "pbar": pbar,
-        "x0_seed": x0_seed,
-        "status": "",
-        "tail_qlinear_rate": None,
-        "pbar_step_ratio": None,
-        "predicted_contraction": None,
-        "error": "",
-    }
+    row = dict.fromkeys(_SWEEP_COLUMNS)
+    row.update(tau=tau, pbar=pbar, x0_seed=x0_seed, status="", error="")
     try:
         cell_cfg = dataclasses.replace(cfg, tau=tau, pbar=pbar, x0_seed=x0_seed, x0=cfg.x0)
         x0 = resolve_x0(problem, cell_cfg)
@@ -641,24 +643,14 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
     directory = out_dir or cfg.out_dir or "."
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, "sweep.csv")
-    columns = [
-        "tau",
-        "pbar",
-        "x0_seed",
-        "status",
-        "tail_qlinear_rate",
-        "pbar_step_ratio",
-        "predicted_contraction",
-        "error",
-    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(_SWEEP_COLUMNS)
         for row in rows:
             writer.writerow(
                 [
                     "" if row[c] is None else (f"{row[c]:.17g}" if isinstance(row[c], float) else row[c])
-                    for c in columns
+                    for c in _SWEEP_COLUMNS
                 ]
             )
     return EXIT_CONVERGED, {"sweep": path, "rows": rows}

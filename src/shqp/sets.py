@@ -99,16 +99,13 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _lex_smallest(candidates: Sequence[np.ndarray]) -> np.ndarray:
-    best = candidates[0]
-    for c in candidates[1:]:
-        for a, b in zip(c, best):
-            if a < b:
-                best = c
-                break
-            if a > b:
-                break
-    return best
+def _nearest(candidates: Sequence[np.ndarray], dists) -> np.ndarray:
+    """A copy of the candidate at the least distance, given each one's
+    distance: candidates within 1e-12 of it tie, and the lexicographically
+    smallest of those wins (the first of equal ones)."""
+    dmin = min(dists)
+    ties = [c for c, d in zip(candidates, dists) if d <= dmin + 1e-12]
+    return min(ties, key=tuple).copy()
 
 
 class SetOracle:
@@ -131,7 +128,11 @@ class SetOracle:
 
     def membership_residual(self, x) -> float:
         """How far x is from satisfying the set's defining conditions."""
-        p = _as_point(x, self.dimension)
+        return self._residual(_as_point(x, self.dimension))
+
+    def _residual(self, p: np.ndarray) -> float:
+        """membership_residual of a checked point; by default the distance
+        from p to its projection."""
         return float(np.linalg.norm(p - self._project(p)))
 
     def analytic_normal(self, x: np.ndarray) -> np.ndarray | None:
@@ -145,19 +146,28 @@ class SetOracle:
         return f"<{type(self).__name__} kind={self.kind} n={self.dimension}>"
 
 
-class HalfspaceSet(SetOracle):
-    """{x : <a, x> <= b}."""
+class _LinearSet(SetOracle):
+    """Base of HalfspaceSet and HyperplaneSet: a nonzero normal a, an
+    offset b, and the unit normal a / ||a||."""
 
-    kind = "halfspace"
     is_convex = True
 
     def __init__(self, normal, offset: float):
         a = _as_point(normal)
         if np.linalg.norm(a) <= 1e-14:
-            raise ValueError("halfspace normal must be nonzero")
+            raise ValueError(f"{self.kind} normal must be nonzero")
         super().__init__(a.shape[0])
         self.normal = a
         self.offset = float(offset)
+
+    def analytic_normal(self, x):
+        return self.normal / np.linalg.norm(self.normal)
+
+
+class HalfspaceSet(_LinearSet):
+    """{x : <a, x> <= b}."""
+
+    kind = "halfspace"
 
     def _project(self, x):
         s = (self.normal @ x - self.offset) / (self.normal @ self.normal)
@@ -165,39 +175,22 @@ class HalfspaceSet(SetOracle):
             return x.copy()
         return x - s * self.normal
 
-    def membership_residual(self, x):
-        p = _as_point(x, self.dimension)
+    def _residual(self, p):
         return max(0.0, (self.normal @ p - self.offset)) / np.linalg.norm(self.normal)
 
-    def analytic_normal(self, x):
-        return self.normal / np.linalg.norm(self.normal)
 
-
-class HyperplaneSet(SetOracle):
+class HyperplaneSet(_LinearSet):
     """{x : <a, x> = b}; a manifold, and convex."""
 
     kind = "hyperplane"
-    is_convex = True
     is_manifold = True
-
-    def __init__(self, normal, offset: float):
-        a = _as_point(normal)
-        if np.linalg.norm(a) <= 1e-14:
-            raise ValueError("hyperplane normal must be nonzero")
-        super().__init__(a.shape[0])
-        self.normal = a
-        self.offset = float(offset)
 
     def _project(self, x):
         s = (self.normal @ x - self.offset) / (self.normal @ self.normal)
         return x - s * self.normal
 
-    def membership_residual(self, x):
-        p = _as_point(x, self.dimension)
+    def _residual(self, p):
         return abs(self.normal @ p - self.offset) / np.linalg.norm(self.normal)
-
-    def analytic_normal(self, x):
-        return self.normal / np.linalg.norm(self.normal)
 
 
 class AffineSubspace(SetOracle):
@@ -235,19 +228,23 @@ class AffineSubspace(SetOracle):
         return col / np.linalg.norm(col)
 
 
-class Ball(SetOracle):
-    """Closed Euclidean ball {x : ||x - c|| <= r}."""
-
-    kind = "ball"
-    is_convex = True
+class _RoundSet(SetOracle):
+    """Base of Ball and Sphere: a center c and a positive radius r."""
 
     def __init__(self, center, radius: float):
         c = _as_point(center)
         if radius <= 0:
-            raise ValueError("ball radius must be positive")
+            raise ValueError(f"{self.kind} radius must be positive")
         super().__init__(c.shape[0])
         self.center = c
         self.radius = float(radius)
+
+
+class Ball(_RoundSet):
+    """Closed Euclidean ball {x : ||x - c|| <= r}."""
+
+    kind = "ball"
+    is_convex = True
 
     def _project(self, x):
         v = x - self.center
@@ -256,8 +253,7 @@ class Ball(SetOracle):
             return x.copy()
         return self.center + (self.radius / nv) * v
 
-    def membership_residual(self, x):
-        p = _as_point(x, self.dimension)
+    def _residual(self, p):
         return max(0.0, np.linalg.norm(p - self.center) - self.radius)
 
 
@@ -280,7 +276,7 @@ class Box(SetOracle):
         return np.clip(x, self.lower, self.upper)
 
 
-class Sphere(SetOracle):
+class Sphere(_RoundSet):
     """{x : ||x - c|| = r}; nonconvex manifold.
 
     Projecting the center is set-valued; the lexicographically smallest
@@ -289,14 +285,6 @@ class Sphere(SetOracle):
 
     kind = "sphere"
     is_manifold = True
-
-    def __init__(self, center, radius: float):
-        c = _as_point(center)
-        if radius <= 0:
-            raise ValueError("sphere radius must be positive")
-        super().__init__(c.shape[0])
-        self.center = c
-        self.radius = float(radius)
 
     def _project(self, x):
         v = x - self.center
@@ -307,8 +295,7 @@ class Sphere(SetOracle):
             return out
         return self.center + (self.radius / nv) * v
 
-    def membership_residual(self, x):
-        p = _as_point(x, self.dimension)
+    def _residual(self, p):
         return abs(np.linalg.norm(p - self.center) - self.radius)
 
     def analytic_normal(self, x):
@@ -447,47 +434,10 @@ def _newton_boundary_projection(
     return best
 
 
-class LevelSet(SetOracle):
-    """Sublevel set {x : f(x) <= 0} of a smooth function.
-
-    Projection of an outside point solves the nearest-point conditions on
-    the boundary {f = 0} by Newton iteration.
-    """
-
-    kind = "smooth-level-set"
-
-    def __init__(self, dimension, f, grad, hess, name: str = "", convex: bool = False):
-        super().__init__(dimension)
-        self.f = f
-        self.grad = grad
-        self.hess = hess
-        self.name = name
-        self.is_convex = bool(convex)
-
-    def _project(self, x):
-        if self.f(x) <= 0.0:
-            return x.copy()
-        return _newton_boundary_projection(self.f, self.grad, self.hess, x)
-
-    def membership_residual(self, x):
-        p = _as_point(x, self.dimension)
-        val = max(0.0, self.f(p))
-        gn = np.linalg.norm(self.grad(p))
-        return val / max(gn, 1.0)
-
-    def analytic_normal(self, x):
-        g = self.grad(x)
-        ng = np.linalg.norm(g)
-        if ng <= 1e-14:
-            return None
-        return g / ng
-
-
-class ManifoldCurve(SetOracle):
-    """Zero set {x : f(x) = 0} of a smooth scalar function; a manifold."""
-
-    kind = "smooth-manifold"
-    is_manifold = True
+class _SmoothSet(SetOracle):
+    """Base of LevelSet and ManifoldCurve: a smooth scalar f with its
+    gradient and Hessian, the normalized gradient as the unit normal, and
+    the Newton projection onto {f = 0}."""
 
     def __init__(self, dimension, f, grad, hess, name: str = ""):
         super().__init__(dimension)
@@ -499,17 +449,46 @@ class ManifoldCurve(SetOracle):
     def _project(self, x):
         return _newton_boundary_projection(self.f, self.grad, self.hess, x)
 
-    def membership_residual(self, x):
-        p = _as_point(x, self.dimension)
-        gn = np.linalg.norm(self.grad(p))
-        return abs(self.f(p)) / max(gn, 1.0)
-
     def analytic_normal(self, x):
         g = self.grad(x)
         ng = np.linalg.norm(g)
         if ng <= 1e-14:
             return None
         return g / ng
+
+
+class LevelSet(_SmoothSet):
+    """Sublevel set {x : f(x) <= 0} of a smooth function.
+
+    Projection of an outside point solves the nearest-point conditions on
+    the boundary {f = 0} by Newton iteration.
+    """
+
+    kind = "smooth-level-set"
+
+    def __init__(self, dimension, f, grad, hess, name: str = "", convex: bool = False):
+        super().__init__(dimension, f, grad, hess, name)
+        self.is_convex = bool(convex)
+
+    def _project(self, x):
+        if self.f(x) <= 0.0:
+            return x.copy()
+        return super()._project(x)
+
+    def _residual(self, p):
+        val = max(0.0, self.f(p))
+        return val / max(np.linalg.norm(self.grad(p)), 1.0)
+
+
+class ManifoldCurve(_SmoothSet):
+    """Zero set {x : f(x) = 0} of a smooth scalar function; a manifold."""
+
+    kind = "smooth-manifold"
+    is_manifold = True
+
+    def _residual(self, p):
+        gn = np.linalg.norm(self.grad(p))
+        return abs(self.f(p)) / max(gn, 1.0)
 
 
 class FixedRankSet(SetOracle):
@@ -537,8 +516,7 @@ class FixedRankSet(SetOracle):
         r = self.rank
         return ((U[:, :r] * s[:r]) @ Vt[:r]).reshape(-1)
 
-    def membership_residual(self, x):
-        p = _as_point(x, self.dimension)
+    def _residual(self, p):
         s = np.linalg.svd(p.reshape(self.rows, self.cols), compute_uv=False)
         return float(np.linalg.norm(s[self.rank:]))
 
@@ -557,13 +535,9 @@ class PointSet(SetOracle):
         self.is_convex = P.shape[0] == 1
 
     def _project(self, x):
-        d = np.linalg.norm(self.points - x, axis=1)
-        dmin = d.min()
-        ties = [self.points[i] for i in range(len(d)) if d[i] <= dmin + 1e-12]
-        return _lex_smallest(ties).copy()
+        return _nearest(self.points, np.linalg.norm(self.points - x, axis=1))
 
-    def membership_residual(self, x):
-        p = _as_point(x, self.dimension)
+    def _residual(self, p):
         return float(np.linalg.norm(self.points - p, axis=1).min())
 
 
@@ -587,18 +561,10 @@ class UnionOfConvex(SetOracle):
         self.is_convex = len(members) == 1
 
     def _project(self, x):
-        candidates = []
-        dists = []
-        for mem in self.members:
-            y, _ = project(mem, x)
-            candidates.append(y)
-            dists.append(np.linalg.norm(x - y))
-        dmin = min(dists)
-        ties = [c for c, d in zip(candidates, dists) if d <= dmin + 1e-12]
-        return _lex_smallest(ties).copy()
+        candidates = [project(mem, x)[0] for mem in self.members]
+        return _nearest(candidates, [np.linalg.norm(x - y) for y in candidates])
 
-    def membership_residual(self, x):
-        p = _as_point(x, self.dimension)
+    def _residual(self, p):
         return min(mem.membership_residual(p) for mem in self.members)
 
 
@@ -630,8 +596,7 @@ class PolyhedralSet(SetOracle):
             )
         return res.point
 
-    def membership_residual(self, x):
-        p = _as_point(x, self.dimension)
+    def _residual(self, p):
         worst = 0.0
         for h in self.halfspaces:
             nn = np.linalg.norm(h.normal)
@@ -690,8 +655,7 @@ class IntersectionSet(SetOracle):
             "intersection refinement stalled before reaching membership", y
         )
 
-    def membership_residual(self, x):
-        p = _as_point(x, self.dimension)
+    def _residual(self, p):
         return max(mem.membership_residual(p) for mem in self.members)
 
 

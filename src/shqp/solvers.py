@@ -612,10 +612,10 @@ def _two_shqp_step(proj, x, i, trace):
             polyhedra.Halfspace(u, float(u @ x1), "inequality", 0, i, 0),
             polyhedra.Halfspace(x1 - x2, float((x1 - x2) @ x2), "inequality", 1, i, 0),
         ]
-        res = polyhedra.project_onto_polyhedron(polyhedra.Polyhedron(cons), x2)
-        if res.status == "optimal":
+        res, kind = _qp_attempt(cons, x2)
+        if res is not None:
             x = res.point.copy()
-            _record(proj, trace, i, 2, "qp-step", x, len(res.active_set), res.kkt_residual)
+            _record(proj, trace, i, 2, kind, x, len(res.active_set), res.kkt_residual)
             return x
     trace.copy_steps += 1
     if not moved:
@@ -649,53 +649,6 @@ def _settle(proj, trace, x, x_new, i, kind, active=0, kkt=0.0):
     return x_new
 
 
-def _global_step(proj, x, polyhedron, merit):
-    """One globalized step controlled by a merit function.
-
-    Tries the pool-QP point first; if the merit does not decrease, drops the
-    oldest constraint and re-solves (warm-started) until the pool runs out,
-    then bisects t over {1/2, ..., 2^-8} on t * qp_point +
-    (1 - t) * averaged_point (t = 1 is the first QP point, already
-    rejected).  Returns (next_point, accepted, record_fields)
-    with record_fields = (step_kind, active_size, kkt_residual); accepted is
-    False when nothing decreased the merit (the caller then takes the pure
-    averaged step).
-    """
-    base = _merit(proj, merit, x)
-    if base == 0.0:
-        return x, True, ("qp-step", 0, 0.0)
-    # The averaged point is taken now, while x's projections are at hand.
-    x_avg = np.mean(proj.at(x)[0], axis=0)
-    cons = list(polyhedron)
-    first_qp = None
-    warm: tuple = ()
-    while cons:
-        res = polyhedra.project_onto_polyhedron(
-            polyhedra.Polyhedron(cons), x, warm_start=warm
-        )
-        if res.status == "optimal":
-            fields = (len(res.active_set), res.kkt_residual)
-            if first_qp is None:
-                first_qp = (res.point, fields)
-            if _merit(proj, merit, res.point) < base:
-                kind = "qp-step" if len(cons) == len(polyhedron) else "qp-drop-oldest"
-                return res.point.copy(), True, (kind, *fields)
-            warm = res.active_set
-        # Dropping the oldest row shifts every index down by one.
-        cons = cons[1:]
-        warm = tuple(w - 1 for w in warm if w > 0)
-    if first_qp is None:
-        return x, False, None
-    x_qp, fields = first_qp
-    t = 1.0
-    for _ in range(8):
-        t *= 0.5
-        cand = t * x_qp + (1.0 - t) * x_avg
-        if _merit(proj, merit, cand) < base:
-            return cand, True, ("line-search", *fields)
-    return x, False, None
-
-
 def run_global(
     problem,
     x0=None,
@@ -712,7 +665,14 @@ def run_global(
 class _GlobalRule(_PooledRule):
     """Step rule of the globalized method: every set contributes a relaxed
     inequality (stale tangent hyperplanes from curved manifolds would pin or
-    empty the QP), and the averaged step moves when no merit decreases."""
+    empty the QP), and a step moves only where the merit decreases.
+
+    The pool-QP point is tried first; then the oldest constraint is dropped
+    and the QP re-solved (warm-started) until the pool runs out; then t is
+    bisected over {1/2, ..., 2^-8} on t * qp_point + (1 - t) * averaged_point
+    (t = 1 is the first QP point, already rejected).  When nothing decreases
+    the merit, the pure averaged step moves.
+    """
 
     def __init__(self, config: SolverConfig, merit: str):
         super().__init__(None, config, force_inequality=True)
@@ -722,12 +682,34 @@ class _GlobalRule(_PooledRule):
         self.window(i)
         # Averaged now, while x's projections are still in the cache.
         x_avg = np.mean(proj.at(x)[0], axis=0)
-        ordered = self.admit(self.cuts(proj, x, i, 0, range(len(proj.problem.sets))))
-        if ordered:
-            pool = polyhedra.Polyhedron(ordered)
-            x_next, accepted, fields = _global_step(proj, x, pool, self.merit)
-            if accepted:
-                return _settle(proj, trace, x, x_next, i, *fields)
+        pool = self.admit(self.cuts(proj, x, i, 0, range(len(proj.problem.sets))))
+        if not pool:
+            return _averaged_step(proj, x, i, trace, x_avg)
+        base = _merit(proj, self.merit, x)
+        if base == 0.0:  # no step can decrease the merit, and x stays put
+            return "stalled"
+        cons, warm, first_qp = pool, (), None
+        while cons:
+            res = polyhedra.project_onto_polyhedron(polyhedra.Polyhedron(cons), x, warm_start=warm)
+            if res.status == "optimal":
+                if first_qp is None:
+                    first_qp = res
+                if _merit(proj, self.merit, res.point) < base:
+                    kind = "qp-step" if len(cons) == len(pool) else "qp-drop-oldest"
+                    active, kkt = len(res.active_set), res.kkt_residual
+                    return _settle(proj, trace, x, res.point.copy(), i, kind, active, kkt)
+                warm = res.active_set
+            # Dropping the oldest row shifts every index down by one.
+            cons = cons[1:]
+            warm = tuple(w - 1 for w in warm if w > 0)
+        if first_qp is not None:
+            t = 1.0
+            for _ in range(8):
+                t *= 0.5
+                cand = t * first_qp.point + (1.0 - t) * x_avg
+                if _merit(proj, self.merit, cand) < base:
+                    active, kkt = len(first_qp.active_set), first_qp.kkt_residual
+                    return _settle(proj, trace, x, cand, i, "line-search", active, kkt)
         return _averaged_step(proj, x, i, trace, x_avg)
 
 

@@ -359,6 +359,75 @@ def test_cli_qp_breakdown_in_a_polyhedron_exits_3(tmp_path):
     assert report["oracle_failure"]["set_kind"] == "polyhedron"
 
 
+def test_cli_empty_polyhedron_exits_3(tmp_path):
+    """Halfspaces that do not meet leave the polyhedral set empty: its
+    projection fails and the run ends as an oracle failure."""
+    slab = {
+        "name": "empty-slab",
+        "sets": [
+            {
+                "kind": "polyhedron",
+                "halfspaces": [
+                    {"normal": [1.0, 0.0], "offset": -1.0},
+                    {"normal": [-1.0, 0.0], "offset": -1.0},
+                ],
+            },
+            {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        ],
+        "start": [0.5, 0.5],
+    }
+    path = tmp_path / "slab.json"
+    path.write_text(json.dumps({"problem": slab, "algorithm": "mass"}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["oracle_failure"] == {
+        "set_index": 0,
+        "set_kind": "polyhedron",
+        "message": "polyhedral set projection failed: infeasible",
+    }
+
+
+TWO_CIRCLES_PROBLEM = {
+    "name": "two-circles",
+    "sets": [
+        {"kind": "sphere", "center": [0.0, 0.0], "radius": 1.0},
+        {"kind": "sphere", "center": [1.0, 0.0], "radius": 1.0},
+    ],
+    "start": [0.9, 1.3],
+    "known_solution": [0.5, 0.8660254037844386],
+}
+
+
+def test_cli_intersection_merit_needs_an_intersection_oracle(tmp_path, capsys):
+    """The global method's intersection-distance merit is a usage error on a
+    problem without an intersection oracle, for every subcommand."""
+    path = tmp_path / "merit.json"
+    path.write_text(
+        json.dumps(
+            {"problem": TWO_CIRCLES_PROBLEM, "algorithm": "global", "merit": "intersection-distance"}
+        )
+    )
+    out = str(tmp_path / "out")
+    for argv in (
+        ["validate-config", "--config", str(path)],
+        ["run", "--config", str(path), "--out-dir", out],
+        ["sweep", "--config", str(path), "--tau-grid", "0.1", "--out-dir", out],
+    ):
+        assert cli.main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'intersection-distance'" in captured.err
+    # Any other method ignores the merit.
+    path.write_text(
+        json.dumps(
+            {"problem": TWO_CIRCLES_PROBLEM, "algorithm": "mass", "merit": "intersection-distance"}
+        )
+    )
+    assert cli.main(["validate-config", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+
+
 def test_every_solver_status_has_an_exit_code():
     """Every terminal status string in the solvers module maps to an exit
     code, and an unmapped status is an error rather than a default."""

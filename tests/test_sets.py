@@ -106,6 +106,24 @@ def test_point_set_picks_nearest():
     assert d == pytest.approx(math.hypot(0.4, 0.1), abs=1e-12)
 
 
+def test_ties_go_to_the_lexicographically_smallest_point():
+    """The module's tie rule, for each oracle whose projection can be
+    set-valued in closed form."""
+    p, d = project(PointSet([(1.0, 0.0), (-1.0, 0.0)]), np.zeros(2))
+    np.testing.assert_array_equal(p, [-1.0, 0.0])
+    assert d == 1.0
+    axes = UnionOfConvex(
+        [AffineSubspace((0.0, 0.0), [(1.0, 0.0)]), AffineSubspace((0.0, 0.0), [(0.0, 1.0)])]
+    )
+    p, d = project(axes, np.array([1.0, 1.0]))
+    np.testing.assert_array_equal(p, [0.0, 1.0])
+    assert d == 1.0
+    center = np.array([0.5, 2.0, -1.0])
+    p, d = project(Sphere(center, 1.5), center)
+    np.testing.assert_array_equal(p, [-1.0, 2.0, -1.0])
+    assert d == 1.5
+
+
 def test_polyhedral_set_agrees_with_qp_module():
     """Same geometry through the oracle API and the QP solver directly."""
     rng = np.random.default_rng(4)

@@ -255,6 +255,21 @@ def test_parallel_lines_exhaust_the_fallback(runner, landing, steps):
         np.testing.assert_array_equal(rec.point, point)
 
 
+def test_global_rule_falls_back_on_parallel_lines():
+    """The QP point, then line-search points that halve toward the averaged
+    point, until no step lowers the merit and the averaged step lands on
+    the midpoint, a fixed point of the averaging map."""
+    trace = solvers.run_global(_parallel_lines_problem())
+    assert trace.status == "stalled"
+    expected = [("start", 0, [2.0, 0.5]), ("qp-step", 0, [0.0, 0.5])]
+    expected += [("line-search", k, [0.5 + 0.5**(k + 1), 0.5]) for k in range(1, 9)]
+    expected += [("averaged-step", 9, [0.5, 0.5])]
+    assert len(trace.records) == len(expected)
+    for rec, (kind, outer, point) in zip(trace.records, expected):
+        assert (rec.step_kind, rec.outer_iteration) == (kind, outer)
+        np.testing.assert_array_equal(rec.point, point)
+
+
 def test_map_cycles_forever_on_disjoint_points():
     cfg = solvers.SolverConfig(max_outer_iterations=30)
     trace = solvers.run_map(_point_problem(), config=cfg)
