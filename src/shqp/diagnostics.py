@@ -195,9 +195,12 @@ def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> tuple[f
 
     Validates xstar and radii, then draws the probes from ``rng`` (a
     Generator, or a seed for a fresh one) before anything else does, so
-    the value is the same whichever function asks for it.  Returns
-    ``(beta_hat, centers)``, where centers are xstar's projections onto the
-    sets, made once for the membership check.
+    the value is the same whichever function asks for it.  All probes are
+    drawn first and projected as one stack per set (sets._project_stack);
+    then the probes are walked in order, so the error raised is the first
+    one in (probe, set) order, and d(x, K) is taken only for probes outside
+    some set.  Returns ``(beta_hat, centers)``, where centers are xstar's
+    projections onto the sets, made once for the membership check.
     """
     xstar = np.asarray(xstar, dtype=float)
     centers = []
@@ -211,16 +214,22 @@ def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> tuple[f
         raise ValueError("radii must be positive")
     rng = np.random.default_rng(rng)
     big = max(radii)
-    proxy_config = solvers.SolverConfig(stop_tolerance=1e-12, max_outer_iterations=300)
-    beta_hat = 1.0
+    probes = []
     for _ in range(samples):
         u = rng.standard_normal(problem.dimension)
         nu = np.linalg.norm(u)
         if nu < 1e-12:
             continue
         r = big * rng.uniform() ** (1.0 / problem.dimension)
-        x = xstar + r * u / nu
-        worst = max(sets_mod.project(s, x)[1] for s in problem.sets)
+        probes.append(xstar + r * u / nu)
+    projected = [sets_mod._project_stack(s, probes) for s in problem.sets]
+    proxy_config = solvers.SolverConfig(stop_tolerance=1e-12, max_outer_iterations=300)
+    beta_hat = 1.0
+    for x, outcomes in zip(probes, zip(*projected)):
+        for out in outcomes:
+            if isinstance(out, Exception):
+                raise out
+        worst = max(d for _, d in outcomes)
         if worst <= 1e-10:
             continue
         dk = _intersection_distance(problem, x, proxy_config)
@@ -247,6 +256,9 @@ def estimate_regularity(
     with seed rng_seed + 31l.  Draws with the same (set, radius, seed) are
     made and projected once and feed both checks; with the default radii
     that is set 0's sosh draws, which are its first super-regularity draws.
+    Each batch of draws, and the beta probes on each set, are drawn in full
+    and then projected as one stack (sets._project_stack), bit for bit as
+    one at a time.
     """
     rng = np.random.default_rng(rng_seed)
     beta_hat, centers = _beta_probe(problem, xstar, rng, radii, samples)

@@ -306,10 +306,26 @@ class Sphere(_RoundSet):
         return v / nv
 
 
+# The Newton projection's iteration budget and residual tolerance.
+_NEWTON_ITERATIONS = 100
+_NEWTON_TOL = 1e-12
+
+
+def _newton_step(J, residual):
+    """The Newton step of a bordered system: np.linalg.solve, or its
+    least-squares solution when J is singular."""
+    try:
+        return np.linalg.solve(J, -residual)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(J, -residual, rcond=None)[0]
+
+
 def _newton_stationarity(f, grad, hess, x, y0, lam0, max_iterations, tol):
     """Newton on y - x + lam * grad f(y) = 0, f(y) = 0 from (y0, lam0).
 
-    Returns the solution or None when the iteration fails to reach ``tol``.
+    Returns the solution or None when the iteration fails to reach ``tol``,
+    which it stops trying as soon as the residual is non-finite: NaN and inf
+    never pass the test, and a non-finite step keeps y and lam non-finite.
     """
     n = x.shape[0]
     y = np.asarray(y0, dtype=float).copy()
@@ -330,23 +346,115 @@ def _newton_stationarity(f, grad, hess, x, y0, lam0, max_iterations, tol):
         residual[n] = f(y)
         # Not max(|r|) <= tol through numpy's dispatch, and not a bare
         # max(): a NaN entry must still mean "not converged".
-        if all(abs(v) <= tol for v in residual.tolist()):
+        r = residual.tolist()
+        if all(abs(v) <= tol for v in r):
             return y
+        if not all(map(math.isfinite, r)):
+            return None
         # eye + lam * H, entry for entry: the same products and sums.
         np.multiply(hess(y), lam, out=JH)
         JH += eye
         J[:n, n] = g
         J[n, :n] = g
-        try:
-            step = np.linalg.solve(J, -residual)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -residual, rcond=None)[0]
+        step = _newton_step(J, residual)
         ns = _norm(step)
         if ns > cap:
             step *= cap / ns
         y = y + step[:n]
         lam = lam + step[n]
     return None
+
+
+def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) -> list:
+    """_newton_stationarity on k starts in lockstep: row i runs toward X[i]
+    from (Y0[i], lam0[i]).  Entry i of the result is what the scalar kernel
+    returns on row i alone, bit for bit: the solution, None, or the
+    exception it raises.
+
+    The rows still running sit in one array per quantity, and each
+    elementwise step of the scalar kernel runs once over the array, so every
+    row gets the same products and sums in the same order; f, grad and hess
+    (which return floats and float arrays, as the package's sets do) are
+    called per row on row views of the iterates.  The bordered systems are
+    one np.linalg.solve on the (k, n+1, n+1) stack, which calls LAPACK's
+    gesv once per matrix as a single solve does; the right-hand side is
+    shaped (k, n+1, 1), a stack of columns in every numpy version.  If a
+    matrix of the stack is singular, every row takes _newton_step on its
+    own.  Rows that converge, go non-finite or raise leave the stack.
+    """
+    out = [None] * len(X)
+    if not out:
+        return out
+    n = X[0].shape[0]
+    idx = list(range(len(X)))
+    X = np.array(X, dtype=float)
+    Y = np.array(Y0, dtype=float)
+    L = np.array(lam0, dtype=float)
+    caps = [10.0 * (1.0 + _norm(x)) for x in X]
+    eye = np.eye(n)
+    dead = set()  # rows whose start has raised; the next compaction drops them
+    for _ in range(max_iterations):
+        m = len(idx)
+        G, F = np.zeros((m, n)), np.zeros(m)
+        for j in range(m):
+            if j in dead:
+                continue
+            try:
+                G[j] = grad(Y[j])
+                F[j] = f(Y[j])
+            except Exception as exc:
+                out[idx[j]] = exc
+                dead.add(j)
+        R = np.empty((m, n + 1))
+        R[:, :n] = Y - X + L[:, None] * G
+        R[:, n] = F
+        keep = []
+        for j, r in enumerate(R.tolist()):
+            if j in dead:
+                continue
+            if all(abs(v) <= tol for v in r):
+                out[idx[j]] = Y[j].copy()
+            elif all(map(math.isfinite, r)):
+                keep.append(j)
+        if not keep:
+            break
+        if len(keep) < m:
+            idx = [idx[j] for j in keep]
+            caps = [caps[j] for j in keep]
+            X, Y, L, G, R = X[keep], Y[keep], L[keep], G[keep], R[keep]
+            m = len(keep)
+        dead = set()
+        H = np.zeros((m, n, n))
+        for j in range(m):
+            try:
+                H[j] = hess(Y[j])
+            except Exception as exc:
+                out[idx[j]] = exc
+                dead.add(j)
+        J = np.zeros((m, n + 1, n + 1))
+        np.multiply(H, L[:, None, None], out=J[:, :n, :n])
+        J[:, :n, :n] += eye
+        J[:, :n, n] = G
+        J[:, n, :n] = G
+        try:
+            S = np.linalg.solve(J, -R[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            S = np.zeros((m, n + 1))
+            for j in range(m):
+                if j in dead:
+                    continue
+                try:
+                    S[j] = _newton_step(J[j], R[j])
+                except Exception as exc:
+                    out[idx[j]] = exc
+                    dead.add(j)
+        for step, cap in zip(S, caps):
+            ns = _norm(step)
+            if ns > cap:
+                step *= cap / ns
+        Y = Y + S[:, :n]
+        L = L + S[:, n]
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -401,8 +509,8 @@ def _newton_boundary_projection(
     grad: Callable[[np.ndarray], np.ndarray],
     hess: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    max_iterations: int = 100,
-    tol: float = 1e-12,
+    max_iterations: int = _NEWTON_ITERATIONS,
+    tol: float = _NEWTON_TOL,
 ) -> np.ndarray:
     """Nearest point on {f = 0} by Newton on the stationarity system.
 
@@ -414,6 +522,12 @@ def _newton_boundary_projection(
     Raises ProjectionNotConvergedError when no start converges.
     """
     best = _newton_stationarity(f, grad, hess, x, x, 0.0, max_iterations, tol)
+    return _ray_restarts(f, grad, hess, x, best, max_iterations, tol)
+
+
+def _ray_restarts(f, grad, hess, x, best, max_iterations, tol) -> np.ndarray:
+    """The rest of _newton_boundary_projection, given ``best``, the result
+    of its first start from (x, 0)."""
     near_gate = 0.15 * (1.0 + _norm(x))
     if best is not None and _norm(best - x) <= near_gate:
         return best
@@ -446,7 +560,13 @@ class _SmoothSet(SetOracle):
         self.hess = hess
         self.name = name
 
+    def _inside(self, x) -> bool:
+        """Whether x is a member that projects to itself without Newton."""
+        return False
+
     def _project(self, x):
+        if self._inside(x):
+            return x.copy()
         return _newton_boundary_projection(self.f, self.grad, self.hess, x)
 
     def analytic_normal(self, x):
@@ -470,10 +590,8 @@ class LevelSet(_SmoothSet):
         super().__init__(dimension, f, grad, hess, name)
         self.is_convex = bool(convex)
 
-    def _project(self, x):
-        if self.f(x) <= 0.0:
-            return x.copy()
-        return super()._project(x)
+    def _inside(self, x):
+        return self.f(x) <= 0.0
 
     def _residual(self, p):
         val = max(0.0, self.f(p))
@@ -671,6 +789,62 @@ def project(oracle: SetOracle, x) -> tuple[np.ndarray, float]:
     return nearest, _norm(p - nearest)
 
 
+def _project_stack(oracle: SetOracle, points) -> list:
+    """project(oracle, x) for each x in points, in order, bit for bit; an
+    entry is the exception that project raises on that point, if it raises.
+
+    On LevelSet and ManifoldCurve, every point is checked and the level set's
+    interior test made first, in order; then the first Newton starts of the
+    points left run as one stack (_newton_stationarity_stack), unless there
+    are too few, and each point that misses the near gate finishes with the
+    ray-scan restarts.  Every other oracle projects point by point.
+    """
+    if type(oracle)._project is not _SmoothSet._project:
+        return [_outcome(project, oracle, x) for x in points]
+    out = [_outcome(_as_point, x, oracle.dimension) for x in points]
+    rows = []
+    for i, p in enumerate(out):
+        if isinstance(p, Exception):
+            continue
+        inside = _outcome(oracle._inside, p)
+        if isinstance(inside, Exception):
+            out[i] = inside
+        elif inside:
+            nearest = p.copy()
+            out[i] = (nearest, _norm(p - nearest))
+        else:
+            rows.append(i)
+    X = [out[i] for i in rows]
+    f, grad, hess = oracle.f, oracle.grad, oracle.hess
+    if len(X) < _STACK_MIN_ROWS:
+        firsts = [
+            _outcome(_newton_stationarity, f, grad, hess, p, p, 0.0, _NEWTON_ITERATIONS, _NEWTON_TOL)
+            for p in X
+        ]
+    else:
+        firsts = _newton_stationarity_stack(
+            f, grad, hess, X, X, [0.0] * len(X), _NEWTON_ITERATIONS, _NEWTON_TOL
+        )
+    for i, p, best in zip(rows, X, firsts):
+        if not isinstance(best, Exception):
+            best = _outcome(_ray_restarts, f, grad, hess, p, best, _NEWTON_ITERATIONS, _NEWTON_TOL)
+        out[i] = best if isinstance(best, Exception) else (best, _norm(p - best))
+    return out
+
+
+# Fewer first Newton starts than this run one by one: below three rows, a
+# row costs more through the stacked kernel than through the scalar one.
+_STACK_MIN_ROWS = 3
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
 @dataclasses.dataclass(frozen=True)
 class NormalSample:
     """A unit normal ``direction`` to a set at ``base``."""
@@ -734,16 +908,20 @@ def _ball_draws(oracle: SetOracle, center, radius: float, count: int, seed: int)
 
     Returns ``(w, y, gap)`` for each draw whose projection y converged and
     lies in the ball, with gap = ||w - y||.  Both samplers below reduce
-    these draws; the same arguments always give the same draws.
+    these draws; the same arguments always give the same draws.  All draws
+    are made first, in the generator's order, and then projected as one
+    stack (_project_stack); any error other than a projection that did not
+    converge is raised for the first draw that has one.
     """
     rng = np.random.default_rng(seed)
+    ws = [center + radius * _uniform_ball(rng, oracle.dimension) for _ in range(count)]
     draws = []
-    for _ in range(count):
-        w = center + radius * _uniform_ball(rng, oracle.dimension)
-        try:
-            y, gap = project(oracle, w)
-        except ProjectionNotConvergedError:
+    for w, out in zip(ws, _project_stack(oracle, ws)):
+        if isinstance(out, ProjectionNotConvergedError):
             continue
+        if isinstance(out, Exception):
+            raise out
+        y, gap = out
         if _norm(y - center) > radius:
             continue
         draws.append((w, y, gap))

@@ -1,0 +1,404 @@
+"""The stacked Newton projection against the per-point code it stands for.
+
+The regularity report projects its ball draws and beta probes as one stack
+per set (`sets._project_stack`), whose smooth sets run their first Newton
+starts in lockstep (`sets._newton_stationarity_stack`).  Each must give,
+bit for bit, what the scalar kernel and `sets.project` give one point at a
+time, and raise the error the per-point loops raised first.  The loops the
+samplers ran before are kept here as references.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shqp import diagnostics, sets
+from shqp.gallery import polynomial_curve, polynomial_level_set
+from test_report_pins import INLINE, _problem
+
+CUBIC = [0.5, -1.0, 0.0, 1.0]  # x2 = 0.5 - x1 + x1^3
+
+
+def _disk(sign):
+    """{x : sign * (||x||^2 - 1) <= 0}: the unit disk (sign 1) or its
+    outside (sign -1).  The gradient vanishes at the origin, so a start
+    there has a singular bordered system."""
+    return sets.LevelSet(
+        2,
+        lambda x: sign * float(x @ x - 1.0),
+        lambda x: sign * 2.0 * x,
+        lambda x: sign * 2.0 * np.eye(2),
+        name="disk",
+    )
+
+
+def _scalar(oracle, x, y0, lam0, iterations):
+    """_newton_stationarity on one row: its result, or the exception."""
+    try:
+        return sets._newton_stationarity(
+            oracle.f, oracle.grad, oracle.hess, x, y0, lam0, iterations, 1e-12
+        )
+    except Exception as exc:
+        return exc
+
+
+def _same(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    if want is None:
+        return got is None
+    return isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+
+
+def _assert_rows_match(oracle, rows, iterations):
+    X = [np.ascontiguousarray(x, dtype=float) for x, _, _ in rows]
+    got = sets._newton_stationarity_stack(
+        oracle.f,
+        oracle.grad,
+        oracle.hess,
+        X,
+        [y0 for _, y0, _ in rows],
+        [lam0 for _, _, lam0 in rows],
+        iterations,
+        1e-12,
+    )
+    assert len(got) == len(rows)
+    for i, (x, (_, y0, lam0)) in enumerate(zip(X, rows)):
+        want = _scalar(oracle, x, y0, lam0, iterations)
+        assert _same(got[i], want), (i, got[i], want)
+    return got
+
+
+_coefficient = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+_oracle = st.one_of(
+    st.lists(_coefficient, min_size=1, max_size=5).map(polynomial_curve),
+    st.builds(
+        polynomial_level_set,
+        st.lists(_coefficient, min_size=1, max_size=5),
+        st.sampled_from(["above", "below"]),
+    ),
+    st.sampled_from([_disk(1.0), _disk(-1.0)]),
+)
+_point = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(np.array)
+_scale = st.sampled_from([1.0, 1.0, 1.0, 1e60, 1e120])
+
+
+@st.composite
+def _row(draw):
+    """(x, y0, lam0): the projection's own first start (y0 = x, lam0 = 0),
+    a start up to 3,000 away with a multiplier (the step cap fires), a
+    start at the origin (singular on the disks), or points and multipliers
+    scaled until they overflow."""
+    x = draw(_point) * draw(_scale)
+    kind = draw(st.sampled_from(["first", "elsewhere", "origin", "wild"]))
+    if kind == "first":
+        return x, x, 0.0
+    if kind == "origin":
+        return x, np.zeros(2), draw(st.floats(-2.0, 2.0))
+    lam0 = draw(st.floats(-10.0, 10.0))
+    if kind == "wild":
+        return x, draw(_point) * draw(_scale), lam0 * draw(_scale) * 1e180
+    return x, x + draw(_point) * draw(st.sampled_from([1.0, 10.0, 100.0, 1000.0])), lam0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_oracle, st.lists(_row(), min_size=1, max_size=64), st.sampled_from([1, 3, 10, 100]))
+def test_stacked_kernel_equals_scalar_kernel(oracle, rows, iterations):
+    with np.errstate(all="ignore"):
+        _assert_rows_match(oracle, rows, iterations)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_kernel_equals_scalar_kernel_from_far_starts(seed):
+    # Starts up to 1,000 away from x: the step cap fires on the first steps
+    # of most rows, and most still converge, so a cap computed in another
+    # order shows in the converged bits.
+    rng = np.random.default_rng(seed)
+    for trial in range(25):
+        coefficients = list(rng.uniform(-3.0, 3.0, size=rng.integers(2, 5)))
+        if trial % 2:
+            oracle = polynomial_curve(coefficients)
+        else:
+            oracle = polynomial_level_set(coefficients, "above")
+        X = rng.uniform(-2.0, 2.0, size=(16, 2))
+        Y0 = X + rng.uniform(-1.0, 1.0, size=(16, 2)) * 10.0 ** rng.uniform(0.0, 3.0, size=(16, 1))
+        rows = list(zip(X, Y0, rng.uniform(-5.0, 5.0, size=16).tolist()))
+        with np.errstate(all="ignore"):
+            got = _assert_rows_match(oracle, rows, 100)
+        assert sum(y is not None for y in got) >= 4
+
+
+def test_singular_stack_falls_back_row_by_row(monkeypatch):
+    # x2 = x1^2 at (0, s) with lam = 1/2: I + lam H = diag(0, 1) and
+    # g = (0, 1), so the bordered matrix is singular; so is the disk's at the
+    # origin, where g = 0.  The other rows must not notice.
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        lstsq_calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    parabola = polynomial_curve([0.0, 0.0, 1.0])
+    x = np.array([0.3, 0.2])
+    rows = [(x, x, 0.0), (x, np.array([0.0, 0.7]), 0.5), (x + 0.1, x + 0.1, 0.0)]
+    got = _assert_rows_match(parabola, rows, 100)
+    assert all(isinstance(y, np.ndarray) for y in got)
+    assert lstsq_calls
+    lstsq_calls.clear()
+    disk = _disk(1.0)
+    rows = [(np.array([1.5, 0.5]), np.zeros(2), 0.0), (np.array([2.0, 0.0]),) * 2 + (0.0,)]
+    _assert_rows_match(disk, rows, 100)
+    assert lstsq_calls
+
+
+def test_rows_that_raise_get_the_scalar_kernels_exception():
+    def grad(y):
+        if y[0] > 1.0:
+            raise ValueError(f"grad refuses {y[0]!r}")
+        return np.array([-2.0 * y[0], 1.0])
+
+    def hess(y):
+        if y[1] < -1.0:
+            raise ArithmeticError(f"hess refuses {y[1]!r}")
+        return np.array([[-2.0, 0.0], [0.0, 0.0]])
+
+    curve = sets.ManifoldCurve(2, lambda y: float(y[1] - y[0] ** 2), grad, hess)
+    points = [(0.3, 0.1), (1.5, 0.0), (0.2, -1.5), (0.9, 3.0), (-0.4, -0.2), (2.0, 1.0)]
+    rows = [(np.array(p), np.array(p), 0.0) for p in points]
+    got = _assert_rows_match(curve, rows, 100)
+    assert sum(isinstance(r, Exception) for r in got) >= 2
+
+
+def test_non_finite_start_stops_at_once():
+    # Far out on the cubic, x1^3 overflows: every start's residual turns
+    # non-finite, which no later iteration can undo.  The projection still
+    # fails as it did, with 13 grad calls where 605 ran to the budget, 592
+    # of them at non-finite iterates.
+    curve = polynomial_curve(CUBIC)
+    grad = curve.grad
+    calls = []
+
+    def counted(y):
+        calls.append(y)
+        return grad(y)
+
+    curve.grad = counted
+    x = np.array([1e120, 3.0])
+    with np.errstate(all="ignore"), pytest.raises(sets.ProjectionNotConvergedError) as info:
+        sets.project(curve, x)
+    assert str(info.value) == "level-set projection did not reach residual 1e-12 in 100 iterations"
+    assert info.value.last_iterate.tobytes() == x.tobytes()
+    assert len(calls) <= 20
+    assert all(np.isfinite(y).all() for y in calls)
+
+
+def _reference_ball_draws(oracle, center, radius, count, seed):
+    """sets._ball_draws as it was: draw, project, filter, one at a time."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        w = center + radius * sets._uniform_ball(rng, oracle.dimension)
+        try:
+            y, gap = sets.project(oracle, w)
+        except sets.ProjectionNotConvergedError:
+            continue
+        if sets._norm(y - center) > radius:
+            continue
+        draws.append((w, y, gap))
+    return draws
+
+
+def _reference_beta_probe(problem, xstar, rng, radii=diagnostics._RADII, samples=40):
+    """diagnostics._beta_probe as it was: each probe drawn, projected onto
+    every set and measured against the intersection before the next."""
+    xstar = np.asarray(xstar, dtype=float)
+    centers = []
+    for s in problem.sets:
+        center, d = sets.project(s, xstar)
+        if d > 1e-7:
+            raise ValueError("xstar must lie in the intersection (within 1e-8)")
+        centers.append(center)
+    radii = tuple(float(r) for r in radii)
+    if not radii or min(radii) <= 0:
+        raise ValueError("radii must be positive")
+    rng = np.random.default_rng(rng)
+    big = max(radii)
+    proxy_config = diagnostics.solvers.SolverConfig(stop_tolerance=1e-12, max_outer_iterations=300)
+    beta_hat = 1.0
+    for _ in range(samples):
+        u = rng.standard_normal(problem.dimension)
+        nu = np.linalg.norm(u)
+        if nu < 1e-12:
+            continue
+        r = big * rng.uniform() ** (1.0 / problem.dimension)
+        x = xstar + r * u / nu
+        worst = max(sets.project(s, x)[1] for s in problem.sets)
+        if worst <= 1e-10:
+            continue
+        dk = diagnostics._intersection_distance(problem, x, proxy_config)
+        beta_hat = max(beta_hat, dk / worst)
+    return float(beta_hat), centers
+
+
+def _bits(draw):
+    w, y, gap = draw
+    return w.tobytes(), y.tobytes(), gap.hex()
+
+
+# The problems `shqp run` reports on in the CLI benchmark.
+REPORT_PROBLEMS = [
+    "backtrack-example",
+    "circle-line",
+    "two-parabolas",
+    "parabola-lens",
+    "rank1-affine",
+    *sorted(INLINE),
+]
+
+
+@pytest.mark.parametrize("name", REPORT_PROBLEMS)
+def test_ball_draws_equal_the_per_point_loop(name):
+    problem = _problem(name)
+    for s in problem.sets:
+        center = sets.project(s, problem.known_solution)[0]
+        for radius in diagnostics._RADII:
+            for seed in range(4):
+                got = sets._ball_draws(s, center, radius, 160, seed)
+                want = _reference_ball_draws(s, center, radius, 160, seed)
+                # Equal draws (w) also mean the same draws were dropped.
+                assert [_bits(d) for d in got] == [_bits(d) for d in want]
+
+
+@pytest.mark.parametrize("name", REPORT_PROBLEMS)
+def test_beta_probe_equals_the_per_probe_loop(name):
+    problem = _problem(name)
+    for seed in range(4):
+        beta, centers = diagnostics._beta_probe(problem, problem.known_solution, seed)
+        beta_ref, centers_ref = _reference_beta_probe(problem, problem.known_solution, seed)
+        assert beta.hex() == beta_ref.hex()
+        assert [c.tobytes() for c in centers] == [c.tobytes() for c in centers_ref]
+
+
+class _Failing(sets.SetOracle):
+    """Another oracle's projection, except that call k (counting from 0)
+    raises ``failures[k]`` when there is one."""
+
+    def __init__(self, inner, failures):
+        super().__init__(inner.dimension)
+        self.inner, self.failures = inner, failures
+        self.calls = 0
+
+    def _project(self, x):
+        self.calls += 1
+        if self.calls - 1 in self.failures:
+            raise self.failures[self.calls - 1]
+        return self.inner._project(x)
+
+    def _residual(self, p):
+        return self.inner._residual(p)
+
+
+def _picky_parabola():
+    """x2 = x1^2 with a gradient that refuses x1 > 0.15: its stacked first
+    starts raise on the points that begin there."""
+    curve = polynomial_curve([0.0, 0.0, 1.0])
+    grad = curve.grad
+
+    def picky(y):
+        if y[0] > 0.15:
+            raise ValueError(f"gradient refuses x1 = {y[0]!r}")
+        return grad(y)
+
+    curve.grad = picky
+    return curve
+
+
+def _raised(fn, *args):
+    """(type, message) of the exception fn(*args) raises, or None."""
+    with np.errstate(all="ignore"):
+        try:
+            fn(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def _failing_problem(ball_fails_at, distance_fails_at):
+    # Call 0 of each fake projects xstar; call k + 1 is probe k.
+    ball = _Failing(
+        sets.Ball([0.0, 0.0], 1.0),
+        {ball_fails_at: sets.ProjectionNotConvergedError(f"ball call {ball_fails_at}", np.zeros(2))},
+    )
+    intersection = _Failing(
+        sets.PointSet([[0.0, 0.0]]),
+        {distance_fails_at: diagnostics.NoDistanceOracleError(f"distance call {distance_fails_at}")},
+    )
+    return diagnostics.solvers.ProblemInstance(
+        "failing", [_picky_parabola(), ball], [0.5, 0.5], np.zeros(2), intersection
+    )
+
+
+BALL_FAILS_AT = [1, 2, 4, 9, 40, None]
+DISTANCE_FAILS_AT = [0, 1, 3, 8, None]
+
+
+def _beta_probe_raised(fn, ball_fails_at, distance_fails_at):
+    return _raised(fn, _failing_problem(ball_fails_at, distance_fails_at), np.zeros(2), 0)
+
+
+@pytest.mark.parametrize("ball_fails_at", BALL_FAILS_AT)
+@pytest.mark.parametrize("distance_fails_at", DISTANCE_FAILS_AT)
+def test_beta_probe_raises_the_first_error_in_probe_order(ball_fails_at, distance_fails_at):
+    got = _beta_probe_raised(diagnostics._beta_probe, ball_fails_at, distance_fails_at)
+    want = _beta_probe_raised(_reference_beta_probe, ball_fails_at, distance_fails_at)
+    assert got == want
+
+
+def test_beta_probe_error_fixtures_reach_each_error():
+    # The fixtures above are only a check if each source of error comes
+    # first somewhere: the ball, the intersection and the picky gradient.
+    kinds = {
+        _beta_probe_raised(_reference_beta_probe, b, d)[0]
+        for b in BALL_FAILS_AT
+        for d in DISTANCE_FAILS_AT
+    }
+    assert kinds == {
+        sets.ProjectionNotConvergedError,
+        diagnostics.NoDistanceOracleError,
+        ValueError,
+    }
+
+
+@pytest.mark.parametrize(
+    "failures",
+    [
+        {3: sets.ProjectionNotConvergedError("skipped", np.zeros(2))},
+        {0: ArithmeticError("call 0")},
+        {2: sets.ProjectionNotConvergedError("skipped", np.zeros(2)), 7: ArithmeticError("call 7")},
+        {39: ArithmeticError("call 39"), 40: ArithmeticError("never made")},
+    ],
+)
+def test_ball_draws_raise_the_first_error_in_draw_order(failures):
+    # Projections that do not converge are skipped; the first other error
+    # is raised, as the per-draw loop raised it.
+    def draws(fn):
+        oracle = _Failing(sets.Ball([0.0, 0.0], 1.0), failures)
+        return fn(oracle, np.array([1.0, 0.0]), 0.25, 40, 3)
+
+    want = _raised(draws, _reference_ball_draws)
+    assert _raised(draws, sets._ball_draws) == want
+    if want is None:
+        got, ref = draws(sets._ball_draws), draws(_reference_ball_draws)
+        assert len(ref) == 39
+        assert [_bits(d) for d in got] == [_bits(d) for d in ref]
+
+
+def test_ball_draws_on_a_smooth_set_raise_like_the_loop():
+    picky = _picky_parabola()
+    args = (picky, np.zeros(2), 0.25, 160, 0)
+    want = _raised(_reference_ball_draws, *args)
+    assert want is not None and want[0] is ValueError
+    assert _raised(sets._ball_draws, *args) == want

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shqp import polyhedra, sets
-from shqp.gallery import polynomial_level_set
+from shqp.gallery import polynomial_curve, polynomial_level_set
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 REL = 1e-12
@@ -125,3 +125,34 @@ def test_projection_satisfies_the_variational_inequality(kind, data):
     for z in others:
         y, _ = sets.project(oracle, z)
         assert (x - px) @ (y - px) <= REL * _scale(x, z) ** 2
+
+
+# The smooth nonconvex sets, projected by Newton.  No convexity to check:
+# P(x) must be a member at the iterative tolerance class, and no sampled
+# member may be closer to x.  The points lie within 0.1 of the curve, inside
+# the projection's near gate, so one Newton start decides the answer.
+SMOOTH = {"cubic": [0.5, -1.0, 0.0, 1.0], "parabola": [0.0, 0.0, 1.0]}
+SMOOTH_KINDS = {
+    "manifold-curve": polynomial_curve,
+    "level-set-above": lambda c: polynomial_level_set(c, "above"),
+    "level-set-below": lambda c: polynomial_level_set(c, "below"),
+}
+# Graph points (t, p(t)) on a t-grid of step 1e-4: members of the curve and
+# the boundary of each level set, where an outside point's nearest member is.
+_T = np.linspace(-3.0, 3.0, 60001)
+
+
+@pytest.mark.parametrize("kind", sorted(SMOOTH_KINDS))
+@pytest.mark.parametrize("shape", sorted(SMOOTH))
+@SETTINGS
+@given(t=st.floats(-1.5, 1.5), offset=st.floats(-0.1, 0.1))
+def test_smooth_projection_is_a_nearest_member(shape, kind, t, offset):
+    c = np.array(SMOOTH[shape])
+    P = np.polynomial.polynomial
+    oracle = SMOOTH_KINDS[kind](c)
+    normal = np.array([-P.polyval(t, P.polyder(c)), 1.0])
+    x = np.array([t, P.polyval(t, c)]) + offset * normal / np.linalg.norm(normal)
+    px, d = sets.project(oracle, x)
+    assert oracle.membership_residual(px) <= sets.MEMBERSHIP_TOL_ITERATIVE
+    grid = np.hypot(_T - x[0], P.polyval(_T, c) - x[1]).min()
+    assert grid >= d - 1e-9 * (1.0 + np.linalg.norm(x))
