@@ -199,7 +199,8 @@ def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> tuple[f
     drawn first and projected as one stack per set (sets._project_stack);
     then the probes are walked in order, so the error raised is the first
     one in (probe, set) order, and d(x, K) is taken only for probes outside
-    some set.  Returns ``(beta_hat, centers)``, where centers are xstar's
+    some set.  A projection error is therefore raised only after every
+    probe has been projected onto every set.  Returns ``(beta_hat, centers)``, where centers are xstar's
     projections onto the sets, made once for the membership check.
     """
     xstar = np.asarray(xstar, dtype=float)

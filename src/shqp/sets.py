@@ -795,9 +795,8 @@ def _project_stack(oracle: SetOracle, points) -> list:
 
     On LevelSet and ManifoldCurve, every point is checked and the level set's
     interior test made first, in order; then the first Newton starts of the
-    points left run as one stack (_newton_stationarity_stack), unless there
-    are too few, and each point that misses the near gate finishes with the
-    ray-scan restarts.  Every other oracle projects point by point.
+    points left run as one stack (_newton_stationarity_stack), and each
+    point that misses the near gate finishes with the ray-scan restarts.  Every other oracle projects point by point.
     """
     if type(oracle)._project is not _SmoothSet._project:
         return [_outcome(project, oracle, x) for x in points]
@@ -816,25 +815,14 @@ def _project_stack(oracle: SetOracle, points) -> list:
             rows.append(i)
     X = [out[i] for i in rows]
     f, grad, hess = oracle.f, oracle.grad, oracle.hess
-    if len(X) < _STACK_MIN_ROWS:
-        firsts = [
-            _outcome(_newton_stationarity, f, grad, hess, p, p, 0.0, _NEWTON_ITERATIONS, _NEWTON_TOL)
-            for p in X
-        ]
-    else:
-        firsts = _newton_stationarity_stack(
-            f, grad, hess, X, X, [0.0] * len(X), _NEWTON_ITERATIONS, _NEWTON_TOL
-        )
+    firsts = _newton_stationarity_stack(
+        f, grad, hess, X, X, [0.0] * len(X), _NEWTON_ITERATIONS, _NEWTON_TOL
+    )
     for i, p, best in zip(rows, X, firsts):
         if not isinstance(best, Exception):
             best = _outcome(_ray_restarts, f, grad, hess, p, best, _NEWTON_ITERATIONS, _NEWTON_TOL)
         out[i] = best if isinstance(best, Exception) else (best, _norm(p - best))
     return out
-
-
-# Fewer first Newton starts than this run one by one: below three rows, a
-# row costs more through the stacked kernel than through the scalar one.
-_STACK_MIN_ROWS = 3
 
 
 def _outcome(fn, *args):
@@ -911,7 +899,8 @@ def _ball_draws(oracle: SetOracle, center, radius: float, count: int, seed: int)
     these draws; the same arguments always give the same draws.  All draws
     are made first, in the generator's order, and then projected as one
     stack (_project_stack); any error other than a projection that did not
-    converge is raised for the first draw that has one.
+    converge is raised for the first draw that has one, after every draw
+    has been projected.
     """
     rng = np.random.default_rng(seed)
     ws = [center + radius * _uniform_ball(rng, oracle.dimension) for _ in range(count)]
