@@ -196,11 +196,12 @@ def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> tuple[f
     Validates xstar and radii, then draws the probes from ``rng`` (a
     Generator, or a seed for a fresh one) before anything else does, so
     the value is the same whichever function asks for it.  All probes are
-    drawn first and projected as one stack per set (sets._project_stack);
-    then the probes are walked in order, so the error raised is the first
-    one in (probe, set) order, and d(x, K) is taken only for probes outside
-    some set.  A projection error is therefore raised only after every
-    probe has been projected onto every set.  Returns ``(beta_hat, centers)``, where centers are xstar's
+    drawn first and projected as one batch per set (SetOracle._project_rows:
+    on a smooth set, stacked Newton starts); then the probes are walked in
+    order, so the error raised is the first in (probe, set) order, and
+    d(x, K) is taken only for probes outside some set.  A projection error
+    is therefore raised only after every probe has been projected onto
+    every set.  Returns ``(beta_hat, centers)``, where centers are xstar's
     projections onto the sets, made once for the membership check.
     """
     xstar = np.asarray(xstar, dtype=float)
@@ -223,7 +224,7 @@ def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> tuple[f
             continue
         r = big * rng.uniform() ** (1.0 / problem.dimension)
         probes.append(xstar + r * u / nu)
-    projected = [sets_mod._project_stack(s, probes) for s in problem.sets]
+    projected = [s._project_rows(probes) for s in problem.sets]
     proxy_config = solvers.SolverConfig(stop_tolerance=1e-12, max_outer_iterations=300)
     beta_hat = 1.0
     for x, outcomes in zip(probes, zip(*projected)):
@@ -258,7 +259,7 @@ def estimate_regularity(
     made and projected once and feed both checks; with the default radii
     that is set 0's sosh draws, which are its first super-regularity draws.
     Each batch of draws, and the beta probes on each set, are drawn in full
-    and then projected as one stack (sets._project_stack), bit for bit as
+    and then projected as one batch (SetOracle._project_rows), bit for bit as
     one at a time.
     """
     rng = np.random.default_rng(rng_seed)

@@ -375,6 +375,7 @@ def resolve_x0(problem: solvers.ProblemInstance, cfg: ExperimentConfig):
 
 
 def _check_algorithm(cfg: ExperimentConfig, problem: solvers.ProblemInstance) -> None:
+    """Algorithm compatibility and solver parameter ranges."""
     if cfg.algorithm not in solvers.SOLVERS:
         raise UsageError(
             f"unknown algorithm {cfg.algorithm!r}; available: {', '.join(sorted(solvers.SOLVERS))}"
@@ -388,6 +389,10 @@ def _check_algorithm(cfg: ExperimentConfig, problem: solvers.ProblemInstance) ->
     merit_needs_oracle = cfg.algorithm == "global" and cfg.merit == "intersection-distance"
     if merit_needs_oracle and problem.intersection_oracle is None:
         raise UsageError("merit 'intersection-distance' needs a problem with an intersection")
+    try:
+        cfg.solver_config()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _schedule_from_config(cfg: ExperimentConfig, set_count: int):
@@ -412,10 +417,6 @@ def validate_experiment(config) -> tuple[ExperimentConfig, solvers.ProblemInstan
     _check_algorithm(cfg, problem)
     if cfg.schedule is not None:
         _schedule_from_config(cfg, len(problem.sets))
-    try:
-        cfg.solver_config()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     return cfg, problem
 
 
@@ -582,11 +583,11 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_cell(cfg: ExperimentConfig, problem, tau, pbar, x0_seed, beta_hat):
+def _sweep_cell(cell_cfg: ExperimentConfig, problem, beta_hat):
+    tau, pbar = cell_cfg.tau, cell_cfg.pbar
     row = dict.fromkeys(_SWEEP_COLUMNS)
-    row.update(tau=tau, pbar=pbar, x0_seed=x0_seed, status="", error="")
+    row.update(tau=tau, pbar=pbar, x0_seed=cell_cfg.x0_seed, status="", error="")
     try:
-        cell_cfg = dataclasses.replace(cfg, tau=tau, pbar=pbar, x0_seed=x0_seed, x0=cfg.x0)
         x0 = resolve_x0(problem, cell_cfg)
         trace = _dispatch(cell_cfg, problem, x0)
         row["status"] = trace.status
@@ -609,7 +610,8 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
     """Run a (tau, pbar, x0_seed) grid and write one summary row per cell.
 
     Cells run one after another in grid order, so output is deterministic
-    given seeds.
+    given seeds.  Before any cell runs, each cell's config gets the checks
+    that run_experiment makes, and the first that fails raises UsageError.
     """
     cfg, problem = validate_experiment(config)
     grid = cfg.sweep or {}
@@ -619,9 +621,14 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
     for name, axis in (("tau", taus), ("pbar", pbars), ("x0_seeds", seeds)):
         if not axis:
             raise UsageError(f"sweep grid axis {name!r} is empty")
-    for t in taus:
-        if not 0.0 <= t < 1.0:
-            raise UsageError(f"sweep tau value {t} outside [0, 1)")
+    cells = []
+    for tau, pbar, seed in itertools.product(taus, pbars, seeds):
+        if not 0.0 <= tau < 1.0:
+            raise UsageError(f"sweep tau value {tau} outside [0, 1)")
+        cell = dataclasses.replace(cfg, tau=tau, pbar=pbar, x0_seed=seed)
+        validate_config(cell.to_dict())
+        _check_algorithm(cell, problem)
+        cells.append(cell)
 
     beta_hat = None
     if problem.known_solution is not None:
@@ -635,10 +642,7 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
         ):
             beta_hat = None
 
-    rows = [
-        _sweep_cell(cfg, problem, tau, pbar, seed, beta_hat)
-        for tau, pbar, seed in itertools.product(taus, pbars, seeds)
-    ]
+    rows = [_sweep_cell(cell, problem, beta_hat) for cell in cells]
 
     directory = out_dir or cfg.out_dir or "."
     os.makedirs(directory, exist_ok=True)

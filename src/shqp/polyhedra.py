@@ -135,11 +135,6 @@ class Polyhedron:
     def __iter__(self):
         return iter(self.constraints)
 
-    def drop_first(self) -> "Polyhedron":
-        if len(self.constraints) < 2:
-            raise ValueError("cannot drop the only constraint")
-        return Polyhedron(self.constraints[1:])
-
 
 @dataclasses.dataclass
 class QPResult:

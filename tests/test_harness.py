@@ -553,6 +553,39 @@ def test_run_sweep_records_cell_errors_and_validates(tmp_path):
     assert "x0_seed requires a problem" in row["error"]
 
 
+@pytest.mark.parametrize(
+    "sweep_flags, run_flags, message",
+    [
+        (
+            ["--algorithm", "memory-shqp", "--pbar-grid", "0,2"],
+            ["--algorithm", "memory-shqp", "--pbar", "0"],
+            "memory-shqp requires pbar >= 1",
+        ),
+        (
+            ["--algorithm", "mass", "--x0-seeds=3,-1"],
+            ["--algorithm", "mass", "--x0-seed=-1"],
+            "config invalid at $.x0_seed",
+        ),
+        (
+            ["--algorithm", "mass", "--pbar-grid=4,-2"],
+            ["--algorithm", "mass", "--pbar=-2"],
+            "config invalid at $.pbar",
+        ),
+    ],
+    ids=["memory-pbar-0", "negative-seed", "negative-pbar"],
+)
+def test_cli_sweep_rejects_cells_that_run_rejects(tmp_path, capsys, sweep_flags, run_flags, message):
+    """A grid value that `run` exits 64 on makes the sweep exit 64 with the
+    same message before any cell runs, instead of writing error rows."""
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--problem", "circle-line", *sweep_flags, "--out-dir", str(out)]) == 64
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    run = ["run", "--problem", "circle-line", *run_flags, "--out-dir", str(tmp_path / "run")]
+    assert cli.main(run) == 64
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_contraction_matches_the_full_regularity_estimate(tmp_path):
     """The sweep probes only beta, and gets the value estimate_regularity
     reports, bit for bit."""

@@ -1,12 +1,15 @@
 """The stacked Newton projection against the per-point code it stands for.
 
-The regularity report projects its ball draws and beta probes as one stack
-per set (`sets._project_stack`), whose smooth sets run their first Newton
-starts in lockstep (`sets._newton_stationarity_stack`).  Each must give,
-bit for bit, what the scalar kernel and `sets.project` give one point at a
-time, and raise the error the per-point loops raised first.  The loops the
-samplers ran before are kept here as references.
+The regularity report projects its ball draws and beta probes as one batch
+per set (`SetOracle._project_rows`), whose smooth sets run their Newton
+starts in lockstep (`sets._newton_stationarity_stack`): first starts as one
+stack, ray restarts as another.  Each must give, bit for bit, what the
+scalar kernel and the per-seed projection give one point at a time, and
+raise the error the per-point loops raised first.  The loops the
+projection and the samplers ran before are kept here as references.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -402,3 +405,156 @@ def test_ball_draws_on_a_smooth_set_raise_like_the_loop():
     want = _raised(_reference_ball_draws, *args)
     assert want is not None and want[0] is ValueError
     assert _raised(sets._ball_draws, *args) == want
+
+
+def _reference_newton_projection(f, grad, hess, x):
+    """The smooth sets' Newton projection as it was: the first start from
+    (x, 0), then, outside the near gate, one start per ray seed in turn,
+    each seed's gradient taken just before its start."""
+    best = sets._newton_stationarity(f, grad, hess, x, x, 0.0, 100, 1e-12)
+    if best is not None and sets._norm(best - x) <= 0.15 * (1.0 + sets._norm(x)):
+        return best
+    for seed in sets._ray_scan_seeds(f, x):
+        g = grad(seed)
+        lam0 = float(g @ (x - seed) / max(g @ g, 1e-30))
+        y = sets._newton_stationarity(f, grad, hess, x, seed, lam0, 100, 1e-12)
+        if y is None:
+            continue
+        if best is None or sets._norm(y - x) < sets._norm(best - x) * (1.0 - 1e-12):
+            best = y
+    if best is None:
+        raise sets.ProjectionNotConvergedError(
+            "level-set projection did not reach residual 1e-12 in 100 iterations",
+            last_iterate=x,
+        )
+    return best
+
+
+def _reference_project(oracle, x):
+    """sets.project on a LevelSet or ManifoldCurve as it was."""
+    p = sets._as_point(x, oracle.dimension)
+    if oracle._inside(p):
+        nearest = p.copy()
+    else:
+        nearest = _reference_newton_projection(oracle.f, oracle.grad, oracle.hess, p)
+    return nearest, sets._norm(p - nearest)
+
+
+def _outcome_bits(out):
+    """A projection outcome in comparable form: the nearest point's bytes
+    and the distance's hex, or the exception's type, message and (for a
+    projection that did not converge) last iterate."""
+    if isinstance(out, Exception):
+        last = getattr(out, "last_iterate", None)
+        return type(out), str(out), None if last is None else last.tobytes()
+    nearest, d = out
+    return nearest.tobytes(), d.hex()
+
+
+def _assert_projections_match(oracle, points):
+    """_project_rows on all points and sets.project on each equal the
+    per-seed reference, bit for bit and error for error."""
+    with np.errstate(all="ignore"):
+        want = [_outcome_bits(sets._outcome(_reference_project, oracle, x)) for x in points]
+    got = [_outcome_bits(out) for out in oracle._project_rows(points)]
+    assert got == want
+    single = [_outcome_bits(sets._outcome(sets.project, oracle, x)) for x in points]
+    assert single == want
+    return want
+
+
+def _cubic_sets():
+    return [
+        polynomial_curve(CUBIC),
+        polynomial_level_set(CUBIC, "above"),
+        polynomial_level_set(CUBIC, "below"),
+    ]
+
+
+# Near points, points that need the ray restarts, an interior point of the
+# level set above the cubic, points far enough out to overflow (one outside
+# each level set), and points the check rejects.
+CUBIC_POINTS = [
+    (0.3, 0.1), (1.3, 0.2), (-0.4, 0.2), (0.7, 0.9), (2.5, -1.0), (-1.7, 0.4),
+    (0.0, 0.0), (1e120, 3.0), (-1e120, 3.0), (float("nan"), 1.0), (0.5, 0.5, 0.5),
+]
+
+
+@pytest.mark.parametrize("oracle", _cubic_sets(), ids=["curve", "above", "below"])
+def test_project_rows_equal_the_per_seed_projection(oracle, monkeypatch):
+    scans = []
+    scan = sets._ray_scan_seeds
+
+    def spy(f, x, max_rays=8):
+        scans.append(x)
+        return scan(f, x, max_rays)
+
+    monkeypatch.setattr(sets, "_ray_scan_seeds", spy)
+    rng = np.random.default_rng(5)
+    points = [np.array(p) for p in CUBIC_POINTS] + list(rng.uniform(-2.0, 2.0, size=(40, 2)))
+    want = _assert_projections_match(oracle, points)
+    # The fixture is only a check if it reaches each path: restarts in the
+    # batch, a converged answer, a point that does not converge, and a
+    # point the check rejects.
+    assert scans
+    kinds = {w[0] if isinstance(w[0], type) else "point" for w in want}
+    assert {"point", sets.ProjectionNotConvergedError, ValueError} <= kinds
+
+
+def _refusing_curve(limit):
+    """The cubic curve with a gradient that refuses x1 > limit: ray seeds
+    out there, and the starts that wander there, raise."""
+    curve = polynomial_curve(CUBIC)
+    grad = curve.grad
+
+    def refusing(y):
+        if y[0] > limit:
+            raise ValueError(f"gradient refuses x1 = {y[0]!r}")
+        return grad(y)
+
+    curve.grad = refusing
+    return curve
+
+
+@pytest.mark.parametrize("limit", [0.9, 1.1, 1.4, 2.0])
+def test_refused_ray_seeds_raise_the_first_error_in_seed_order(limit):
+    curve = _refusing_curve(limit)
+    rng = np.random.default_rng(11)
+    points = [np.array(p) for p in CUBIC_POINTS[:7]] + list(rng.uniform(-2.0, 2.5, size=(40, 2)))
+    want = _assert_projections_match(curve, points)
+    # Some points raise only after their first start has run: the error
+    # comes from a ray seed or a restart.
+    late = [
+        x
+        for x, w in zip(points, want)
+        if w[0] is ValueError and not isinstance(_scalar(curve, x, x, 0.0, 100), Exception)
+    ]
+    assert late
+
+
+def test_numpy_scalar_interior_test_on_a_level_set():
+    # f returns np.float64, so the interior test gives a numpy bool.
+    above = polynomial_level_set(CUBIC, "above")
+    f = above.f
+    level = sets.LevelSet(2, lambda x: np.float64(f(x)), above.grad, above.hess)
+    assert isinstance(level._inside(np.array([0.7, 0.9])), np.bool_)
+    points = [np.array(p) for p in CUBIC_POINTS[:4]] + list(
+        np.random.default_rng(2).uniform(-2.0, 2.0, size=(20, 2))
+    )
+    want = _assert_projections_match(level, points)
+    assert sum(w[1] == "0x0.0p+0" for w in want) >= 2
+
+
+def test_far_projection_raises_without_numpy_warnings():
+    # (1e120, 3) on the cubic overflows in the Newton residual and in the
+    # restart multipliers; that only makes each start fail.
+    curve = polynomial_curve(CUBIC)
+    x = np.array([1e120, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(sets.ProjectionNotConvergedError) as info:
+            sets.project(curve, x)
+        (batched,) = curve._project_rows([x])
+    assert str(info.value) == "level-set projection did not reach residual 1e-12 in 100 iterations"
+    assert info.value.last_iterate.tobytes() == x.tobytes()
+    assert _outcome_bits(batched) == _outcome_bits(info.value)

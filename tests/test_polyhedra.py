@@ -50,15 +50,6 @@ def test_polyhedron_rejects_duplicate_source_tags():
         Polyhedron([])
 
 
-def test_polyhedron_drop_first():
-    a = Halfspace((1.0, 0.0), 0.0)
-    b = Halfspace((0.0, 1.0), 0.0)
-    poly = Polyhedron([a, b])
-    assert [h.normal[1] for h in poly.drop_first()] == [1.0]
-    with pytest.raises(ValueError):
-        Polyhedron([a]).drop_first()
-
-
 def test_project_feasible_point_returns_itself():
     poly = Polyhedron([Halfspace((1.0, 0.0), 1.0), Halfspace((0.0, 1.0), 1.0)])
     res = project_onto_polyhedron(poly, np.array([0.25, -0.5]))
