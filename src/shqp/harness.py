@@ -583,12 +583,11 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_cell(cell_cfg: ExperimentConfig, problem, beta_hat):
+def _sweep_cell(cell_cfg: ExperimentConfig, problem, beta_hat, x0):
     tau, pbar = cell_cfg.tau, cell_cfg.pbar
     row = dict.fromkeys(_SWEEP_COLUMNS)
     row.update(tau=tau, pbar=pbar, x0_seed=cell_cfg.x0_seed, status="", error="")
     try:
-        x0 = resolve_x0(problem, cell_cfg)
         trace = _dispatch(cell_cfg, problem, x0)
         row["status"] = trace.status
         if beta_hat is not None:
@@ -611,13 +610,23 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
 
     Cells run one after another in grid order, so output is deterministic
     given seeds.  Before any cell runs, each cell's config gets the checks
-    that run_experiment makes, and the first that fails raises UsageError.
+    that run_experiment makes, its start included, and the first that fails
+    raises UsageError.  Without ``x0_seeds`` in the grid or an ``x0_seed``
+    the seed axis is [0], or [None] (the stock start, as `run` uses) on a
+    problem without a known solution.
     """
     cfg, problem = validate_experiment(config)
     grid = cfg.sweep or {}
     taus = [float(t) for t in grid.get("tau", [cfg.tau])]
     pbars = [int(p) for p in grid.get("pbar", [cfg.pbar])]
-    seeds = [int(s) for s in grid.get("x0_seeds", [cfg.x0_seed if cfg.x0_seed is not None else 0])]
+    if "x0_seeds" in grid:
+        seeds = [int(s) for s in grid["x0_seeds"]]
+    elif cfg.x0_seed is not None:
+        seeds = [cfg.x0_seed]
+    else:
+        # Seeded starts are drawn around the known solution; without one,
+        # the cells start where `run` starts.
+        seeds = [0 if problem.known_solution is not None else None]
     for name, axis in (("tau", taus), ("pbar", pbars), ("x0_seeds", seeds)):
         if not axis:
             raise UsageError(f"sweep grid axis {name!r} is empty")
@@ -628,7 +637,7 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
         cell = dataclasses.replace(cfg, tau=tau, pbar=pbar, x0_seed=seed)
         validate_config(cell.to_dict())
         _check_algorithm(cell, problem)
-        cells.append(cell)
+        cells.append((cell, resolve_x0(problem, cell)))
 
     beta_hat = None
     if problem.known_solution is not None:
@@ -642,7 +651,7 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
         ):
             beta_hat = None
 
-    rows = [_sweep_cell(cell, problem, beta_hat) for cell in cells]
+    rows = [_sweep_cell(cell, problem, beta_hat, x0) for cell, x0 in cells]
 
     directory = out_dir or cfg.out_dir or "."
     os.makedirs(directory, exist_ok=True)

@@ -5,9 +5,19 @@ The projection solver minimizes ||x - x0||^2 over an intersection of
 inequality and equality constraints.  Equalities are eliminated first by an
 orthogonal reduction, and the remaining inequality problem is solved by the
 Goldfarb–Idnani dual method on a QR factor of the active normals that is
-updated as rows enter and leave.  An empty polyhedron is certified by a Farkas vector: a parallel
-pair, the equality residual, or the dual ray at the step where the entering
-row admits no primal step.
+updated as rows enter and leave.  An empty polyhedron is certified by a
+Farkas vector: a parallel pair, the equality residual, or the dual ray at
+the step where the entering row admits no primal step.
+
+Much of that work depends on the polyhedron alone: the unit rows, which
+row pairs are parallel, the equality/inequality split and the equality
+elimination.  ``Polyhedron.prepare`` does it once and keeps it read-only,
+for a polyhedron that is projected many times (a PolyhedralSet); a
+projection onto a prepared polyhedron then does only the per-point work,
+the pairwise reduction's offset tests (their tolerances scale with the
+query point) and the dual active-set solve, and returns what the one-shot
+path returns, bit for bit.  The one-shot path, for the solvers' pooled
+QPs, prepares the same data on the fly and keeps none of it.
 
 The conditioning measure ``eta`` of a bundle of unit normals v_i, the
 distance from the origin to their convex hull, is one call of the same QP:
@@ -18,6 +28,7 @@ so eta's cost carries the QP's step bound.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -128,6 +139,22 @@ class Polyhedron:
                 seen.add(key)
         self.constraints = cons
         self.dimension = dim
+        self._prepared = None
+
+    def prepare(self) -> "Polyhedron":
+        """Compute once what every projection onto this polyhedron needs
+        apart from the query point, and keep it read-only; returns self.
+
+        For a polyhedron projected many times: later calls of
+        project_onto_polyhedron do only per-point work.  The constraints
+        must not change afterwards.
+        """
+        prep = _Prepared(self.constraints)
+        prep.split = _Split(prep, range(len(self.constraints)))
+        _freeze(prep)
+        _freeze(prep.split)
+        self._prepared = prep
+        return self
 
     def __len__(self):
         return len(self.constraints)
@@ -155,60 +182,71 @@ class QPResult:
     certificate: np.ndarray | None = None
 
 
-def _pairwise_reduction(A, b, is_eq, scale):
-    """Drop parallel nested constraints; detect parallel conflicts.
-
-    A has unit rows.  Returns (keep_indices, certificate_or_None);
-    "parallel" means unit normals within 1e-10.
-    """
-    k = A.shape[0]
+def _parallel_pairs(A):
+    """The row pairs (i, j, sign), j < i, whose unit normals lie within
+    1e-10 of each other (sign +1) or of each other's negative (sign -1),
+    in the order _pairwise_reduction settles them."""
     # |cos| >= 1 - 1e-9 is a safe superset of the pairs within 1e-10.
     cosines = (A @ A.T).tolist()
-    dropped = [False] * k
-    for i in range(k):
+    pairs = []
+    for i in range(len(cosines)):
         for j in range(i):
-            if dropped[i]:
-                break
-            if dropped[j] or abs(cosines[i][j]) < 1.0 - 1e-9:
+            if abs(cosines[i][j]) < 1.0 - 1e-9:
                 continue
             sgn = math.copysign(1.0, cosines[i][j])
-            if np.linalg.norm(A[i] - sgn * A[j]) > 1e-10:
+            gap = A[i] - sgn * A[j]
+            if math.sqrt(gap @ gap) > 1e-10:  # np.linalg.norm's arithmetic
                 continue
-            same = sgn > 0.0
-            bi = sgn * b[i]  # constraint i in j's direction
-            if is_eq[i] and is_eq[j]:
-                if abs(bi - b[j]) <= 1e-9 * scale:
-                    dropped[i] = True
-                else:
-                    cert = np.zeros(k)
-                    s = -np.sign(b[j] - bi)
-                    cert[j], cert[i] = s, -s * sgn
-                    return None, cert
-            elif is_eq[i] or is_eq[j]:
-                # Orient everything along j's unit normal: sigma_x = +1 when
-                # constraint x points that way.  The equality forces the
-                # value t; the inequality reads sigma_q * <dir, x> <= b[q].
-                e, q = (i, j) if is_eq[i] else (j, i)
-                sigma = {j: 1.0, i: sgn}
-                t = sigma[e] * b[e]
-                if sigma[q] * t <= b[q] + 1e-9 * scale:
-                    dropped[q] = True
-                else:
-                    cert = np.zeros(k)
-                    cert[q], cert[e] = 1.0, -sigma[q] * sigma[e]
-                    return None, cert
-            elif same:
-                if bi <= b[j]:
-                    dropped[j] = True
-                else:
-                    dropped[i] = True
-            elif b[i] + b[j] < -1e-9 * scale:
-                # An empty slab: feasible iff -b_i <= b_j in j's direction.
+            pairs.append((i, j, sgn))
+    return pairs
+
+
+def _pairwise_reduction(pairs, b, is_eq, scale):
+    """Drop parallel nested constraints; detect parallel conflicts.
+
+    ``pairs`` comes from _parallel_pairs on the unit rows whose offsets are
+    ``b``; a pair with a dropped row is skipped.  Returns
+    (keep_indices, certificate_or_None).
+    """
+    k = b.shape[0]
+    dropped = [False] * k
+    for i, j, sgn in pairs:
+        if dropped[i] or dropped[j]:
+            continue
+        same = sgn > 0.0
+        bi = sgn * b[i]  # constraint i in j's direction
+        if is_eq[i] and is_eq[j]:
+            if abs(bi - b[j]) <= 1e-9 * scale:
+                dropped[i] = True
+            else:
                 cert = np.zeros(k)
-                cert[i] = cert[j] = 1.0
+                s = -np.sign(b[j] - bi)
+                cert[j], cert[i] = s, -s * sgn
                 return None, cert
-    keep = [i for i in range(k) if not dropped[i]]
-    return keep, None
+        elif is_eq[i] or is_eq[j]:
+            # Orient everything along j's unit normal: sigma_x = +1 when
+            # constraint x points that way.  The equality forces the
+            # value t; the inequality reads sigma_q * <dir, x> <= b[q].
+            e, q = (i, j) if is_eq[i] else (j, i)
+            sigma = {j: 1.0, i: sgn}
+            t = sigma[e] * b[e]
+            if sigma[q] * t <= b[q] + 1e-9 * scale:
+                dropped[q] = True
+            else:
+                cert = np.zeros(k)
+                cert[q], cert[e] = 1.0, -sigma[q] * sigma[e]
+                return None, cert
+        elif same:
+            if bi <= b[j]:
+                dropped[j] = True
+            else:
+                dropped[i] = True
+        elif b[i] + b[j] < -1e-9 * scale:
+            # An empty slab: feasible iff -b_i <= b_j in j's direction.
+            cert = np.zeros(k)
+            cert[i] = cert[j] = 1.0
+            return None, cert
+    return [i for i in range(k) if not dropped[i]], None
 
 
 def _verify_certificate(A, b, is_eq, cert, scale) -> bool:
@@ -289,6 +327,13 @@ class _ActiveFactor:
         return self.Q[:, : len(y)] @ y, [-v for v in _back_substitute(R, y)]
 
 
+@functools.lru_cache(maxsize=256)
+def _step_bound(m, d):
+    """_dual_active_set's step bound on m rows in R^d: d + 1 times the
+    number of row subsets of size <= d."""
+    return (d + 1) * sum(math.comb(m, s) for s in range(min(m, d) + 1))
+
+
 def _dual_active_set(G, h, warm, feas_tol):
     """Goldfarb–Idnani dual method for min 1/2 ||u||^2 s.t. G u <= h.
 
@@ -330,7 +375,7 @@ def _dual_active_set(G, h, warm, feas_tol):
         k = lam.index(min(lam))
         fac.remove(k)
         del active[k]
-    cap = (d + 1) * sum(math.comb(m, s) for s in range(min(m, d) + 1))
+    cap = _step_bound(m, d)
     steps = 0
     while True:
         viol = G @ u - h
@@ -374,6 +419,85 @@ def _dual_active_set(G, h, warm, feas_tol):
     return u, active, np.maximum(lam, 0.0), None
 
 
+class _Prepared:
+    """What projecting onto one polyhedron needs that no query point
+    changes: the unit rows and offsets, the parallel row pairs, and
+    ``split``, the row split when no parallel row is dropped (None until
+    Polyhedron.prepare computes it)."""
+
+    __slots__ = ("A", "b", "row_norms", "is_eq", "is_in", "b_max", "pairs", "split")
+
+    def __init__(self, constraints):
+        A = np.array([c.normal for c in constraints], dtype=float)
+        b = np.array([c.offset for c in constraints], dtype=float)
+        self.is_eq = np.array([c.kind == "equality" for c in constraints])
+        self.is_in = ~self.is_eq
+        self.row_norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+        # Row-normalize up front: constraints born from projections carry
+        # normals as short as the gap itself, and mixed row scales wreck the
+        # conditioning of the equality elimination.  Multipliers and
+        # certificates are mapped back to the original rows on exit.
+        self.A = A / self.row_norms[:, None]
+        self.b = b / self.row_norms
+        self.b_max = float(np.abs(self.b).max())
+        self.pairs = _parallel_pairs(self.A)
+        self.split = None
+
+
+class _Split:
+    """The rows ``keep`` that survive the pairwise reduction, as equality
+    rows ``eq_idx`` and inequality rows ``in_idx``, with every part of the
+    equality elimination that does not depend on the query point.
+
+    Without equality rows, G = A[in_idx] and h = b_in - G x0.  With them,
+    x = x_p + Z u where x_p = x_ls + Z Z^T (x0 - x_ls), and the inequality
+    rows become the unit rows G u <= h of A_in Z, h = (b_in - A_in x_p) / gn
+    on the rows not flat on the affine span.
+    """
+
+    __slots__ = (
+        "eq_idx", "in_all", "A_in", "b_in", "U", "s", "Vr", "Z", "x_ls", "r", "r_max",
+        "flat", "in_idx", "G", "gn",
+    )
+
+    def __init__(self, prep, keep):
+        A, b, is_eq = prep.A, prep.b, prep.is_eq
+        self.eq_idx = eq_idx = [i for i in keep if is_eq[i]]
+        self.in_all = in_idx = np.array([i for i in keep if not is_eq[i]], dtype=int)
+        self.A_in, self.b_in = A[in_idx], b[in_idx]
+        self.flat = None
+        if not eq_idx:
+            self.Z = None
+            self.in_idx, self.G, self.gn = in_idx, self.A_in, np.ones(in_idx.size)
+            return
+        U, s, Vt = np.linalg.svd(A[eq_idx])
+        rank = int(np.sum(s > 1e-12 * max(1.0, s[0])))
+        self.U, self.s, self.Vr = U[:, :rank], s[:rank], Vt[:rank]
+        self.Z = Vt[rank:].T  # spans the null space
+        self.x_ls = self.Vr.T @ ((self.U.T @ b[eq_idx]) / self.s)
+        self.r = b[eq_idx] - A[eq_idx] @ self.x_ls
+        self.r_max = np.max(np.abs(self.r))
+        G = self.A_in @ self.Z
+        gn = np.sqrt(np.einsum("ij,ij->i", G, G))
+        flat = gn <= 1e-12
+        if flat.any():  # rows flat on the span are trivially satisfied
+            self.flat = flat
+        self.in_idx, self.gn = in_idx[~flat], gn[~flat]
+        self.G = G[~flat] / self.gn[:, None]
+
+    def eq_multipliers(self, v):
+        """Least-squares mu with sum_e mu_e a_e = v."""
+        return self.U @ ((self.Vr @ v) / self.s)
+
+
+def _freeze(obj):
+    """Make every array attribute of ``obj`` read-only."""
+    for name in obj.__slots__:
+        value = getattr(obj, name, None)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+
+
 def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
     """Nearest point of the polyhedron to ``x0``.
 
@@ -382,24 +506,19 @@ def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
     Goldfarb–Idnani dual active-set method on a QR factor of the active
     normals.  Empty polyhedra come back with ``status="infeasible"`` plus a
     verified Farkas certificate.  ``warm_start`` lists constraint indices
-    to try as the initial active set; it is only a hint.
+    to try as the initial active set; it is only a hint.  A polyhedron
+    that was prepared (Polyhedron.prepare) skips the work that does not
+    depend on ``x0``; the result is the same bit for bit.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.shape[0] != poly.dimension:
         raise ValueError("query point dimension mismatch")
-    cons = poly.constraints
-    k = len(cons)
-    A = np.array([c.normal for c in cons], dtype=float)
-    b = np.array([c.offset for c in cons], dtype=float)
-    is_eq = np.array([c.kind == "equality" for c in cons])
-    row_norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-    # Row-normalize up front: constraints born from projections carry normals
-    # as short as the gap itself, and mixed row scales wreck the conditioning
-    # of the equality elimination.  Multipliers and certificates are mapped
-    # back to the original rows on exit.
-    A = A / row_norms[:, None]
-    b = b / row_norms
-    scale = max(1.0, math.sqrt(x0 @ x0), float(np.abs(b).max()))
+    prep = poly._prepared
+    if prep is None:
+        prep = _Prepared(poly.constraints)
+    A, b, is_eq, row_norms = prep.A, prep.b, prep.is_eq, prep.row_norms
+    k = b.shape[0]
+    scale = max(1.0, math.sqrt(x0 @ x0), prep.b_max)
     feas_tol = 1e-11 * scale
 
     def infeasible(cert):
@@ -410,11 +529,15 @@ def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
             kkt_residual=np.inf, certificate=cert / row_norms,
         )
 
-    keep, cert = _pairwise_reduction(A, b, is_eq, scale)
-    if keep is None:
-        return infeasible(cert)
-    eq_idx = [i for i in keep if is_eq[i]]
-    in_idx = np.array([i for i in keep if not is_eq[i]], dtype=int)
+    keep = range(k)
+    if prep.pairs:
+        keep, cert = _pairwise_reduction(prep.pairs, b, is_eq, scale)
+        if keep is None:
+            return infeasible(cert)
+    split = prep.split
+    if split is None or len(keep) < k:
+        split = _Split(prep, keep)
+    eq_idx, in_idx, Z = split.eq_idx, split.in_idx, split.Z
 
     def ray_certificate(rows, lam):
         # A combination of inequality rows that the equality normals span
@@ -422,65 +545,46 @@ def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
         cert = np.zeros(k)
         cert[rows] = lam
         if eq_idx:
-            cert[eq_idx] = eq_multipliers(-(cert @ A))
+            cert[eq_idx] = split.eq_multipliers(-(cert @ A))
         return infeasible(cert)
 
-    if eq_idx:
-        U, s, Vt = np.linalg.svd(A[eq_idx])
-        rank = int(np.sum(s > 1e-12 * max(1.0, s[0])))
-        U, s, Z = U[:, :rank], s[:rank], Vt[rank:].T  # Z spans the null space
-
-        def eq_multipliers(v):
-            """Least-squares mu with sum_e mu_e a_e = v."""
-            return U @ ((Vt[:rank] @ v) / s)
-
-        x_ls = Vt[:rank].T @ ((U.T @ b[eq_idx]) / s)
-        r = b[eq_idx] - A[eq_idx] @ x_ls
-        if np.max(np.abs(r)) > 1e-9 * scale:
+    if Z is not None:
+        if split.r_max > 1e-9 * scale:
             cert = np.zeros(k)
-            cert[eq_idx] = -r
+            cert[eq_idx] = -split.r
             return infeasible(cert)
-        x_p = x_ls + Z @ (Z.T @ (x0 - x_ls))
-        # The inequality rows on the affine span, as unit rows of G u <= h
-        # in null-space coordinates (x = x_p + Z u).
-        G = A[in_idx] @ Z
-        h = b[in_idx] - A[in_idx] @ x_p
-        gn = np.sqrt(np.einsum("ij,ij->i", G, G))
-        flat = gn <= 1e-12
-        contradicted = flat & (h < -1e-9 * scale)
-        if contradicted.any():
-            # a_i is spanned by the equality normals but contradicts them
-            return ray_certificate(in_idx[contradicted.argmax()], 1.0)
-        # Rows flat on the span are trivially satisfied.
-        in_idx, gn = in_idx[~flat], gn[~flat]
-        G = G[~flat] / gn[:, None]
-        h = h[~flat] / gn
+        x_p = split.x_ls + Z @ (Z.T @ (x0 - split.x_ls))
+        h = split.b_in - split.A_in @ x_p
+        if split.flat is not None:
+            contradicted = split.flat & (h < -1e-9 * scale)
+            if contradicted.any():
+                # a_i is spanned by the equality normals but contradicts them
+                return ray_certificate(split.in_all[contradicted.argmax()], 1.0)
+            h = h[~split.flat]
+        h = h / split.gn
     else:
-        Z = None
-        G = A[in_idx]
-        h = b[in_idx] - G @ x0
-        gn = np.ones(in_idx.size)
+        h = split.b_in - split.G @ x0
 
     warm = []
     if len(warm_start):
         position = {int(i): j for j, i in enumerate(in_idx)}
         warm = [position[w] for w in warm_start if w in position]
-    u, active, lam, ray = _dual_active_set(G, h, warm, feas_tol)
+    u, active, lam, ray = _dual_active_set(split.G, h, warm, feas_tol)
     if ray is not None:
-        return ray_certificate(in_idx, ray / gn)
+        return ray_certificate(in_idx, ray / split.gn)
 
     x = x0 + u if Z is None else x_p + Z @ u
     mult = np.zeros(k)
-    mult[in_idx[active]] = lam / gn[active]
+    mult[in_idx[active]] = lam / split.gn[active]
     if eq_idx:
-        mult[eq_idx] = eq_multipliers(-(x - x0 + mult @ A))
+        mult[eq_idx] = split.eq_multipliers(-(x - x0 + mult @ A))
     slack = A @ x - b
     resid = x - x0 + mult @ A
     kkt = max(
         math.sqrt(resid @ resid),
         slack.max(initial=0.0),
         -slack.min(initial=0.0, where=is_eq),
-        np.abs(mult * slack).max(initial=0.0, where=~is_eq),
+        np.abs(mult * slack).max(initial=0.0, where=prep.is_in),
     )
     return QPResult(
         point=x,

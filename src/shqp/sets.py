@@ -392,8 +392,13 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
     against 173 us over 400 near points on the cubic): the solvers' starts
     have one row, the regularity report's stacks three or more."""
     if len(X) < 2:
-        kernel = functools.partial(_newton_stationarity, f, grad, hess)
-        return [_outcome(kernel, *row, max_iterations, tol) for row in zip(X, Y0, lam0)]
+        out = []
+        for x, y0, l0 in zip(X, Y0, lam0):
+            try:
+                out.append(_newton_stationarity(f, grad, hess, x, y0, l0, max_iterations, tol))
+            except Exception as exc:
+                out.append(exc)
+        return out
     out = [None] * len(X)
     n = X[0].shape[0]
     idx = list(range(len(X)))
@@ -543,7 +548,9 @@ def _newton_projections(f, grad, hess, points) -> list:
                     Y0.append(seed)
             except Exception as exc:
                 plan.append(exc)
-        ends = _newton_stationarity_stack(f, grad, hess, X, Y0, L0, _NEWTON_ITERATIONS, _NEWTON_TOL)
+        ends = _newton_stationarity_stack(
+            f, grad, hess, X, Y0, L0, _NEWTON_ITERATIONS, _NEWTON_TOL
+        ) if X else []
         for i, plan in plans.items():
             x, best = points[i], out[i]
             for y in (r if isinstance(r, Exception) else ends[r] for r in plan):
@@ -721,7 +728,13 @@ class UnionOfConvex(SetOracle):
 
 
 class PolyhedralSet(SetOracle):
-    """Intersection of finitely many halfspaces, projected by the QP engine."""
+    """Intersection of finitely many halfspaces, projected by the QP engine.
+
+    The halfspaces are fixed at construction, which prepares the polyhedron
+    once (Polyhedron.prepare): its unit rows, parallel pairs and equality
+    elimination are shared by every projection, and each projection does
+    only the QP work that depends on the point.
+    """
 
     kind = "polyhedron"
     is_convex = True
@@ -733,7 +746,7 @@ class PolyhedralSet(SetOracle):
         dim = hs[0].normal.shape[0]
         super().__init__(dim)
         self.halfspaces = hs
-        self._poly = polyhedra.Polyhedron(hs)
+        self._poly = polyhedra.Polyhedron(hs).prepare()
 
     def _project(self, x):
         try:

@@ -544,13 +544,63 @@ def test_run_sweep_records_cell_errors_and_validates(tmp_path):
         "problem": DISJOINT_PROBLEM,
         "algorithm": "map",
         "max_iters": 20,
-        "sweep": {"x0_seeds": [0]},
+        "sweep": {"tau": [0.0]},
     }
     code, out = harness.run_sweep(cfg, out_dir=str(tmp_path))
     assert code == 0
     row = out["rows"][0]
-    assert row["status"] == ""
-    assert "x0_seed requires a problem" in row["error"]
+    assert row["status"] == "max-iterations"
+    assert row["error"].startswith("insufficient-data")
+
+
+# Two circles through (0, 1) and (0, -1), with no known solution.
+TWO_CIRCLES = {
+    "name": "two-circles",
+    "sets": [
+        {"kind": "sphere", "center": [2.0, 0.0], "radius": 5.0 ** 0.5},
+        {"kind": "sphere", "center": [-2.0, 0.0], "radius": 5.0 ** 0.5},
+    ],
+    "start": [0.3, 1.4],
+}
+
+
+def test_sweep_without_known_solution_starts_where_run_starts(tmp_path):
+    """With no seed axis, a problem without a known solution sweeps from
+    its stock start, as `run` does, instead of failing every cell."""
+    cfg = {"problem": TWO_CIRCLES, "algorithm": "map", "sweep": {"tau": [0.0, 0.1]}}
+    code, out = harness.run_sweep(cfg, out_dir=str(tmp_path / "sweep"))
+    assert code == 0
+    assert [(r["x0_seed"], r["status"], r["error"]) for r in out["rows"]] == [
+        (None, "converged", ""),
+        (None, "converged", ""),
+    ]
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+        assert [r[2] for r in list(csv.reader(fh))[1:]] == ["", ""]
+    code, run = harness.run_experiment(
+        {"problem": TWO_CIRCLES, "algorithm": "map"}, out_dir=str(tmp_path / "run")
+    )
+    assert code == 0
+    assert run["trace_data"].status == "converged"
+
+
+def test_sweep_rejects_start_seeds_without_known_solution(tmp_path, capsys):
+    """Explicit start seeds on a problem without a known solution exit 64
+    before any cell runs, with the message `run --x0-seed` gives."""
+    out = tmp_path / "sweep"
+    cfg = {"problem": TWO_CIRCLES, "algorithm": "map", "sweep": {"x0_seeds": [0, 1]}}
+    with pytest.raises(harness.UsageError, match="x0_seed requires a problem with a known solution"):
+        harness.run_sweep(cfg, out_dir=str(out))
+    assert not out.exists()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"problem": TWO_CIRCLES, "algorithm": "map"}))
+    sweep = ["sweep", "--config", str(config), "--x0-seeds", "0,1", "--out-dir", str(out)]
+    assert cli.main(sweep) == 64
+    message = capsys.readouterr().err
+    assert "x0_seed requires a problem with a known solution" in message
+    assert not out.exists()
+    run = ["run", "--config", str(config), "--x0-seed", "0", "--out-dir", str(tmp_path / "run")]
+    assert cli.main(run) == 64
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,138 @@
+"""A prepared polyhedron (Polyhedron.prepare) projects bit for bit as a
+fresh one-shot project_onto_polyhedron does, and its prepared arrays are
+read-only and never change.
+
+The polyhedra mix equality and inequality rows with parallel and
+antiparallel copies whose offsets differ by 0 .. 1e-3, so the pairwise
+reduction drops, keeps or conflicts on them depending on the query point's
+scale; query points run from 1e-3 to 1e6 in norm.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shqp import sets
+from shqp.polyhedra import Halfspace, Polyhedron, project_onto_polyhedron
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+KINDS = ("inequality", "inequality", "equality")
+OFFSET_SHIFTS = (0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-5, 1e-3)
+
+
+@st.composite
+def polyhedra_with_pairs(draw):
+    """(triples, points, warm): rows as (normal, offset, kind), query points
+    and warm-start index lists."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        normals = [rng.integers(-2, 3, n).astype(float) for _ in range(m)]
+        normals = [a if a.any() else np.eye(n)[0] for a in normals]
+        offsets = [float(rng.integers(-2, 3)) for _ in range(m)]
+    else:
+        normals = [rng.standard_normal(n) * rng.choice([1e-3, 1.0, 1e3]) for _ in range(m)]
+        offsets = [rng.standard_normal() * np.linalg.norm(a) for a in normals]
+    kinds = [draw(st.sampled_from(KINDS)) for _ in range(m)]
+    triples = list(zip(normals, offsets, kinds))
+    for _ in range(draw(st.integers(0, 3))):  # parallel and antiparallel copies
+        a, off, _ = triples[draw(st.integers(0, len(triples) - 1))]
+        c = draw(st.sampled_from((1.0, 0.5, 3.0, -1.0, -0.5, -3.0)))
+        shift = draw(st.sampled_from(OFFSET_SHIFTS)) * np.linalg.norm(a)
+        triples.insert(
+            draw(st.integers(0, len(triples))),
+            (c * a, c * (off + shift), draw(st.sampled_from(KINDS))),
+        )
+    points = []
+    for _ in range(3):
+        u = rng.standard_normal(n)
+        points.append(u / np.linalg.norm(u) * 10.0 ** draw(st.floats(-3.0, 6.0)))
+    warm = [
+        draw(st.lists(st.integers(0, len(triples) - 1), max_size=3)) for _ in points
+    ]
+    return triples, points, warm
+
+
+def _halfspaces(triples):
+    return [Halfspace(a, off, kind) for a, off, kind in triples]
+
+
+def _bits(fn, *args, **kwargs):
+    """Every field of a QP result as bytes, or the exception raised."""
+    try:
+        res = fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        res.point.tobytes(),
+        res.status,
+        res.active_set,
+        res.multipliers.tobytes(),
+        float(res.kkt_residual).hex(),
+        None if res.certificate is None else res.certificate.tobytes(),
+    )
+
+
+def _prepared_arrays(poly):
+    prep = poly._prepared
+    return [
+        (name, value)
+        for obj in (prep, prep.split)
+        for name in obj.__slots__
+        if isinstance(value := getattr(obj, name, None), np.ndarray)
+    ]
+
+
+@SETTINGS
+@given(polyhedra_with_pairs())
+def test_prepared_projection_equals_one_shot(problem):
+    triples, points, warm = problem
+    prepared = Polyhedron(_halfspaces(triples)).prepare()
+    arrays = _prepared_arrays(prepared)
+    before = [(name, a.tobytes()) for name, a in arrays]
+    assert all(not a.flags.writeable for _, a in arrays)
+    for x0, w in zip(points, warm):
+        for warm_start in ((), w):
+            fresh = Polyhedron(_halfspaces(triples))
+            want = _bits(project_onto_polyhedron, fresh, x0, warm_start=warm_start)
+            got = _bits(project_onto_polyhedron, prepared, x0, warm_start=warm_start)
+            assert got == want
+    assert [(name, a.tobytes()) for name, a in _prepared_arrays(prepared)] == before
+
+
+@pytest.mark.parametrize("kinds", [("equality", "equality"), ("equality", "inequality")])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_scale_flips_the_reduction_on_both_paths(kinds, sign):
+    """Offsets 1e-8 apart on a parallel pair conflict near the origin and
+    coincide within the 1e-9 * scale test far out: the same prepared
+    polyhedron is empty for one query point and not for the other."""
+    triples = [
+        (np.array([1.0, 1.0]), 1.0, kinds[0]),
+        (sign * np.array([1.0, 1.0]), sign * (1.0 + 2e-8), kinds[1]),
+        (np.array([1.0, -1.0]), 0.5, "inequality"),
+    ]
+    if kinds[1] == "inequality" and sign > 0:
+        triples[1] = (np.array([1.0, 1.0]), 1.0 - 2e-8, "inequality")
+    prepared = Polyhedron(_halfspaces(triples)).prepare()
+    statuses = []
+    for x0 in (np.array([0.1, 0.2]), np.array([1e6, 2e5])):
+        want = _bits(project_onto_polyhedron, Polyhedron(_halfspaces(triples)), x0)
+        assert _bits(project_onto_polyhedron, prepared, x0) == want
+        statuses.append(want[1])
+    assert statuses == ["infeasible", "optimal"]
+
+
+def test_polyhedral_set_projects_as_the_one_shot_qp():
+    hs = _halfspaces(
+        [
+            (np.array([1.0, 1.0, 0.0]), 1.0, "inequality"),
+            (np.array([0.0, 1.0, -1.0]), 0.5, "inequality"),
+            (np.array([-2.0, -2.0, 0.0]), -2.0, "inequality"),
+        ]
+    )
+    oracle = sets.PolyhedralSet(hs)
+    for x in np.random.default_rng(0).standard_normal((50, 3)) * 3.0:
+        nearest, _ = sets.project(oracle, x)
+        assert nearest.tobytes() == project_onto_polyhedron(Polyhedron(hs), x).point.tobytes()
