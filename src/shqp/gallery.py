@@ -109,7 +109,10 @@ def _horner(coefficients):
     """t -> np.polynomial.polynomial.polyval(t, coefficients) for a scalar t,
     bit for bit, without polyval's array handling: the same operations in
     the same order.  Like polyval it starts from ``c[-1] + t * 0``, which
-    fixes the sign of a zero result and turns an infinite t into NaN."""
+    fixes the sign of a zero result and turns an infinite t into NaN.  On a
+    float array t it makes the same operations elementwise, so each entry
+    equals the scalar value of that entry, bit for bit (IEEE arithmetic is
+    per element)."""
     c = [float(v) for v in coefficients]
     last, rest = c[-1], c[-2::-1]
 
@@ -133,9 +136,29 @@ def _polynomial_and_derivatives(coefficients):
     return _horner(c), _horner(P.polyder(c)), _horner(P.polyder(c, 2))
 
 
+def _gradient_rows(first, second: float) -> np.ndarray:
+    """Gradients (first[i], second) as the rows of a (k, 2) array."""
+    G = np.empty((first.shape[0], 2))
+    G[:, 0] = first
+    G[:, 1] = second
+    return G
+
+
+def _hessian_rows(corner, zero: float) -> np.ndarray:
+    """Hessians [[corner[i], zero], [zero, zero]] as a (k, 2, 2) stack."""
+    H = np.full((corner.shape[0], 2, 2), zero)
+    H[:, 0, 0] = corner
+    return H
+
+
 def polynomial_curve(coefficients, name: str = "") -> sets_mod.ManifoldCurve:
     """The curve x2 = c0 + c1*x1 + c2*x1^2 + ... as a manifold in the
-    plane."""
+    plane.
+
+    f, grad and hess each carry a row form, ``.rows(Y)``: the values at the
+    rows of a (k, 2) float array, stacked, bit for bit equal to the scalar
+    calls (the same operations, elementwise).  The stacked Newton kernel of
+    the sets module uses them (sets._newton_stationarity_stack)."""
     p, dp, ddp = _polynomial_and_derivatives(coefficients)
 
     def f(x):
@@ -147,13 +170,17 @@ def polynomial_curve(coefficients, name: str = "") -> sets_mod.ManifoldCurve:
     def hess(x):
         return np.array([[-ddp(float(x[0])), 0.0], [0.0, 0.0]])
 
+    f.rows = lambda Y: Y[:, 1] - p(Y[:, 0])
+    grad.rows = lambda Y: _gradient_rows(-dp(Y[:, 0]), 1.0)
+    hess.rows = lambda Y: _hessian_rows(-ddp(Y[:, 0]), 0.0)
     return sets_mod.ManifoldCurve(2, f, grad, hess, name=name or "polynomial-curve")
 
 
 def polynomial_level_set(
     coefficients, side: str, convex: bool = False, name: str = ""
 ) -> sets_mod.LevelSet:
-    """The region above or below the graph x2 = poly(x1)."""
+    """The region above or below the graph x2 = poly(x1); f, grad and hess
+    carry row forms, as polynomial_curve's do."""
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
     sign = 1.0 if side == "above" else -1.0
@@ -169,6 +196,9 @@ def polynomial_level_set(
     def hess(x):
         return sign * np.array([[ddp(float(x[0])), 0.0], [0.0, 0.0]])
 
+    f.rows = lambda Y: sign * (p(Y[:, 0]) - Y[:, 1])
+    grad.rows = lambda Y: _gradient_rows(sign * dp(Y[:, 0]), sign * -1.0)
+    hess.rows = lambda Y: _hessian_rows(sign * ddp(Y[:, 0]), sign * 0.0)
     return sets_mod.LevelSet(
         2, f, grad, hess, name=name or f"polynomial-{side}", convex=convex
     )

@@ -7,6 +7,22 @@ oracles admit tight supporting halfspaces.
 
 Set-valued projections are resolved deterministically: when several nearest
 points exist, the lexicographically smallest one is returned.
+
+The regularity report projects its draws as batches, through
+``SetOracle._project_rows(points)``; the solvers never call it.  Its entries
+are bit for bit what :func:`project` returns on each point, or the exception
+it raises there, and every nearest point owns its data.  The base class
+calls project point by point.  The halfspace, hyperplane, affine subspace,
+ball, sphere and box (``_ArraySet``) check the batch once and do elementwise
+arithmetic over the (k, n) array, keeping each dot product and norm a
+per-row ``ndarray.dot`` on a contiguous row as project takes them; a batch
+that does not check (not a 2-d finite array of the set's width) goes
+through project point by point as a whole, and so does a sphere batch
+holding the center.  The level set and manifold curve (``_SmoothSet``) run
+their Newton starts as stacks (``_newton_stationarity_stack``), which use
+the row form ``.rows`` of f, grad or hess, looked up on the callable at
+each call, wherever it has one; the polynomial sets of the gallery supply
+them.
 """
 
 from __future__ import annotations
@@ -127,9 +143,11 @@ class SetOracle:
         raise NotImplementedError
 
     def _project_rows(self, points) -> list:
-        """project(self, x) for each x in points, in order, bit for bit; an
-        entry is the exception that project raises on that point, if it
-        raises.  A set that overrides this keeps it equal to _project."""
+        """project(self, x) for each x in points, in order, bit for bit: an
+        entry is project's ``(nearest, distance)``, or the exception that
+        project raises on that point, and every nearest point owns its
+        data.  The regularity report's batch projection (the module
+        docstring has the contract); here, point by point."""
         return [_outcome(project, self, x) for x in points]
 
     def membership_residual(self, x) -> float:
@@ -152,7 +170,47 @@ class SetOracle:
         return f"<{type(self).__name__} kind={self.kind} n={self.dimension}>"
 
 
-class _LinearSet(SetOracle):
+def _stacked_points(points, dimension: int):
+    """points as a fresh C-contiguous (k, dimension) float array, or None
+    unless they form one that project would accept row by row: a 2-d
+    array of the oracle's width with only finite entries."""
+    try:
+        P = np.array(points, dtype=float, order="C")
+    except Exception:  # ragged, or not numbers: project says which point
+        return None
+    if P.ndim != 2 or P.shape[1] != dimension or not np.isfinite(P).all():
+        return None
+    return P
+
+
+class _ArraySet(SetOracle):
+    """A set whose closed-form projection _project_array also computes over
+    a (k, n) array of points, bit for bit as _project on each row."""
+
+    def _project_array(self, P: np.ndarray) -> np.ndarray | None:
+        """The nearest points to the rows of P, or None to send the batch
+        through project point by point."""
+        raise NotImplementedError
+
+    def _project_rows(self, points):
+        """SetOracle._project_rows by one _project_array over the checked
+        batch.  A batch that does not check, or that _project_array
+        declines, goes through project point by point as a whole."""
+        P = _stacked_points(points, self.dimension)
+        # An error here (numpy's warnings made errors, say) is one that
+        # project raises on some point: the per-point path finds which.
+        N = None if P is None else _outcome(self._project_array, P)
+        if N is None or isinstance(N, Exception):
+            return SetOracle._project_rows(self, points)
+        return [(y.copy(), _norm(d)) for y, d in zip(N, P - N)]
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """_norm of each row of a C-contiguous 2-d array."""
+    return np.array([_norm(v) for v in V])
+
+
+class _LinearSet(_ArraySet):
     """Base of HalfspaceSet and HyperplaneSet: a nonzero normal a, an
     offset b, and the unit normal a / ||a||."""
 
@@ -169,6 +227,11 @@ class _LinearSet(SetOracle):
     def analytic_normal(self, x):
         return self.normal / np.linalg.norm(self.normal)
 
+    def _steps(self, P):
+        """_project's s = (<a, x> - b) / <a, a> for each row x of P."""
+        a = self.normal
+        return (np.array([a.dot(x) for x in P]) - self.offset) / (a @ a)
+
 
 class HalfspaceSet(_LinearSet):
     """{x : <a, x> <= b}."""
@@ -180,6 +243,13 @@ class HalfspaceSet(_LinearSet):
         if s <= 0.0:
             return x.copy()
         return x - s * self.normal
+
+    def _project_array(self, P):
+        s = self._steps(P)
+        N = P.copy()
+        out = ~(s <= 0.0)
+        N[out] = P[out] - s[out, None] * self.normal
+        return N
 
     def _residual(self, p):
         return max(0.0, (self.normal @ p - self.offset)) / np.linalg.norm(self.normal)
@@ -195,11 +265,14 @@ class HyperplaneSet(_LinearSet):
         s = (self.normal @ x - self.offset) / (self.normal @ self.normal)
         return x - s * self.normal
 
+    def _project_array(self, P):
+        return P - self._steps(P)[:, None] * self.normal
+
     def _residual(self, p):
         return abs(self.normal @ p - self.offset) / np.linalg.norm(self.normal)
 
 
-class AffineSubspace(SetOracle):
+class AffineSubspace(_ArraySet):
     """point + span(basis rows); a convex manifold of any dimension."""
 
     kind = "affine-subspace"
@@ -224,6 +297,10 @@ class AffineSubspace(SetOracle):
         d = x - self.point
         return self.point + self.basis.T @ (self.basis @ d)
 
+    def _project_array(self, P):
+        B = self.basis
+        return self.point + np.array([B.T @ (B @ d) for d in P - self.point])
+
     def analytic_normal(self, x):
         # Only a hyperplane-like subspace has a well-defined normal line.
         if self.dimension - self.basis.shape[0] != 1:
@@ -234,7 +311,7 @@ class AffineSubspace(SetOracle):
         return col / np.linalg.norm(col)
 
 
-class _RoundSet(SetOracle):
+class _RoundSet(_ArraySet):
     """Base of Ball and Sphere: a center c and a positive radius r."""
 
     def __init__(self, center, radius: float):
@@ -259,11 +336,19 @@ class Ball(_RoundSet):
             return x.copy()
         return self.center + (self.radius / nv) * v
 
+    def _project_array(self, P):
+        V = P - self.center
+        nv = _row_norms(V)
+        N = P.copy()
+        out = ~(nv <= self.radius)
+        N[out] = self.center + (self.radius / nv[out])[:, None] * V[out]
+        return N
+
     def _residual(self, p):
         return max(0.0, np.linalg.norm(p - self.center) - self.radius)
 
 
-class Box(SetOracle):
+class Box(_ArraySet):
     """Axis-aligned box {x : lower <= x <= upper}."""
 
     kind = "box"
@@ -280,6 +365,11 @@ class Box(SetOracle):
 
     def _project(self, x):
         return np.clip(x, self.lower, self.upper)
+
+    def _project_array(self, P):
+        # Row by row: np.clip over the 2-d batch takes another loop, which
+        # resolves a tie of 0.0 and -0.0 the other way.
+        return np.array([np.clip(x, self.lower, self.upper) for x in P])
 
 
 class Sphere(_RoundSet):
@@ -300,6 +390,13 @@ class Sphere(_RoundSet):
             out[0] -= self.radius
             return out
         return self.center + (self.radius / nv) * v
+
+    def _project_array(self, P):
+        V = P - self.center
+        nv = _row_norms(V)
+        if np.any(nv <= 1e-14):
+            return None  # the set-valued center: project resolves it
+        return self.center + (self.radius / nv)[:, None] * V
 
     def _residual(self, p):
         return abs(np.linalg.norm(p - self.center) - self.radius)
@@ -379,14 +476,21 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
 
     The rows still running sit in one array per quantity, and each
     elementwise step of the scalar kernel runs once over the array, so every
-    row gets the same products and sums in the same order; f, grad and hess
-    (which return floats and float arrays, as the package's sets do) are
-    called per row on row views of the iterates.  The bordered systems are
-    one np.linalg.solve on the (k, n+1, n+1) stack, which calls LAPACK's
-    gesv once per matrix as a single solve does; the right-hand side is
-    shaped (k, n+1, 1), a stack of columns in every numpy version.  If a
-    matrix of the stack is singular, every row takes _newton_step on its
-    own.  Rows that converge, go non-finite or raise leave the stack.
+    row gets the same products and sums in the same order.  A callable among
+    f, grad and hess that has a row form, ``.rows(Y)`` (the scalar values
+    at the rows of Y, stacked, bit for bit; the polynomial sets' callables
+    have one), is called once per iteration on the whole stack; it is
+    looked up on the callable at each call, so a callable replaced on a set
+    is used as given.  Any other is called per row on row views of the
+    iterates, and a row whose call raises keeps that exception.  The
+    bordered systems are one np.linalg.solve on the (k, n+1, n+1) stack,
+    which calls LAPACK's gesv once per matrix as a single solve does; the
+    right-hand side is shaped (k, n+1, 1), a stack of columns in every numpy
+    version.  If a matrix of the stack is singular, every row takes
+    _newton_step on its own.  Rows that converge, go non-finite or raise
+    leave the stack.  Each row's step norm is its own _norm, taken only for
+    the rows whose step an einsum norm puts near or above the cap, so the
+    cap makes the same decisions on the same bits.
 
     Fewer than two rows run the scalar kernel, faster on one row (113 us
     against 173 us over 400 near points on the cubic): the solvers' starts
@@ -399,53 +503,62 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
             except Exception as exc:
                 out.append(exc)
         return out
+    f_rows, grad_rows, hess_rows = (getattr(c, "rows", None) for c in (f, grad, hess))
     out = [None] * len(X)
     n = X[0].shape[0]
-    idx = list(range(len(X)))
+    idx = np.arange(len(X))
     X = np.array(X, dtype=float)
     Y = np.array(Y0, dtype=float)
     L = np.array(lam0, dtype=float)
-    caps = [10.0 * (1.0 + _norm(x)) for x in X]
+    caps = np.array([10.0 * (1.0 + _norm(x)) for x in X])
+    near_caps = caps * (1.0 - 1e-6)
     eye = np.eye(n)
     dead = set()  # rows whose start has raised; the next compaction drops them
     for _ in range(max_iterations):
         m = len(idx)
-        G, F = np.zeros((m, n)), np.zeros(m)
-        for j in range(m):
-            if j in dead:
-                continue
-            try:
-                G[j] = grad(Y[j])
-                F[j] = f(Y[j])
-            except Exception as exc:
-                out[idx[j]] = exc
-                dead.add(j)
+        G = grad_rows(Y) if grad_rows is not None else np.zeros((m, n))
+        F = f_rows(Y) if f_rows is not None else np.zeros(m)
+        if grad_rows is None or f_rows is None:
+            for j in range(m):
+                if j in dead:
+                    continue
+                try:
+                    if grad_rows is None:
+                        G[j] = grad(Y[j])
+                    if f_rows is None:
+                        F[j] = f(Y[j])
+                except Exception as exc:
+                    out[idx[j]] = exc
+                    dead.add(j)
         R = np.empty((m, n + 1))
         R[:, :n] = Y - X + L[:, None] * G
         R[:, n] = F
-        keep = []
-        for j, r in enumerate(R.tolist()):
-            if j in dead:
-                continue
-            if all(abs(v) <= tol for v in r):
-                out[idx[j]] = Y[j].copy()
-            elif all(map(math.isfinite, r)):
-                keep.append(j)
-        if not keep:
+        # The scalar kernel's tests, row by row: a NaN is neither converged
+        # nor finite.  A dead row's R is not its residual; it takes neither.
+        converged = (np.abs(R) <= tol).all(axis=1)
+        running = ~converged & np.isfinite(R).all(axis=1)
+        if dead:
+            converged[list(dead)] = running[list(dead)] = False
+        for j in np.flatnonzero(converged):
+            out[idx[j]] = Y[j].copy()
+        keep = np.flatnonzero(running)
+        if not len(keep):
             break
         if len(keep) < m:
-            idx = [idx[j] for j in keep]
-            caps = [caps[j] for j in keep]
+            idx, caps, near_caps = idx[keep], caps[keep], near_caps[keep]
             X, Y, L, G, R = X[keep], Y[keep], L[keep], G[keep], R[keep]
             m = len(keep)
         dead = set()
-        H = np.zeros((m, n, n))
-        for j in range(m):
-            try:
-                H[j] = hess(Y[j])
-            except Exception as exc:
-                out[idx[j]] = exc
-                dead.add(j)
+        if hess_rows is not None:
+            H = hess_rows(Y)
+        else:
+            H = np.zeros((m, n, n))
+            for j in range(m):
+                try:
+                    H[j] = hess(Y[j])
+                except Exception as exc:
+                    out[idx[j]] = exc
+                    dead.add(j)
         J = np.zeros((m, n + 1, n + 1))
         np.multiply(H, L[:, None, None], out=J[:, :n, :n])
         J[:, :n, :n] += eye
@@ -463,10 +576,14 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
                 except Exception as exc:
                     out[idx[j]] = exc
                     dead.add(j)
-        for step, cap in zip(S, caps):
+        # The einsum norm may differ from _norm in its last bits, far less
+        # than the margin: it only picks the rows to test exactly.
+        near = np.sqrt(np.einsum("ij,ij->i", S, S)) > near_caps
+        for j in np.flatnonzero(near):
+            step = S[j]
             ns = _norm(step)
-            if ns > cap:
-                step *= cap / ns
+            if ns > caps[j]:
+                step *= caps[j] / ns
         Y = Y + S[:, :n]
         L = L + S[:, n]
     return out

@@ -95,6 +95,33 @@ def test_horner_is_polyval_bit_for_bit(coefficients, t):
         )
 
 
+_abscissa = st.one_of(
+    st.floats(-1e3, 1e3), _coefficient, st.sampled_from([1e200, -1e200, 1e300, -1e300])
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(_coefficient, min_size=1, max_size=6),
+    st.lists(st.tuples(_abscissa, _coefficient), min_size=1, max_size=8),
+)
+def test_row_forms_equal_the_scalar_closures_bit_for_bit(coefficients, points):
+    # The stacked Newton kernel evaluates a polynomial set on all its rows
+    # at once through these row forms; each entry must be the scalar
+    # closure's value at that row, signed zeros, infinities and NaNs alike.
+    Y = np.array(points)
+    oracles = [polynomial_curve(coefficients)] + [
+        polynomial_level_set(coefficients, side) for side in ("above", "below")
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for oracle in oracles:
+            F, G, H = oracle.f.rows(Y), oracle.grad.rows(Y), oracle.hess.rows(Y)
+            assert (F.shape, G.shape, H.shape) == ((len(Y),), (len(Y), 2), (len(Y), 2, 2))
+            assert _hex(F) == [oracle.f(y).hex() for y in Y]
+            assert _hex(G) == _hex([oracle.grad(y) for y in Y])
+            assert _hex(H) == _hex([oracle.hess(y) for y in Y])
+
+
 @pytest.mark.parametrize(
     "f, grad",
     [
