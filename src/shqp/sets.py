@@ -13,16 +13,15 @@ The regularity report projects its draws as batches, through
 are bit for bit what :func:`project` returns on each point, or the exception
 it raises there, and every nearest point owns its data.  The base class
 calls project point by point.  The halfspace, hyperplane, affine subspace,
-ball, sphere and box (``_ArraySet``) check the batch once and do elementwise
-arithmetic over the (k, n) array, keeping each dot product and norm a
-per-row ``ndarray.dot`` on a contiguous row as project takes them; a batch
-that does not check (not a 2-d finite array of the set's width) goes
-through project point by point as a whole, and so does a sphere batch
-holding the center.  The level set and manifold curve (``_SmoothSet``) run
-their Newton starts as stacks (``_newton_stationarity_stack``), which use
-the row form ``.rows`` of f, grad or hess, looked up on the callable at
-each call, wherever it has one; the polynomial sets of the gallery supply
-them.
+ball, sphere and box (``_ClosedFormSet``) check the batch once, as one
+fresh C-contiguous (k, n) array, and then take _project and the distance on
+each row, as project takes them on the point it checks; a batch that does
+not check (not a 2-d finite array of the set's width) goes through project
+point by point as a whole.  The level set and manifold curve
+(``_SmoothSet``) run their Newton starts as stacks
+(``_newton_stationarity_stack``), which use the row form ``.rows`` of f,
+grad or hess, looked up on the callable at each call, wherever it has one;
+the polynomial sets of the gallery supply them.
 """
 
 from __future__ import annotations
@@ -183,34 +182,27 @@ def _stacked_points(points, dimension: int):
     return P
 
 
-class _ArraySet(SetOracle):
-    """A set whose closed-form projection _project_array also computes over
-    a (k, n) array of points, bit for bit as _project on each row."""
-
-    def _project_array(self, P: np.ndarray) -> np.ndarray | None:
-        """The nearest points to the rows of P, or None to send the batch
-        through project point by point."""
-        raise NotImplementedError
+class _ClosedFormSet(SetOracle):
+    """A closed-form set whose report batches take one check for the whole
+    batch in place of project's check on each point."""
 
     def _project_rows(self, points):
-        """SetOracle._project_rows by one _project_array over the checked
-        batch.  A batch that does not check, or that _project_array
-        declines, goes through project point by point as a whole."""
+        """SetOracle._project_rows by one check of the batch, then _project
+        and the distance on each row, as project computes them on a
+        checked point (a row of the fresh C-contiguous batch is one): bit
+        for bit by construction.  A batch that does not check goes through
+        project point by point as a whole."""
         P = _stacked_points(points, self.dimension)
-        # An error here (numpy's warnings made errors, say) is one that
-        # project raises on some point: the per-point path finds which.
-        N = None if P is None else _outcome(self._project_array, P)
-        if N is None or isinstance(N, Exception):
+        if P is None:
             return SetOracle._project_rows(self, points)
-        return [(y.copy(), _norm(d)) for y, d in zip(N, P - N)]
+        return [_outcome(self._nearest_and_distance, p) for p in P]
+
+    def _nearest_and_distance(self, p):
+        nearest = self._project(p)
+        return nearest, _norm(p - nearest)
 
 
-def _row_norms(V: np.ndarray) -> np.ndarray:
-    """_norm of each row of a C-contiguous 2-d array."""
-    return np.array([_norm(v) for v in V])
-
-
-class _LinearSet(_ArraySet):
+class _LinearSet(_ClosedFormSet):
     """Base of HalfspaceSet and HyperplaneSet: a nonzero normal a, an
     offset b, and the unit normal a / ||a||."""
 
@@ -227,11 +219,6 @@ class _LinearSet(_ArraySet):
     def analytic_normal(self, x):
         return self.normal / np.linalg.norm(self.normal)
 
-    def _steps(self, P):
-        """_project's s = (<a, x> - b) / <a, a> for each row x of P."""
-        a = self.normal
-        return (np.array([a.dot(x) for x in P]) - self.offset) / (a @ a)
-
 
 class HalfspaceSet(_LinearSet):
     """{x : <a, x> <= b}."""
@@ -243,13 +230,6 @@ class HalfspaceSet(_LinearSet):
         if s <= 0.0:
             return x.copy()
         return x - s * self.normal
-
-    def _project_array(self, P):
-        s = self._steps(P)
-        N = P.copy()
-        out = ~(s <= 0.0)
-        N[out] = P[out] - s[out, None] * self.normal
-        return N
 
     def _residual(self, p):
         return max(0.0, (self.normal @ p - self.offset)) / np.linalg.norm(self.normal)
@@ -265,14 +245,11 @@ class HyperplaneSet(_LinearSet):
         s = (self.normal @ x - self.offset) / (self.normal @ self.normal)
         return x - s * self.normal
 
-    def _project_array(self, P):
-        return P - self._steps(P)[:, None] * self.normal
-
     def _residual(self, p):
         return abs(self.normal @ p - self.offset) / np.linalg.norm(self.normal)
 
 
-class AffineSubspace(_ArraySet):
+class AffineSubspace(_ClosedFormSet):
     """point + span(basis rows); a convex manifold of any dimension."""
 
     kind = "affine-subspace"
@@ -297,10 +274,6 @@ class AffineSubspace(_ArraySet):
         d = x - self.point
         return self.point + self.basis.T @ (self.basis @ d)
 
-    def _project_array(self, P):
-        B = self.basis
-        return self.point + np.array([B.T @ (B @ d) for d in P - self.point])
-
     def analytic_normal(self, x):
         # Only a hyperplane-like subspace has a well-defined normal line.
         if self.dimension - self.basis.shape[0] != 1:
@@ -311,7 +284,7 @@ class AffineSubspace(_ArraySet):
         return col / np.linalg.norm(col)
 
 
-class _RoundSet(_ArraySet):
+class _RoundSet(_ClosedFormSet):
     """Base of Ball and Sphere: a center c and a positive radius r."""
 
     def __init__(self, center, radius: float):
@@ -336,19 +309,11 @@ class Ball(_RoundSet):
             return x.copy()
         return self.center + (self.radius / nv) * v
 
-    def _project_array(self, P):
-        V = P - self.center
-        nv = _row_norms(V)
-        N = P.copy()
-        out = ~(nv <= self.radius)
-        N[out] = self.center + (self.radius / nv[out])[:, None] * V[out]
-        return N
-
     def _residual(self, p):
         return max(0.0, np.linalg.norm(p - self.center) - self.radius)
 
 
-class Box(_ArraySet):
+class Box(_ClosedFormSet):
     """Axis-aligned box {x : lower <= x <= upper}."""
 
     kind = "box"
@@ -365,11 +330,6 @@ class Box(_ArraySet):
 
     def _project(self, x):
         return np.clip(x, self.lower, self.upper)
-
-    def _project_array(self, P):
-        # Row by row: np.clip over the 2-d batch takes another loop, which
-        # resolves a tie of 0.0 and -0.0 the other way.
-        return np.array([np.clip(x, self.lower, self.upper) for x in P])
 
 
 class Sphere(_RoundSet):
@@ -390,13 +350,6 @@ class Sphere(_RoundSet):
             out[0] -= self.radius
             return out
         return self.center + (self.radius / nv) * v
-
-    def _project_array(self, P):
-        V = P - self.center
-        nv = _row_norms(V)
-        if np.any(nv <= 1e-14):
-            return None  # the set-valued center: project resolves it
-        return self.center + (self.radius / nv)[:, None] * V
 
     def _residual(self, p):
         return abs(np.linalg.norm(p - self.center) - self.radius)

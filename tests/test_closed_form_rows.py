@@ -2,14 +2,16 @@
 
 The regularity report projects its draws as one batch per set
 (`SetOracle._project_rows`).  The halfspace, hyperplane, affine subspace,
-ball, sphere and box compute a batch with array arithmetic over the stacked
-points; each entry must be what `sets.project` returns on that point alone,
-or the exception it raises, and every returned point must own its data.
+ball, sphere and box check a batch once and project its rows without
+`sets.project`; each entry must be what `sets.project` returns on that point
+alone, or the exception it raises, and every returned point must own its
+data.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -93,12 +95,9 @@ def test_closed_form_batches_equal_project_bit_for_bit(batch):
         got = oracle._project_rows(points)
     want = [sets._outcome(sets.project, oracle, x) for x in points]
     assert [_outcome_bits(o) for o in got] == [_outcome_bits(o) for o in want]
-    # A batch that checks is computed as an array, without project; one
-    # with a point project rejects, or the sphere's center, goes point by
-    # point as a whole.
-    clean = all(not isinstance(o, Exception) for o in want) and not (
-        oracle.kind == "sphere" and any(np.array_equal(p, oracle.center) for p in points)
-    )
+    # A batch that checks is projected without project; one with a point
+    # that project rejects goes point by point as a whole.
+    clean = all(not isinstance(o, Exception) for o in want)
     assert spy.call_count == (0 if clean else len(points))
     # Every point owns its data: writing into one result changes neither
     # another result nor an input.
@@ -119,3 +118,17 @@ def test_a_halfspace_batch_reaches_both_branches():
     assert [y.tobytes() for y, _ in got[:2]] == [p.tobytes() for p in points[:2]]
     assert [d for _, d in got[:2]] == [0.0, 0.0]
     assert got[2][1] > 0.0
+
+
+@pytest.mark.parametrize("mode", ["raise", "ignore"])
+def test_an_overflowing_distance_stays_with_its_row(mode):
+    # Every point checks, but the second one's distance to the box,
+    # 1e308 - (-1e308), overflows: with numpy's overflow an error, that row
+    # alone holds the error that project raises there.
+    box = sets.Box([-1.5e308], [-1e308])
+    points = [np.array([-1.2e308]), np.array([1e308]), np.array([-1.4e308])]
+    with np.errstate(over=mode):
+        got = box._project_rows(points)
+        want = [sets._outcome(sets.project, box, x) for x in points]
+    assert [_outcome_bits(o) for o in got] == [_outcome_bits(o) for o in want]
+    assert isinstance(got[1], FloatingPointError) == (mode == "raise")
