@@ -162,17 +162,28 @@ def _tail_geometric_mean(ratios) -> tuple[float, int]:
     return float(np.exp(np.mean(np.log(tail)))), n
 
 
-def _intersection_distance(problem, x, proxy_config):
-    if problem.intersection_oracle is not None:
-        _, d = sets_mod.project(problem.intersection_oracle, x)
-        return float(d)
-    trace = solvers.run_mass_projection(problem, x, proxy_config)
-    if trace.status != "converged":
-        raise NoDistanceOracleError(
-            "no-K-oracle: proxy run from a probe did not converge "
-            f"(status {trace.status})"
-        )
-    return float(np.linalg.norm(np.asarray(x, float) - trace.final_point()))
+def _intersection_distances(problem, points):
+    """d(x, K) for each of points, in order, as a generator that raises a
+    point's error when its turn comes.  With the problem's intersection
+    oracle, the points are projected as one batch on the first request
+    (SetOracle._project_rows); otherwise a pooled-halfspace run from each
+    point, made when its turn comes, supplies an upper proxy."""
+    oracle = problem.intersection_oracle
+    if oracle is not None:
+        for out in oracle._project_rows(points):
+            if isinstance(out, Exception):
+                raise out
+            yield float(out[1])
+        return
+    proxy_config = solvers.SolverConfig(stop_tolerance=1e-12, max_outer_iterations=300)
+    for x in points:
+        trace = solvers.run_mass_projection(problem, x, proxy_config)
+        if trace.status != "converged":
+            raise NoDistanceOracleError(
+                "no-K-oracle: proxy run from a probe did not converge "
+                f"(status {trace.status})"
+            )
+        yield float(np.linalg.norm(np.asarray(x, float) - trace.final_point()))
 
 
 def _sample_normal(oracle, xstar, radius, rng, tries: int = 50):
@@ -197,9 +208,12 @@ def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> tuple[f
     Generator, or a seed for a fresh one) before anything else does, so
     the value is the same whichever function asks for it.  All probes are
     drawn first and projected as one batch per set (SetOracle._project_rows:
-    on a smooth set, stacked Newton starts); then the probes are walked in
-    order, so the error raised is the first in (probe, set) order, and
-    d(x, K) is taken only for probes outside some set.  A projection error
+    on a smooth set, stacked Newton starts).  d(x, K) is needed for the
+    probes outside some set, up to the first probe with a set error; with
+    an intersection oracle those are projected onto it as one batch
+    (_intersection_distances).  Then the probes are walked in order, so the
+    error raised is the first in probe order, and within a probe a set's
+    error (in set order) comes before the distance's.  A projection error
     is therefore raised only after every probe has been projected onto
     every set.  Returns ``(beta_hat, centers)``, where centers are xstar's
     projections onto the sets, made once for the membership check.
@@ -224,18 +238,18 @@ def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> tuple[f
             continue
         r = big * rng.uniform() ** (1.0 / problem.dimension)
         probes.append(xstar + r * u / nu)
-    projected = [s._project_rows(probes) for s in problem.sets]
-    proxy_config = solvers.SolverConfig(stop_tolerance=1e-12, max_outer_iterations=300)
+    walked, error = [], None  # (probe, its largest set distance), up to error
+    for x, outcomes in zip(probes, zip(*[s._project_rows(probes) for s in problem.sets])):
+        error = next((out for out in outcomes if isinstance(out, Exception)), None)
+        if error is not None:
+            break
+        walked.append((x, max(d for _, d in outcomes)))
+    outside = [(x, worst) for x, worst in walked if not worst <= 1e-10]
     beta_hat = 1.0
-    for x, outcomes in zip(probes, zip(*projected)):
-        for out in outcomes:
-            if isinstance(out, Exception):
-                raise out
-        worst = max(d for _, d in outcomes)
-        if worst <= 1e-10:
-            continue
-        dk = _intersection_distance(problem, x, proxy_config)
+    for (x, worst), dk in zip(outside, _intersection_distances(problem, [x for x, _ in outside])):
         beta_hat = max(beta_hat, dk / worst)
+    if error is not None:
+        raise error
     return float(beta_hat), centers
 
 
@@ -258,9 +272,9 @@ def estimate_regularity(
     with seed rng_seed + 31l.  Draws with the same (set, radius, seed) are
     made and projected once and feed both checks; with the default radii
     that is set 0's sosh draws, which are its first super-regularity draws.
-    Each batch of draws, and the beta probes on each set, are drawn in full
-    and then projected as one batch (SetOracle._project_rows), bit for bit as
-    one at a time.
+    Each batch of draws, and the beta probes on each set and on the
+    intersection oracle, are drawn in full and then projected as one batch
+    (SetOracle._project_rows), bit for bit as one at a time.
     """
     rng = np.random.default_rng(rng_seed)
     beta_hat, centers = _beta_probe(problem, xstar, rng, radii, samples)

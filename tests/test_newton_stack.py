@@ -10,6 +10,7 @@ projection and the samplers ran before are kept here as references.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -199,11 +200,18 @@ def test_non_finite_start_stops_at_once():
 
 
 def _reference_ball_draws(oracle, center, radius, count, seed):
-    """sets._ball_draws as it was: draw, project, filter, one at a time."""
+    """sets._ball_draws as it was: draw, project, filter, one at a time,
+    each draw made by the sampler's old one-point helper."""
+
+    def uniform_ball(rng, n):
+        g = rng.standard_normal(n)
+        g /= sets._norm(g)
+        return g * rng.uniform() ** (1.0 / n)
+
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(count):
-        w = center + radius * sets._uniform_ball(rng, oracle.dimension)
+        w = center + radius * uniform_ball(rng, oracle.dimension)
         try:
             y, gap = sets.project(oracle, w)
         except sets.ProjectionNotConvergedError:
@@ -212,6 +220,20 @@ def _reference_ball_draws(oracle, center, radius, count, seed):
             continue
         draws.append((w, y, gap))
     return draws
+
+
+def _reference_intersection_distance(problem, x, proxy_config):
+    """d(x, K) for one probe, as the per-probe loop took it."""
+    if problem.intersection_oracle is not None:
+        _, d = sets.project(problem.intersection_oracle, x)
+        return float(d)
+    trace = diagnostics.solvers.run_mass_projection(problem, x, proxy_config)
+    if trace.status != "converged":
+        raise diagnostics.NoDistanceOracleError(
+            "no-K-oracle: proxy run from a probe did not converge "
+            f"(status {trace.status})"
+        )
+    return float(np.linalg.norm(np.asarray(x, float) - trace.final_point()))
 
 
 def _reference_beta_probe(problem, xstar, rng, radii=diagnostics._RADII, samples=40):
@@ -241,7 +263,7 @@ def _reference_beta_probe(problem, xstar, rng, radii=diagnostics._RADII, samples
         worst = max(sets.project(s, x)[1] for s in problem.sets)
         if worst <= 1e-10:
             continue
-        dk = diagnostics._intersection_distance(problem, x, proxy_config)
+        dk = _reference_intersection_distance(problem, x, proxy_config)
         beta_hat = max(beta_hat, dk / worst)
     return float(beta_hat), centers
 
@@ -482,20 +504,27 @@ CUBIC_POINTS = [
 
 @pytest.mark.parametrize("oracle", _cubic_sets(), ids=["curve", "above", "below"])
 def test_project_rows_equal_the_per_seed_projection(oracle, monkeypatch):
-    scans = []
-    scan = sets._ray_scan_seeds
+    scans, batch_scans = [], []
+    scan, lockstep = sets._ray_scan_seeds, sets._ray_scan_lockstep
 
     def spy(f, x, max_rays=8):
         scans.append(x)
         return scan(f, x, max_rays)
 
+    def batch_spy(f_rows, points, max_rays):
+        batch_scans.append(len(points))
+        return lockstep(f_rows, points, max_rays)
+
     monkeypatch.setattr(sets, "_ray_scan_seeds", spy)
+    monkeypatch.setattr(sets, "_ray_scan_lockstep", batch_spy)
     rng = np.random.default_rng(5)
     points = [np.array(p) for p in CUBIC_POINTS] + list(rng.uniform(-2.0, 2.0, size=(40, 2)))
     want = _assert_projections_match(oracle, points)
     # The fixture is only a check if it reaches each path: restarts in the
-    # batch, a converged answer, a point that does not converge, and a
-    # point the check rejects.
+    # batch, whose ray scans run in lockstep over several points, scalar
+    # scans (single-point sets.project and the reference), a converged
+    # answer, a point that does not converge, and a point the check rejects.
+    assert max(batch_scans) >= 2
     assert scans
     kinds = {w[0] if isinstance(w[0], type) else "point" for w in want}
     assert {"point", sets.ProjectionNotConvergedError, ValueError} <= kinds
@@ -558,3 +587,181 @@ def test_far_projection_raises_without_numpy_warnings():
     assert str(info.value) == "level-set projection did not reach residual 1e-12 in 100 iterations"
     assert info.value.last_iterate.tobytes() == x.tobytes()
     assert _outcome_bits(batched) == _outcome_bits(info.value)
+
+
+def _scan_bits(out):
+    """A ray scan's seeds as bytes, or its exception's type and message."""
+    if isinstance(out, Exception):
+        return type(out), str(out)
+    return [seed.tobytes() for seed in out]
+
+
+def _without_rows(f):
+    """f as a plain callable, with no row form."""
+    return lambda x: f(x)
+
+
+def _refusing_rows(f, limit=1.5):
+    """f refusing x1 > limit, point by point and in its row form, which
+    refuses any stack that holds such a row."""
+
+    def refusing(x):
+        if x[0] > limit:
+            raise ArithmeticError(f"f refuses x1 = {x[0]!r}")
+        return f(x)
+
+    def rows(Y):
+        if (Y[:, 0] > limit).any():
+            raise ArithmeticError("row form refuses the stack")
+        return f.rows(Y)
+
+    refusing.rows = rows
+    return refusing
+
+
+_polynomial = st.one_of(
+    st.lists(_coefficient, min_size=1, max_size=5).map(polynomial_curve),
+    st.builds(
+        polynomial_level_set,
+        st.lists(_coefficient, min_size=1, max_size=5),
+        st.sampled_from(["above", "below"]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    _polynomial,
+    st.sampled_from(["rows", "no rows", "refusing rows"]),
+    st.lists(st.tuples(_point, _scale), min_size=0, max_size=12),
+    st.sampled_from([1, 8, 13]),
+)
+def test_batched_ray_scan_equals_the_per_point_scan(oracle, form, scaled, max_rays):
+    f = {"rows": oracle.f, "no rows": _without_rows(oracle.f), "refusing rows": _refusing_rows(oracle.f)}[form]
+    X = [x * scale for x, scale in scaled]
+    scalar_scans = []
+    scan = sets._ray_scan_seeds
+
+    def spy(f, x, max_rays=8):
+        scalar_scans.append(x)
+        return scan(f, x, max_rays)
+
+    with np.errstate(all="ignore"):
+        want = [_scan_bits(sets._outcome(scan, f, x, max_rays)) for x in X]
+        with mock.patch.object(sets, "_ray_scan_seeds", spy):
+            got = [_scan_bits(out) for out in sets._ray_scan_rows(f, X, max_rays)]
+    assert got == want
+    # Two or more points with a row form scan in lockstep, the others point
+    # by point; a refused stack (its rays may reach x1 > 1.5 from any
+    # point) falls back as a whole.
+    if form == "refusing rows" and len(X) >= 2:
+        assert len(scalar_scans) in (0, len(X))
+    else:
+        assert len(scalar_scans) == (0 if form == "rows" and len(X) >= 2 else len(X))
+
+
+def test_batched_ray_scan_fixture_reaches_each_path():
+    # Crossing rays, rays with no sign change within 32 (1 + ||x||), a point
+    # with no seed at all, points far enough out to overflow, and a stack
+    # the row form refuses, where one point's own scan raises.
+    curve = polynomial_curve(CUBIC)
+    X = [np.array(p) for p in [(0.3, 0.1), (1e120, 3.0), (-1e120, 3.0), (0.5, 1e6), (2.5, -1.0)]]
+    counts = {}
+    for max_rays in (1, 8, 13):
+        with np.errstate(all="ignore"):
+            got = sets._ray_scan_rows(curve.f, X, max_rays)
+            want = [sets._ray_scan_seeds(curve.f, x, max_rays) for x in X]
+        assert [_scan_bits(s) for s in got] == [_scan_bits(s) for s in want]
+        counts[max_rays] = [len(s) for s in got]
+    assert 0 in counts[1] and 1 in counts[1]
+    assert all(0 < c < 13 for c in counts[13][1:]) and counts[13][0] > 0
+    refusing = _refusing_rows(curve.f, limit=100.0)
+    with np.errstate(all="ignore"):
+        got = sets._ray_scan_rows(refusing, X, 8)
+    assert 0 < [type(s) for s in got].count(ArithmeticError) < len(X)
+    assert [_scan_bits(s) for s in got] == [
+        _scan_bits(sets._outcome(sets._ray_scan_seeds, refusing, x, 8)) for x in X
+    ]
+
+
+def _rank_one(n):
+    """A 3 x 3 rank-one matrix, flattened: a member of FixedRankSet(3, 3, 1)."""
+    u = np.array([1.0, -0.5, 0.25])
+    return np.outer(u, u + 0.5).reshape(-1)
+
+
+@pytest.mark.parametrize(
+    "oracle, center",
+    [(sets.Ball(np.zeros(n), 1.0), np.full(n, 0.5 / n)) for n in (1, 2, 3, 4)]
+    + [(sets.FixedRankSet(3, 3, 1), _rank_one(9))],
+    ids=["ball-1", "ball-2", "ball-3", "ball-4", "rank-one-9"],
+)
+def test_ball_draws_equal_the_per_draw_arithmetic(oracle, center):
+    # The draws' divide, scale and shift run over the whole batch; each draw
+    # must keep the bits the one-point helper gave it, in every dimension.
+    for radius in (0.25, 2.0):
+        for seed in range(3):
+            got = sets._ball_draws(oracle, center, radius, 160, seed)
+            want = _reference_ball_draws(oracle, center, radius, 160, seed)
+            assert len(want) > 0
+            assert [_bits(d) for d in got] == [_bits(d) for d in want]
+
+
+def _level_set_with(f_form):
+    """The level set above the cubic with f given as: its own callable
+    (with a row form), a plain callable, or one whose row form raises.  Its
+    gradient refuses the boundary point (0, 0.5), where f is exactly 0: a
+    Newton start there raises, so only an interior test that takes f = 0 as
+    inside gives that point its zero distance."""
+    above = polynomial_level_set(CUBIC, "above")
+    grad = above.grad
+
+    def refusing_grad(y):
+        if y[0] == 0.0 and y[1] == 0.5:
+            raise ValueError("gradient refuses the boundary point")
+        return grad(y)
+
+    f = above.f
+    if f_form == "no rows":
+        f = _without_rows(f)
+    elif f_form == "refusing rows":
+        # The row form refuses any stack that holds the interior point
+        # (0.7, 0.9), so the interior test's, but no Newton stack's.
+        rows, f = f.rows, _without_rows(f)
+
+        def refusing(Y):
+            if (Y == (0.7, 0.9)).all(axis=1).any():
+                raise ArithmeticError("row form refuses")
+            return rows(Y)
+
+        f.rows = refusing
+    return sets.LevelSet(2, f, refusing_grad, above.hess)
+
+
+@pytest.mark.parametrize("f_form", ["rows", "no rows", "refusing rows"])
+@pytest.mark.parametrize("checks", [True, False], ids=["checked-batch", "unchecked-batch"])
+def test_level_set_batch_interior_test(f_form, checks, monkeypatch):
+    # A batch that checks as a whole takes the interior test of all its rows
+    # from f's row form; without one, with one that raises, or in a batch
+    # that does not check, each point is tested on its own.
+    inside_calls = []
+    inside = sets.LevelSet._inside
+
+    def spy(self, x):
+        inside_calls.append(x)
+        return inside(self, x)
+
+    level = _level_set_with(f_form)
+    rng = np.random.default_rng(8)
+    points = [np.array(p) for p in CUBIC_POINTS[:8] + [(0.0, 0.5)]]
+    points += list(rng.uniform(-2.0, 2.0, size=(24, 2)))
+    if not checks:
+        points.append(np.array([np.nan, 0.0]))
+    with np.errstate(all="ignore"):
+        want = [_outcome_bits(sets._outcome(_reference_project, level, x)) for x in points]
+    monkeypatch.setattr(sets.LevelSet, "_inside", spy)
+    got = [_outcome_bits(out) for out in level._project_rows(points)]
+    assert got == want
+    assert sum(w[1] == "0x0.0p+0" for w in want) >= 4
+    batch_tested = f_form == "rows" and checks
+    assert len(inside_calls) == (0 if batch_tested else len(points) - (not checks))
