@@ -75,15 +75,15 @@ def _assert_rows_match(oracle, rows, iterations):
 
 
 _coefficient = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
-_oracle = st.one_of(
+_polynomial = st.one_of(
     st.lists(_coefficient, min_size=1, max_size=5).map(polynomial_curve),
     st.builds(
         polynomial_level_set,
         st.lists(_coefficient, min_size=1, max_size=5),
         st.sampled_from(["above", "below"]),
     ),
-    st.sampled_from([_disk(1.0), _disk(-1.0)]),
 )
+_oracle = st.one_of(_polynomial, st.sampled_from([_disk(1.0), _disk(-1.0)]))
 _point = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(np.array)
 _scale = st.sampled_from([1.0, 1.0, 1.0, 1e60, 1e120])
 
@@ -619,16 +619,6 @@ def _refusing_rows(f, limit=1.5):
     return refusing
 
 
-_polynomial = st.one_of(
-    st.lists(_coefficient, min_size=1, max_size=5).map(polynomial_curve),
-    st.builds(
-        polynomial_level_set,
-        st.lists(_coefficient, min_size=1, max_size=5),
-        st.sampled_from(["above", "below"]),
-    ),
-)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     _polynomial,
@@ -663,7 +653,7 @@ def test_batched_ray_scan_equals_the_per_point_scan(oracle, form, scaled, max_ra
 def test_batched_ray_scan_fixture_reaches_each_path():
     # Crossing rays, rays with no sign change within 32 (1 + ||x||), a point
     # with no seed at all, points far enough out to overflow, and a stack
-    # the row form refuses, where one point's own scan raises.
+    # the row form refuses, where some points' own scans raise.
     curve = polynomial_curve(CUBIC)
     X = [np.array(p) for p in [(0.3, 0.1), (1e120, 3.0), (-1e120, 3.0), (0.5, 1e6), (2.5, -1.0)]]
     counts = {}
@@ -684,7 +674,7 @@ def test_batched_ray_scan_fixture_reaches_each_path():
     ]
 
 
-def _rank_one(n):
+def _rank_one():
     """A 3 x 3 rank-one matrix, flattened: a member of FixedRankSet(3, 3, 1)."""
     u = np.array([1.0, -0.5, 0.25])
     return np.outer(u, u + 0.5).reshape(-1)
@@ -693,7 +683,7 @@ def _rank_one(n):
 @pytest.mark.parametrize(
     "oracle, center",
     [(sets.Ball(np.zeros(n), 1.0), np.full(n, 0.5 / n)) for n in (1, 2, 3, 4)]
-    + [(sets.FixedRankSet(3, 3, 1), _rank_one(9))],
+    + [(sets.FixedRankSet(3, 3, 1), _rank_one())],
     ids=["ball-1", "ball-2", "ball-3", "ball-4", "rank-one-9"],
 )
 def test_ball_draws_equal_the_per_draw_arithmetic(oracle, center):
