@@ -19,6 +19,21 @@ query point) and the dual active-set solve, and returns what the one-shot
 path returns, bit for bit.  The one-shot path, for the solvers' pooled
 QPs, prepares the same data on the fly and keeps none of it.
 
+Arithmetic.  The problems are tiny (a few rows in a few dimensions), so
+most of a projection's cost is numpy's fixed cost per call on 1-4 element
+arrays.  Every dot, matrix product, einsum and SVD, and every array that
+feeds one, stays in numpy, because that is where the rounding happens:
+numpy's 1-d dot differs from a sequential Python sum of the same
+products in 25 % (n = 2) to 49 % (n = 8) of random standard-normal pairs
+(20,000 pairs each, numpy 2.4 with its bundled OpenBLAS on an Intel
+Xeon), and gemv and the einsum row norms sum in orders of their own.
+What runs on Python floats and lists rounds the same in both:
+comparisons, max and min, abs, single elementwise products and quotients,
+and index bookkeeping.  The most violated row, the KKT residual's maxima
+and the offsets' largest magnitude are found there, with numpy's NaN
+rules kept (argmax takes the first maximum or the first NaN; max is NaN
+when any entry is).
+
 The conditioning measure ``eta`` of a bundle of unit normals v_i, the
 distance from the origin to their convex hull, is one call of the same QP:
 by duality the least-norm point of {u : <v_i, u> >= 1} has norm 1 / eta,
@@ -254,13 +269,14 @@ def _verify_certificate(A, b, is_eq, cert, scale) -> bool:
         return False
     lam = np.asarray(cert, dtype=float)
     # Normalize so the certificate's size cannot mask roundoff either way.
-    weight = float(np.sum(np.abs(lam) * np.linalg.norm(A, axis=1)))
-    if weight <= 0.0 or not np.isfinite(weight):
+    weight = float((np.abs(lam) * np.linalg.norm(A, axis=1)).sum())
+    if weight <= 0.0 or not math.isfinite(weight):
         return False
     lam = lam / weight
-    if np.any(lam[~is_eq] < -1e-12):
+    if any(v < -1e-12 for v, e in zip(lam.tolist(), is_eq) if not e):
         return False
-    return np.linalg.norm(lam @ A) <= 1e-9 * max(1.0, scale) and b @ lam < -1e-12 * scale
+    v = lam @ A
+    return math.sqrt(v @ v) <= 1e-9 * max(1.0, scale) and b @ lam < -1e-12 * scale
 
 
 def _back_substitute(R, y):
@@ -353,12 +369,14 @@ def _dual_active_set(G, h, warm, feas_tol):
     therefore bounds the steps in exact arithmetic; passing it raises
     QPBreakdownError rather than returning an unproven point.
 
-    Returns (u, active, lam_active, None) at the optimum, or
-    (None, None, None, certificate) with the certificate over G's rows.
+    Returns (u, active, lam_active, None) at the optimum, with lam_active a
+    list, or (None, None, None, certificate) with the certificate over G's
+    rows.
     """
     m, d = G.shape
     if m == 0:
-        return np.zeros(d), [], np.zeros(0), None
+        return np.zeros(d), [], [], None
+    hl = h.tolist()
     fac = _ActiveFactor(d)
     active: list[int] = []
     for i in warm:
@@ -368,20 +386,29 @@ def _dual_active_set(G, h, warm, feas_tol):
             if zn > _DEPENDENT:
                 fac.add(dv, z, zn)
                 active.append(i)
-    while True:  # the warm rows are only a hint: shed negative multipliers
-        u, lam = fac.solve(h[active])
-        if not lam or min(lam) >= 0.0:
+    while active:  # the warm rows are only a hint: shed negative multipliers
+        u, lam = fac.solve([hl[i] for i in active])
+        if min(lam) >= 0.0:
             break
         k = lam.index(min(lam))
         fac.remove(k)
         del active[k]
+    else:
+        u, lam = np.zeros(d), []
     cap = _step_bound(m, d)
     steps = 0
     while True:
-        viol = G @ u - h
-        viol[active] = -np.inf
-        p = int(viol.argmax())
-        if viol[p] <= feas_tol:
+        # The most violated inactive row, as argmax picks it: the first
+        # maximum, or the first NaN.
+        p, top = -1, -math.inf
+        for i, v in enumerate((G @ u - h).tolist()):
+            if v > top:
+                if i not in active:
+                    p, top = i, v
+            elif v != v and i not in active:
+                p, top = i, v
+                break
+        if p < 0 or top <= feas_tol:
             break
         g, lam_p = G[p], 0.0
         while True:
@@ -403,7 +430,7 @@ def _dual_active_set(G, h, warm, feas_tol):
                     return None, None, None, cert
                 t = t1
             else:
-                t = min(t1, float(g @ u - h[p]) / zz)
+                t = min(t1, float(g @ u - hl[p]) / zz)
                 u = u - t * z
             lam = [lj - t * rj for lj, rj in zip(lam, r)]
             lam_p += t
@@ -415,23 +442,44 @@ def _dual_active_set(G, h, warm, feas_tol):
             active.append(p)
             lam.append(lam_p)
             break
-    u, lam = fac.solve(h[active])
-    return u, active, np.maximum(lam, 0.0), None
+    u, lam = fac.solve([hl[i] for i in active])
+    # np.maximum(lam, 0.0): a NaN stays, -0.0 becomes 0.0
+    return u, active, [v if v > 0.0 or v != v else 0.0 for v in lam], None
+
+
+def _abs_max(values):
+    """max |v| over a nonempty list of floats, NaN when one is NaN, as
+    numpy's max of the absolute values gives it."""
+    mags = [abs(v) for v in values]
+    total = sum(mags)  # NaN exactly when some magnitude is NaN
+    return total if total != total else max(mags)
+
+
+def _max_unless_nan(top, values):
+    """Python's max(top, numpy's max(values, initial=0.0)) for top >= 0 or
+    NaN: numpy's max is NaN when a value is NaN, and a NaN never beats
+    ``top`` in Python's max, so a NaN among ``values`` leaves ``top``."""
+    best = top
+    for v in values:
+        if v > best:
+            best = v
+        elif v != v:
+            return top
+    return best
 
 
 class _Prepared:
     """What projecting onto one polyhedron needs that no query point
     changes: the unit rows and offsets, the parallel row pairs, and
     ``split``, the row split when no parallel row is dropped (None until
-    Polyhedron.prepare computes it)."""
+    Polyhedron.prepare computes it).  ``is_eq`` is a tuple of bools."""
 
-    __slots__ = ("A", "b", "row_norms", "is_eq", "is_in", "b_max", "pairs", "split")
+    __slots__ = ("A", "b", "row_norms", "is_eq", "b_max", "pairs", "split")
 
     def __init__(self, constraints):
         A = np.array([c.normal for c in constraints], dtype=float)
         b = np.array([c.offset for c in constraints], dtype=float)
-        self.is_eq = np.array([c.kind == "equality" for c in constraints])
-        self.is_in = ~self.is_eq
+        self.is_eq = tuple(c.kind == "equality" for c in constraints)
         self.row_norms = np.sqrt(np.einsum("ij,ij->i", A, A))
         # Row-normalize up front: constraints born from projections carry
         # normals as short as the gap itself, and mixed row scales wreck the
@@ -439,20 +487,21 @@ class _Prepared:
         # certificates are mapped back to the original rows on exit.
         self.A = A / self.row_norms[:, None]
         self.b = b / self.row_norms
-        self.b_max = float(np.abs(self.b).max())
-        self.pairs = _parallel_pairs(self.A)
+        self.b_max = _abs_max(self.b.tolist())
+        self.pairs = _parallel_pairs(self.A) if len(constraints) > 1 else []
         self.split = None
 
 
 class _Split:
     """The rows ``keep`` that survive the pairwise reduction, as equality
-    rows ``eq_idx`` and inequality rows ``in_idx``, with every part of the
-    equality elimination that does not depend on the query point.
+    rows ``eq_idx`` and inequality rows ``in_idx`` (lists), with every part
+    of the equality elimination that does not depend on the query point.
 
-    Without equality rows, G = A[in_idx] and h = b_in - G x0.  With them,
-    x = x_p + Z u where x_p = x_ls + Z Z^T (x0 - x_ls), and the inequality
-    rows become the unit rows G u <= h of A_in Z, h = (b_in - A_in x_p) / gn
-    on the rows not flat on the affine span.
+    Without equality rows, G = A_in (the prepared A itself when no row is
+    dropped), h = b_in - G x0 and ``gn`` is None.  With them, x = x_p + Z u
+    where x_p = x_ls + Z Z^T (x0 - x_ls), and the inequality rows become
+    the unit rows G u <= h of A_in Z, h = (b_in - A_in x_p) / gn on the
+    rows not flat on the affine span.
     """
 
     __slots__ = (
@@ -463,27 +512,34 @@ class _Split:
     def __init__(self, prep, keep):
         A, b, is_eq = prep.A, prep.b, prep.is_eq
         self.eq_idx = eq_idx = [i for i in keep if is_eq[i]]
-        self.in_all = in_idx = np.array([i for i in keep if not is_eq[i]], dtype=int)
-        self.A_in, self.b_in = A[in_idx], b[in_idx]
-        self.flat = None
+        self.in_all = in_idx = [i for i in keep if not is_eq[i]]
+        if len(in_idx) == len(is_eq):
+            self.A_in, self.b_in = A, b
+        else:
+            self.A_in, self.b_in = A[in_idx], b[in_idx]
+        self.flat = self.gn = self.Z = None
+        self.in_idx, self.G = in_idx, self.A_in
         if not eq_idx:
-            self.Z = None
-            self.in_idx, self.G, self.gn = in_idx, self.A_in, np.ones(in_idx.size)
             return
-        U, s, Vt = np.linalg.svd(A[eq_idx])
-        rank = int(np.sum(s > 1e-12 * max(1.0, s[0])))
+        A_eq, b_eq = A[eq_idx], b[eq_idx]
+        U, s, Vt = np.linalg.svd(A_eq)
+        s_list = s.tolist()
+        cut = 1e-12 * max(1.0, s_list[0])
+        rank = sum(v > cut for v in s_list)
         self.U, self.s, self.Vr = U[:, :rank], s[:rank], Vt[:rank]
         self.Z = Vt[rank:].T  # spans the null space
-        self.x_ls = self.Vr.T @ ((self.U.T @ b[eq_idx]) / self.s)
-        self.r = b[eq_idx] - A[eq_idx] @ self.x_ls
-        self.r_max = np.max(np.abs(self.r))
+        self.x_ls = self.Vr.T @ ((self.U.T @ b_eq) / self.s)
+        self.r = b_eq - A_eq @ self.x_ls
+        self.r_max = _abs_max(self.r.tolist())
         G = self.A_in @ self.Z
         gn = np.sqrt(np.einsum("ij,ij->i", G, G))
         flat = gn <= 1e-12
         if flat.any():  # rows flat on the span are trivially satisfied
             self.flat = flat
-        self.in_idx, self.gn = in_idx[~flat], gn[~flat]
-        self.G = G[~flat] / self.gn[:, None]
+            self.in_idx = [i for i, f in zip(in_idx, flat.tolist()) if not f]
+            G, gn = G[~flat], gn[~flat]
+        self.gn = gn
+        self.G = G / gn[:, None]
 
     def eq_multipliers(self, v):
         """Least-squares mu with sum_e mu_e a_e = v."""
@@ -537,7 +593,7 @@ def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
     split = prep.split
     if split is None or len(keep) < k:
         split = _Split(prep, keep)
-    eq_idx, in_idx, Z = split.eq_idx, split.in_idx, split.Z
+    eq_idx, in_idx, Z, gn = split.eq_idx, split.in_idx, split.Z, split.gn
 
     def ray_certificate(rows, lam):
         # A combination of inequality rows that the equality normals span
@@ -561,35 +617,40 @@ def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
                 # a_i is spanned by the equality normals but contradicts them
                 return ray_certificate(split.in_all[contradicted.argmax()], 1.0)
             h = h[~split.flat]
-        h = h / split.gn
+        h = h / gn
     else:
         h = split.b_in - split.G @ x0
 
     warm = []
     if len(warm_start):
-        position = {int(i): j for j, i in enumerate(in_idx)}
+        position = {i: j for j, i in enumerate(in_idx)}
         warm = [position[w] for w in warm_start if w in position]
     u, active, lam, ray = _dual_active_set(split.G, h, warm, feas_tol)
     if ray is not None:
-        return ray_certificate(in_idx, ray / split.gn)
+        return ray_certificate(in_idx, ray if gn is None else ray / gn)
 
     x = x0 + u if Z is None else x_p + Z @ u
-    mult = np.zeros(k)
-    mult[in_idx[active]] = lam / split.gn[active]
+    mult = [0.0] * k
+    for j, v in zip(active, lam):
+        mult[in_idx[j]] = v if gn is None else v / gn[j]
+    mult = np.array(mult)
+    dx = x - x0
     if eq_idx:
-        mult[eq_idx] = split.eq_multipliers(-(x - x0 + mult @ A))
-    slack = A @ x - b
-    resid = x - x0 + mult @ A
-    kkt = max(
-        math.sqrt(resid @ resid),
-        slack.max(initial=0.0),
-        -slack.min(initial=0.0, where=is_eq),
-        np.abs(mult * slack).max(initial=0.0, where=prep.is_in),
+        mult[eq_idx] = split.eq_multipliers(-(dx + mult @ A))
+    slack = (A @ x - b).tolist()
+    resid = dx + mult @ A
+    # max(||resid||, max slack, max -slack on equalities, max |mult * slack|
+    # on inequalities), each term as numpy's max with initial 0.0 gave it.
+    kkt = math.sqrt(resid @ resid)
+    kkt = _max_unless_nan(kkt, slack)
+    kkt = _max_unless_nan(kkt, [-s for s, e in zip(slack, is_eq) if e])
+    kkt = _max_unless_nan(
+        kkt, [abs(mu * s) for mu, s, e in zip(mult.tolist(), slack, is_eq) if not e]
     )
     return QPResult(
         point=x,
         status="optimal",
-        active_set=tuple(sorted(set(eq_idx) | set(in_idx[active].tolist()))),
+        active_set=tuple(sorted(set(eq_idx) | {in_idx[j] for j in active})),
         multipliers=mult / row_norms,
         kkt_residual=float(kkt),
     )

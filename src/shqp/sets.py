@@ -25,7 +25,7 @@ stacks (``_newton_stationarity_stack``) and the ray scans of the points
 that restart as one lockstep scan (``_ray_scan_rows``); these use the row
 form ``.rows`` of f, grad or hess, looked up on the callable at each call,
 wherever it has one (the polynomial sets of the gallery supply them), and
-take the per-point path where it has none.  The intersection
+take the per-point path where it has none or it raises.  The intersection
 (``IntersectionSet``) refines a batch in lockstep, with one member
 ``_project_rows`` call per sweep.
 """
@@ -427,6 +427,17 @@ def _newton_stationarity(f, grad, hess, x, y0, lam0, max_iterations, tol):
     return None
 
 
+def _row_form(rows, Y):
+    """rows(Y), or None when there is no row form or it raises: the caller
+    then asks the scalar callable row by row, which says which row fails."""
+    if rows is None:
+        return None
+    try:
+        return rows(Y)
+    except Exception:
+        return None
+
+
 def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) -> list:
     """_newton_stationarity on k starts in lockstep: row i runs toward X[i]
     from (Y0[i], lam0[i]).  Entry i of the result is what the scalar kernel
@@ -440,8 +451,9 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
     at the rows of Y, stacked, bit for bit; the polynomial sets' callables
     have one), is called once per iteration on the whole stack; it is
     looked up on the callable at each call, so a callable replaced on a set
-    is used as given.  Any other is called per row on row views of the
-    iterates, and a row whose call raises keeps that exception.  The
+    is used as given.  Any other, and one whose row form raises in that
+    iteration, is called per row on row views of the iterates, and a row
+    whose call raises keeps that exception.  The
     bordered systems are one np.linalg.solve on the (k, n+1, n+1) stack,
     which calls LAPACK's gesv once per matrix as a single solve does; the
     right-hand side is shaped (k, n+1, 1), a stack of columns in every numpy
@@ -475,16 +487,18 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
     dead = set()  # rows whose start has raised; the next compaction drops them
     for _ in range(max_iterations):
         m = len(idx)
-        G = grad_rows(Y) if grad_rows is not None else np.zeros((m, n))
-        F = f_rows(Y) if f_rows is not None else np.zeros(m)
-        if grad_rows is None or f_rows is None:
+        G, F = _row_form(grad_rows, Y), _row_form(f_rows, Y)
+        if G is None or F is None:
+            per_grad, per_f = G is None, F is None
+            G = np.zeros((m, n)) if per_grad else G
+            F = np.zeros(m) if per_f else F
             for j in range(m):
                 if j in dead:
                     continue
                 try:
-                    if grad_rows is None:
+                    if per_grad:
                         G[j] = grad(Y[j])
-                    if f_rows is None:
+                    if per_f:
                         F[j] = f(Y[j])
                 except Exception as exc:
                     out[idx[j]] = exc
@@ -508,9 +522,8 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
             X, Y, L, G, R = X[keep], Y[keep], L[keep], G[keep], R[keep]
             m = len(keep)
         dead = set()
-        if hess_rows is not None:
-            H = hess_rows(Y)
-        else:
+        H = _row_form(hess_rows, Y)
+        if H is None:
             H = np.zeros((m, n, n))
             for j in range(m):
                 try:

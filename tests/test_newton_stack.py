@@ -755,3 +755,39 @@ def test_level_set_batch_interior_test(f_form, checks, monkeypatch):
     assert sum(w[1] == "0x0.0p+0" for w in want) >= 4
     batch_tested = f_form == "rows" and checks
     assert len(inside_calls) == (0 if batch_tested else len(points) - (not checks))
+
+
+def _refusing_every_stack(fn):
+    """fn as given point by point, with a row form that raises on every
+    stack."""
+    plain = _without_rows(fn)
+
+    def rows(Y):
+        raise ArithmeticError("row form refuses every stack")
+
+    plain.rows = rows
+    return plain
+
+
+@pytest.mark.parametrize("which", ["f", "grad", "hess"])
+@pytest.mark.parametrize("refusal", ["every stack", "x1 > 1.5"])
+@pytest.mark.parametrize("kind", ["curve", "above"])
+def test_a_raising_row_form_falls_back_to_per_row_calls(kind, refusal, which):
+    # A row form of f, grad or hess that raises makes the stacked kernel ask
+    # that quantity row by row for the iteration, so the batch equals
+    # per-point projection: every point where the scalar callables answer,
+    # and each refused row's own error (x1 > 1.5 is refused point by point
+    # too) where they do not.
+    base = polynomial_curve(CUBIC) if kind == "curve" else polynomial_level_set(CUBIC, "above")
+    parts = {"f": base.f, "grad": base.grad, "hess": base.hess}
+    if refusal == "every stack":
+        parts[which] = _refusing_every_stack(parts[which])
+    else:
+        parts[which] = _refusing_rows(parts[which])
+    oracle = type(base)(2, parts["f"], parts["grad"], parts["hess"])
+    rng = np.random.default_rng(11)
+    points = [np.array(p) for p in CUBIC_POINTS] + list(rng.uniform(-2.0, 2.0, size=(30, 2)))
+    want = _assert_projections_match(oracle, points)
+    kinds = {w[0] if isinstance(w[0], type) else "point" for w in want}
+    assert "point" in kinds
+    assert (ArithmeticError in kinds) == (refusal == "x1 > 1.5")
