@@ -15,6 +15,10 @@ twin-equalities polyhedron whose certificate does not verify, and eta
 bundles.  numpy's floating-point warnings are switched off while it runs,
 so the digest holds the returned values and exceptions only, whatever
 warning filter the suite runs under.
+
+The digest was recorded before the QP's fixed-cost work, on x86-64 with
+numpy 2.4 and its bundled OpenBLAS and LAPACK.  A BLAS or LAPACK that sums
+in another order moves it, as it moves the report pins.
 """
 
 import hashlib
