@@ -220,6 +220,16 @@ def _vec(obj, path, dimension=None):
         raise UsageError(f"{path}: expected a flat nonempty vector")
     if dimension is not None and v.size != dimension:
         raise UsageError(f"{path}: expected {dimension} components, got {v.size}")
+    # JSON's NaN and Infinity parse, and so do "nan" and "inf" in --x0.
+    if not np.isfinite(v).all():
+        raise UsageError(f"{path}: expected finite components")
+    return v
+
+
+def _num(obj: dict, key: str, path: str) -> float:
+    v = float(obj[key])
+    if not math.isfinite(v):
+        raise UsageError(f"{path}.{key}: expected a finite number")
     return v
 
 
@@ -246,10 +256,10 @@ def set_from_json(obj: dict, path: str = "$.set") -> sets_mod.SetOracle:
     try:
         if kind == "halfspace":
             _require(obj, ["normal", "offset"], path)
-            return sets_mod.HalfspaceSet(_vec(obj["normal"], f"{path}.normal"), float(obj["offset"]))
+            return sets_mod.HalfspaceSet(_vec(obj["normal"], f"{path}.normal"), _num(obj, "offset", path))
         if kind == "hyperplane":
             _require(obj, ["normal", "offset"], path)
-            return sets_mod.HyperplaneSet(_vec(obj["normal"], f"{path}.normal"), float(obj["offset"]))
+            return sets_mod.HyperplaneSet(_vec(obj["normal"], f"{path}.normal"), _num(obj, "offset", path))
         if kind == "affine-subspace":
             _require(obj, ["point", "basis"], path)
             point = _vec(obj["point"], f"{path}.point")
@@ -257,10 +267,10 @@ def set_from_json(obj: dict, path: str = "$.set") -> sets_mod.SetOracle:
             return sets_mod.AffineSubspace(point, basis)
         if kind == "ball":
             _require(obj, ["center", "radius"], path)
-            return sets_mod.Ball(_vec(obj["center"], f"{path}.center"), float(obj["radius"]))
+            return sets_mod.Ball(_vec(obj["center"], f"{path}.center"), _num(obj, "radius", path))
         if kind == "sphere":
             _require(obj, ["center", "radius"], path)
-            return sets_mod.Sphere(_vec(obj["center"], f"{path}.center"), float(obj["radius"]))
+            return sets_mod.Sphere(_vec(obj["center"], f"{path}.center"), _num(obj, "radius", path))
         if kind == "box":
             _require(obj, ["lower", "upper"], path)
             lower = _vec(obj["lower"], f"{path}.lower")
@@ -280,7 +290,7 @@ def set_from_json(obj: dict, path: str = "$.set") -> sets_mod.SetOracle:
                 halves.append(
                     polyhedra.Halfspace(
                         _vec(h["normal"], f"{hpath}.normal"),
-                        float(h["offset"]),
+                        _num(h, "offset", hpath),
                         kind=h.get("kind", "inequality"),
                     )
                 )

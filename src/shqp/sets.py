@@ -12,22 +12,21 @@ The regularity report projects its draws as batches, through
 ``SetOracle._project_rows(points)``, and so does the intersection's
 refinement onto its members; the solvers never call it.  Its entries
 are bit for bit what :func:`project` returns on each point, or the exception
-it raises there, and every nearest point owns its data.  The base class
-calls project point by point.  The halfspace, hyperplane, affine subspace,
-ball, sphere and box (``_ClosedFormSet``) check the batch once, as one
-fresh C-contiguous (k, n) array, and then take _project and the distance on
-each row, as project takes them on the point it checks; a batch that does
-not check (not a 2-d finite array of the set's width) goes through project
-point by point as a whole.  The level set and manifold curve
-(``_SmoothSet``) check a batch once too, take the level set's interior
-test over all its rows from f's row form, and run their Newton starts as
-stacks (``_newton_stationarity_stack``) and the ray scans of the points
-that restart as one lockstep scan (``_ray_scan_rows``); these use the row
-form ``.rows`` of f, grad or hess, looked up on the callable at each call,
-wherever it has one (the polynomial sets of the gallery supply them), and
-take the per-point path where it has none or it raises.  The intersection
-(``IntersectionSet``) refines a batch in lockstep, with one member
-``_project_rows`` call per sweep.
+it raises there, and every nearest point owns its data.  There is one such
+method, on the base class: it checks each point as project does
+(_as_point), passes the points that check to the set's ``_nearest_rows``
+hook together, and takes each row's distance inside that row's own
+outcome.  The hook runs _project on each row, except on two kinds, whose
+_project is the hook's one-row case.  The level set and manifold curve
+(``_SmoothSet``) make the interior test, then run the Newton starts of the
+points left as stacks (``_newton_stationarity_stack``) and the ray scans
+of the points that restart as one lockstep scan (``_ray_scan_rows``).  The
+intersection (``IntersectionSet``) refines its rows in lockstep, with one
+member ``_project_rows`` call per sweep.  Every evaluation of f, grad or
+hess over several points goes through ``_rows_of``: the callable's row
+form ``.rows``, looked up at each call, where it has one (the polynomial
+sets of the gallery supply them) and it does not raise, and otherwise the
+callable row by row, each row keeping its own exception.
 """
 
 from __future__ import annotations
@@ -103,7 +102,8 @@ def _as_point(x, dimension: int | None = None) -> np.ndarray:
     p = np.ascontiguousarray(x, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"expected a 1-d point, got shape {p.shape}")
-    if not np.isfinite(p).all():
+    # The decisions of np.isfinite(p).all(), without its dispatch.
+    if not all(map(math.isfinite, p.tolist())):
         raise ValueError("point has non-finite entries")
     if dimension is not None and p.shape[0] != dimension:
         raise DimensionMismatchError(
@@ -147,13 +147,25 @@ class SetOracle:
     def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _nearest_rows(self, X) -> list:
+        """The nearest point to each checked point of X, or the exception
+        that _project raises there; by default _project row by row."""
+        return [_outcome(self._project, x) for x in X]
+
     def _project_rows(self, points) -> list:
         """project(self, x) for each x in points, in order, bit for bit: an
         entry is project's ``(nearest, distance)``, or the exception that
         project raises on that point, and every nearest point owns its
         data.  The regularity report's batch projection (the module
-        docstring has the contract); here, point by point."""
-        return [_outcome(project, self, x) for x in points]
+        docstring has the contract).  Each point is checked as project
+        checks it, the points that check go to _nearest_rows together, and
+        each row's distance is taken inside its own outcome, so an error
+        there (an overflow, say) stays with its row."""
+        out = [_outcome(_as_point, x, self.dimension) for x in points]
+        rows = [i for i, p in enumerate(out) if not isinstance(p, Exception)]
+        for i, y in zip(rows, self._nearest_rows([out[i] for i in rows])):
+            out[i] = y if isinstance(y, Exception) else _outcome(_with_distance, out[i], y)
+        return out
 
     def membership_residual(self, x) -> float:
         """How far x is from satisfying the set's defining conditions."""
@@ -175,40 +187,7 @@ class SetOracle:
         return f"<{type(self).__name__} kind={self.kind} n={self.dimension}>"
 
 
-def _stacked_points(points, dimension: int):
-    """points as a fresh C-contiguous (k, dimension) float array, or None
-    unless they form one that project would accept row by row: a 2-d
-    array of the oracle's width with only finite entries."""
-    try:
-        P = np.array(points, dtype=float, order="C")
-    except Exception:  # ragged, or not numbers: project says which point
-        return None
-    if P.ndim != 2 or P.shape[1] != dimension or not np.isfinite(P).all():
-        return None
-    return P
-
-
-class _ClosedFormSet(SetOracle):
-    """A closed-form set whose report batches take one check for the whole
-    batch in place of project's check on each point."""
-
-    def _project_rows(self, points):
-        """SetOracle._project_rows by one check of the batch, then _project
-        and the distance on each row, as project computes them on a
-        checked point (a row of the fresh C-contiguous batch is one): bit
-        for bit by construction.  A batch that does not check goes through
-        project point by point as a whole."""
-        P = _stacked_points(points, self.dimension)
-        if P is None:
-            return SetOracle._project_rows(self, points)
-        return [_outcome(self._nearest_and_distance, p) for p in P]
-
-    def _nearest_and_distance(self, p):
-        nearest = self._project(p)
-        return nearest, _norm(p - nearest)
-
-
-class _LinearSet(_ClosedFormSet):
+class _LinearSet(SetOracle):
     """Base of HalfspaceSet and HyperplaneSet: a nonzero normal a, an
     offset b, and the unit normal a / ||a||."""
 
@@ -255,7 +234,7 @@ class HyperplaneSet(_LinearSet):
         return abs(self.normal @ p - self.offset) / np.linalg.norm(self.normal)
 
 
-class AffineSubspace(_ClosedFormSet):
+class AffineSubspace(SetOracle):
     """point + span(basis rows); a convex manifold of any dimension."""
 
     kind = "affine-subspace"
@@ -290,7 +269,7 @@ class AffineSubspace(_ClosedFormSet):
         return col / np.linalg.norm(col)
 
 
-class _RoundSet(_ClosedFormSet):
+class _RoundSet(SetOracle):
     """Base of Ball and Sphere: a center c and a positive radius r."""
 
     def __init__(self, center, radius: float):
@@ -319,7 +298,7 @@ class Ball(_RoundSet):
         return max(0.0, np.linalg.norm(p - self.center) - self.radius)
 
 
-class Box(_ClosedFormSet):
+class Box(SetOracle):
     """Axis-aligned box {x : lower <= x <= upper}."""
 
     kind = "box"
@@ -427,15 +406,37 @@ def _newton_stationarity(f, grad, hess, x, y0, lam0, max_iterations, tol):
     return None
 
 
-def _row_form(rows, Y):
-    """rows(Y), or None when there is no row form or it raises: the caller
-    then asks the scalar callable row by row, which says which row fails."""
-    if rows is None:
-        return None
-    try:
-        return rows(Y)
-    except Exception:
-        return None
+def _rows_of(fn, Y, shape=(), skip=()) -> tuple:
+    """fn at each row of Y (a 2-d array, or a list of 1-d arrays), stacked
+    as a (len(Y),) + shape array, and a dict of the rows where fn raised,
+    each with its own exception.
+
+    Two or more rows take fn's row form, ``fn.rows(Y)`` (the scalar values
+    at the rows of Y, stacked, bit for bit), where fn has one and it does
+    not raise; it is looked up on the callable at each call, so a callable
+    replaced on a set is used as given.  Otherwise, and on one row, fn is
+    called on each row but those in ``skip``, whose entries stay 0."""
+    rows = getattr(fn, "rows", None)
+    if rows is not None and len(Y) > 1:
+        try:
+            return rows(np.asarray(Y)), {}
+        except Exception:
+            pass
+    V, raised = np.zeros((len(Y),) + shape), {}
+    for j, y in enumerate(Y):
+        if j not in skip:
+            try:
+                V[j] = fn(y)
+            except Exception as exc:
+                raised[j] = exc
+    return V, raised
+
+
+def _unraised(m: int, raised) -> np.ndarray:
+    """A mask of the m rows whose index is not a key of raised."""
+    ok = np.ones(m, dtype=bool)
+    ok[list(raised)] = False
+    return ok
 
 
 def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) -> list:
@@ -446,20 +447,15 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
 
     The rows still running sit in one array per quantity, and each
     elementwise step of the scalar kernel runs once over the array, so every
-    row gets the same products and sums in the same order.  A callable among
-    f, grad and hess that has a row form, ``.rows(Y)`` (the scalar values
-    at the rows of Y, stacked, bit for bit; the polynomial sets' callables
-    have one), is called once per iteration on the whole stack; it is
-    looked up on the callable at each call, so a callable replaced on a set
-    is used as given.  Any other, and one whose row form raises in that
-    iteration, is called per row on row views of the iterates, and a row
-    whose call raises keeps that exception.  The
-    bordered systems are one np.linalg.solve on the (k, n+1, n+1) stack,
-    which calls LAPACK's gesv once per matrix as a single solve does; the
-    right-hand side is shaped (k, n+1, 1), a stack of columns in every numpy
-    version.  If a matrix of the stack is singular, every row takes
-    _newton_step on its own.  Rows that converge, go non-finite or raise
-    leave the stack.  Each row's step norm is its own _norm, taken only for
+    row gets the same products and sums in the same order.  f, grad and
+    hess are evaluated over the stack once per iteration (_rows_of), grad
+    before f as the scalar kernel calls them, and a row whose call raises
+    keeps that exception.  The bordered systems are one np.linalg.solve on
+    the (k, n+1, n+1) stack, which calls LAPACK's gesv once per matrix as a
+    single solve does; the right-hand side is shaped (k, n+1, 1), a stack
+    of columns in every numpy version.  If a matrix of the stack is
+    singular, every row takes _newton_step on its own.  Rows that converge,
+    go non-finite or raise leave the stack.  Each row's step norm is its own _norm, taken only for
     the rows whose step an einsum norm puts near or above the cap, so the
     cap makes the same decisions on the same bits.
 
@@ -474,7 +470,6 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
             except Exception as exc:
                 out.append(exc)
         return out
-    f_rows, grad_rows, hess_rows = (getattr(c, "rows", None) for c in (f, grad, hess))
     out = [None] * len(X)
     n = X[0].shape[0]
     idx = np.arange(len(X))
@@ -487,22 +482,12 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
     dead = set()  # rows whose start has raised; the next compaction drops them
     for _ in range(max_iterations):
         m = len(idx)
-        G, F = _row_form(grad_rows, Y), _row_form(f_rows, Y)
-        if G is None or F is None:
-            per_grad, per_f = G is None, F is None
-            G = np.zeros((m, n)) if per_grad else G
-            F = np.zeros(m) if per_f else F
-            for j in range(m):
-                if j in dead:
-                    continue
-                try:
-                    if per_grad:
-                        G[j] = grad(Y[j])
-                    if per_f:
-                        F[j] = f(Y[j])
-                except Exception as exc:
-                    out[idx[j]] = exc
-                    dead.add(j)
+        G, raised = _rows_of(grad, Y, (n,), dead)
+        F, raised_f = _rows_of(f, Y, (), dead.union(raised))
+        raised.update(raised_f)
+        for j, exc in raised.items():
+            out[idx[j]] = exc
+        dead.update(raised)
         R = np.empty((m, n + 1))
         R[:, :n] = Y - X + L[:, None] * G
         R[:, n] = F
@@ -521,16 +506,10 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
             idx, caps, near_caps = idx[keep], caps[keep], near_caps[keep]
             X, Y, L, G, R = X[keep], Y[keep], L[keep], G[keep], R[keep]
             m = len(keep)
-        dead = set()
-        H = _row_form(hess_rows, Y)
-        if H is None:
-            H = np.zeros((m, n, n))
-            for j in range(m):
-                try:
-                    H[j] = hess(Y[j])
-                except Exception as exc:
-                    out[idx[j]] = exc
-                    dead.add(j)
+        H, raised = _rows_of(hess, Y, (n, n))
+        for j, exc in raised.items():
+            out[idx[j]] = exc
+        dead = set(raised)
         J = np.zeros((m, n + 1, n + 1))
         np.multiply(H, L[:, None, None], out=J[:, :n, :n])
         J[:, :n, :n] += eye
@@ -563,7 +542,7 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
 
 @functools.lru_cache(maxsize=64)
 def _ray_fan(n: int, max_rays: int) -> np.ndarray:
-    """The fan of _ray_scan_seeds in R^n: the first ``max_rays`` nonzero
+    """The fan of _ray_scan_rows in R^n: the first ``max_rays`` nonzero
     standard-normal draws of default_rng(0), normalized, one per row.
     Built once per (n, max_rays) and shared, so it is read-only."""
     rng = np.random.default_rng(0)
@@ -583,91 +562,79 @@ _RAY_STEPS = 2.0 ** np.arange(-4.0, 6.0)
 _RAY_STEPS.flags.writeable = False
 
 
-def _ray_scan_seeds(f, x, max_rays: int = 8):
-    """Boundary seeds for the nearest-point Newton: bisected zeros of f
-    along a deterministic fan of rays from x."""
-    f0 = f(x)
-    scale = 1.0 + _norm(x)
-    seeds = []
-    for u in _ray_fan(x.shape[0], max_rays):
-        t_prev, f_prev = 0.0, f0
-        for t in scale * _RAY_STEPS:
-            ft = f(x + t * u)
-            if (ft > 0.0) != (f_prev > 0.0):
-                lo, hi, flo = t_prev, t, f_prev
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    fm = f(x + mid * u)
-                    if (fm > 0.0) == (flo > 0.0):
-                        lo, flo = mid, fm
-                    else:
-                        hi = mid
-                seeds.append(x + 0.5 * (lo + hi) * u)
-                break
-            t_prev, f_prev = t, ft
-    return seeds
-
-
 def _ray_scan_rows(f, points, max_rays: int = 8) -> list:
-    """[_ray_scan_seeds(f, x, max_rays) for x in points], bit for bit, with
-    the exception a point's scan raises in place of its seeds.
+    """Boundary seeds for the nearest-point Newton from each point: the
+    bisected zeros of f along a deterministic fan of rays from it
+    (_ray_fan), in ray order, or the error its scan raises.
 
-    Two or more points scan in lockstep (_ray_scan_lockstep) when f has a
-    row form, ``.rows``; if that form raises, or f has none, or there is
-    only one point, each point takes its own scan, which says which one
-    raises.  On one point the lockstep scan is the slower one (0.83-0.86
-    ms against 0.53-0.56 ms per point on the cubic, process time); 40
-    points in lockstep take 0.03 ms per point."""
-    f_rows = getattr(f, "rows", None)
-    if len(points) >= 2 and f_rows is not None:
-        try:
-            return _ray_scan_lockstep(f_rows, points, max_rays)
-        except Exception:
-            pass
-    return [_outcome(_ray_scan_seeds, f, x, max_rays) for x in points]
-
-
-def _ray_scan_lockstep(f_rows, points, max_rays: int) -> list:
-    """_ray_scan_seeds on every point at once, with f's row form.  Row
-    i * max_rays + j of the stack is point i's ray j; each of the 10 steps
-    out and then each of the 60 bisections evaluates the rows still at it
-    with one f_rows call, by the scalar scan's elementwise operations, so
-    every seed has the scalar scan's bits.  A bisection keeps the sign of
-    f at its lower end: it only moves that end to a point of equal sign."""
-    k = len(points)
+    All rays of all points run in lockstep: row i * max_rays + j of the
+    stack is point i's ray j.  Each of the 10 steps out and then each of
+    the 60 bisections evaluates f on the rows still at it with one _rows_of
+    call, by the elementwise operations a scan of that ray alone makes, so
+    every seed has that scan's bits.  A bisection keeps the sign of f at its
+    lower end: it only moves that end to a point of equal sign.  A ray whose
+    f raises stops there.  A point's error is f's at the point itself, or
+    else the one from its lowest-index failing ray: the error a scan of one
+    ray after the other meets first."""
+    if not len(points):
+        return []
     P = np.array(points, dtype=float)
-    X = np.repeat(P, max_rays, axis=0)
-    U = np.tile(_ray_fan(P.shape[1], max_rays), (k, 1))
-    scale = np.repeat([1.0 + _norm(x) for x in points], max_rays)
-    f_prev = np.repeat(f_rows(P), max_rays)
-    t_prev = np.zeros(k * max_rays)
-    lo, hi = np.empty(k * max_rays), np.empty(k * max_rays)
-    bracketed = np.zeros(k * max_rays, dtype=bool)
-    live = np.arange(k * max_rays)  # rows still stepping out
+    F0, raised = _rows_of(f, P)
+    out = [raised.get(i, []) for i in range(len(P))]
+    start = np.array([i for i in range(len(P)) if i not in raised], dtype=int)
+    owner = np.repeat(start, max_rays)  # the point of each ray
+    X = P[owner]
+    U = np.tile(_ray_fan(P.shape[1], max_rays), (len(start), 1))
+    scale = np.repeat([1.0 + _norm(P[i]) for i in start], max_rays)
+    f_prev = F0[owner]
+    t_prev = np.zeros(len(X))
+    lo, hi = np.empty(len(X)), np.empty(len(X))
+    bracketed = np.zeros(len(X), dtype=bool)
+    failed = {}  # ray -> the exception f raised on it
+    live = np.arange(len(X))  # rays still stepping out
     for step in _RAY_STEPS:
         t = scale[live] * step
-        ft = f_rows(X[live] + t[:, None] * U[live])
+        ft, raised = _rows_of(f, X[live] + t[:, None] * U[live])
         crossed = (ft > 0.0) != (f_prev[live] > 0.0)
+        keep = ~crossed
+        if raised:
+            failed.update((live[j], exc) for j, exc in raised.items())
+            ok = _unraised(len(live), raised)
+            crossed &= ok
+            keep &= ok
         hit = live[crossed]
         lo[hit], hi[hit], bracketed[hit] = t_prev[hit], t[crossed], True
-        live, t, ft = live[~crossed], t[~crossed], ft[~crossed]
+        live, t, ft = live[keep], t[keep], ft[keep]
         if not len(live):
             break
         t_prev[live], f_prev[live] = t, ft
-    seeds = [[] for _ in range(k)]
-    rows = np.flatnonzero(bracketed)
-    if not len(rows):
-        return seeds
-    X, U, lo, hi = X[rows], U[rows], lo[rows], hi[rows]
-    positive = f_prev[rows] > 0.0
-    for _ in range(60):
+    rays = np.flatnonzero(bracketed)
+    X, U, lo, hi = X[rays], U[rays], lo[rays], hi[rays]
+    positive = f_prev[rays] > 0.0
+    for _ in range(60 if len(rays) else 0):
         mid = 0.5 * (lo + hi)
-        same = (f_rows(X + mid[:, None] * U) > 0.0) == positive
+        fm, raised = _rows_of(f, X + mid[:, None] * U)
+        same = (fm > 0.0) == positive
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
-    for i, seed in zip(rows // max_rays, X + (0.5 * (lo + hi))[:, None] * U):
-        seeds[i].append(seed)
-    return seeds
+        if raised:
+            failed.update((rays[j], exc) for j, exc in raised.items())
+            ok = _unraised(len(rays), raised)
+            rays, X, U, lo, hi, positive = rays[ok], X[ok], U[ok], lo[ok], hi[ok], positive[ok]
+    for r, seed in zip(rays, X + (0.5 * (lo + hi))[:, None] * U):
+        out[owner[r]].append(seed)
+    for r in sorted(failed, reverse=True):
+        out[owner[r]] = failed[r]
+    return out
+
+
+def _one_row(oracle: SetOracle, x: np.ndarray) -> np.ndarray:
+    """oracle._nearest_rows on the one checked point x: _project for the
+    kinds whose batch hook does the work."""
+    (y,) = oracle._nearest_rows([x])
+    if isinstance(y, Exception):
+        raise y
+    return y
 
 
 def _newton_projections(f, grad, hess, points) -> list:
@@ -681,48 +648,47 @@ def _newton_projections(f, grad, hess, points) -> list:
     as one stack, the ray scans of the points that restart as one lockstep
     scan (_ray_scan_rows), and all restarts as another stack.  A point's
     error is its scan's, or else the first in seed order, from grad at a
-    seed or from that seed's start.  Overflow
-    far out only makes a start fail, so numpy does not warn of it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _newton_stationarity_stack(
-            f, grad, hess, points, points, [0.0] * len(points), _NEWTON_ITERATIONS, _NEWTON_TOL
+    seed or from that seed's start.  Overflow far out only makes a start
+    fail; the caller keeps numpy from warning of it."""
+    out = _newton_stationarity_stack(
+        f, grad, hess, points, points, [0.0] * len(points), _NEWTON_ITERATIONS, _NEWTON_TOL
+    )
+    far = [
+        i
+        for i, (x, best) in enumerate(zip(points, out))
+        if not (isinstance(best, Exception) or best is not None and _norm(best - x) <= 0.15 * (1.0 + _norm(x)))
+    ]
+    plans, X, Y0, L0 = {}, [], [], []  # plans[i]: point i's restart rows, or an error
+    for i, seeds in zip(far, _ray_scan_rows(f, [points[i] for i in far])):
+        x = points[i]
+        plan = plans[i] = []
+        try:
+            if isinstance(seeds, Exception):
+                raise seeds
+            for seed in seeds:
+                g = grad(seed)
+                L0.append(float(g @ (x - seed) / max(g @ g, 1e-30)))
+                plan.append(len(X))
+                X.append(x)
+                Y0.append(seed)
+        except Exception as exc:
+            plan.append(exc)
+    ends = _newton_stationarity_stack(
+        f, grad, hess, X, Y0, L0, _NEWTON_ITERATIONS, _NEWTON_TOL
+    ) if X else []
+    for i, plan in plans.items():
+        x, best = points[i], out[i]
+        for y in (r if isinstance(r, Exception) else ends[r] for r in plan):
+            if isinstance(y, Exception):
+                best = y
+                break
+            if y is not None and (best is None or _norm(y - x) < _norm(best - x) * (1.0 - 1e-12)):
+                best = y
+        out[i] = best if best is not None else ProjectionNotConvergedError(
+            f"level-set projection did not reach residual {_NEWTON_TOL:g} "
+            f"in {_NEWTON_ITERATIONS} iterations",
+            last_iterate=x,
         )
-        far = [
-            i
-            for i, (x, best) in enumerate(zip(points, out))
-            if not (isinstance(best, Exception) or best is not None and _norm(best - x) <= 0.15 * (1.0 + _norm(x)))
-        ]
-        plans, X, Y0, L0 = {}, [], [], []  # plans[i]: point i's restart rows, or an error
-        for i, seeds in zip(far, _ray_scan_rows(f, [points[i] for i in far])):
-            x = points[i]
-            plan = plans[i] = []
-            try:
-                if isinstance(seeds, Exception):
-                    raise seeds
-                for seed in seeds:
-                    g = grad(seed)
-                    L0.append(float(g @ (x - seed) / max(g @ g, 1e-30)))
-                    plan.append(len(X))
-                    X.append(x)
-                    Y0.append(seed)
-            except Exception as exc:
-                plan.append(exc)
-        ends = _newton_stationarity_stack(
-            f, grad, hess, X, Y0, L0, _NEWTON_ITERATIONS, _NEWTON_TOL
-        ) if X else []
-        for i, plan in plans.items():
-            x, best = points[i], out[i]
-            for y in (r if isinstance(r, Exception) else ends[r] for r in plan):
-                if isinstance(y, Exception):
-                    best = y
-                    break
-                if y is not None and (best is None or _norm(y - x) < _norm(best - x) * (1.0 - 1e-12)):
-                    best = y
-            out[i] = best if best is not None else ProjectionNotConvergedError(
-                f"level-set projection did not reach residual {_NEWTON_TOL:g} "
-                f"in {_NEWTON_ITERATIONS} iterations",
-                last_iterate=x,
-            )
     return out
 
 
@@ -738,52 +704,30 @@ class _SmoothSet(SetOracle):
         self.hess = hess
         self.name = name
 
-    def _inside(self, x) -> bool:
-        """Whether x is a member that projects to itself without Newton."""
-        return False
+    def _inside_rows(self, X) -> list:
+        """For each checked point of X, True if it is a member that projects
+        to itself without Newton, False if not, or the error the test
+        raises there."""
+        return [False] * len(X)
 
-    def _inside_rows(self, P):
-        """_inside on each row of a checked batch, as a bool array, or None
-        when it must be asked row by row."""
-        return np.zeros(len(P), dtype=bool)
-
-    def _project(self, x):
-        if self._inside(x):
-            return x.copy()
-        (y,) = _newton_projections(self.f, self.grad, self.hess, [x])
-        if isinstance(y, Exception):
-            raise y
-        return y
-
-    def _project_rows(self, points):
-        """_project on many points: the batch is checked and the interior
-        test made first, then the points left go to one
-        _newton_projections.  A batch that checks as a whole
-        (_stacked_points) takes the interior test of all its rows at once
-        (_inside_rows); otherwise each point is checked and tested as
-        project does it.  One point goes through project, which is faster
-        there (an intersection refinement's sweeps make such calls)."""
-        if len(points) < 2:
-            return SetOracle._project_rows(self, points)
-        P = _stacked_points(points, self.dimension)
-        inside = None if P is None else self._inside_rows(P)
-        if inside is None:
-            out = [_outcome(_as_point, x, self.dimension) for x in points]
-            inside = [p if isinstance(p, Exception) else _outcome(self._inside, p) for p in out]
-        else:
-            out = list(P)
-        rows = []
-        for i, (p, ins) in enumerate(zip(out, inside)):
-            if isinstance(ins, Exception):
-                out[i] = ins
-            elif ins:
-                out[i] = (p.copy(), 0.0)
-            else:
-                rows.append(i)
-        X = [out[i] for i in rows]
-        for i, p, y in zip(rows, X, _newton_projections(self.f, self.grad, self.hess, X)):
-            out[i] = y if isinstance(y, Exception) else (y, _norm(p - y))
+    def _nearest_rows(self, X):
+        """The interior test on every point, then one _newton_projections
+        for the points left.  Far out f, grad and hess overflow to the
+        infinities and NaNs that the polynomial sets' scalar callables give
+        on Python floats, silently as there, so numpy does not warn."""
+        out, rows = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, inside in zip(X, self._inside_rows(X)):
+                if inside is False:
+                    rows.append(len(out))
+                out.append(x.copy() if inside is True else inside)
+            if rows:
+                ends = _newton_projections(self.f, self.grad, self.hess, [X[i] for i in rows])
+                for i, y in zip(rows, ends):
+                    out[i] = y
         return out
+
+    _project = _one_row
 
     def analytic_normal(self, x):
         g = self.grad(x)
@@ -806,21 +750,13 @@ class LevelSet(_SmoothSet):
         super().__init__(dimension, f, grad, hess, name)
         self.is_convex = bool(convex)
 
-    def _inside(self, x):
-        return self.f(x) <= 0.0
-
-    def _inside_rows(self, P):
-        """f.rows(P) <= 0.0, or None when f has no row form or it raises.
-        Far out f overflows to the infinities and NaNs that the scalar f
-        gives on Python floats, silently as there, so numpy does not warn."""
-        f_rows = getattr(self.f, "rows", None)
-        if f_rows is None:
-            return None
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return f_rows(P) <= 0.0
-        except Exception:
-            return None
+    def _inside_rows(self, X):
+        """f(x) <= 0.0 on each checked point x of X, or the error f raises."""
+        F, raised = _rows_of(self.f, X)
+        inside = (F <= 0.0).tolist()
+        for j, exc in raised.items():
+            inside[j] = exc
+        return inside
 
     def _residual(self, p):
         val = max(0.0, self.f(p))
@@ -989,23 +925,9 @@ class IntersectionSet(SetOracle):
         super().__init__(dim)
         self.members = members
 
-    def _project(self, x):
-        (y,) = self._refine([x])
-        if isinstance(y, Exception):
-            raise y
-        return y
+    _project = _one_row
 
-    def _project_rows(self, points):
-        """SetOracle._project_rows with the refinements of every point that
-        checks run in lockstep (_refine)."""
-        out = [_outcome(_as_point, x, self.dimension) for x in points]
-        rows = [i for i, p in enumerate(out) if not isinstance(p, Exception)]
-        X = [out[i] for i in rows]
-        for i, p, y in zip(rows, X, self._refine(X)):
-            out[i] = y if isinstance(y, Exception) else (y, _norm(p - y))
-        return out
-
-    def _refine(self, X) -> list:
+    def _nearest_rows(self, X) -> list:
         """The refinement from each checked point of X: entry i is the point
         it reaches from X[i], or the error it raises there.
 
@@ -1063,7 +985,11 @@ def project(oracle: SetOracle, x) -> tuple[np.ndarray, float]:
     lexicographically by the individual oracles.
     """
     p = _as_point(x, oracle.dimension)
-    nearest = oracle._project(p)
+    return _with_distance(p, oracle._project(p))
+
+
+def _with_distance(p: np.ndarray, nearest: np.ndarray) -> tuple[np.ndarray, float]:
+    """(nearest, ||p - nearest||), as project returns them."""
     return nearest, _norm(p - nearest)
 
 

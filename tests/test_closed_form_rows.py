@@ -1,23 +1,24 @@
-"""The closed-form sets' batch projection against sets.project, bit for bit.
+"""The batch projection of the sets projected point by point, against
+sets.project, bit for bit.
 
 The regularity report projects its draws as one batch per set
 (`SetOracle._project_rows`).  The halfspace, hyperplane, affine subspace,
-ball, sphere and box check a batch once and project its rows without
-`sets.project`; each entry must be what `sets.project` returns on that point
-alone, or the exception it raises, and every returned point must own its
-data.
+ball, sphere, box, point set, union, fixed-rank set and polyhedron check
+each point of a batch and run their own `_project` on it; each entry must be
+what `sets.project` returns on that point alone, or the exception it raises,
+and no returned point may share memory with another or with an input (the
+six closed-form kinds' points own their data).
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shqp import sets
+from shqp import polyhedra, sets
 
-KINDS = ["halfspace", "hyperplane", "affine-subspace", "ball", "sphere", "box"]
+CLOSED_FORM = ["halfspace", "hyperplane", "affine-subspace", "ball", "sphere", "box"]
+KINDS = CLOSED_FORM + ["point-set", "union", "fixed-rank", "polyhedron"]
 
 _magnitude = st.floats(1e-3, 1e6)
 _entry = st.one_of(st.just(0.0), st.just(-0.0), _magnitude, _magnitude.map(lambda v: -v))
@@ -38,7 +39,7 @@ def _outcome_bits(out):
 
 @st.composite
 def _batch(draw):
-    """(oracle, points): a set of one of the six kinds in R^1..R^6, and a
+    """(oracle, points): a set of one of the ten kinds in R^1..R^6, and a
     batch of points that reaches each branch of its projection, sometimes
     with a point that project rejects or resolves by a tie rule."""
     kind = draw(st.sampled_from(KINDS))
@@ -63,6 +64,41 @@ def _batch(draw):
         corners = np.sort(np.array([anchor, draw(_vector(n))]), axis=0)
         oracle = sets.Box(corners[0], corners[1])
         points += list(corners) + [corners[0] - 1.0, corners[1] + 1.0]
+    elif kind == "point-set":
+        # Each member, and the midpoint of the first two: a tie.
+        members = [anchor] + draw(st.lists(_vector(n), min_size=1, max_size=4))
+        oracle = sets.PointSet(members)
+        points += members + [0.5 * (members[0] + members[1])]
+    elif kind == "union":
+        # Two balls that touch at anchor + radius e: a tie there.
+        radius = draw(_magnitude)
+        e = np.zeros(n)
+        e[draw(st.integers(0, n - 1))] = 1.0
+        members = [sets.Ball(anchor, radius), sets.Ball(anchor + 2.0 * radius * e, radius)]
+        if draw(st.booleans()):
+            members.append(sets.Box(anchor - radius, anchor))
+        oracle = sets.UnionOfConvex(members)
+        points += [anchor, anchor + radius * e, anchor - 3.0 * radius * e]
+    elif kind == "fixed-rank":
+        rows = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        cols = n // rows
+        oracle = sets.FixedRankSet(rows, cols, draw(st.integers(1, min(rows, cols))))
+        # A rank-one matrix, a member of every such set.
+        u, v = draw(_vector(rows)), draw(_vector(cols))
+        points += [np.outer(u, v).reshape(-1)]
+    elif kind == "polyhedron":
+        # Rows through the anchor, so that it is a member; sometimes one of
+        # them an equality.
+        normals = draw(st.lists(_vector(n), min_size=1, max_size=3))
+        assume(all(np.linalg.norm(a) > 1e-14 for a in normals))
+        equality = draw(st.integers(-1, len(normals) - 1))
+        oracle = sets.PolyhedralSet(
+            [
+                polyhedra.Halfspace(a, a @ anchor, kind="equality" if i == equality else "inequality")
+                for i, a in enumerate(normals)
+            ]
+        )
+        points += [anchor] + [anchor + a for a in normals]
     else:
         radius = draw(_magnitude)
         oracle = (sets.Ball if kind == "ball" else sets.Sphere)(anchor, radius)
@@ -91,18 +127,19 @@ def _batch(draw):
 def test_closed_form_batches_equal_project_bit_for_bit(batch):
     oracle, points = batch
     inputs = [np.array(p, copy=True) for p in points]
-    with mock.patch.object(sets, "project", wraps=sets.project) as spy:
-        got = oracle._project_rows(points)
+    got = oracle._project_rows(points)
     want = [sets._outcome(sets.project, oracle, x) for x in points]
     assert [_outcome_bits(o) for o in got] == [_outcome_bits(o) for o in want]
-    # A batch that checks is projected without project; one with a point
-    # that project rejects goes point by point as a whole.
-    clean = all(not isinstance(o, Exception) for o in want)
-    assert spy.call_count == (0 if clean else len(points))
-    # Every point owns its data: writing into one result changes neither
-    # another result nor an input.
+    # No result shares memory with another or with an input: writing into
+    # one result changes neither another result nor an input.
     nearest = [o[0] for o in got if not isinstance(o, Exception)]
-    assert all(y.flags.owndata for y in nearest)
+    if oracle.kind in CLOSED_FORM:
+        assert all(y.flags.owndata for y in nearest)
+    assert not any(
+        np.shares_memory(y, z)
+        for i, y in enumerate(nearest)
+        for z in nearest[i + 1 :] + [p for p in points if isinstance(p, np.ndarray)]
+    )
     others = [y.tobytes() for y in nearest[1:]]
     if nearest:
         nearest[0][...] = 7.0

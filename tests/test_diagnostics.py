@@ -155,10 +155,9 @@ def test_estimate_regularity_projects_each_sample_once(monkeypatch):
     """One circle-line estimate at seed 0 makes 1,244 top-level oracle
     calls: set 0's second-order draws are its first super-regularity draws,
     so they are projected once, and so is xstar onto each set.  Calls an
-    oracle makes inside its own projection are not counted.  A set that
-    projects a batch without sets.project (an overriding _project_rows)
-    counts one call per row; a batch it hands back to the per-point path
-    runs below that count's depth, so its rows are not counted twice."""
+    oracle makes inside its own projection are not counted.  A batch
+    (SetOracle._project_rows, the one batch path) counts one call per
+    row."""
     calls = [0]
     depth = [0]
 
@@ -174,15 +173,7 @@ def test_estimate_regularity_projects_each_sample_once(monkeypatch):
 
         return counted
 
-    overriding = [
-        cls
-        for cls in vars(sets).values()
-        if isinstance(cls, type) and issubclass(cls, sets.SetOracle) and cls is not sets.SetOracle
-        and "_project_rows" in vars(cls)
-    ]
-    assert overriding
-    for cls in overriding:
-        monkeypatch.setattr(cls, "_project_rows", counting(vars(cls)["_project_rows"], len))
+    monkeypatch.setattr(sets.SetOracle, "_project_rows", counting(sets.SetOracle._project_rows, len))
     monkeypatch.setattr(sets, "project", counting(sets.project, lambda x: 1))
     prob = gallery.get_entry("circle-line").problem
     diagnostics.estimate_regularity(prob, prob.known_solution, rng_seed=0)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -386,6 +387,76 @@ def test_cli_empty_polyhedron_exits_3(tmp_path):
         "set_kind": "polyhedron",
         "message": "polyhedral set projection failed: infeasible",
     }
+
+
+def _finite_problem():
+    """A polyhedron, a halfspace and a ball that meet; every field finite."""
+    return {
+        "name": "finite",
+        "sets": [
+            {
+                "kind": "polyhedron",
+                "halfspaces": [
+                    {"normal": [1.0, 0.0], "offset": 1.0},
+                    {"normal": [0.0, 1.0], "offset": 1.0},
+                ],
+            },
+            {"kind": "halfspace", "normal": [1.0, 1.0], "offset": 1.5},
+            {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        ],
+        "start": [0.5, 0.5],
+    }
+
+
+def _set_field(field, value):
+    def setter(problem):
+        *keys, last = field
+        obj = problem
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+
+    return setter
+
+
+@pytest.mark.parametrize(
+    "mutate, flags, where",
+    [
+        (lambda p: None, [], None),
+        (_set_field(["sets", 0, "halfspaces", 0, "normal", 1], math.nan), [], "$.problem.sets[0].halfspaces[0].normal"),
+        (_set_field(["sets", 0, "halfspaces", 1, "offset"], -math.inf), [], "$.problem.sets[0].halfspaces[1].offset"),
+        (_set_field(["sets", 1, "offset"], math.inf), [], "$.problem.sets[1].offset"),
+        (_set_field(["sets", 1, "normal", 0], -math.inf), [], "$.problem.sets[1].normal"),
+        (_set_field(["sets", 2, "radius"], math.nan), [], "$.problem.sets[2].radius"),
+        (_set_field(["sets", 2, "radius"], math.inf), [], "$.problem.sets[2].radius"),
+        (_set_field(["start", 1], math.inf), [], "$.problem.start"),
+        (lambda p: None, ["--x0=nan,0"], "$.x0"),
+        (lambda p: None, ["--x0=0,-inf"], "$.x0"),
+    ],
+    ids=[
+        "finite", "normal-nan", "polyhedron-offset-inf", "halfspace-offset-inf", "halfspace-normal-inf",
+        "radius-nan", "radius-inf", "start-inf", "x0-nan", "x0-inf",
+    ],
+)
+def test_cli_run_rejects_non_finite_numbers(tmp_path, capsys, mutate, flags, where):
+    # json writes NaN and Infinity, and reads them back, as a user's file
+    # may; --x0 parses "nan" and "inf".  Each is a usage error: exit 64,
+    # one line on stderr naming the field, and no output directory.
+    problem = _finite_problem()
+    mutate(problem)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"problem": problem, "algorithm": "mass"}))
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", str(path), "--out-dir", str(out), *flags])
+    err = capsys.readouterr().err
+    if where is None:
+        assert rc == 0
+        return
+    assert rc == 64
+    assert err.startswith(f"error: {where}: expected ") and "finite" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 TWO_CIRCLES_PROBLEM = {

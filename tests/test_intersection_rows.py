@@ -1,8 +1,9 @@
 """The intersection refinement in lockstep against the one-point loop.
 
-`IntersectionSet._project_rows` refines a batch of points together: each
-sweep projects every row still running onto each member with one
-`_project_rows` call, and `IntersectionSet._project` is its one-row case.
+`IntersectionSet._nearest_rows`, the hook of `SetOracle._project_rows`,
+refines a batch of points together: each sweep projects every row still
+running onto each member with one `_project_rows` call, and
+`IntersectionSet._project` is its one-row case.
 Every row must end, bit for bit and error for error, where the one-point
 loop the refinement ran before ends; that loop is kept here as the
 reference.

@@ -10,16 +10,16 @@ projection and the samplers ran before are kept here as references.
 """
 
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shqp import diagnostics, sets
 from shqp.gallery import polynomial_curve, polynomial_level_set
 from test_report_pins import INLINE, _problem
+from test_sampler_reductions import _reference_ray_scan_seeds
 
 CUBIC = [0.5, -1.0, 0.0, 1.0]  # x2 = 0.5 - x1 + x1^3
 
@@ -436,7 +436,7 @@ def _reference_newton_projection(f, grad, hess, x):
     best = sets._newton_stationarity(f, grad, hess, x, x, 0.0, 100, 1e-12)
     if best is not None and sets._norm(best - x) <= 0.15 * (1.0 + sets._norm(x)):
         return best
-    for seed in sets._ray_scan_seeds(f, x):
+    for seed in _reference_ray_scan_seeds(f, x):
         g = grad(seed)
         lam0 = float(g @ (x - seed) / max(g @ g, 1e-30))
         y = sets._newton_stationarity(f, grad, hess, x, seed, lam0, 100, 1e-12)
@@ -453,9 +453,10 @@ def _reference_newton_projection(f, grad, hess, x):
 
 
 def _reference_project(oracle, x):
-    """sets.project on a LevelSet or ManifoldCurve as it was."""
+    """sets.project on a LevelSet or ManifoldCurve as it was: a level set's
+    member (f <= 0) is its own nearest point."""
     p = sets._as_point(x, oracle.dimension)
-    if oracle._inside(p):
+    if isinstance(oracle, sets.LevelSet) and oracle.f(p) <= 0.0:
         nearest = p.copy()
     else:
         nearest = _reference_newton_projection(oracle.f, oracle.grad, oracle.hess, p)
@@ -504,28 +505,23 @@ CUBIC_POINTS = [
 
 @pytest.mark.parametrize("oracle", _cubic_sets(), ids=["curve", "above", "below"])
 def test_project_rows_equal_the_per_seed_projection(oracle, monkeypatch):
-    scans, batch_scans = [], []
-    scan, lockstep = sets._ray_scan_seeds, sets._ray_scan_lockstep
+    scans = []
+    scan = sets._ray_scan_rows
 
-    def spy(f, x, max_rays=8):
-        scans.append(x)
-        return scan(f, x, max_rays)
+    def spy(f, points, max_rays=8):
+        scans.append(len(points))
+        return scan(f, points, max_rays)
 
-    def batch_spy(f_rows, points, max_rays):
-        batch_scans.append(len(points))
-        return lockstep(f_rows, points, max_rays)
-
-    monkeypatch.setattr(sets, "_ray_scan_seeds", spy)
-    monkeypatch.setattr(sets, "_ray_scan_lockstep", batch_spy)
+    monkeypatch.setattr(sets, "_ray_scan_rows", spy)
     rng = np.random.default_rng(5)
     points = [np.array(p) for p in CUBIC_POINTS] + list(rng.uniform(-2.0, 2.0, size=(40, 2)))
     want = _assert_projections_match(oracle, points)
     # The fixture is only a check if it reaches each path: restarts in the
-    # batch, whose ray scans run in lockstep over several points, scalar
-    # scans (single-point sets.project and the reference), a converged
-    # answer, a point that does not converge, and a point the check rejects.
-    assert max(batch_scans) >= 2
-    assert scans
+    # batch, whose ray scans run in lockstep over several points, scans of
+    # one point (single-point sets.project), a converged answer, a point
+    # that does not converge, and a point the check rejects.
+    assert max(scans) >= 2
+    assert 1 in scans
     kinds = {w[0] if isinstance(w[0], type) else "point" for w in want}
     assert {"point", sets.ProjectionNotConvergedError, ValueError} <= kinds
 
@@ -562,11 +558,11 @@ def test_refused_ray_seeds_raise_the_first_error_in_seed_order(limit):
 
 
 def test_numpy_scalar_interior_test_on_a_level_set():
-    # f returns np.float64, so the interior test gives a numpy bool.
+    # f returns np.float64, not a Python float.
     above = polynomial_level_set(CUBIC, "above")
     f = above.f
     level = sets.LevelSet(2, lambda x: np.float64(f(x)), above.grad, above.hess)
-    assert isinstance(level._inside(np.array([0.7, 0.9])), np.bool_)
+    assert isinstance(level.f(np.array([0.7, 0.9])), np.float64)
     points = [np.array(p) for p in CUBIC_POINTS[:4]] + list(
         np.random.default_rng(2).uniform(-2.0, 2.0, size=(20, 2))
     )
@@ -601,13 +597,13 @@ def _without_rows(f):
     return lambda x: f(x)
 
 
-def _refusing_rows(f, limit=1.5):
+def _refusing_rows(f, limit=1.5, name="f"):
     """f refusing x1 > limit, point by point and in its row form, which
     refuses any stack that holds such a row."""
 
     def refusing(x):
         if x[0] > limit:
-            raise ArithmeticError(f"f refuses x1 = {x[0]!r}")
+            raise ArithmeticError(f"{name} refuses x1 = {x[0]!r}")
         return f(x)
 
     def rows(Y):
@@ -619,35 +615,65 @@ def _refusing_rows(f, limit=1.5):
     return refusing
 
 
+RAY_SCAN_FORMS = {
+    "rows": lambda f: f,
+    "no rows": _without_rows,
+    "refusing rows": _refusing_rows,
+    # Refuses x1 > 1.5 with no row form: from a point left of that line,
+    # the rays that head right fail, on a step out or in a bisection, and
+    # the others do not.
+    "refusing rays": lambda f: _without_rows(_refusing_rows(f)),
+}
+_CUBIC_CURVE = polynomial_curve(CUBIC)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     _polynomial,
-    st.sampled_from(["rows", "no rows", "refusing rows"]),
+    st.sampled_from(sorted(RAY_SCAN_FORMS)),
     st.lists(st.tuples(_point, _scale), min_size=0, max_size=12),
     st.sampled_from([1, 8, 13]),
 )
+@example(_CUBIC_CURVE, "rows", [], 8)
+@example(_CUBIC_CURVE, "rows", [(np.array([1.3, 0.2]), 1.0)], 8)
+@example(_CUBIC_CURVE, "no rows", [(np.array([1.3, 0.2]), 1.0)], 8)
+@example(_CUBIC_CURVE, "refusing rays", [], 8)
+@example(_CUBIC_CURVE, "refusing rays", [(np.array([0.2, 0.1]), 1.0)], 8)
 def test_batched_ray_scan_equals_the_per_point_scan(oracle, form, scaled, max_rays):
-    f = {"rows": oracle.f, "no rows": _without_rows(oracle.f), "refusing rows": _refusing_rows(oracle.f)}[form]
+    # Every point's seeds, or its error: a refused ray's error is the one
+    # from the first ray in ray order that fails, as the one-point scan
+    # meets it, whatever the order in which the lockstep scan meets them.
+    f = RAY_SCAN_FORMS[form](oracle.f)
     X = [x * scale for x, scale in scaled]
-    scalar_scans = []
-    scan = sets._ray_scan_seeds
-
-    def spy(f, x, max_rays=8):
-        scalar_scans.append(x)
-        return scan(f, x, max_rays)
-
     with np.errstate(all="ignore"):
-        want = [_scan_bits(sets._outcome(scan, f, x, max_rays)) for x in X]
-        with mock.patch.object(sets, "_ray_scan_seeds", spy):
-            got = [_scan_bits(out) for out in sets._ray_scan_rows(f, X, max_rays)]
+        want = [_scan_bits(sets._outcome(_reference_ray_scan_seeds, f, x, max_rays)) for x in X]
+        got = [_scan_bits(out) for out in sets._ray_scan_rows(f, X, max_rays)]
     assert got == want
-    # Two or more points with a row form scan in lockstep, the others point
-    # by point; a refused stack (its rays may reach x1 > 1.5 from any
-    # point) falls back as a whole.
-    if form == "refusing rows" and len(X) >= 2:
-        assert len(scalar_scans) in (0, len(X))
-    else:
-        assert len(scalar_scans) == (0 if form == "rows" and len(X) >= 2 else len(X))
+
+
+@pytest.mark.parametrize("form", ["rows", "no rows"])
+def test_a_point_raises_its_lowest_failing_ray_error(form):
+    # From the origin, the circle of radius 0.3 is crossed between the steps
+    # at 0.25 and 0.5 along every ray.  f refuses a band around the circle
+    # on ray 0, which only its bisection reaches, and the first step out
+    # (0.0625) on ray 1, which fails sooner in lockstep.  The one-point
+    # scan meets ray 0's error first, and so must the batch.
+    fan = sets._ray_fan(2, 8)
+
+    def f(y):
+        r = float(np.sqrt(y @ y))
+        if 0.29 < r < 0.31 and y @ fan[0] > 0.999 * r:
+            raise ArithmeticError(f"ray 0 refuses r = {r!r}")
+        if r < 0.07 and y @ fan[1] > 0.999 * r:
+            raise ArithmeticError(f"ray 1 refuses r = {r!r}")
+        return float(y @ y - 0.09)
+
+    if form == "rows":
+        f.rows = lambda Y: np.array([f(y) for y in Y])
+    X = [np.zeros(2), np.array([0.0, 2.0]), np.array([0.01, 0.0])]
+    want = [_scan_bits(sets._outcome(_reference_ray_scan_seeds, f, x)) for x in X]
+    assert want[0][0] is ArithmeticError and want[0][1].startswith("ray 0 refuses")
+    assert [_scan_bits(out) for out in sets._ray_scan_rows(f, X)] == want
 
 
 def test_batched_ray_scan_fixture_reaches_each_path():
@@ -660,7 +686,7 @@ def test_batched_ray_scan_fixture_reaches_each_path():
     for max_rays in (1, 8, 13):
         with np.errstate(all="ignore"):
             got = sets._ray_scan_rows(curve.f, X, max_rays)
-            want = [sets._ray_scan_seeds(curve.f, x, max_rays) for x in X]
+            want = [_reference_ray_scan_seeds(curve.f, x, max_rays) for x in X]
         assert [_scan_bits(s) for s in got] == [_scan_bits(s) for s in want]
         counts[max_rays] = [len(s) for s in got]
     assert 0 in counts[1] and 1 in counts[1]
@@ -670,7 +696,7 @@ def test_batched_ray_scan_fixture_reaches_each_path():
         got = sets._ray_scan_rows(refusing, X, 8)
     assert 0 < [type(s) for s in got].count(ArithmeticError) < len(X)
     assert [_scan_bits(s) for s in got] == [
-        _scan_bits(sets._outcome(sets._ray_scan_seeds, refusing, x, 8)) for x in X
+        _scan_bits(sets._outcome(_reference_ray_scan_seeds, refusing, x, 8)) for x in X
     ]
 
 
@@ -730,17 +756,10 @@ def _level_set_with(f_form):
 
 @pytest.mark.parametrize("f_form", ["rows", "no rows", "refusing rows"])
 @pytest.mark.parametrize("checks", [True, False], ids=["checked-batch", "unchecked-batch"])
-def test_level_set_batch_interior_test(f_form, checks, monkeypatch):
-    # A batch that checks as a whole takes the interior test of all its rows
-    # from f's row form; without one, with one that raises, or in a batch
-    # that does not check, each point is tested on its own.
-    inside_calls = []
-    inside = sets.LevelSet._inside
-
-    def spy(self, x):
-        inside_calls.append(x)
-        return inside(self, x)
-
+def test_level_set_batch_interior_test(f_form, checks):
+    # The interior test of a batch's points takes f's row form; without
+    # one, or with one that raises, each point is tested on its own.  A
+    # point that does not check takes no test.
     level = _level_set_with(f_form)
     rng = np.random.default_rng(8)
     points = [np.array(p) for p in CUBIC_POINTS[:8] + [(0.0, 0.5)]]
@@ -749,12 +768,9 @@ def test_level_set_batch_interior_test(f_form, checks, monkeypatch):
         points.append(np.array([np.nan, 0.0]))
     with np.errstate(all="ignore"):
         want = [_outcome_bits(sets._outcome(_reference_project, level, x)) for x in points]
-    monkeypatch.setattr(sets.LevelSet, "_inside", spy)
     got = [_outcome_bits(out) for out in level._project_rows(points)]
     assert got == want
     assert sum(w[1] == "0x0.0p+0" for w in want) >= 4
-    batch_tested = f_form == "rows" and checks
-    assert len(inside_calls) == (0 if batch_tested else len(points) - (not checks))
 
 
 def _refusing_every_stack(fn):
@@ -769,7 +785,7 @@ def _refusing_every_stack(fn):
     return plain
 
 
-@pytest.mark.parametrize("which", ["f", "grad", "hess"])
+@pytest.mark.parametrize("which", ["f", "grad", "hess", "grad and f"])
 @pytest.mark.parametrize("refusal", ["every stack", "x1 > 1.5"])
 @pytest.mark.parametrize("kind", ["curve", "above"])
 def test_a_raising_row_form_falls_back_to_per_row_calls(kind, refusal, which):
@@ -777,13 +793,15 @@ def test_a_raising_row_form_falls_back_to_per_row_calls(kind, refusal, which):
     # that quantity row by row for the iteration, so the batch equals
     # per-point projection: every point where the scalar callables answer,
     # and each refused row's own error (x1 > 1.5 is refused point by point
-    # too) where they do not.
+    # too) where they do not.  Where grad and f both refuse a row, its
+    # error is grad's, which the scalar kernel calls first.
     base = polynomial_curve(CUBIC) if kind == "curve" else polynomial_level_set(CUBIC, "above")
     parts = {"f": base.f, "grad": base.grad, "hess": base.hess}
-    if refusal == "every stack":
-        parts[which] = _refusing_every_stack(parts[which])
-    else:
-        parts[which] = _refusing_rows(parts[which])
+    for name in which.split(" and "):
+        if refusal == "every stack":
+            parts[name] = _refusing_every_stack(parts[name])
+        else:
+            parts[name] = _refusing_rows(parts[name], name=name)
     oracle = type(base)(2, parts["f"], parts["grad"], parts["hess"])
     rng = np.random.default_rng(11)
     points = [np.array(p) for p in CUBIC_POINTS] + list(rng.uniform(-2.0, 2.0, size=(30, 2)))

@@ -198,7 +198,8 @@ def test_ray_fan_is_shared_and_read_only():
 
 
 def _reference_ray_scan_seeds(f, x, max_rays=8):
-    """_ray_scan_seeds as it was, with the fan drawn on every call."""
+    """The ray scan of one point as it was, one ray after the other, with
+    the fan drawn on every call."""
     n = x.shape[0]
     rng = np.random.default_rng(0)
     dirs = []
@@ -244,7 +245,7 @@ def _sphere_f(x):
     ],
 )
 def test_ray_scan_seeds_equal_per_call_fan(f, x, max_rays):
-    got = sets._ray_scan_seeds(f, x, max_rays)
+    (got,) = sets._ray_scan_rows(f, [x], max_rays)
     want = _reference_ray_scan_seeds(f, x, max_rays)
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):

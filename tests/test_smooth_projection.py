@@ -46,13 +46,13 @@ def _oracle(name):
 def test_projection_pins(key, monkeypatch):
     name, x, path = key
     scans = []
-    scan = sets._ray_scan_seeds
+    scan = sets._ray_scan_rows
 
-    def spy(f, x, max_rays=8):
-        scans.append(x)
-        return scan(f, x, max_rays)
+    def spy(f, points, max_rays=8):
+        scans.extend(points)
+        return scan(f, points, max_rays)
 
-    monkeypatch.setattr(sets, "_ray_scan_seeds", spy)
+    monkeypatch.setattr(sets, "_ray_scan_rows", spy)
     oracle = _oracle(name)
     nearest, d = sets.project(oracle, np.array(x))
     want_point, want_d = PINS[key]
