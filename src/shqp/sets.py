@@ -10,23 +10,24 @@ points exist, the lexicographically smallest one is returned.
 
 The regularity report projects its draws as batches, through
 ``SetOracle._project_rows(points)``, and so does the intersection's
-refinement onto its members; the solvers never call it.  Its entries
-are bit for bit what :func:`project` returns on each point, or the exception
-it raises there, and every nearest point owns its data.  There is one such
-method, on the base class: it checks each point as project does
-(_as_point), passes the points that check to the set's ``_nearest_rows``
-hook together, and takes each row's distance inside that row's own
-outcome.  The hook runs _project on each row, except on two kinds, whose
-_project is the hook's one-row case.  The level set and manifold curve
-(``_SmoothSet``) make the interior test, then run the Newton starts of the
-points left as stacks (``_newton_stationarity_stack``) and the ray scans
-of the points that restart as one lockstep scan (``_ray_scan_rows``).  The
-intersection (``IntersectionSet``) refines its rows in lockstep, with one
-member ``_project_rows`` call per sweep.  Every evaluation of f, grad or
-hess over several points goes through ``_rows_of``: the callable's row
-form ``.rows``, looked up at each call, where it has one (the polynomial
-sets of the gallery supply them) and it does not raise, and otherwise the
-callable row by row, each row keeping its own exception.
+refinement onto its members; the solvers never call it.  Its entries are
+bit for bit what :func:`project` returns on each point, or the exception it
+raises there, and no nearest point shares memory with another entry or with
+an input.  There is one such method, on the base class: it checks each
+point as project does (_as_point), passes the points that check to the
+set's ``_nearest_rows`` hook together, and takes each row's distance inside
+that row's own outcome.  The hook runs _project on each row, except on two
+kinds, whose _project is the hook's one-row case.  The level set and
+manifold curve (``_SmoothSet``) make the interior test, then run the Newton
+starts of the points left as stacks (``_newton_stationarity_stack``) and
+the ray scans of the points that restart as one lockstep scan
+(``_ray_scan_rows``).  The intersection (``IntersectionSet``) refines its
+rows in lockstep, with one member ``_project_rows`` call per sweep.  Every
+evaluation of f, grad or hess over several points goes through
+``_rows_of``: the callable's row form ``.rows``, looked up at each call,
+where it has one (the polynomial sets of the gallery supply them) and it
+does not raise, and otherwise the callable row by row, each row keeping
+its own exception.
 """
 
 from __future__ import annotations
@@ -155,12 +156,13 @@ class SetOracle:
     def _project_rows(self, points) -> list:
         """project(self, x) for each x in points, in order, bit for bit: an
         entry is project's ``(nearest, distance)``, or the exception that
-        project raises on that point, and every nearest point owns its
-        data.  The regularity report's batch projection (the module
-        docstring has the contract).  Each point is checked as project
-        checks it, the points that check go to _nearest_rows together, and
-        each row's distance is taken inside its own outcome, so an error
-        there (an overflow, say) stays with its row."""
+        project raises on that point, and no nearest point shares memory
+        with another entry or with an input.  The regularity report's batch
+        projection (the module docstring has the contract).  Each point is
+        checked as project checks it, the points that check go to
+        _nearest_rows together, and each row's distance is taken inside its
+        own outcome, so an error there (an overflow, say) stays with its
+        row."""
         out = [_outcome(_as_point, x, self.dimension) for x in points]
         rows = [i for i, p in enumerate(out) if not isinstance(p, Exception)]
         for i, y in zip(rows, self._nearest_rows([out[i] for i in rows])):
