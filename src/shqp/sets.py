@@ -28,6 +28,15 @@ evaluation of f, grad or hess over several points goes through
 where it has one (the polynomial sets of the gallery supply them) and it
 does not raise, and otherwise the callable row by row, each row keeping
 its own exception.
+
+The samplers behind the report (``_ball_draws``, ``_super_regular_worst``
+with ``_pair_ratios``, ``_sosh_worst``) make a few numpy calls over all of
+their draws, with the bits a loop over the draws would give.  Only the
+generator is called draw by draw.  Every norm and dot product of a draw is
+a stacked row dot (``_row_dots``): a matmul of 1 x n by n x 1 rows, which
+calls BLAS ddot on each row as ``a.dot(b)`` and ``_norm`` do.  einsum and
+sums of elementwise products are not used, because ddot fuses multiply-adds
+and they do not, so they differ from it in the last bit on most rows.
 """
 
 from __future__ import annotations
@@ -119,6 +128,15 @@ def _norm(v: np.ndarray) -> float:
     point an oracle sees is contiguous (_as_point), and so is every array
     computed from them."""
     return math.sqrt(v.dot(v))
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[i].dot(B[i]) for each row i of two C-contiguous 2-d float arrays,
+    bit for bit.  matmul over the stack of 1 x n by n x 1 products calls
+    BLAS ddot once per row, as dot does; so the square root of
+    _row_dots(D, D) is _norm of each row.  einsum and sums of elementwise
+    products round otherwise: ddot fuses its multiply-adds."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def _nearest(candidates: Sequence[np.ndarray], dists) -> np.ndarray:
@@ -457,9 +475,9 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
     single solve does; the right-hand side is shaped (k, n+1, 1), a stack
     of columns in every numpy version.  If a matrix of the stack is
     singular, every row takes _newton_step on its own.  Rows that converge,
-    go non-finite or raise leave the stack.  Each row's step norm is its own _norm, taken only for
-    the rows whose step an einsum norm puts near or above the cap, so the
-    cap makes the same decisions on the same bits.
+    go non-finite or raise leave the stack.  The step norms and the caps
+    take each row's norm as _norm does (_row_dots), so the cap makes the
+    same decisions on the same bits.
 
     Fewer than two rows run the scalar kernel, faster on one row (113 us
     against 173 us over 400 near points on the cubic): the solvers' starts
@@ -478,8 +496,7 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
     X = np.array(X, dtype=float)
     Y = np.array(Y0, dtype=float)
     L = np.array(lam0, dtype=float)
-    caps = np.array([10.0 * (1.0 + _norm(x)) for x in X])
-    near_caps = caps * (1.0 - 1e-6)
+    caps = 10.0 * (1.0 + np.sqrt(_row_dots(X, X)))
     eye = np.eye(n)
     dead = set()  # rows whose start has raised; the next compaction drops them
     for _ in range(max_iterations):
@@ -505,7 +522,7 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
         if not len(keep):
             break
         if len(keep) < m:
-            idx, caps, near_caps = idx[keep], caps[keep], near_caps[keep]
+            idx, caps = idx[keep], caps[keep]
             X, Y, L, G, R = X[keep], Y[keep], L[keep], G[keep], R[keep]
             m = len(keep)
         H, raised = _rows_of(hess, Y, (n, n))
@@ -529,14 +546,9 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
                 except Exception as exc:
                     out[idx[j]] = exc
                     dead.add(j)
-        # The einsum norm may differ from _norm in its last bits, far less
-        # than the margin: it only picks the rows to test exactly.
-        near = np.sqrt(np.einsum("ij,ij->i", S, S)) > near_caps
-        for j in np.flatnonzero(near):
-            step = S[j]
-            ns = _norm(step)
-            if ns > caps[j]:
-                step *= caps[j] / ns
+        ns = np.sqrt(_row_dots(S, S))
+        for j in np.flatnonzero(ns > caps):
+            S[j] *= caps[j] / ns[j]
         Y = Y + S[:, :n]
         L = L + S[:, n]
     return out
@@ -869,6 +881,11 @@ class PolyhedralSet(SetOracle):
         hs = list(halfspaces)
         if not hs:
             raise ValueError("polyhedron set needs at least one halfspace")
+        # A non-finite row would reach the QP's active-set factor, which
+        # assumes finite rows and fails there with an IndexError.
+        for i, h in enumerate(hs):
+            if not all(map(math.isfinite, [*h.normal.tolist(), h.offset])):
+                raise ValueError(f"halfspace {i} of the polyhedron set has a non-finite normal or offset")
         dim = hs[0].normal.shape[0]
         super().__init__(dim)
         self.halfspaces = hs
@@ -1063,30 +1080,41 @@ def _ball_draws(oracle: SetOracle, center, radius: float, count: int, seed: int)
     these draws; the same arguments always give the same draws.  Each draw
     takes a standard normal direction g and then a uniform u from the
     generator, draw after draw, and is w = center + radius * (g / ||g||) *
-    u ** (1/n), with the power taken on Python floats; the divide, scale and
-    shift run once over all draws, elementwise, so each draw has the bits
-    it had alone.  All draws are made first and then projected as one batch
-    (SetOracle._project_rows); any error other than a projection that did
-    not converge is raised for the first draw that has one, after every
-    draw has been projected.
+    u ** (1/n), with the power taken on Python floats.  Everything after
+    the generator runs once over all draws, so each draw has the bits it
+    had alone: the norms ||g|| and the filter's ||y - center|| as stacked
+    row dots (_row_dots), the divide, scale and shift elementwise.  All
+    draws are made first and then projected as one batch
+    (SetOracle._project_rows).  The errors keep draw order: any error other
+    than a projection that did not converge is raised for the first draw
+    that has one, and a filter norm that overflows is taken again by _norm
+    on its own draw, so that it raises or warns where the draw-by-draw
+    loop did, after the errors of the draws before it.
     """
     rng = np.random.default_rng(seed)
     n = oracle.dimension
-    G, norms, shrink = np.empty((count, n)), np.empty((count, 1)), np.empty((count, 1))
+    G, shrink = np.empty((count, n)), []
     for i in range(count):
-        g = G[i] = rng.standard_normal(n)
-        norms[i] = _norm(g)
-        shrink[i] = rng.uniform() ** (1.0 / n)
-    G /= norms
-    ws = center + radius * (G * shrink)
+        G[i] = rng.standard_normal(n)
+        shrink.append(rng.uniform() ** (1.0 / n))
+    G /= np.sqrt(_row_dots(G, G))[:, None]
+    ws = center + radius * (G * np.array(shrink)[:, None])
+    outs = oracle._project_rows(ws)
+    Y = [out[0] for out in outs if not isinstance(out, Exception)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = np.array(Y).reshape(len(Y), n) - center
+        dists = iter(np.sqrt(_row_dots(D, D)).tolist())
     draws = []
-    for w, out in zip(ws, oracle._project_rows(ws)):
+    for w, out in zip(ws, outs):
         if isinstance(out, ProjectionNotConvergedError):
             continue
         if isinstance(out, Exception):
             raise out
         y, gap = out
-        if _norm(y - center) > radius:
+        dist = next(dists)
+        if not math.isfinite(dist):
+            dist = _norm(y - center)
+        if dist > radius:
             continue
         draws.append((w, y, gap))
     return draws
@@ -1124,9 +1152,27 @@ def _pair_ratios(members: np.ndarray, bases: np.ndarray, directions: np.ndarray)
     directions (one row of the result) against every member z (one column).
     Pairs much closer than the probe scale measure projection roundoff, not
     geometry: the numerator carries the projectors' absolute error, so tiny
-    denominators amplify it arbitrarily.  Such pairs read -inf."""
-    diff = members[None] - bases[:, None]
-    nd = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    denominators amplify it arbitrarily.  Such pairs read -inf.
+
+    Below 8 dimensions the (normals x members x n) difference tensor is
+    filled one coordinate at a time, and the squared distances are summed
+    the same way, coordinate after coordinate, which avoids numpy's cost per
+    element on a last axis of length 2 to 4.  That running sum has the bits
+    of np.add.reduce over an axis shorter than 8 (pinned against it in the
+    tests); from 8 on, add.reduce sums pairwise, so the broadcast form
+    stays.  The numerators are one matmul over the tensor in either case;
+    its rounding is the pinned one."""
+    n = members.shape[1]
+    if n < 8:
+        diff = np.empty((len(bases), len(members), n))
+        sq = np.zeros((len(bases), len(members)))
+        for k in range(n):
+            d = diff[:, :, k] = members[:, k] - bases[:, k, None]
+            sq += d * d
+    else:
+        diff = members[None] - bases[:, None]
+        sq = np.add.reduce(diff * diff, axis=2)
+    nd = np.sqrt(sq)
     keep = nd > 1e-9
     num = np.matmul(diff, directions[:, :, None])[..., 0]
     # For a normal with one kept member, diff[keep] @ v is a one-row product,
@@ -1134,34 +1180,33 @@ def _pair_ratios(members: np.ndarray, bases: np.ndarray, directions: np.ndarray)
     # differently; match it.  (From 8 dimensions on, gemv may also round a
     # row by its position in the matrix, so there a ratio can differ from
     # diff[keep] @ v in the last bit.)
-    for b in np.flatnonzero(np.count_nonzero(keep, axis=1) == 1):
+    for b in np.flatnonzero(keep.sum(axis=1) == 1):
         i = np.flatnonzero(keep[b])[0]
         num[b, i] = diff[b, i] @ directions[b]
     return np.divide(num, nd, out=np.full_like(nd, -np.inf), where=keep)
 
 
 def _super_regular_worst(oracle: SetOracle, center: np.ndarray, draws: list) -> float:
-    """check_super_regular's worst ratio over the members and normals of draws."""
-    members = [center]
-    bases, directions = [], []
-    for w, y, gap in draws:
-        members.append(y)
-        if gap > 1e-12:
-            v = (w - y) / gap
-            bases.append(y)
-            directions.append(v)
-            if oracle.is_manifold:
-                bases.append(y)
-                directions.append(-v)
-
-    M = np.array(members)
+    """check_super_regular's worst ratio over the members and normals of
+    draws: the members are the center and every y, the normals (y, v) come
+    from the draws with gap > 1e-12, v = (w - y) / gap, followed by (y, -v)
+    on a manifold.  The normals are reduced in blocks of _RATIO_BLOCK, in
+    draw order; a block whose maximum is NaN adds nothing."""
+    M = np.array([center] + [y for _, y, _ in draws])
     rounded = np.round(M, 12)
-    if not np.any(rounded != rounded[0]) or not bases:
+    normal = [i for i, (_, _, gap) in enumerate(draws) if gap > 1e-12]
+    if not np.any(rounded != rounded[0]) or not normal:
         raise InsufficientSamplesError(
             "could not sample two distinct members plus a normal in the ball"
         )
 
-    Y, V = np.array(bases), np.array(directions)
+    W = np.array([draws[i][0] for i in normal])
+    gaps = np.array([draws[i][2] for i in normal])
+    Y = M[1:][normal]
+    V = (W - Y) / gaps[:, None]
+    if oracle.is_manifold:
+        Y = np.repeat(Y, 2, axis=0)
+        V = np.stack([V, -V], axis=1).reshape(Y.shape)
     worst = -np.inf
     for s in range(0, len(Y), _RATIO_BLOCK):
         block = _pair_ratios(M, Y[s : s + _RATIO_BLOCK], V[s : s + _RATIO_BLOCK])
@@ -1192,19 +1237,25 @@ def check_sosh(
 
 
 def _sosh_worst(oracle: SetOracle, xbar: np.ndarray, draws: list) -> float:
-    """check_sosh's worst quotient over the boundary samples among draws."""
-    worst = -np.inf
-    used = 0
-    for w, y, gap in draws:
-        r = _norm(y - xbar)
-        if gap <= 1e-12 or r <= 1e-9:
-            continue
-        v = (w - y) / gap
-        quotients = [(v @ (y - xbar)) / r**2]
-        if oracle.is_manifold:
-            quotients.append((-v @ (y - xbar)) / r**2)
-        worst = max(worst, max(quotients))
-        used += 1
-    if used == 0:
+    """check_sosh's worst quotient <v, y - xbar> / r**2 over the boundary
+    samples among draws: those with gap > 1e-12 and r = ||y - xbar|| >
+    1e-9, each with v = (w - y) / gap, and on a manifold the larger of the
+    quotients of v and -v.  r and the numerators are stacked row dots
+    (_row_dots), so each has the bits of its draw's own dot; r**2 is taken
+    on Python floats, and the maximum by Python's max in draw order, so a
+    NaN quotient adds nothing."""
+    Y = np.array([y for _, y, _ in draws]).reshape(len(draws), len(xbar))
+    D = Y - xbar
+    r = np.sqrt(_row_dots(D, D)).tolist()
+    used = [i for i, (_, _, gap) in enumerate(draws) if not (gap <= 1e-12 or r[i] <= 1e-9)]
+    if not used:
         raise InsufficientSamplesError("no boundary samples with normals in the ball")
-    return float(worst)
+    W = np.array([draws[i][0] for i in used])
+    gaps = np.array([draws[i][2] for i in used])
+    V = (W - Y[used]) / gaps[:, None]
+    D = D[used]
+    r2 = np.array([r[i] ** 2 for i in used])
+    quotients = (_row_dots(V, D) / r2).tolist()
+    if oracle.is_manifold:
+        quotients = list(map(max, quotients, (_row_dots(-V, D) / r2).tolist()))
+    return float(max([-np.inf] + quotients))

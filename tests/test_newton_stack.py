@@ -421,6 +421,67 @@ def test_ball_draws_raise_the_first_error_in_draw_order(failures):
         assert [_bits(d) for d in got] == [_bits(d) for d in ref]
 
 
+class _FarAt(sets.SetOracle):
+    """Projects every point onto the origin, except that call 3 lands
+    1.3e154 past its point, away from the origin, and call 5 raises.  In a
+    ball of radius 1e154 about the origin every gap squares to a finite
+    number, but draw 3's distance from the center does not."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.calls = 0
+
+    def _project(self, x):
+        self.calls += 1
+        if self.calls == 4:
+            return x + 1.3e154 * (x / np.linalg.norm(x))
+        if self.calls == 6:
+            raise ArithmeticError("call 5")
+        return np.zeros(2)
+
+
+def _raised_under(mode, fn):
+    """(type, message) of what fn(_FarAt(), ...) raises with overflow set to
+    raise, to warn with warnings as errors, or to be ignored."""
+    with warnings.catch_warnings(), np.errstate(over=mode):
+        warnings.simplefilter("error")
+        try:
+            fn(_FarAt(), np.zeros(2), 1e154, 8, 0)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "mode, want",
+    [
+        ("raise", (FloatingPointError, "overflow encountered in dot")),
+        ("warn", (RuntimeWarning, "overflow encountered in dot")),
+        ("ignore", (ArithmeticError, "call 5")),
+    ],
+)
+def test_ball_draws_raise_a_filter_overflow_in_draw_order(mode, want):
+    # Draw 3's filter norm overflows after its projection succeeds, and
+    # draw 5's projection raises; the per-draw loop meets draw 3 first.
+    assert _raised_under(mode, _reference_ball_draws) == want
+    assert _raised_under(mode, sets._ball_draws) == want
+
+
+def test_far_fixture_overflows_only_the_filter():
+    # The test above is only a check if draw 3's projection and gap are
+    # finite, so that the overflow comes from the filter's norm.
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        g, u = rng.standard_normal(2), rng.uniform()
+    far = _FarAt()
+    far.calls = 3
+    with np.errstate(over="raise"):
+        y, gap = sets.project(far, 1e154 * (g / sets._norm(g)) * u**0.5)
+    assert np.isfinite(y).all() and np.isfinite(gap)
+    with np.errstate(over="ignore"):
+        assert sets._norm(y) == np.inf
+
+
 def test_ball_draws_on_a_smooth_set_raise_like_the_loop():
     picky = _picky_parabola()
     args = (picky, np.zeros(2), 0.25, 160, 0)

@@ -250,3 +250,174 @@ def test_ray_scan_seeds_equal_per_call_fan(f, x, max_rays):
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+def _reference_sosh_worst(oracle, xbar, draws):
+    """_sosh_worst as the per-draw loop it was: one dot per quotient."""
+    worst = -np.inf
+    used = 0
+    for w, y, gap in draws:
+        r = sets._norm(y - xbar)
+        if gap <= 1e-12 or r <= 1e-9:
+            continue
+        v = (w - y) / gap
+        quotients = [(v @ (y - xbar)) / r**2]
+        if oracle.is_manifold:
+            quotients.append((-v @ (y - xbar)) / r**2)
+        worst = max(worst, max(quotients))
+        used += 1
+    if used == 0:
+        raise InsufficientSamplesError("no boundary samples with normals in the ball")
+    return float(worst)
+
+
+def _outcome(reduce, *args):
+    try:
+        return reduce(*args).hex()
+    except InsufficientSamplesError as exc:
+        return str(exc)
+
+
+@st.composite
+def _sosh_draws(draw):
+    """(xbar, draws) about xbar at one scale: members at unit distance, in
+    the 1e-9 ball (r <= 1e-9) or NaN, gaps their own norm, at or below
+    1e-12, or NaN."""
+    n = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.integers(-5, 5))
+    xbar = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))) * scale
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array)
+    draws = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["member", "tiny", "nan"]))
+        step = {"member": scale, "tiny": 1e-10, "nan": np.nan}[kind]
+        y = xbar + step * draw(unit)
+        w = y + scale * draw(unit)
+        gap = draw(st.sampled_from([sets._norm(w - y), 1e-12, 5e-13, np.nan]))
+        draws.append((w, y, gap))
+    return xbar, draws
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_sosh_draws(), st.booleans())
+def test_sosh_reduction_equals_the_per_draw_loop(case, is_manifold):
+    xbar, draws = case
+    flag = types.SimpleNamespace(is_manifold=is_manifold)
+    want = _outcome(_reference_sosh_worst, flag, xbar, draws)
+    assert _outcome(sets._sosh_worst, flag, xbar, draws) == want
+
+
+@pytest.mark.parametrize("is_manifold", [False, True])
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_sosh_reduction_of_sampled_draws(geometry, is_manifold):
+    flag = types.SimpleNamespace(is_manifold=is_manifold)
+    c = np.array(GEOMETRIES[geometry][1])
+    draws = _draws(geometry)
+    assert sets._sosh_worst(flag, c, draws).hex() == _reference_sosh_worst(flag, c, draws).hex()
+
+
+def test_sosh_reduction_without_a_boundary_sample():
+    flag = types.SimpleNamespace(is_manifold=True)
+    y = np.array([1.0, 0.0])
+    draws = [(y + [0.0, 1.0], y, 1e-12), (y + [0.0, 1e-12], y + 1e-10, 1.0)]
+    for reduce in (sets._sosh_worst, _reference_sosh_worst):
+        with pytest.raises(InsufficientSamplesError, match="no boundary samples"):
+            reduce(flag, y, draws)
+        with pytest.raises(InsufficientSamplesError, match="no boundary samples"):
+            reduce(flag, y, [])
+
+
+def _reference_pair_ratios(members, bases, directions):
+    """_pair_ratios with the broadcast difference tensor and np.add.reduce,
+    in every dimension."""
+    diff = members[None] - bases[:, None]
+    nd = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    keep = nd > 1e-9
+    num = np.matmul(diff, directions[:, :, None])[..., 0]
+    for b in np.flatnonzero(np.count_nonzero(keep, axis=1) == 1):
+        i = np.flatnonzero(keep[b])[0]
+        num[b, i] = diff[b, i] @ directions[b]
+    return np.divide(num, nd, out=np.full_like(nd, -np.inf), where=keep)
+
+
+SCALES = [1e-5, 1e-2, 1.0, 1e2, 1e5]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 160])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_stacked_row_dots_are_ddot_bit_for_bit(n, rows):
+    # The report's norms and numerators rest on this: a stack of 1 x n by
+    # n x 1 matmuls rounds each row as its own dot does.  On a numpy or BLAS
+    # build where it does not, every sampler pin would move.
+    rng = np.random.default_rng(n)
+    for scale in SCALES:
+        A = rng.standard_normal((rows, n)) * scale
+        B = rng.standard_normal((rows, n)) * scale
+        got, norms = sets._row_dots(A, B), np.sqrt(sets._row_dots(A, A))
+        assert got.shape == norms.shape == (rows,)
+        want = [a.dot(b).hex() for a, b in zip(A, B)]
+        assert [g.hex() for g in got.tolist()] == want, f"numpy {np.__version__}: row dots round unlike dot"
+        want = [sets._norm(a).hex() for a in A]
+        assert [g.hex() for g in norms.tolist()] == want, f"numpy {np.__version__}: row norms round unlike _norm"
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pair_ratios_equal_the_broadcast_reduction(n):
+    # Below 8 dimensions the squared distances are summed coordinate after
+    # coordinate, which must be np.add.reduce's order there; 8 and 9 keep
+    # the broadcast form.  Members repeat, so that some pairs are dropped
+    # and some normals keep a single member.
+    rng = np.random.default_rng(100 + n)
+    for scale in SCALES:
+        for members in (161, 3, 2):
+            M = rng.standard_normal((members, n)) * scale
+            M[members // 2] = M[0]
+            Y = M[rng.integers(0, members, 16)]
+            V = rng.standard_normal((16, n))
+            got = sets._pair_ratios(M, Y, V)
+            want = _reference_pair_ratios(M, Y, V)
+            assert got.tobytes() == want.tobytes(), f"numpy {np.__version__}: n = {n}, scale {scale}"
+
+
+def _reference_blocked_worst(oracle, center, draws):
+    """_super_regular_worst with the normals gathered draw by draw, blocked
+    as it blocks them: a NaN ratio drops its whole block's maximum."""
+    members = [center]
+    bases, directions = [], []
+    for w, y, gap in draws:
+        members.append(y)
+        if gap > 1e-12:
+            v = (w - y) / gap
+            bases.append(y)
+            directions.append(v)
+            if oracle.is_manifold:
+                bases.append(y)
+                directions.append(-v)
+    M = np.array(members)
+    rounded = np.round(M, 12)
+    if not np.any(rounded != rounded[0]) or not bases:
+        raise InsufficientSamplesError("could not sample two distinct members plus a normal in the ball")
+    Y, V = np.array(bases), np.array(directions)
+    worst = -np.inf
+    for s in range(0, len(Y), sets._RATIO_BLOCK):
+        block = _reference_pair_ratios(M, Y[s : s + sets._RATIO_BLOCK], V[s : s + sets._RATIO_BLOCK])
+        worst = max(worst, float(block.max()))
+    if not np.isfinite(worst):
+        raise InsufficientSamplesError("no usable member/normal pairs")
+    return worst
+
+
+@pytest.mark.parametrize("nan_at", [None, 0, 5, 20, 39])
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("is_manifold", [False, True])
+def test_blocked_ratio_reduction_keeps_the_blocks(geometry, is_manifold, nan_at):
+    # A NaN direction puts NaN ratios into one block; that block's maximum
+    # is NaN and adds nothing, so the blocks are part of the output.
+    draws = list(_draws_with_normals(geometry, 40))
+    if nan_at is not None:
+        w, y, gap = draws[nan_at]
+        draws[nan_at] = (np.full_like(w, np.nan), y, gap if gap > 1e-12 else 1.0)
+    flag = types.SimpleNamespace(is_manifold=is_manifold)
+    c = np.array(GEOMETRIES[geometry][1])
+    got = _outcome(sets._super_regular_worst, flag, c, draws)
+    assert got == _outcome(_reference_blocked_worst, flag, c, draws)

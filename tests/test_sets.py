@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from shqp import polyhedra, sets
+from shqp import polyhedra, sets, solvers
 from shqp.sets import (
     AffineSubspace,
     Ball,
@@ -141,6 +141,31 @@ def test_polyhedral_set_agrees_with_qp_module():
         p, d = project(oracle, x)
         res = polyhedra.project_onto_polyhedron(polyhedra.Polyhedron(hs), x)
         assert np.allclose(p, res.point, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "normal, offset",
+    [([1.0, math.nan], 0.5), ([math.inf, 0.0], 0.5), ([1.0, 0.0], math.nan), ([1.0, 0.0], -math.inf)],
+    ids=["normal-nan", "normal-inf", "offset-nan", "offset-inf"],
+)
+def test_polyhedral_set_rejects_a_non_finite_halfspace(normal, offset):
+    # polyhedra.Halfspace accepts these; a solver run on such a set used to
+    # end in IndexError('pop from empty list') inside the QP.
+    good = polyhedra.Halfspace([0.0, 1.0], 1.0)
+    with pytest.raises(ValueError, match="halfspace 1 of the polyhedron set has a non-finite"):
+        PolyhedralSet([good, polyhedra.Halfspace(normal, offset)])
+
+
+def test_a_finite_polyhedral_set_still_solves():
+    with pytest.raises(ValueError, match="halfspace 0 "):
+        PolyhedralSet([polyhedra.Halfspace([1.0, math.nan], 0.5), polyhedra.Halfspace([0.0, 1.0], 1.0)])
+    hs = [polyhedra.Halfspace([1.0, 0.5], 0.5), polyhedra.Halfspace([0.0, 1.0], 1.0)]
+    poly = PolyhedralSet(hs)
+    x = np.array([2.0, 2.0])
+    want = polyhedra.project_onto_polyhedron(polyhedra.Polyhedron(hs).prepare(), x).point
+    assert project(poly, x)[0].tobytes() == want.tobytes()
+    problem = solvers.ProblemInstance("finite-polyhedron", [poly, Ball([0.0, 0.0], 1.0)], x)
+    assert solvers.run_mass_projection(problem).status == "converged"
 
 
 def test_union_of_convex_takes_min_distance():
