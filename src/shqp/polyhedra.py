@@ -68,6 +68,15 @@ __all__ = [
 _DEPENDENT = 1e-12
 
 
+def _vector_norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a) of a float array, bit for bit.  A C-contiguous 1-d
+    array takes its dot without the dispatch; any other keeps numpy's norm,
+    since a dot over a strided view can sum in another order."""
+    if a.ndim == 1 and a.flags.c_contiguous:
+        return math.sqrt(a.dot(a))
+    return np.linalg.norm(a)
+
+
 class ZeroGapError(ValueError):
     """halfspace_from_projection called with coincident point and projection."""
 
@@ -111,7 +120,7 @@ class Halfspace:
 
     def __post_init__(self):
         a = np.asarray(self.normal, dtype=float)
-        if a.ndim != 1 or np.linalg.norm(a) <= 1e-14:
+        if a.ndim != 1 or _vector_norm(a) <= 1e-14:
             raise ValueError("halfspace normal must be a nonzero vector")
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", float(self.offset))
@@ -657,7 +666,8 @@ def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
 
 
 def relaxed_point(nearest, x_prev, tau: float) -> np.ndarray:
-    """The point (1 - tau) * nearest + tau * x_prev, computed one way only."""
+    """The point (1 - tau) * nearest + tau * x_prev, computed one way only
+    (halfspace_from_projection takes it as nearest + tau * gap)."""
     nearest = np.asarray(nearest, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
     return nearest + tau * (x_prev - nearest)
@@ -679,10 +689,9 @@ def halfspace_from_projection(
     relaxed); otherwise the boundary passes through the tau-relaxed point
     (1 - tau) * nearest + tau * x_prev.
     """
-    x_prev = np.asarray(x_prev, dtype=float)
     nearest = np.asarray(nearest, dtype=float)
-    gap = x_prev - nearest
-    if np.linalg.norm(gap) <= 1e-14:
+    gap = np.asarray(x_prev, dtype=float) - nearest
+    if _vector_norm(gap) <= 1e-14:
         raise ZeroGapError("projection gap is zero; no separating constraint")
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
@@ -690,7 +699,7 @@ def halfspace_from_projection(
         return Halfspace(
             gap, float(gap @ nearest), "equality", source_set, outer_iteration, inner_step
         )
-    r = relaxed_point(nearest, x_prev, tau)
+    r = nearest + tau * gap  # relaxed_point(nearest, x_prev, tau), bit for bit
     return Halfspace(
         gap, float(gap @ r), "inequality", source_set, outer_iteration, inner_step
     )

@@ -1080,23 +1080,24 @@ def _ball_draws(oracle: SetOracle, center, radius: float, count: int, seed: int)
     these draws; the same arguments always give the same draws.  Each draw
     takes a standard normal direction g and then a uniform u from the
     generator, draw after draw, and is w = center + radius * (g / ||g||) *
-    u ** (1/n), with the power taken on Python floats.  Everything after
-    the generator runs once over all draws, so each draw has the bits it
-    had alone: the norms ||g|| and the filter's ||y - center|| as stacked
-    row dots (_row_dots), the divide, scale and shift elementwise.  All
-    draws are made first and then projected as one batch
-    (SetOracle._project_rows).  The errors keep draw order: any error other
-    than a projection that did not converge is raised for the first draw
-    that has one, and a filter norm that overflows is taken again by _norm
-    on its own draw, so that it raises or warns where the draw-by-draw
-    loop did, after the errors of the draws before it.
+    u ** (1/n), with the power taken on Python floats; ``random()`` gives
+    the same u from the same stream as ``uniform()``, without its argument
+    handling.  Everything after the generator runs once over all draws, so
+    each draw has the bits it had alone: the norms ||g|| and the filter's
+    ||y - center|| as stacked row dots (_row_dots), the divide, scale and
+    shift elementwise.  All draws are made first and then projected as one
+    batch (SetOracle._project_rows).  The errors keep draw order: any error
+    other than a projection that did not converge is raised for the first
+    draw that has one, and a filter norm that overflows is taken again by
+    _norm on its own draw, so that it raises or warns where the
+    draw-by-draw loop did, after the errors of the draws before it.
     """
     rng = np.random.default_rng(seed)
     n = oracle.dimension
     G, shrink = np.empty((count, n)), []
     for i in range(count):
         G[i] = rng.standard_normal(n)
-        shrink.append(rng.uniform() ** (1.0 / n))
+        shrink.append(rng.random() ** (1.0 / n))
     G /= np.sqrt(_row_dots(G, G))[:, None]
     ws = center + radius * (G * np.array(shrink)[:, None])
     outs = oracle._project_rows(ws)

@@ -14,6 +14,23 @@ Every solver call projects through its own small cache, so each point is
 projected onto each set once: the projections that fill a record's distance
 column are the ones the next step starts from.  An oracle that fails to
 converge ends the run with status "oracle-failed" instead of raising.
+
+Arithmetic.  Past the oracles and the QP, a step's cost is mostly numpy's
+fixed cost per call on arrays of two or three entries, so the engine takes
+a cheaper call wherever it gives the same bits, and keeps numpy wherever a
+reduction decides.  The averaged step's mean is ``np.add.reduce(P,
+axis=0) / k``: the sum and the divide that ``np.mean`` runs on float64
+points, without its dispatch.  The no-move and degeneracy tests take the
+norm of a fresh difference of two points with ``sets._norm``, the dot and
+square root that ``np.linalg.norm`` takes on a C-contiguous 1-d array, and
+that overflows in the same dot with the same warning.  A normal that may
+be a strided view (an oracle's analytic normal, a caller's Halfspace
+normal) goes through ``polyhedra._vector_norm``, which keeps numpy's norm
+for it, since a dot over a strided view can sum in another order.  The
+stop test and the fallback's choice stay numpy's max and argmax of the
+distance column, so a NaN distance never counts as converged.  Each step
+rule hands on the projections of the point it recorded last, so the stop
+test and the next step read them without a cache lookup.
 """
 
 from __future__ import annotations
@@ -240,12 +257,15 @@ _PROJECTION_MEMORY = 4
 class _Projections:
     """Projections of one solver call's recent points onto every set.
 
-    A point is projected when it is recorded and again when the next step
-    starts from it; routing both through one instance per call projects each
-    (set, point) pair once.  Points are keyed by their bytes, so a hit is
-    bit-identical to projecting afresh, and the least recently used point is
-    forgotten beyond _PROJECTION_MEMORY.  Distances are returned read-only.
-    A failing oracle is described in ``failure`` before its
+    A point is projected when it is recorded; the step rules hand that
+    projection on to the stop test and the next step, and the few reuses
+    they do not hold (a tangent hyperplane's previous iterate, the two-set
+    method's middle point, the merits) come back through this one instance
+    per call, so each (set, point) pair is projected once.  Points are
+    keyed by their bytes, so a hit is bit-identical to projecting afresh,
+    and the least recently used point is forgotten beyond
+    _PROJECTION_MEMORY.  Distances are returned read-only.  A failing
+    oracle is described in ``failure`` before its
     ProjectionNotConvergedError propagates.
     """
 
@@ -294,8 +314,11 @@ class _Projections:
 
 
 def _record(proj: _Projections, trace: Trace, i, j, kind, x, active=0, kkt=0.0):
-    """Append a trace row at x that owns copies of the point and its distances."""
-    trace.records.append(TraceRecord(i, j, kind, x.copy(), proj.at(x)[1].copy(), active, kkt))
+    """Append a trace row at x that owns copies of the point and its
+    distances; returns x and its projections, the next step's start."""
+    at = proj.at(x)
+    trace.records.append(TraceRecord(i, j, kind, x.copy(), at[1].copy(), active, kkt))
+    return x, at
 
 
 def _run(problem: ProblemInstance, x0, config: SolverConfig, step) -> Trace:
@@ -303,8 +326,9 @@ def _run(problem: ProblemInstance, x0, config: SolverConfig, step) -> Trace:
 
     Records the start, then in outer iteration i stops with "converged" once
     every set is within stop_tolerance, and otherwise lets the method's step
-    rule ``step(proj, x, i, trace)`` record the points it moves through and
-    return the next iterate, or a terminal status string that ends the run.
+    rule ``step(proj, x, at, i, trace)``, with ``at`` the projections of x,
+    record the points it moves through and return the next iterate with its
+    projections, or a terminal status string that ends the run.
     A run that spends max_outer_iterations ends with "max-iterations".  An
     oracle failure ends the run with status "oracle-failed" and keeps the
     records made so far.
@@ -313,15 +337,16 @@ def _run(problem: ProblemInstance, x0, config: SolverConfig, step) -> Trace:
     x = np.asarray(x0 if x0 is not None else problem.start, dtype=float).copy()
     trace = Trace([])
     try:
-        _record(proj, trace, 0, -1, "start", x)
+        x, at = _record(proj, trace, 0, -1, "start", x)
         for i in range(config.max_outer_iterations):
-            if proj.at(x)[1].max() <= config.stop_tolerance:
+            if at[1].max() <= config.stop_tolerance:
                 trace.status = "converged"
                 return trace
-            x = step(proj, x, i, trace)
-            if isinstance(x, str):
-                trace.status = x
+            out = step(proj, x, at, i, trace)
+            if isinstance(out, str):
+                trace.status = out
                 return trace
+            x, at = out
         trace.status = "max-iterations"
     except sets_mod.ProjectionNotConvergedError:
         if not trace.records:
@@ -400,7 +425,7 @@ def _zero_gap_tangent(proj, l, x, came_from):
     g = proj.problem.sets[l].analytic_normal(x)
     if g is not None:
         g = np.asarray(g, dtype=float)
-        ng = np.linalg.norm(g)
+        ng = polyhedra._vector_norm(g)
         if ng > 1e-14 and np.all(np.isfinite(g)):
             return g / ng
     if came_from is None:
@@ -434,8 +459,9 @@ class _PooledRule:
         oldest = i - self.config.pbar
         self.pool = [h for h in self.pool if h.kind == "inequality" and h.outer_iteration >= oldest]
 
-    def cuts(self, proj, x, i, j, group):
-        """(cut, target) for each set of ``group`` that x is not on.
+    def cuts(self, proj, x, at, i, j, group):
+        """(cut, target) for each set of ``group`` that x (projected to
+        ``at``) is not on.
 
         target is where projecting x onto the cut alone lands; it is None
         for the tangent hyperplane of a manifold the iterate already sits
@@ -443,7 +469,7 @@ class _PooledRule:
         """
         config = self.config
         zero_gap = max(config.stop_tolerance, _ZERO_GAP_FLOOR)
-        nearest, dists = proj.at(x)
+        nearest, dists = at
         fresh: list[tuple[polyhedra.Halfspace, np.ndarray | None]] = []
         for l in group:
             s = proj.problem.sets[l]
@@ -477,26 +503,25 @@ class _PooledRule:
 
     def move(self, proj, trace, x, x_new, i, j, kind, active=0, kkt=0.0):
         self.came_from = x
-        _record(proj, trace, i, j, kind, x_new, active, kkt)
-        return x_new
+        return _record(proj, trace, i, j, kind, x_new, active, kkt)
 
-    def fallback(self, proj, trace, x, i, j):
+    def fallback(self, proj, trace, x, at, i, j):
         """Project onto the farthest set, unless the farthest distance has
         not shrunk over three tries in a row or the projection stays put."""
-        nearest, dists = proj.at(x)
+        nearest, dists = at
         worst = float(dists.max())
         self.streak = self.streak + 1 if worst >= self.last_worst - 1e-16 else 1
         self.last_worst = worst
-        x_new = nearest[int(np.argmax(dists))]
-        if self.streak >= 3 or np.linalg.norm(x_new - x) <= _NO_MOVE:
+        x_new = nearest[int(dists.argmax())]
+        if self.streak >= 3 or sets_mod._norm(x_new - x) <= _NO_MOVE:
             return "qp-infeasible-fallback-exhausted"
         return self.move(proj, trace, x, x_new.copy(), i, j, "fallback-projection")
 
-    def __call__(self, proj, x, i, trace):
+    def __call__(self, proj, x, at, i, trace):
         self.window(i)
         moved = False
-        for j, group in enumerate(self.schedule.groups(proj.at(x)[1])):
-            fresh = self.cuts(proj, x, i, j, group)
+        for j, group in enumerate(self.schedule.groups(at[1])):
+            fresh = self.cuts(proj, x, at, i, j, group)
             if not fresh:
                 continue
             latest = self.schedule.pairing == "latest"
@@ -510,22 +535,23 @@ class _PooledRule:
                 # Projecting onto a single supporting constraint built from x
                 # lands exactly on the relaxation target; skip the QP.
                 kind = f"set-projection-{hs.source_set + 1}"
-                x = self.move(proj, trace, x, target.copy(), i, j, kind, 1)
+                x, at = self.move(proj, trace, x, target.copy(), i, j, kind, 1)
             else:
                 res, kind = _qp_attempt(qp_cons, x)
                 if res is not None:
                     active, kkt = len(res.active_set), res.kkt_residual
-                    x = self.move(proj, trace, x, res.point.copy(), i, j, kind, active, kkt)
+                    x, at = self.move(proj, trace, x, res.point.copy(), i, j, kind, active, kkt)
                 else:
                     # Every QP rung failed: take a plain projection onto the
                     # farthest set so the run can keep making progress.
-                    x = self.fallback(proj, trace, x, i, j)
-                    if isinstance(x, str):
-                        return x
+                    out = self.fallback(proj, trace, x, at, i, j)
+                    if isinstance(out, str):
+                        return out
+                    x, at = out
             moved = True
         if not moved:
-            return self.fallback(proj, trace, x, i, len(proj.problem.sets))
-        return x
+            return self.fallback(proj, trace, x, at, i, len(proj.problem.sets))
+        return x, at
 
 
 def run_basic_shqp(
@@ -595,18 +621,18 @@ def run_two_shqp(problem, x0=None, config: SolverConfig | None = None) -> Trace:
     return _run(problem, x0, config, _two_shqp_step)
 
 
-def _two_shqp_step(proj, x, i, trace):
+def _two_shqp_step(proj, x, at, i, trace):
     moved = False
-    x1 = proj.at(x)[0][0]
-    if np.linalg.norm(x1 - x) > _NO_MOVE:
+    x1 = at[0][0]
+    if sets_mod._norm(x1 - x) > _NO_MOVE:
         _record(proj, trace, i, 0, "set-projection-1", x1)
         moved = True
     x2 = proj.at(x1)[0][1]
-    if np.linalg.norm(x2 - x1) > _NO_MOVE:
+    if sets_mod._norm(x2 - x1) > _NO_MOVE:
         _record(proj, trace, i, 1, "set-projection-2", x2)
         moved = True
     u, w = x - x1, x2 - x1
-    degenerate = np.linalg.norm(u) <= 1e-14 or np.linalg.norm(w) <= 1e-14
+    degenerate = sets_mod._norm(u) <= 1e-14 or sets_mod._norm(w) <= 1e-14
     if not degenerate and u @ w > 0.0:
         cons = [
             polyhedra.Halfspace(u, float(u @ x1), "inequality", 0, i, 0),
@@ -614,13 +640,13 @@ def _two_shqp_step(proj, x, i, trace):
         ]
         res, kind = _qp_attempt(cons, x2)
         if res is not None:
-            x = res.point.copy()
-            _record(proj, trace, i, 2, kind, x, len(res.active_set), res.kkt_residual)
-            return x
+            active, kkt = len(res.active_set), res.kkt_residual
+            return _record(proj, trace, i, 2, kind, res.point.copy(), active, kkt)
     trace.copy_steps += 1
     if not moved:
         return "stalled"
-    return x2.copy()
+    x2 = x2.copy()
+    return x2, proj.at(x2)
 
 
 def run_averaged_projections(problem, x0=None, config: SolverConfig | None = None) -> Trace:
@@ -633,20 +659,19 @@ def run_averaged_projections(problem, x0=None, config: SolverConfig | None = Non
     return _run(problem, x0, config or SolverConfig(), _averaged_step)
 
 
-def _averaged_step(proj, x, i, trace, x_avg=None):
+def _averaged_step(proj, x, at, i, trace, x_avg=None):
     """Move to x_avg, the mean of x's projections unless the caller passes
     it in; a fixed point of the averaging map stops the run."""
     if x_avg is None:
-        x_avg = np.mean(proj.at(x)[0], axis=0)
+        x_avg = np.add.reduce(at[0], axis=0) / len(at[0])
     return _settle(proj, trace, x, x_avg, i, "averaged-step")
 
 
 def _settle(proj, trace, x, x_new, i, kind, active=0, kkt=0.0):
     """Record the move from x to x_new, or stop when it does not move."""
-    if np.linalg.norm(x_new - x) <= _NO_MOVE:
+    if sets_mod._norm(x_new - x) <= _NO_MOVE:
         return "stalled"
-    _record(proj, trace, i, 0, kind, x_new, active, kkt)
-    return x_new
+    return _record(proj, trace, i, 0, kind, x_new, active, kkt)
 
 
 def run_global(
@@ -678,13 +703,12 @@ class _GlobalRule(_PooledRule):
         super().__init__(None, config, force_inequality=True)
         self.merit = merit
 
-    def __call__(self, proj, x, i, trace):
+    def __call__(self, proj, x, at, i, trace):
         self.window(i)
-        # Averaged now, while x's projections are still in the cache.
-        x_avg = np.mean(proj.at(x)[0], axis=0)
-        pool = self.admit(self.cuts(proj, x, i, 0, range(len(proj.problem.sets))))
+        x_avg = np.add.reduce(at[0], axis=0) / len(at[0])  # np.mean's bits
+        pool = self.admit(self.cuts(proj, x, at, i, 0, range(len(proj.problem.sets))))
         if not pool:
-            return _averaged_step(proj, x, i, trace, x_avg)
+            return _averaged_step(proj, x, at, i, trace, x_avg)
         base = _merit(proj, self.merit, x)
         if base == 0.0:  # no step can decrease the merit, and x stays put
             return "stalled"
@@ -710,7 +734,7 @@ class _GlobalRule(_PooledRule):
                 if _merit(proj, self.merit, cand) < base:
                     active, kkt = len(first_qp.active_set), first_qp.kkt_residual
                     return _settle(proj, trace, x, cand, i, "line-search", active, kkt)
-        return _averaged_step(proj, x, i, trace, x_avg)
+        return _averaged_step(proj, x, at, i, trace, x_avg)
 
 
 SOLVERS = {
