@@ -72,9 +72,7 @@ def _vector_norm(a: np.ndarray) -> float:
     """np.linalg.norm(a) of a float array, bit for bit.  A C-contiguous 1-d
     array takes its dot without the dispatch; any other keeps numpy's norm,
     since a dot over a strided view can sum in another order."""
-    if a.ndim == 1 and a.flags.c_contiguous:
-        return math.sqrt(a.dot(a))
-    return np.linalg.norm(a)
+    return math.sqrt(a.dot(a)) if a.ndim == 1 and a.flags.c_contiguous else np.linalg.norm(a)
 
 
 class ZeroGapError(ValueError):

@@ -328,7 +328,9 @@ def _run(problem: ProblemInstance, x0, config: SolverConfig, step) -> Trace:
     every set is within stop_tolerance, and otherwise lets the method's step
     rule ``step(proj, x, at, i, trace)``, with ``at`` the projections of x,
     record the points it moves through and return the next iterate with its
-    projections, or a terminal status string that ends the run.
+    projections (None for an iterate it did not record, which is projected
+    here only if the run goes on), or a terminal status string that ends
+    the run.
     A run that spends max_outer_iterations ends with "max-iterations".  An
     oracle failure ends the run with status "oracle-failed" and keeps the
     records made so far.
@@ -339,6 +341,8 @@ def _run(problem: ProblemInstance, x0, config: SolverConfig, step) -> Trace:
     try:
         x, at = _record(proj, trace, 0, -1, "start", x)
         for i in range(config.max_outer_iterations):
+            if at is None:  # an iterate the step did not record
+                at = proj.at(x)
             if at[1].max() <= config.stop_tolerance:
                 trace.status = "converged"
                 return trace
@@ -627,9 +631,9 @@ def _two_shqp_step(proj, x, at, i, trace):
     if sets_mod._norm(x1 - x) > _NO_MOVE:
         _record(proj, trace, i, 0, "set-projection-1", x1)
         moved = True
-    x2 = proj.at(x1)[0][1]
+    x2, at = proj.at(x1)[0][1], None
     if sets_mod._norm(x2 - x1) > _NO_MOVE:
-        _record(proj, trace, i, 1, "set-projection-2", x2)
+        _, at = _record(proj, trace, i, 1, "set-projection-2", x2)
         moved = True
     u, w = x - x1, x2 - x1
     degenerate = sets_mod._norm(u) <= 1e-14 or sets_mod._norm(w) <= 1e-14
@@ -645,8 +649,7 @@ def _two_shqp_step(proj, x, at, i, trace):
     trace.copy_steps += 1
     if not moved:
         return "stalled"
-    x2 = x2.copy()
-    return x2, proj.at(x2)
+    return x2.copy(), at
 
 
 def run_averaged_projections(problem, x0=None, config: SolverConfig | None = None) -> Trace:

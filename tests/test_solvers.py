@@ -527,3 +527,29 @@ def test_oracle_failure_at_the_start_keeps_a_start_row():
     (start,) = trace.records
     assert start.step_kind == "start" and np.all(np.isnan(start.distances))
     np.testing.assert_array_equal(start.point, [2.0, 3.0])
+
+
+class _NudgedLine(sets.HyperplaneSet):
+    """A line whose projection lands one ulp to the right along it."""
+
+    def _project(self, x):
+        p = super()._project(x)
+        p[0] = np.nextafter(p[0], np.inf)
+        return p
+
+
+def test_two_shqp_projects_an_unrecorded_copy_only_if_the_run_goes_on(monkeypatch):
+    """The second leg moves by one ulp, too little to record, and the copy
+    step hands on a point no record has projected: it is projected at the
+    next stop test, so a run that ends there projects it nowhere."""
+    calls = _count_projections(monkeypatch)
+    line = sets.HyperplaneSet([0.0, 1.0], 0.0)
+    prob = solvers.ProblemInstance("nudged", [line, _NudgedLine([0.0, 1.0], 0.0)], [1.0, 1.0])
+    counts = []
+    for budget in (1, 2):
+        calls.clear()
+        trace = solvers.run_two_shqp(prob, config=solvers.SolverConfig(max_outer_iterations=budget))
+        counts.append((trace.status, trace.copy_steps, len(trace.records), sum(calls.values())))
+    # The start and x1 are recorded; the second run also projects the
+    # copied x2 at its stop test, and converges there.
+    assert counts == [("max-iterations", 1, 2, 4), ("converged", 1, 2, 6)]
