@@ -708,7 +708,7 @@ class _GlobalRule(_PooledRule):
 
     def __call__(self, proj, x, at, i, trace):
         self.window(i)
-        x_avg = np.add.reduce(at[0], axis=0) / len(at[0])  # np.mean's bits
+        x_avg = np.add.reduce(at[0], axis=0) / len(at[0])
         pool = self.admit(self.cuts(proj, x, at, i, 0, range(len(proj.problem.sets))))
         if not pool:
             return _averaged_step(proj, x, at, i, trace, x_avg)
