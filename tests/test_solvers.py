@@ -478,13 +478,66 @@ def test_projection_counts_of_benchmark_anchors(monkeypatch, name, alg, oracle_c
     assert counts == [(oracle_calls, qp_calls)] * 2
 
 
+# One sha256 over (label, start, sets.project calls, QP calls) of every run
+# of tests/test_trace_pins.py, recorded before the engine's projection reuse
+# became a memo of the last point.
+COUNTS_DIGEST = "3ae5238b3981292c586a542f9ac044a1bf762b27fd2f52ff28554178289dcfb8"
+
+
+def test_oracle_and_qp_counts_of_every_gallery_run(monkeypatch):
+    """Exact oracle and QP call counts of every gallery run from every start
+    (the QP count includes the QPs a polyhedral oracle makes), and no run
+    projects a (set, point) pair twice."""
+    import hashlib
+
+    from test_trace_pins import _runs, _starts
+
+    calls = _count_projections(monkeypatch)
+    qps = []
+    project = polyhedra.project_onto_polyhedron
+
+    def counting_qp(*args, **kwargs):
+        qps.append(1)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "project_onto_polyhedron", counting_qp)
+    digest = hashlib.sha256()
+    totals = [0, 0]
+    repeated = []
+    for label, problem, runner in _runs():
+        for k, x0 in enumerate(_starts(problem)):
+            calls.clear()
+            qps.clear()
+            try:
+                runner(problem, x0)
+            except Exception:
+                pass
+            row = (label, k, sum(calls.values()), len(qps))
+            digest.update(repr(row).encode())
+            totals[0] += row[2]
+            totals[1] += row[3]
+            twice = sum(1 for n in calls.values() if n > 1)
+            if twice:
+                repeated.append((label, k, twice))
+    assert repeated == []
+    assert totals == [25281, 6858]
+    assert digest.hexdigest() == COUNTS_DIGEST
+
+
 def test_records_own_their_arrays():
-    prob = gallery.get_entry("circle-line").problem
-    trace = solvers.run_mass_projection(prob)
-    for rec in trace.records:
-        assert rec.distances.flags.writeable and rec.point.flags.writeable
-        assert rec.distances.base is None and rec.point.base is None
-    assert len({id(r.distances) for r in trace.records}) == len(trace.records)
+    """Every record of every gallery run owns a writeable point and distance
+    column that share memory with no other array of the trace."""
+    for label, prob, runner in _applicable_runs():
+        try:
+            trace = runner(prob)
+        except Exception:
+            continue
+        buffers = set()
+        for rec in trace.records:
+            for a in (rec.point, rec.distances):
+                assert a.flags.writeable and a.flags.owndata and a.base is None, label
+                buffers.add(a.ctypes.data)
+        assert len(buffers) == 2 * len(trace.records), label
 
 
 class _FlakyBall(sets.Ball):
