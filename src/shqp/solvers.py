@@ -10,10 +10,13 @@ constraints in a pool with a finite memory window; its schedule, pairing
 rule and relaxation parameter give cyclic projections, simultaneous
 supporting halfspaces and the greedy farthest-set method with memory.
 
-Every solver call projects through its own small cache, so each point is
-projected onto each set once: the projections that fill a record's distance
-column are the ones the next step starts from.  An oracle that fails to
-converge ends the run with status "oracle-failed" instead of raising.
+Every solver call remembers the last point it projected, with its
+projections onto every set.  A step records each point it moves to, and the
+stop test and the next step ask for that same point, so each point is
+projected onto each set once; the one older point a step reuses, a tangent
+hyperplane's previous iterate, is kept by the pooled rule together with its
+projections.  An oracle that fails to converge ends the run with status
+"oracle-failed" instead of raising.
 
 Arithmetic.  Past the oracles and the QP, a step's cost is mostly numpy's
 fixed cost per call on arrays of two or three entries, so the engine takes
@@ -28,9 +31,8 @@ be a strided view (an oracle's analytic normal, a caller's Halfspace
 normal) goes through ``polyhedra._vector_norm``, which keeps numpy's norm
 for it, since a dot over a strided view can sum in another order.  The
 stop test and the fallback's choice stay numpy's max and argmax of the
-distance column, so a NaN distance never counts as converged.  Each step
-rule hands on the projections of the point it recorded last, so the stop
-test and the next step read them without a cache lookup.
+distance column, so a NaN distance never counts as converged.  Asking for
+the last point's projections again costs a ``tobytes`` and one comparison.
 """
 
 from __future__ import annotations
@@ -249,52 +251,41 @@ class Trace:
         return cls(records, status=status)
 
 
-# Points a run's projection cache holds.  Every reuse in the step rules below
-# is of one of the last two points projected.
-_PROJECTION_MEMORY = 4
-
-
 class _Projections:
-    """Projections of one solver call's recent points onto every set.
+    """Projections of one solver call's points onto every set.
 
-    A point is projected when it is recorded; the step rules hand that
-    projection on to the stop test and the next step, and the few reuses
-    they do not hold (a tangent hyperplane's previous iterate, the two-set
-    method's middle point, the merits) come back through this one instance
-    per call, so each (set, point) pair is projected once.  Points are
-    keyed by their bytes, so a hit is bit-identical to projecting afresh,
-    and the least recently used point is forgotten beyond
-    _PROJECTION_MEMORY.  Distances are returned read-only.  A failing
-    oracle is described in ``failure`` before its
+    It remembers the last point it projected, keyed by the point's bytes,
+    so asking again for that point is bit-identical to projecting it afresh;
+    ``intersection_distance`` remembers its last point the same way.  A
+    point is projected when it is recorded, and the stop test, the next
+    step, the two-set method's middle point and the merits of the global
+    rule's candidates ask for the point projected last, so each (set,
+    point) pair is projected once.  Distances are returned read-only.  A
+    failing oracle is described in ``failure`` before its
     ProjectionNotConvergedError propagates.
     """
 
     def __init__(self, problem: ProblemInstance):
         self.problem = problem
         self.failure: dict | None = None
-        self._memo: dict = {}
+        self._last = self._last_distance = (None, None)
 
     def at(self, x: np.ndarray):
         """(nearest points, distances) from x to every set."""
-        return self._remember(x.tobytes(), lambda: self._all_sets(x))
+        key = x.tobytes()
+        if key != self._last[0]:
+            self._last = key, self._all_sets(x)
+        return self._last[1]
 
     def intersection_distance(self, x: np.ndarray) -> float:
         oracle = self.problem.intersection_oracle
         for l, s in enumerate(self.problem.sets):
             if s is oracle:  # a one-set problem is its own intersection
                 return self.at(x)[1][l]
-        return self._remember(
-            ("intersection", x.tobytes()), lambda: self._project(None, oracle, x)[1]
-        )
-
-    def _remember(self, key, compute):
-        hit = self._memo.pop(key, None)
-        if hit is None:
-            hit = compute()
-            if len(self._memo) >= _PROJECTION_MEMORY:
-                del self._memo[next(iter(self._memo))]
-        self._memo[key] = hit
-        return hit
+        key = x.tobytes()
+        if key != self._last_distance[0]:
+            self._last_distance = key, self._project(None, oracle, x)[1]
+        return self._last_distance[1]
 
     def _all_sets(self, x):
         nearest = []
@@ -315,10 +306,10 @@ class _Projections:
 
 def _record(proj: _Projections, trace: Trace, i, j, kind, x, active=0, kkt=0.0):
     """Append a trace row at x that owns copies of the point and its
-    distances; returns x and its projections, the next step's start."""
-    at = proj.at(x)
-    trace.records.append(TraceRecord(i, j, kind, x.copy(), at[1].copy(), active, kkt))
-    return x, at
+    distances; returns x."""
+    dists = proj.at(x)[1]
+    trace.records.append(TraceRecord(i, j, kind, x.copy(), dists.copy(), active, kkt))
+    return x
 
 
 def _run(problem: ProblemInstance, x0, config: SolverConfig, step) -> Trace:
@@ -326,11 +317,11 @@ def _run(problem: ProblemInstance, x0, config: SolverConfig, step) -> Trace:
 
     Records the start, then in outer iteration i stops with "converged" once
     every set is within stop_tolerance, and otherwise lets the method's step
-    rule ``step(proj, x, at, i, trace)``, with ``at`` the projections of x,
-    record the points it moves through and return the next iterate with its
-    projections (None for an iterate it did not record, which is projected
-    here only if the run goes on), or a terminal status string that ends
-    the run.
+    rule ``step(proj, x, i, trace)`` record the points it moves through and
+    return the next iterate, or a terminal status string that ends the run.
+    The stop test asks ``proj`` for the iterate, which it remembers when the
+    step recorded it last; an iterate the step did not record is projected
+    here, so only if the run goes on.
     A run that spends max_outer_iterations ends with "max-iterations".  An
     oracle failure ends the run with status "oracle-failed" and keeps the
     records made so far.
@@ -339,18 +330,16 @@ def _run(problem: ProblemInstance, x0, config: SolverConfig, step) -> Trace:
     x = np.asarray(x0 if x0 is not None else problem.start, dtype=float).copy()
     trace = Trace([])
     try:
-        x, at = _record(proj, trace, 0, -1, "start", x)
+        _record(proj, trace, 0, -1, "start", x)
         for i in range(config.max_outer_iterations):
-            if at is None:  # an iterate the step did not record
-                at = proj.at(x)
-            if at[1].max() <= config.stop_tolerance:
+            if proj.at(x)[1].max() <= config.stop_tolerance:
                 trace.status = "converged"
                 return trace
-            out = step(proj, x, at, i, trace)
+            out = step(proj, x, i, trace)
             if isinstance(out, str):
                 trace.status = out
                 return trace
-            x, at = out
+            x = out
         trace.status = "max-iterations"
     except sets_mod.ProjectionNotConvergedError:
         if not trace.records:
@@ -423,8 +412,9 @@ def _zero_gap_tangent(proj, l, x, came_from):
     the pooled QP back to single-set projections.  Keeping the tangent
     hyperplane through x in play preserves the coupled (Newton-like) step.
     Prefers the set's own normal field; otherwise recovers the normal from
-    the projection residual of the previous iterate.  Returns None when no
-    reliable direction exists.
+    the projection residual of the previous iterate, ``came_from`` being
+    that iterate and its projections.  Returns None when no reliable
+    direction exists.
     """
     g = proj.problem.sets[l].analytic_normal(x)
     if g is not None:
@@ -434,17 +424,18 @@ def _zero_gap_tangent(proj, l, x, came_from):
             return g / ng
     if came_from is None:
         return None
-    nearest, dists = proj.at(came_from)
+    y, (nearest, dists) = came_from
     if dists[l] <= 1e-12:
         return None
-    return (came_from - nearest[l]) / dists[l]
+    return (y - nearest[l]) / dists[l]
 
 
 class _PooledRule:
     """Step rule of map, basic-shqp (which describes the step), mass and
-    memory-shqp.  It keeps the pool, the previous iterate and the fallback
-    streak across outer iterations.  ``force_inequality`` makes manifolds
-    contribute relaxed inequalities, so no equality ever enters the pool.
+    memory-shqp.  It keeps the pool, the previous iterate with its
+    projections and the fallback streak across outer iterations.
+    ``force_inequality`` makes manifolds contribute relaxed inequalities, so
+    no equality ever enters the pool.
     """
 
     def __init__(self, schedule: Schedule, config: SolverConfig, force_inequality=False):
@@ -463,9 +454,8 @@ class _PooledRule:
         oldest = i - self.config.pbar
         self.pool = [h for h in self.pool if h.kind == "inequality" and h.outer_iteration >= oldest]
 
-    def cuts(self, proj, x, at, i, j, group):
-        """(cut, target) for each set of ``group`` that x (projected to
-        ``at``) is not on.
+    def cuts(self, proj, x, i, j, group):
+        """(cut, target) for each set of ``group`` that x is not on.
 
         target is where projecting x onto the cut alone lands; it is None
         for the tangent hyperplane of a manifold the iterate already sits
@@ -473,7 +463,7 @@ class _PooledRule:
         """
         config = self.config
         zero_gap = max(config.stop_tolerance, _ZERO_GAP_FLOOR)
-        nearest, dists = at
+        nearest, dists = proj.at(x)
         fresh: list[tuple[polyhedra.Halfspace, np.ndarray | None]] = []
         for l in group:
             s = proj.problem.sets[l]
@@ -506,26 +496,26 @@ class _PooledRule:
         return sorted(self.pool, key=lambda h: (h.outer_iteration, h.inner_step, h.source_set))
 
     def move(self, proj, trace, x, x_new, i, j, kind, active=0, kkt=0.0):
-        self.came_from = x
+        self.came_from = x, proj.at(x)
         return _record(proj, trace, i, j, kind, x_new, active, kkt)
 
-    def fallback(self, proj, trace, x, at, i, j):
+    def fallback(self, proj, trace, x, i, j):
         """Project onto the farthest set, unless the farthest distance has
         not shrunk over three tries in a row or the projection stays put."""
-        nearest, dists = at
+        nearest, dists = proj.at(x)
         worst = float(dists.max())
         self.streak = self.streak + 1 if worst >= self.last_worst - 1e-16 else 1
         self.last_worst = worst
         x_new = nearest[int(dists.argmax())]
         if self.streak >= 3 or sets_mod._norm(x_new - x) <= _NO_MOVE:
             return "qp-infeasible-fallback-exhausted"
-        return self.move(proj, trace, x, x_new.copy(), i, j, "fallback-projection")
+        return self.move(proj, trace, x, x_new, i, j, "fallback-projection")
 
-    def __call__(self, proj, x, at, i, trace):
+    def __call__(self, proj, x, i, trace):
         self.window(i)
         moved = False
-        for j, group in enumerate(self.schedule.groups(at[1])):
-            fresh = self.cuts(proj, x, at, i, j, group)
+        for j, group in enumerate(self.schedule.groups(proj.at(x)[1])):
+            fresh = self.cuts(proj, x, i, j, group)
             if not fresh:
                 continue
             latest = self.schedule.pairing == "latest"
@@ -539,23 +529,23 @@ class _PooledRule:
                 # Projecting onto a single supporting constraint built from x
                 # lands exactly on the relaxation target; skip the QP.
                 kind = f"set-projection-{hs.source_set + 1}"
-                x, at = self.move(proj, trace, x, target.copy(), i, j, kind, 1)
+                x = self.move(proj, trace, x, target, i, j, kind, 1)
             else:
                 res, kind = _qp_attempt(qp_cons, x)
                 if res is not None:
                     active, kkt = len(res.active_set), res.kkt_residual
-                    x, at = self.move(proj, trace, x, res.point.copy(), i, j, kind, active, kkt)
+                    x = self.move(proj, trace, x, res.point, i, j, kind, active, kkt)
                 else:
                     # Every QP rung failed: take a plain projection onto the
                     # farthest set so the run can keep making progress.
-                    out = self.fallback(proj, trace, x, at, i, j)
+                    out = self.fallback(proj, trace, x, i, j)
                     if isinstance(out, str):
                         return out
-                    x, at = out
+                    x = out
             moved = True
         if not moved:
-            return self.fallback(proj, trace, x, at, i, len(proj.problem.sets))
-        return x, at
+            return self.fallback(proj, trace, x, i, len(proj.problem.sets))
+        return x
 
 
 def run_basic_shqp(
@@ -625,15 +615,15 @@ def run_two_shqp(problem, x0=None, config: SolverConfig | None = None) -> Trace:
     return _run(problem, x0, config, _two_shqp_step)
 
 
-def _two_shqp_step(proj, x, at, i, trace):
+def _two_shqp_step(proj, x, i, trace):
     moved = False
-    x1 = at[0][0]
+    x1 = proj.at(x)[0][0]
     if sets_mod._norm(x1 - x) > _NO_MOVE:
         _record(proj, trace, i, 0, "set-projection-1", x1)
         moved = True
-    x2, at = proj.at(x1)[0][1], None
+    x2 = proj.at(x1)[0][1]
     if sets_mod._norm(x2 - x1) > _NO_MOVE:
-        _, at = _record(proj, trace, i, 1, "set-projection-2", x2)
+        _record(proj, trace, i, 1, "set-projection-2", x2)
         moved = True
     u, w = x - x1, x2 - x1
     degenerate = sets_mod._norm(u) <= 1e-14 or sets_mod._norm(w) <= 1e-14
@@ -645,11 +635,11 @@ def _two_shqp_step(proj, x, at, i, trace):
         res, kind = _qp_attempt(cons, x2)
         if res is not None:
             active, kkt = len(res.active_set), res.kkt_residual
-            return _record(proj, trace, i, 2, kind, res.point.copy(), active, kkt)
+            return _record(proj, trace, i, 2, kind, res.point, active, kkt)
     trace.copy_steps += 1
     if not moved:
         return "stalled"
-    return x2.copy(), at
+    return x2
 
 
 def run_averaged_projections(problem, x0=None, config: SolverConfig | None = None) -> Trace:
@@ -662,11 +652,12 @@ def run_averaged_projections(problem, x0=None, config: SolverConfig | None = Non
     return _run(problem, x0, config or SolverConfig(), _averaged_step)
 
 
-def _averaged_step(proj, x, at, i, trace, x_avg=None):
+def _averaged_step(proj, x, i, trace, x_avg=None):
     """Move to x_avg, the mean of x's projections unless the caller passes
     it in; a fixed point of the averaging map stops the run."""
     if x_avg is None:
-        x_avg = np.add.reduce(at[0], axis=0) / len(at[0])
+        nearest = proj.at(x)[0]
+        x_avg = np.add.reduce(nearest, axis=0) / len(nearest)
     return _settle(proj, trace, x, x_avg, i, "averaged-step")
 
 
@@ -706,12 +697,13 @@ class _GlobalRule(_PooledRule):
         super().__init__(None, config, force_inequality=True)
         self.merit = merit
 
-    def __call__(self, proj, x, at, i, trace):
+    def __call__(self, proj, x, i, trace):
         self.window(i)
-        x_avg = np.add.reduce(at[0], axis=0) / len(at[0])
-        pool = self.admit(self.cuts(proj, x, at, i, 0, range(len(proj.problem.sets))))
+        nearest = proj.at(x)[0]
+        x_avg = np.add.reduce(nearest, axis=0) / len(nearest)
+        pool = self.admit(self.cuts(proj, x, i, 0, range(len(proj.problem.sets))))
         if not pool:
-            return _averaged_step(proj, x, at, i, trace, x_avg)
+            return _averaged_step(proj, x, i, trace, x_avg)
         base = _merit(proj, self.merit, x)
         if base == 0.0:  # no step can decrease the merit, and x stays put
             return "stalled"
@@ -724,7 +716,7 @@ class _GlobalRule(_PooledRule):
                 if _merit(proj, self.merit, res.point) < base:
                     kind = "qp-step" if len(cons) == len(pool) else "qp-drop-oldest"
                     active, kkt = len(res.active_set), res.kkt_residual
-                    return _settle(proj, trace, x, res.point.copy(), i, kind, active, kkt)
+                    return _settle(proj, trace, x, res.point, i, kind, active, kkt)
                 warm = res.active_set
             # Dropping the oldest row shifts every index down by one.
             cons = cons[1:]
@@ -737,7 +729,7 @@ class _GlobalRule(_PooledRule):
                 if _merit(proj, self.merit, cand) < base:
                     active, kkt = len(first_qp.active_set), first_qp.kkt_residual
                     return _settle(proj, trace, x, cand, i, "line-search", active, kkt)
-        return _averaged_step(proj, x, at, i, trace, x_avg)
+        return _averaged_step(proj, x, i, trace, x_avg)
 
 
 SOLVERS = {
