@@ -19,6 +19,25 @@ query point) and the dual active-set solve, and returns what the one-shot
 path returns, bit for bit.  The one-shot path, for the solvers' pooled
 QPs, prepares the same data on the fly and keeps none of it.
 
+A projection is two parts: the steps that compute the point (the prelude
+``_prelude``: scale, pairwise reduction, split, equality elimination and
+h; the dual active set; and x), and the report tail that only
+project_onto_polyhedron adds (multipliers, KKT residual, active set and
+the QPResult).  ``_nearest_points(poly, X)`` runs only the first part on
+a batch of points, for a polyhedral set's projections; each point gets
+project_onto_polyhedron's point, bit for bit, or its exception.  The
+points that keep the prepared split run the Goldfarb–Idnani steps in
+lockstep (``_dual_active_set_rows``): each keeps its own active set,
+factor and multipliers, every decision is made per point by the helpers
+the scalar kernel also calls, and only the numpy products are stacked:
+the scan's G u, the factor's split for the points of each active-set
+size, z.z and g.u.  Their bits match the scalar kernel's because each is
+one matmul whose stack elements make the same BLAS call as the single
+product (a gemv or a ddot), on elements strided as the single operands
+are; the factor's columns are a slice of each point's own d x d array,
+never padded, since a padded product would sum in another order or take
+another BLAS path.
+
 Arithmetic.  The problems are tiny (a few rows in a few dimensions), so
 most of a projection's cost is numpy's fixed cost per call on 1-4 element
 arrays.  Every dot, matrix product, einsum and SVD, and every array that
@@ -297,14 +316,16 @@ def _back_substitute(R, y):
 class _ActiveFactor:
     """Thin QR factor N = Q R of the active normals N (one column each).
 
-    The first q columns of Q are orthonormal and R is q x q upper
-    triangular, kept as nested lists because q <= d stays tiny.  A row
-    enters by Gram–Schmidt with one reorthogonalization and leaves by Givens
-    rotations, so the factor is never rebuilt and N^T N is never formed.
+    The first q columns of Q (a d x d C-contiguous array, the factor's own
+    or one element of the lockstep kernel's stack) are orthonormal and R is
+    q x q upper triangular, kept as nested lists because q <= d stays tiny.
+    A row enters by Gram–Schmidt with one reorthogonalization and leaves by
+    Givens rotations, so the factor is never rebuilt and N^T N is never
+    formed.
     """
 
-    def __init__(self, d):
-        self.Q = np.empty((d, d))
+    def __init__(self, Q):
+        self.Q = Q
         self.R: list[list[float]] = []
 
     def split(self, g):
@@ -350,11 +371,90 @@ class _ActiveFactor:
         return self.Q[:, : len(y)] @ y, [-v for v in _back_substitute(R, y)]
 
 
+def _split_rows(Q, g):
+    """_ActiveFactor.split of r factors at once: Q is an r x d x q stack of
+    their first q columns, each element strided as the factor's own
+    Q[:, :q] (a slice of its d x d array, so no column is padded), and g
+    is r x d.  Returns (Q^T g + s as r lists, the r x d parts off the
+    spans).  Every stack element of a matmul here makes the BLAS call that
+    the factor's own product makes, with the same strides."""
+    Qt = Q.transpose(0, 2, 1)
+    dv = np.matmul(Qt, g[:, :, None])
+    z = g[:, :, None] - np.matmul(Q, dv)
+    s = np.matmul(Qt, z)
+    return (dv + s)[:, :, 0].tolist(), (z - np.matmul(Q, s))[:, :, 0]
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[i].dot(B[i]) for each row i of two C-contiguous 2-d float arrays,
+    bit for bit.  matmul over the stack of 1 x n by n x 1 products calls
+    BLAS ddot once per row, as dot does; so the square root of
+    _row_dots(D, D) is the norm math.sqrt(d.dot(d)) of each row.  einsum
+    and sums of elementwise products round otherwise: ddot fuses its
+    multiply-adds."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
 @functools.lru_cache(maxsize=256)
 def _step_bound(m, d):
     """_dual_active_set's step bound on m rows in R^d: d + 1 times the
     number of row subsets of size <= d."""
     return (d + 1) * sum(math.comb(m, s) for s in range(min(m, d) + 1))
+
+
+def _count_step(steps, cap):
+    """steps + 1, unless that passes the step bound cap."""
+    if steps >= cap:
+        raise QPBreakdownError(f"dual active-set QP passed its bound of {cap} steps")
+    return steps + 1
+
+
+def _most_violated(values, active):
+    """(p, G_p u - h_p) for the most violated inactive row, as argmax picks
+    it from ``values`` (G u - h as a list): the first maximum, or the first
+    NaN; p = -1 when every row is active."""
+    p, top = -1, -math.inf
+    for i, v in enumerate(values):
+        if v > top:
+            if i not in active:
+                p, top = i, v
+        elif v != v and i not in active:
+            return i, v
+    return p, top
+
+
+def _ratio_test(lam, r):
+    """(t1, k): the largest step before an active multiplier lam_k - t r_k
+    reaches zero (the first such k), or (inf, -1) when none decreases."""
+    t1, k = math.inf, -1
+    for j, (lj, rj) in enumerate(zip(lam, r)):
+        if rj > _DEPENDENT and lj / rj < t1:
+            t1, k = lj / rj, j
+    return t1, k
+
+
+def _drop(fac, active, lam, k):
+    """A partial step's end: active row k leaves the factor (by Givens
+    rotations), the active set and the multipliers."""
+    fac.remove(k)
+    del active[k], lam[k]
+
+
+def _ray(m, p, active, r):
+    """The dual ray's Farkas certificate over the m rows: 1 on the entering
+    row p and max(0, -r) on the active rows."""
+    cert = np.zeros(m)
+    cert[p] = 1.0
+    cert[active] = np.maximum(0.0, np.negative(r))
+    return cert
+
+
+def _optimum(fac, active, hl):
+    """_dual_active_set's return at the optimum: u and the multipliers
+    solved from the factor, the multipliers as np.maximum(lam, 0.0) gives
+    them (a NaN stays, -0.0 becomes 0.0)."""
+    u, lam = fac.solve([hl[i] for i in active])
+    return u, active, [v if v > 0.0 or v != v else 0.0 for v in lam], None
 
 
 def _dual_active_set(G, h, warm, feas_tol):
@@ -384,7 +484,7 @@ def _dual_active_set(G, h, warm, feas_tol):
     if m == 0:
         return np.zeros(d), [], [], None
     hl = h.tolist()
-    fac = _ActiveFactor(d)
+    fac = _ActiveFactor(np.empty((d, d)))
     active: list[int] = []
     for i in warm:
         if i not in active and len(active) < d:
@@ -405,36 +505,19 @@ def _dual_active_set(G, h, warm, feas_tol):
     cap = _step_bound(m, d)
     steps = 0
     while True:
-        # The most violated inactive row, as argmax picks it: the first
-        # maximum, or the first NaN.
-        p, top = -1, -math.inf
-        for i, v in enumerate((G @ u - h).tolist()):
-            if v > top:
-                if i not in active:
-                    p, top = i, v
-            elif v != v and i not in active:
-                p, top = i, v
-                break
+        p, top = _most_violated((G @ u - h).tolist(), active)
         if p < 0 or top <= feas_tol:
-            break
+            return _optimum(fac, active, hl)
         g, lam_p = G[p], 0.0
         while True:
-            steps += 1
-            if steps > cap:
-                raise QPBreakdownError(f"dual active-set QP passed its bound of {cap} steps")
+            steps = _count_step(steps, cap)
             dv, z = fac.split(g)
             zz = float(z @ z)
             r = _back_substitute(fac.R, dv)
-            t1, k = math.inf, -1
-            for j, (lj, rj) in enumerate(zip(lam, r)):
-                if rj > _DEPENDENT and lj / rj < t1:
-                    t1, k = lj / rj, j
+            t1, k = _ratio_test(lam, r)
             if zz <= _DEPENDENT**2:
                 if k < 0:
-                    cert = np.zeros(m)
-                    cert[p] = 1.0
-                    cert[active] = np.maximum(0.0, np.negative(r))
-                    return None, None, None, cert
+                    return None, None, None, _ray(m, p, active, r)
                 t = t1
             else:
                 t = min(t1, float(g @ u - hl[p]) / zz)
@@ -442,16 +525,126 @@ def _dual_active_set(G, h, warm, feas_tol):
             lam = [lj - t * rj for lj, rj in zip(lam, r)]
             lam_p += t
             if t == t1:
-                fac.remove(k)
-                del active[k], lam[k]
+                _drop(fac, active, lam, k)
                 continue
             fac.add(dv, z, math.sqrt(zz))
             active.append(p)
             lam.append(lam_p)
             break
-    u, lam = fac.solve([hl[i] for i in active])
-    # np.maximum(lam, 0.0): a NaN stays, -0.0 becomes 0.0
-    return u, active, [v if v > 0.0 or v != v else 0.0 for v in lam], None
+
+
+def _dual_active_set_rows(G, H, feas_tols):
+    """_dual_active_set(G, h, (), feas_tol) for every row h of the n x m
+    array H and its feas_tol, run in lockstep: a list with, for each row,
+    the tuple that _dual_active_set returns there, or the exception it
+    raises (QPBreakdownError past the step bound; a NaN in h ends in an
+    IndexError on both kernels).
+
+    Each row keeps its own active set, factor (one d x d element of a
+    stack), multipliers, entering row and step count, and every decision
+    comes from the helpers that _dual_active_set calls (_most_violated,
+    _ratio_test, _count_step, _drop).  A pass scans the rows that finished
+    a full step, then makes one step on every row that has an entering
+    row, so a row runs the scalar kernel's steps in the scalar kernel's
+    order.  Only the numpy products are stacked, each as one matmul whose
+    stack elements make the call the scalar kernel makes on that row:
+    G u for the scanning rows (one gemv each), the factor's split for the
+    rows of each active-set size (_split_rows), z.z and g.u (_row_dots, one
+    ddot each); the update u - t z is elementwise.  Every shape stacks
+    with the scalar kernel's bits (the random fixtures of
+    tests/test_prepared_polyhedron.py run m = 1-8 rows in d = 1-5);
+    a factor's add, Givens drop and final solve run per row, through its
+    own _ActiveFactor methods, as they do in the scalar kernel.
+
+    Cold starts only.  Why two kernels: on the 18 polyhedral batches of a
+    seed-0 cli-report round (2,160 points in 3-d on 2-3 rows, batches of
+    40 and 160), a row costs 13 us here against 20 us in the scalar
+    kernel (17 against 25 us through _nearest_points, prelude and point
+    included), but a batch of one costs 91 us here against 33 us there,
+    so _nearest_points sends a lone row to the scalar kernel (best of 9
+    passes, numpy 2.4 with OpenBLAS on a 2-core shared x86_64 host).
+    """
+    n, (m, d) = len(H), G.shape
+    if m == 0:
+        return [(np.zeros(d), [], [], None) for _ in range(n)]
+    hl = H.tolist()
+    U = np.zeros((n, d))
+    Q = np.empty((n, d, d))
+    facs = [_ActiveFactor(Q[i]) for i in range(n)]
+    actives = [[] for _ in range(n)]
+    lams = [[] for _ in range(n)]
+    steps = [0] * n
+    entering = [None] * n  # [p, lam_p] while row i brings p in
+    out = [None] * n
+    cap = _step_bound(m, d)
+    scan, stepping = list(range(n)), []
+    while scan or stepping:
+        if scan:
+            V = (np.matmul(G, U[scan][:, :, None])[:, :, 0] - H[scan]).tolist()
+            for i, values in zip(scan, V):
+                p, top = _most_violated(values, actives[i])
+                if p < 0 or top <= feas_tols[i]:
+                    out[i] = _optimum(facs[i], actives[i], hl[i])
+                else:
+                    entering[i] = [p, 0.0]
+                    stepping.append(i)
+            scan = []
+        live = []
+        for i in stepping:
+            try:
+                steps[i] = _count_step(steps[i], cap)
+                live.append(i)
+            except QPBreakdownError as exc:
+                out[i] = exc
+        stepping = []
+        if not live:
+            continue
+        Gp = G[[entering[i][0] for i in live]]
+        Z = Gp.copy()
+        dvs = [[] for _ in live]
+        sizes = {}
+        for j, i in enumerate(live):
+            sizes.setdefault(len(facs[i].R), []).append(j)
+        for q, js in sizes.items():
+            if q:
+                Qq = Q[[live[j] for j in js]][:, :, :q]
+                dv, Z[js] = _split_rows(Qq, Gp[js])
+                for j, v in zip(js, dv):
+                    dvs[j] = v
+        zzs = _row_dots(Z, Z).tolist()
+        gus = _row_dots(Gp, U[live]).tolist()
+        moved, ts = [], []
+        for j, i in enumerate(live):
+            fac, active, lam, (p, lam_p) = facs[i], actives[i], lams[i], entering[i]
+            try:
+                zz = zzs[j]
+                r = _back_substitute(fac.R, dvs[j])
+                t1, k = _ratio_test(lam, r)
+                if zz <= _DEPENDENT**2:
+                    if k < 0:
+                        out[i] = None, None, None, _ray(m, p, active, r)
+                        continue
+                    t = t1
+                else:
+                    t = min(t1, (gus[j] - hl[i][p]) / zz)
+                    moved.append(j)
+                    ts.append(t)
+                lam[:] = [lj - t * rj for lj, rj in zip(lam, r)]
+                entering[i][1] = lam_p + t
+                if t == t1:
+                    _drop(fac, active, lam, k)
+                    stepping.append(i)
+                    continue
+                fac.add(dvs[j], Z[j], math.sqrt(zz))
+                active.append(p)
+                lam.append(lam_p + t)
+                scan.append(i)
+            except Exception as exc:  # a NaN in h: the scalar kernel raises it too
+                out[i] = exc
+        if moved:
+            rows = [live[j] for j in moved]
+            U[rows] = U[rows] - np.array(ts)[:, None] * Z[moved]
+    return out
 
 
 def _abs_max(values):
@@ -561,6 +754,74 @@ def _freeze(obj):
             value.flags.writeable = False
 
 
+def _prelude(prep, x0):
+    """The per-point work before the dual active set: the scale, the
+    pairwise reduction's offset tests, the row split and the right-hand
+    side h of the inequality subproblem.
+
+    Returns (scale, split, x_p, h, cert).  ``cert`` is a Farkas vector over
+    the unit rows when this work already shows the polyhedron empty (h is
+    then None); ``x_p`` is the particular point of the equality rows, None
+    without them.  ``split`` is prep.split unless the reduction drops a row.
+    """
+    b, is_eq = prep.b, prep.is_eq
+    k = b.shape[0]
+    scale = max(1.0, math.sqrt(x0 @ x0), prep.b_max)
+    keep = range(k)
+    if prep.pairs:
+        keep, cert = _pairwise_reduction(prep.pairs, b, is_eq, scale)
+        if keep is None:
+            return scale, None, None, None, cert
+    split = prep.split
+    if split is None or len(keep) < k:
+        split = _Split(prep, keep)
+    Z = split.Z
+    if Z is None:
+        return scale, split, None, split.b_in - split.G @ x0, None
+    if split.r_max > 1e-9 * scale:
+        cert = np.zeros(k)
+        cert[split.eq_idx] = -split.r
+        return scale, split, None, None, cert
+    x_p = split.x_ls + Z @ (Z.T @ (x0 - split.x_ls))
+    h = split.b_in - split.A_in @ x_p
+    if split.flat is not None:
+        contradicted = split.flat & (h < -1e-9 * scale)
+        if contradicted.any():
+            # a_i is spanned by the equality normals but contradicts them
+            cert = _ray_certificate(prep, split, split.in_all[contradicted.argmax()], 1.0)
+            return scale, split, x_p, None, cert
+        h = h[~split.flat]
+    return scale, split, x_p, h / split.gn, None
+
+
+def _ray_certificate(prep, split, rows, lam):
+    """The Farkas vector with ``lam`` on the inequality ``rows``: a
+    combination that the equality normals span (or that vanishes), so the
+    equality multipliers cancel it."""
+    cert = np.zeros(prep.b.shape[0])
+    cert[rows] = lam
+    if split.eq_idx:
+        cert[split.eq_idx] = split.eq_multipliers(-(cert @ prep.A))
+    return cert
+
+
+def _kernel_certificate(prep, split, ray):
+    """_ray_certificate of the dual active set's ray over split.G's rows."""
+    return _ray_certificate(prep, split, split.in_idx, ray if split.gn is None else ray / split.gn)
+
+
+def _verified(prep, cert, scale):
+    """The certificate over the original rows, once it verifies."""
+    if not _verify_certificate(prep.A, prep.b, prep.is_eq, cert, scale):
+        raise QPBreakdownError("empty polyhedron, but its Farkas certificate does not verify")
+    return cert / prep.row_norms
+
+
+def _point(x0, split, x_p, u):
+    """The nearest point from the subproblem's solution u."""
+    return x0 + u if split.Z is None else x_p + split.Z @ u
+
+
 def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
     """Nearest point of the polyhedron to ``x0``.
 
@@ -579,64 +840,26 @@ def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
     prep = poly._prepared
     if prep is None:
         prep = _Prepared(poly.constraints)
-    A, b, is_eq, row_norms = prep.A, prep.b, prep.is_eq, prep.row_norms
+    A, b, is_eq = prep.A, prep.b, prep.is_eq
     k = b.shape[0]
-    scale = max(1.0, math.sqrt(x0 @ x0), prep.b_max)
-    feas_tol = 1e-11 * scale
-
-    def infeasible(cert):
-        if not _verify_certificate(A, b, is_eq, cert, scale):
-            raise QPBreakdownError("empty polyhedron, but its Farkas certificate does not verify")
+    scale, split, x_p, h, cert = _prelude(prep, x0)
+    if cert is None:
+        in_idx, gn = split.in_idx, split.gn
+        warm = []
+        if len(warm_start):
+            position = {i: j for j, i in enumerate(in_idx)}
+            warm = [position[w] for w in warm_start if w in position]
+        u, active, lam, ray = _dual_active_set(split.G, h, warm, 1e-11 * scale)
+        if ray is not None:
+            cert = _kernel_certificate(prep, split, ray)
+    if cert is not None:
         return QPResult(
             point=x0.copy(), status="infeasible", active_set=(), multipliers=np.zeros(k),
-            kkt_residual=np.inf, certificate=cert / row_norms,
+            kkt_residual=np.inf, certificate=_verified(prep, cert, scale),
         )
 
-    keep = range(k)
-    if prep.pairs:
-        keep, cert = _pairwise_reduction(prep.pairs, b, is_eq, scale)
-        if keep is None:
-            return infeasible(cert)
-    split = prep.split
-    if split is None or len(keep) < k:
-        split = _Split(prep, keep)
-    eq_idx, in_idx, Z, gn = split.eq_idx, split.in_idx, split.Z, split.gn
-
-    def ray_certificate(rows, lam):
-        # A combination of inequality rows that the equality normals span
-        # (or that vanishes): the equality multipliers cancel it.
-        cert = np.zeros(k)
-        cert[rows] = lam
-        if eq_idx:
-            cert[eq_idx] = split.eq_multipliers(-(cert @ A))
-        return infeasible(cert)
-
-    if Z is not None:
-        if split.r_max > 1e-9 * scale:
-            cert = np.zeros(k)
-            cert[eq_idx] = -split.r
-            return infeasible(cert)
-        x_p = split.x_ls + Z @ (Z.T @ (x0 - split.x_ls))
-        h = split.b_in - split.A_in @ x_p
-        if split.flat is not None:
-            contradicted = split.flat & (h < -1e-9 * scale)
-            if contradicted.any():
-                # a_i is spanned by the equality normals but contradicts them
-                return ray_certificate(split.in_all[contradicted.argmax()], 1.0)
-            h = h[~split.flat]
-        h = h / gn
-    else:
-        h = split.b_in - split.G @ x0
-
-    warm = []
-    if len(warm_start):
-        position = {i: j for j, i in enumerate(in_idx)}
-        warm = [position[w] for w in warm_start if w in position]
-    u, active, lam, ray = _dual_active_set(split.G, h, warm, feas_tol)
-    if ray is not None:
-        return ray_certificate(in_idx, ray if gn is None else ray / gn)
-
-    x = x0 + u if Z is None else x_p + Z @ u
+    x = _point(x0, split, x_p, u)
+    eq_idx = split.eq_idx
     mult = [0.0] * k
     for j, v in zip(active, lam):
         mult[in_idx[j]] = v if gn is None else v / gn[j]
@@ -658,9 +881,66 @@ def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
         point=x,
         status="optimal",
         active_set=tuple(sorted(set(eq_idx) | {in_idx[j] for j in active})),
-        multipliers=mult / row_norms,
+        multipliers=mult / prep.row_norms,
         kkt_residual=float(kkt),
     )
+
+
+def _nearest_points(poly: Polyhedron, X) -> list:
+    """project_onto_polyhedron(poly, x).point for each point x of X, bit
+    for bit, without the multipliers, KKT residual and active set; or the
+    exception for that point: InfeasiblePolyhedronError carrying the
+    certificate that project_onto_polyhedron's result would carry, or the
+    exception it raises there (QPBreakdownError).
+
+    X holds 1-d float arrays of the polyhedron's dimension, unchecked.
+    Each point runs the prelude on its own.  The points that keep the
+    prepared split, when there are two or more, run the dual active set in
+    lockstep (_dual_active_set_rows); any other point runs the scalar
+    kernel, as project_onto_polyhedron does.
+    """
+    prep = poly._prepared
+    if prep is None:
+        prep = _Prepared(poly.constraints)
+    queries = [_outcome(_prelude, prep, x0) for x0 in X]
+    rows = [
+        i for i, q in enumerate(queries)
+        if not isinstance(q, Exception) and q[4] is None and q[1] is prep.split
+    ]
+    ends = {}
+    if len(rows) > 1:
+        H = np.array([queries[i][3] for i in rows])
+        tols = [1e-11 * queries[i][0] for i in rows]
+        ends = dict(zip(rows, _dual_active_set_rows(prep.split.G, H, tols)))
+    return [
+        q if isinstance(q, Exception) else _outcome(_finish, prep, x0, q, ends.get(i))
+        for i, (x0, q) in enumerate(zip(X, queries))
+    ]
+
+
+def _finish(prep, x0, query, end):
+    """The nearest point to x0 from its prelude ``query`` and, when the
+    lockstep kernel ran it, its ``end`` there; raises what
+    project_onto_polyhedron raises, or InfeasiblePolyhedronError."""
+    scale, split, x_p, h, cert = query
+    if cert is None:
+        if end is None:
+            end = _dual_active_set(split.G, h, (), 1e-11 * scale)
+        elif isinstance(end, Exception):
+            raise end
+        u, _, _, ray = end
+        if ray is None:
+            return _point(x0, split, x_p, u)
+        cert = _kernel_certificate(prep, split, ray)
+    raise InfeasiblePolyhedronError("empty polyhedron", _verified(prep, cert, scale))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
 
 def relaxed_point(nearest, x_prev, tau: float) -> np.ndarray:
@@ -732,7 +1012,8 @@ def eta(normals) -> float:
     if V.ndim != 2 or V.shape[1] < 1:
         raise ValueError("eta needs at least one normal")
     lens = np.linalg.norm(V, axis=0)
-    if np.any(np.abs(lens - 1.0) > 1e-10):
+    # Written so that a NaN length fails the test too.
+    if not np.all(np.abs(lens - 1.0) <= 1e-10):
         raise ValueError("normals must be unit vectors")
     res = project_onto_polyhedron(
         Polyhedron([Halfspace(-v, -1.0) for v in V.T]), np.zeros(V.shape[0])

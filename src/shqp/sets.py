@@ -16,18 +16,20 @@ raises there, and no nearest point shares memory with another entry or with
 an input.  There is one such method, on the base class: it checks each
 point as project does (_as_point), passes the points that check to the
 set's ``_nearest_rows`` hook together, and takes each row's distance inside
-that row's own outcome.  The hook runs _project on each row, except on two
-kinds, whose _project is the hook's one-row case.  The level set and
-manifold curve (``_SmoothSet``) make the interior test, then run the Newton
-starts of the points left as stacks (``_newton_stationarity_stack``) and
-the ray scans of the points that restart as one lockstep scan
-(``_ray_scan_rows``).  The intersection (``IntersectionSet``) refines its
-rows in lockstep, with one member ``_project_rows`` call per sweep.  Every
-evaluation of f, grad or hess over several points goes through
-``_rows_of``: the callable's row form ``.rows``, looked up at each call,
-where it has one (the polynomial sets of the gallery supply them) and it
-does not raise, and otherwise the callable row by row, each row keeping
-its own exception.
+that row's own outcome.  The hook runs _project on each row, except on
+three kinds, whose _project is the hook's one-row case.  The polyhedron
+(``PolyhedralSet``) hands its rows to ``polyhedra._nearest_points``, the
+QP without its report tail, which runs the dual active set of the rows
+in lockstep.  The level set and manifold curve (``_SmoothSet``) make the
+interior test, then run the Newton starts of the points left as stacks
+(``_newton_stationarity_stack``) and the ray scans of the points that
+restart as one lockstep scan (``_ray_scan_rows``).  The intersection
+(``IntersectionSet``) refines its rows in lockstep, with one member
+``_project_rows`` call per sweep.  Every evaluation of f, grad or hess
+over several points goes through ``_rows_of``: the callable's row form
+``.rows``, looked up at each call, where it has one (the polynomial sets
+of the gallery supply them) and it does not raise, and otherwise the
+callable row by row, each row keeping its own exception.
 
 The samplers behind the report (``_ball_draws``, ``_super_regular_worst``
 with ``_pair_ratios``, ``_sosh_worst``) make a few numpy calls over all of
@@ -49,6 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from . import polyhedra
+from .polyhedra import _outcome, _row_dots
 
 __all__ = [
     "SetOracle",
@@ -128,15 +131,6 @@ def _norm(v: np.ndarray) -> float:
     point an oracle sees is contiguous (_as_point), and so is every array
     computed from them."""
     return math.sqrt(v.dot(v))
-
-
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A[i].dot(B[i]) for each row i of two C-contiguous 2-d float arrays,
-    bit for bit.  matmul over the stack of 1 x n by n x 1 products calls
-    BLAS ddot once per row, as dot does; so the square root of
-    _row_dots(D, D) is _norm of each row.  einsum and sums of elementwise
-    products round otherwise: ddot fuses its multiply-adds."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def _nearest(candidates: Sequence[np.ndarray], dists) -> np.ndarray:
@@ -865,13 +859,29 @@ class UnionOfConvex(SetOracle):
         return min(mem.membership_residual(p) for mem in self.members)
 
 
+def _polyhedral_failure(exc, x) -> Exception:
+    """The error of a polyhedral set's projection at x for the QP's
+    exception there: an empty polyhedron or a QP breakdown becomes a
+    ProjectionNotConvergedError, caused by it; any other stays."""
+    if isinstance(exc, polyhedra.InfeasiblePolyhedronError):
+        reason = "infeasible"
+    elif isinstance(exc, polyhedra.QPBreakdownError):
+        reason = str(exc)
+    else:
+        return exc
+    err = ProjectionNotConvergedError("polyhedral set projection failed: " + reason, x)
+    err.__cause__ = exc
+    return err
+
+
 class PolyhedralSet(SetOracle):
     """Intersection of finitely many halfspaces, projected by the QP engine.
 
     The halfspaces are fixed at construction, which prepares the polyhedron
     once (Polyhedron.prepare): its unit rows, parallel pairs and equality
     elimination are shared by every projection, and each projection does
-    only the QP work that depends on the point.
+    only the QP work that depends on the point, without the QP's report
+    tail (polyhedra._nearest_points); a batch runs in lockstep.
     """
 
     kind = "polyhedron"
@@ -891,18 +901,16 @@ class PolyhedralSet(SetOracle):
         self.halfspaces = hs
         self._poly = polyhedra.Polyhedron(hs).prepare()
 
-    def _project(self, x):
-        try:
-            res = polyhedra.project_onto_polyhedron(self._poly, x)
-        except polyhedra.QPBreakdownError as exc:
-            raise ProjectionNotConvergedError(
-                "polyhedral set projection failed: " + str(exc), x
-            ) from exc
-        if res.status != "optimal":
-            raise ProjectionNotConvergedError(
-                "polyhedral set projection failed: " + res.status, x
-            )
-        return res.point
+    def _nearest_rows(self, X):
+        """polyhedra._nearest_points on the checked points X, each
+        exception mapped to the ProjectionNotConvergedError the set raises
+        at its point."""
+        return [
+            _polyhedral_failure(y, x) if isinstance(y, Exception) else y
+            for x, y in zip(X, polyhedra._nearest_points(self._poly, X))
+        ]
+
+    _project = _one_row
 
     def _residual(self, p):
         worst = 0.0
@@ -1010,14 +1018,6 @@ def project(oracle: SetOracle, x) -> tuple[np.ndarray, float]:
 def _with_distance(p: np.ndarray, nearest: np.ndarray) -> tuple[np.ndarray, float]:
     """(nearest, ||p - nearest||), as project returns them."""
     return nearest, _norm(p - nearest)
-
-
-def _outcome(fn, *args):
-    """fn(*args), or the exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
 
 
 @dataclasses.dataclass(frozen=True)

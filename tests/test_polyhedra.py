@@ -323,6 +323,15 @@ def test_eta_analytic_values():
     assert polyhedra.eta([v, v]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_eta_rejects_non_finite_normals(bad):
+    """A NaN normal has a NaN length, which the unit-length check rejects
+    as it rejects an infinite one; it would otherwise reach the QP's
+    active-set factor."""
+    with pytest.raises(ValueError, match="normals must be unit vectors"):
+        polyhedra.eta([np.array([bad, 0.0]), np.array([0.0, 1.0])])
+
+
 def test_eta_matches_certified_grid():
     rng = np.random.default_rng(2)
     for _ in range(25):

@@ -448,6 +448,27 @@ def test_every_solver_projects_each_point_once(monkeypatch):
     assert repeated == []
 
 
+def _count_qps(monkeypatch):
+    """A list that grows by one entry per polyhedral QP: each
+    project_onto_polyhedron call, and each point of a polyhedral set's
+    batch entry (polyhedra._nearest_points), which runs the same QP
+    without its report tail."""
+    qps = []
+    project, nearest = polyhedra.project_onto_polyhedron, polyhedra._nearest_points
+
+    def counting_qp(*args, **kwargs):
+        qps.append(1)
+        return project(*args, **kwargs)
+
+    def counting_rows(poly, X):
+        qps.extend([1] * len(X))
+        return nearest(poly, X)
+
+    monkeypatch.setattr(polyhedra, "project_onto_polyhedron", counting_qp)
+    monkeypatch.setattr(polyhedra, "_nearest_points", counting_rows)
+    return qps
+
+
 @pytest.mark.parametrize(
     "name, alg, oracle_calls, qp_calls",
     [
@@ -460,14 +481,7 @@ def test_projection_counts_of_benchmark_anchors(monkeypatch, name, alg, oracle_c
     """Exact oracle and QP call counts; a second identical solve makes the
     same counts, so no cached state outlives a call."""
     calls = _count_projections(monkeypatch)
-    qps = []
-    project = polyhedra.project_onto_polyhedron
-
-    def counting_qp(*args, **kwargs):
-        qps.append(1)
-        return project(*args, **kwargs)
-
-    monkeypatch.setattr(polyhedra, "project_onto_polyhedron", counting_qp)
+    qps = _count_qps(monkeypatch)
     prob = gallery.get_entry(name).problem
     counts = []
     for _ in range(2):
@@ -493,14 +507,7 @@ def test_oracle_and_qp_counts_of_every_gallery_run(monkeypatch):
     from test_trace_pins import _runs, _starts
 
     calls = _count_projections(monkeypatch)
-    qps = []
-    project = polyhedra.project_onto_polyhedron
-
-    def counting_qp(*args, **kwargs):
-        qps.append(1)
-        return project(*args, **kwargs)
-
-    monkeypatch.setattr(polyhedra, "project_onto_polyhedron", counting_qp)
+    qps = _count_qps(monkeypatch)
     digest = hashlib.sha256()
     totals = [0, 0]
     repeated = []
