@@ -903,6 +903,7 @@ def _nearest_points(poly: Polyhedron, X) -> list:
     if prep is None:
         prep = _Prepared(poly.constraints)
     queries = [_outcome(_prelude, prep, x0) for x0 in X]
+    # (scale, split, x_p, h, cert): no certificate yet, and the shared split
     rows = [
         i for i, q in enumerate(queries)
         if not isinstance(q, Exception) and q[4] is None and q[1] is prep.split

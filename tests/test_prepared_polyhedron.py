@@ -182,13 +182,12 @@ RESCALES = (1e-6, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e6)
 
 
 @SETTINGS
-@given(
-    polyhedra_with_pairs(),
-    st.lists(st.tuples(st.integers(0, 2), st.sampled_from(RESCALES)), max_size=40),
-)
-def test_batch_equals_per_point(problem, picks):
+@given(polyhedra_with_pairs(), st.integers(0, 40), st.integers(0, len(RESCALES) - 1))
+def test_batch_equals_per_point(problem, size, shift):
+    """Batches of 0 to 40 points: the strategy's points in turn, each
+    rescaled by the next factor of RESCALES."""
     triples, points, _ = problem
-    batch = [np.ascontiguousarray(points[i] * c) for i, c in picks]
+    batch = [points[k % 3] * RESCALES[(k + shift) % len(RESCALES)] for k in range(size)]
     want = [_point_bits(_one_shot(Polyhedron(_halfspaces(triples)), x0)) for x0 in batch]
     for poly in (Polyhedron(_halfspaces(triples)).prepare(), Polyhedron(_halfspaces(triples))):
         assert [_row_bits(y) for y in polyhedra._nearest_points(poly, batch)] == want
