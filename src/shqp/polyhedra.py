@@ -291,8 +291,6 @@ def _pairwise_reduction(pairs, b, is_eq, scale):
 
 
 def _verify_certificate(A, b, is_eq, cert, scale) -> bool:
-    if cert is None:
-        return False
     lam = np.asarray(cert, dtype=float)
     # Normalize so the certificate's size cannot mask roundoff either way.
     weight = float((np.abs(lam) * np.linalg.norm(A, axis=1)).sum())
@@ -945,11 +943,14 @@ def _outcome(fn, *args):
 
 
 def relaxed_point(nearest, x_prev, tau: float) -> np.ndarray:
-    """The point (1 - tau) * nearest + tau * x_prev, computed one way only
-    (halfspace_from_projection takes it as nearest + tau * gap)."""
+    """The point (1 - tau) * nearest + tau * x_prev, formed as every relaxed
+    cut forms its boundary point (_supporting_cut)."""
     nearest = np.asarray(nearest, dtype=float)
-    x_prev = np.asarray(x_prev, dtype=float)
-    return nearest + tau * (x_prev - nearest)
+    return _relaxed(nearest, np.asarray(x_prev, dtype=float) - nearest, tau)
+
+
+def _relaxed(nearest, gap, tau):
+    return nearest + tau * gap
 
 
 def halfspace_from_projection(
@@ -961,27 +962,25 @@ def halfspace_from_projection(
     outer_iteration: int | None = None,
     inner_step: int | None = None,
 ) -> Halfspace:
-    """Supporting constraint generated by projecting ``x_prev`` to ``nearest``.
-
-    The normal is x_prev - nearest.  Manifold projections give an equality
-    through ``nearest`` (tau is ignored: equality constraints are never
-    relaxed); otherwise the boundary passes through the tau-relaxed point
-    (1 - tau) * nearest + tau * x_prev.
-    """
+    """Supporting constraint generated by projecting ``x_prev`` to ``nearest``:
+    _supporting_cut's cut, once a gap of norm <= 1e-14 has raised ZeroGapError."""
     nearest = np.asarray(nearest, dtype=float)
     gap = np.asarray(x_prev, dtype=float) - nearest
     if _vector_norm(gap) <= 1e-14:
         raise ZeroGapError("projection gap is zero; no separating constraint")
+    return _supporting_cut(gap, nearest, is_manifold, tau, source_set, outer_iteration, inner_step)[0]
+
+
+def _supporting_cut(gap, nearest, is_manifold, tau, *tags):
+    """(cut, boundary point) of projecting nearest + gap to nearest, a nonzero
+    gap: the one construction of every supporting cut, tags being Halfspace's.
+    The normal is gap.  A manifold gives an equality through nearest (tau is
+    ignored: equalities are never relaxed), any other set an inequality
+    through the tau-relaxed point nearest + tau * gap."""
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
-    if is_manifold:
-        return Halfspace(
-            gap, float(gap @ nearest), "equality", source_set, outer_iteration, inner_step
-        )
-    r = nearest + tau * gap  # relaxed_point(nearest, x_prev, tau), bit for bit
-    return Halfspace(
-        gap, float(gap @ r), "inequality", source_set, outer_iteration, inner_step
-    )
+    kind, point = ("equality", nearest) if is_manifold else ("inequality", _relaxed(nearest, gap, tau))
+    return Halfspace(gap, float(gap @ point), kind, *tags), point
 
 
 def derived_halfspace(poly: Polyhedron, x_prev) -> Halfspace:

@@ -43,7 +43,6 @@ and they do not, so they differ from it in the last bit on most rows.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from typing import Sequence
@@ -68,14 +67,11 @@ __all__ = [
     "UnionOfConvex",
     "PolyhedralSet",
     "IntersectionSet",
-    "NormalSample",
     "project",
-    "normal_at",
     "check_super_regular",
     "check_sosh",
     "DimensionMismatchError",
     "ProjectionNotConvergedError",
-    "DegenerateNormalError",
     "InsufficientSamplesError",
 ]
 
@@ -98,10 +94,6 @@ class ProjectionNotConvergedError(RuntimeError):
     def __init__(self, message: str, last_iterate: np.ndarray):
         super().__init__(message)
         self.last_iterate = last_iterate
-
-
-class DegenerateNormalError(ValueError):
-    """normal_at was asked for a normal from coincident base and hint."""
 
 
 class InsufficientSamplesError(RuntimeError):
@@ -913,14 +905,7 @@ class PolyhedralSet(SetOracle):
     _project = _one_row
 
     def _residual(self, p):
-        worst = 0.0
-        for h in self.halfspaces:
-            nn = np.linalg.norm(h.normal)
-            if h.kind == "equality":
-                worst = max(worst, abs(h.normal @ p - h.offset) / nn)
-            else:
-                worst = max(worst, max(0.0, h.normal @ p - h.offset) / nn)
-        return worst
+        return max(0.0, *(h.violation(p) for h in self.halfspaces))
 
 
 # Sweeps of member projections an intersection refinement makes at most.
@@ -1018,50 +1003,6 @@ def project(oracle: SetOracle, x) -> tuple[np.ndarray, float]:
 def _with_distance(p: np.ndarray, nearest: np.ndarray) -> tuple[np.ndarray, float]:
     """(nearest, ||p - nearest||), as project returns them."""
     return nearest, _norm(p - nearest)
-
-
-@dataclasses.dataclass(frozen=True)
-class NormalSample:
-    """A unit normal ``direction`` to a set at ``base``."""
-
-    base: np.ndarray
-    direction: np.ndarray
-    provenance: str  # "projection-residual" | "analytic-gradient"
-
-
-def normal_at(oracle: SetOracle, base, hint) -> NormalSample:
-    """Unit normal to the set at ``base``, oriented toward ``hint``.
-
-    Uses the analytic gradient when the oracle has one (sign chosen toward
-    ``hint`` for manifolds), otherwise the projection residual of ``hint``,
-    which requires ``base`` to be the projection of ``hint``.
-    """
-    b = _as_point(base, oracle.dimension)
-    h = _as_point(hint, oracle.dimension)
-    gap = h - b
-    ngap = np.linalg.norm(gap)
-    if ngap <= 1e-14:
-        raise DegenerateNormalError("hint coincides with base")
-    if oracle.membership_residual(b) > oracle.membership_tol:
-        raise ValueError("base point is not a member of the set")
-
-    g = oracle.analytic_normal(b)
-    if g is not None:
-        direction = g / np.linalg.norm(g)
-        if oracle.is_manifold and direction @ gap < 0:
-            direction = -direction
-        return NormalSample(base=b, direction=direction, provenance="analytic-gradient")
-
-    nearest, dist = project(oracle, h)
-    if np.linalg.norm(nearest - b) > 10 * oracle.membership_tol * (1 + np.linalg.norm(b)):
-        raise ValueError(
-            "no analytic normal and base is not the projection of hint; "
-            "cannot certify a normal direction"
-        )
-    if dist <= 1e-14:
-        raise DegenerateNormalError("hint lies on the set; residual normal undefined")
-    direction = (h - nearest) / dist
-    return NormalSample(base=b, direction=direction, provenance="projection-residual")
 
 
 def _member_center(oracle: SetOracle, center, name: str) -> np.ndarray:

@@ -457,7 +457,10 @@ class _PooledRule:
     def cuts(self, proj, x, i, j, group):
         """(cut, target) for each set of ``group`` that x is not on.
 
-        target is where projecting x onto the cut alone lands; it is None
+        target is where projecting x onto the cut alone lands: the boundary
+        point that polyhedra._supporting_cut builds the cut through, from
+        the one gap x - nearest.  Its distance is above the zero-gap floor,
+        so the gap is nonzero without taking its norm again.  target is None
         for the tangent hyperplane of a manifold the iterate already sits
         on.  A convex set that x already belongs to drops out.
         """
@@ -479,11 +482,7 @@ class _PooledRule:
             tau = config.tau_at(i)
             if manifold or (config.tau_zero_for_convex and s.is_convex):
                 tau = 0.0
-            hs = polyhedra.halfspace_from_projection(
-                x, nearest[l], manifold, tau, source_set=l, outer_iteration=i, inner_step=j
-            )
-            target = nearest[l] if manifold else polyhedra.relaxed_point(nearest[l], x, tau)
-            fresh.append((hs, target))
+            fresh.append(polyhedra._supporting_cut(x - nearest[l], nearest[l], manifold, tau, l, i, j))
         return fresh
 
     def admit(self, fresh):

@@ -173,6 +173,16 @@ def test_infeasible_reports_farkas_certificate():
     assert lam @ b < 0
 
 
+def test_verify_certificate_rejects_a_negative_inequality_multiplier():
+    """(1, -1) proves x1 <= 0 and x1 = 1 empty; with the second row the
+    inequality x1 <= 1 instead, its negative multiplier is rejected."""
+    A = np.array([[1.0, 0.0], [1.0, 0.0]])
+    b = np.array([0.0, 1.0])
+    cert = np.array([1.0, -1.0])
+    assert polyhedra._verify_certificate(A, b, (False, True), cert, 1.0)
+    assert not polyhedra._verify_certificate(A, b, (False, False), cert, 1.0)
+
+
 def test_infeasible_certificates_random():
     """Every random infeasible instance carries a valid Farkas vector."""
     rng = np.random.default_rng(17)

@@ -274,15 +274,12 @@ def test_dimension_mismatch_raises():
         Ball((0.0, 0.0), 1.0).membership_residual(np.array([1.0]))
 
 
-def test_normal_at_analytic_sets():
-    hs = HalfspaceSet((0.0, 2.0), 0.0)
-    ns = sets.normal_at(hs, (0.3, 0.0), (0.3, 0.8))
-    assert np.allclose(ns.direction, [0.0, 1.0], atol=1e-12)
-    assert np.linalg.norm(ns.direction) == pytest.approx(1.0, abs=1e-12)
-    assert ns.provenance == "analytic-gradient"
-    sph = Sphere((0.0, 0.0), 1.0)
-    ns2 = sets.normal_at(sph, (1.0, 0.0), (1.5, 0.0))
-    assert abs(abs(ns2.direction @ np.array([1.0, 0.0])) - 1.0) <= 1e-10
+def test_analytic_normal_halfspace_and_sphere():
+    n = HalfspaceSet((0.0, 2.0), 0.0).analytic_normal(np.array([0.3, 0.0]))
+    assert np.allclose(n, [0.0, 1.0], atol=1e-12)
+    assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
+    n2 = Sphere((0.0, 0.0), 1.0).analytic_normal(np.array([1.0, 0.0]))
+    assert abs(abs(n2 @ np.array([1.0, 0.0])) - 1.0) <= 1e-10
 
 
 def test_check_super_regular_smoke():

@@ -270,6 +270,38 @@ def test_global_rule_falls_back_on_parallel_lines():
         np.testing.assert_array_equal(rec.point, point)
 
 
+def test_two_set_step_stalls_when_neither_projection_moves():
+    """Both projections move x by less than the no-move floor and the leg to
+    the first is degenerate, so the copy step ends the run at its start."""
+    lines = [sets.HyperplaneSet([1.0, 0.0], 0.0), sets.HyperplaneSet([0.0, 1.0], 0.0)]
+    prob = solvers.ProblemInstance("axis-lines", lines, [1e-16, 0.0])
+    trace = solvers.run_two_shqp(prob, config=solvers.SolverConfig(stop_tolerance=1e-17))
+    assert trace.status == "stalled"
+    assert (len(trace.records), trace.copy_steps) == (1, 1)
+
+
+def test_global_rule_stalls_at_zero_merit():
+    """x lies outside both balls, so the pool has cuts, but the intersection
+    oracle puts x at merit 0, which no step can lower."""
+    balls = [sets.Ball([0.0, 0.0], 1.0), sets.Ball([0.5, 0.0], 1.0)]
+    prob = solvers.ProblemInstance(
+        "zero-merit", balls, [2.0, 0.0], intersection_oracle=sets.PointSet([(2.0, 0.0)])
+    )
+    trace = solvers.run_global(prob, merit="intersection-distance")
+    assert trace.status == "stalled"
+    assert len(trace.records) == 1
+
+
+def test_global_rule_stalls_on_an_empty_pool():
+    """Both distances are below the zero-gap floor, so no set gives a cut,
+    and the averaged step moves x by less than the no-move floor."""
+    lines = [sets.HyperplaneSet([1.0, 0.0], 0.0), sets.HyperplaneSet([1.0, 1.0], 0.0)]
+    prob = solvers.ProblemInstance("slanted-lines", lines, [1e-15, -1e-15])
+    trace = solvers.run_global(prob, config=solvers.SolverConfig(stop_tolerance=1e-17))
+    assert trace.status == "stalled"
+    assert len(trace.records) == 1
+
+
 def test_map_cycles_forever_on_disjoint_points():
     cfg = solvers.SolverConfig(max_outer_iterations=30)
     trace = solvers.run_map(_point_problem(), config=cfg)
