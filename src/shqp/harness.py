@@ -15,10 +15,11 @@ import dataclasses
 import itertools
 import json
 import math
+import numbers
+import operator
 import os
 import time
 
-import jsonschema
 import numpy as np
 
 from . import diagnostics, gallery, polyhedra, solvers
@@ -199,19 +200,108 @@ class ExperimentConfig:
         )
 
 
+# The JSON types as Draft 2020-12 reads them: a bool is not a number, and
+# an integral float is an integer.
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool)
+    and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+# The type each keyword constrains; a value of another type satisfies it.
+_KEYWORD_TYPES = {
+    "required": "object",
+    "properties": "object",
+    "additionalProperties": "object",
+    "items": "array",
+    "minItems": "array",
+    "minLength": "string",
+    "minimum": "number",
+    "exclusiveMinimum": "number",
+    "exclusiveMaximum": "number",
+}
+
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
+
+
+def _schema_errors(value, schema, path=()):
+    """Yield (path, message) for each way value breaks schema, in the order
+    of jsonschema's Draft202012Validator.iter_errors: the schema's keywords
+    in order, depth first, and a failing oneOf as one error at its own
+    path.  Raises ValueError on a keyword it does not interpret."""
+    for key, rule in schema.items():
+        if key in _KEYWORD_TYPES and not _JSON_TYPES[_KEYWORD_TYPES[key]](value):
+            continue
+        if key == "type":
+            if not _JSON_TYPES[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum":
+            # Every enum here lists strings, and jsonschema compares a string
+            # only with a string.
+            if not (isinstance(value, str) and value in rule):
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "oneOf":
+            valid = [sub for sub in rule if next(_schema_errors(value, sub, path), None) is None]
+            if not valid:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                reprs = ", ".join(repr(sub) for sub in valid[1:] + valid[:1])
+                yield path, f"{value!r} is valid under each of {reprs}"
+        elif key == "required":
+            for name in rule:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _schema_errors(value[name], sub, path + (name,))
+        elif key == "additionalProperties":
+            # Every additionalProperties here is false.
+            extras = sorted(set(value) - set(schema.get("properties", {})), key=str)
+            if extras:
+                names = ", ".join(repr(name) for name in extras)
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "items":
+            for index, item in enumerate(value):
+                yield from _schema_errors(item, rule, path + (index,))
+        elif key in ("minItems", "minLength"):
+            if len(value) < rule:
+                yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif key in _BOUNDS:
+            breaks, words = _BOUNDS[key]
+            if breaks(value, rule):
+                yield path, f"{value!r} is {words} of {rule!r}"
+        elif key != "$schema":
+            raise ValueError(f"schema keyword {key!r} is not interpreted")
+
+
 def validate_config(data: dict) -> None:
-    """Validate a raw config dict against the schema; raise UsageError with
-    the offending JSON path on failure."""
+    """Validate a raw config dict against CONFIG_SCHEMA; raise UsageError
+    with the offending JSON path on failure.
+
+    The schema is walked here, without a JSON Schema library.  The walk
+    interprets the keywords CONFIG_SCHEMA uses (type, required,
+    additionalProperties: false, properties, items, minItems, minLength,
+    enum over strings, oneOf, minimum, exclusiveMinimum, exclusiveMaximum)
+    and ignores $schema.  The error raised, and its path and message, are
+    those of jsonschema's Draft202012Validator: of its errors, the first by
+    JSON path, ties in the schema's keyword order.
+    """
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
-        )
-        raise UsageError(f"config invalid at {path}: {err.message}")
+    error = min(_schema_errors(data, CONFIG_SCHEMA), key=lambda e: e[0], default=None)
+    if error is not None:
+        path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in error[0])
+        raise UsageError(f"config invalid at {path}: {error[1]}")
 
 
 def _vec(obj, path, dimension=None):

@@ -3,10 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import shqp
 from shqp import cli, gallery, harness, sets, solvers
 
 DISJOINT_PROBLEM = {
@@ -47,6 +53,179 @@ def test_validate_config_reports_json_path():
         harness.validate_config(_cfg(algorithm="gradient-descent"))
     with pytest.raises(harness.UsageError, match="must be a JSON object"):
         harness.validate_config([1, 2, 3])
+
+
+# jsonschema is the reference for the package's own schema walk; only these
+# tests import it.
+
+
+def _jsonschema_errors(config, schema):
+    import jsonschema
+
+    validator = jsonschema.Draft202012Validator(schema)
+    return [(tuple(e.absolute_path), e.message) for e in validator.iter_errors(config)]
+
+
+def _jsonschema_verdict(config):
+    """What validate_config raised while it called jsonschema: None, or the
+    first error by JSON path (ties in jsonschema's order), with its path."""
+    errors = sorted(_jsonschema_errors(config, harness.CONFIG_SCHEMA), key=lambda e: list(e[0]))
+    if not errors:
+        return None
+    path, message = errors[0]
+    where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    return f"config invalid at {where}: {message}"
+
+
+def _verdict(config):
+    try:
+        harness.validate_config(config)
+    except harness.UsageError as exc:
+        return str(exc)
+    return None
+
+
+# Values a config may hold where the schema wants another: bools, integral
+# and fractional floats at the bounds, empty strings, lists and objects.
+_JUNK = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.sampled_from([0, 1, -1, 0.0, 1.0, 4.0, -1.0, 0.5, 1.5]),
+        st.sampled_from(["", "x", "map", "blocks", "circle-line"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["kind", "name", "bogus"]), inner, max_size=2),
+    ),
+    max_leaves=5,
+)
+
+_NUMBERS = {
+    "number": [0, 1, 2, -1, 0.0, 0.1, 0.5, 1.0, 1.5, -0.5, 1e-12, True, False],
+    "integer": [0, 1, 2, 8, -1, 0.0, 4.0, -1.0, 2.5, True, False],
+}
+
+
+@st.composite
+def _config_value(draw, schema, slips):
+    """A value for schema.  Without slips it fits schema (jsonschema picks
+    the fitting numbers and strings); with slips, any level may hold junk,
+    leave out a required key, add an unknown key, or put a bool, an
+    integral float, an empty string or an empty list where it does not
+    fit."""
+    if slips and draw(st.integers(0, 11)) == 0:
+        return draw(_JUNK)
+    if "oneOf" in schema:
+        return draw(_config_value(draw(st.sampled_from(schema["oneOf"])), slips))
+    if "enum" in schema:
+        return draw(st.sampled_from(schema["enum"]))
+    kind = schema["type"]
+    if kind == "object":
+        out = {}
+        for name, sub in schema["properties"].items():
+            required = name in schema.get("required", ())
+            if draw(st.integers(0, 11)) < (11 + (not slips) if required else 3):
+                out[name] = draw(_config_value(sub, slips))
+        for name in ("bogus", "zz", "Tau"):
+            if slips and draw(st.integers(0, 15)) == 0:
+                out[name] = draw(_JUNK)
+        return out
+    if kind == "array":
+        size = 0 if slips else schema.get("minItems", 0)
+        return draw(st.lists(_config_value(schema["items"], slips), min_size=size, max_size=3))
+    if kind == "null":
+        return None
+    pool = ["circle-line", "x", ""] if kind == "string" else _NUMBERS[kind]
+    if not slips:
+        pool = [v for v in pool if not _jsonschema_errors(v, schema)]
+    return draw(st.sampled_from(pool))
+
+
+# Whole configs: objects, half of them drawn with slips.
+_CONFIGS = (
+    st.booleans()
+    .flatmap(lambda slips: _config_value(harness.CONFIG_SCHEMA, slips))
+    .filter(lambda config: isinstance(config, dict))
+)
+
+_INLINE = {"name": "p", "sets": [{"kind": "hyperplane"}], "start": [0.0]}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(config=_CONFIGS)
+@example(config=_cfg(bogus=1, zz=2))
+@example(config={"algorithm": "map", "bogus": 1})
+@example(config=_cfg(pbar=True, tau=False))
+@example(config=_cfg(pbar=4.0, x0_seed=0.0, max_iters=3.0))
+@example(config=_cfg(problem="", x0=[], tau_schedule=[]))
+@example(config=_cfg(problem=dict(_INLINE, extra=1)))
+@example(config=_cfg(problem={"name": "", "sets": [], "start": [True], "known_solution": []}))
+@example(config=_cfg(schedule={"kind": "blocks", "blocks": [[]], "zz": 0}, sweep={"bogus": []}))
+@example(config=_cfg(sweep={"tau": [True], "pbar": [1.0, 1.5], "x0_seeds": []}))
+def test_validate_config_matches_jsonschema(config):
+    """The schema walk reports what jsonschema reports: the same errors in
+    the same order, so validate_config accepts the same configs and names
+    the same path and message."""
+    assert list(harness._schema_errors(config, harness.CONFIG_SCHEMA)) == _jsonschema_errors(
+        config, harness.CONFIG_SCHEMA
+    )
+    assert _verdict(config) == _jsonschema_verdict(config)
+
+
+@pytest.mark.parametrize(
+    "schema, value",
+    [
+        ({"oneOf": [{"type": "number"}, {"type": "integer"}, {"minimum": 0}]}, 2),
+        ({"oneOf": [{"type": "number"}, {"type": "integer"}, {"minimum": 0}]}, -1.5),
+        ({"oneOf": [{"type": "string"}, {"type": "null"}]}, 3),
+        ({"type": "array", "minItems": 2, "items": {"type": "string", "minLength": 3}}, ["ab"]),
+        ({"type": "array", "minItems": 2, "items": {"type": "string", "minLength": 3}}, "ab"),
+        ({"type": "integer", "minimum": 0, "exclusiveMaximum": 1}, -2.0),
+    ],
+)
+def test_schema_walk_matches_jsonschema_beyond_the_config_schema(schema, value):
+    """The branches CONFIG_SCHEMA does not reach today: two valid oneOf
+    branches, and length bounds above 1."""
+    assert list(harness._schema_errors(value, schema)) == _jsonschema_errors(value, schema)
+
+
+def _schema_nodes(schema):
+    yield schema
+    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]:
+        yield from _schema_nodes(sub)
+    if "items" in schema:
+        yield from _schema_nodes(schema["items"])
+
+
+def test_schema_walk_interprets_every_keyword_of_the_config_schema():
+    """A keyword, or a form of one, that the walk does not interpret fails
+    here instead of passing unchecked in validate_config."""
+    for node in _schema_nodes(harness.CONFIG_SCHEMA):
+        for value in (None, True, 0, 1.5, "", [], {}):
+            list(harness._schema_errors(value, node))  # ValueError on an unknown keyword
+        assert isinstance(node.get("type", ""), str)
+        assert node.get("additionalProperties", False) is False
+        assert all(isinstance(member, str) for member in node.get("enum", ()))
+
+
+def test_validate_config_imports_no_json_schema_library(tmp_path):
+    """A fresh `validate-config` process loads none of jsonschema and its
+    dependencies."""
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(_cfg()))
+    code = (
+        "import sys\n"
+        "import shqp, shqp.cli\n"
+        "assert shqp.cli.main(['validate-config', '--config', sys.argv[1]]) == 0\n"
+        "print(sorted({'jsonschema', 'attrs', 'referencing', 'rpds'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(shqp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.splitlines() == ["ok", "[]"]
 
 
 # ---------------------------------------------------- set descriptions
@@ -622,6 +801,74 @@ def test_run_sweep_records_cell_errors_and_validates(tmp_path):
     row = out["rows"][0]
     assert row["status"] == "max-iterations"
     assert row["error"].startswith("insufficient-data")
+
+
+def test_sweep_records_a_raising_cell_and_runs_the_rest(tmp_path, monkeypatch):
+    """A cell whose solve raises gets an error row naming the exception;
+    the other cells run, and the sweep exits 0."""
+    dispatch = harness._dispatch
+
+    def raising_at_tau_01(cfg, problem, x0):
+        if cfg.tau == 0.1:
+            raise RuntimeError("solver blew up")
+        return dispatch(cfg, problem, x0)
+
+    monkeypatch.setattr(harness, "_dispatch", raising_at_tau_01)
+    cfg = _cfg(algorithm="memory-shqp", sweep={"tau": [0.05, 0.1, 0.2]})
+    code, out = harness.run_sweep(cfg, out_dir=str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(r["tau"]), r["status"], r["error"]) for r in rows] == [
+        (0.05, "converged", ""),
+        (0.1, "", "RuntimeError: solver blew up"),
+        (0.2, "converged", ""),
+    ]
+    assert rows[1]["predicted_contraction"] == rows[1]["tail_qlinear_rate"] == ""
+    assert rows[0]["predicted_contraction"] != ""
+
+
+# Two lines through the origin, inline: no intersection oracle.
+CROSSING_LINES = {
+    "name": "crossing-lines",
+    "sets": [
+        {"kind": "hyperplane", "normal": [0.0, 1.0], "offset": 0.0},
+        {"kind": "hyperplane", "normal": [-0.5, 1.0], "offset": 0.0},
+    ],
+    "start": [1.0, 0.3],
+    "known_solution": [0.0, 0.0],
+}
+
+
+def test_report_and_sweep_without_a_distance_estimate(tmp_path, monkeypatch):
+    """Without an intersection oracle, d(x, K) comes from mass-projection
+    runs; when one of them does not converge there is no beta: the
+    estimate raises NoDistanceOracleError, the report records it, and the
+    sweep leaves every predicted contraction empty."""
+    from shqp import diagnostics
+
+    cfg, problem = harness.validate_experiment({"problem": CROSSING_LINES, "algorithm": "map"})
+    assert problem.intersection_oracle is None
+    trace = solvers.run_map(problem)
+    assert trace.status == "converged"
+
+    def stuck(problem, x0=None, config=None):
+        return solvers.Trace(records=[], status="max-iterations")
+
+    monkeypatch.setattr(solvers, "run_mass_projection", stuck)
+    with pytest.raises(diagnostics.NoDistanceOracleError, match="status max-iterations"):
+        diagnostics.estimate_regularity(problem, problem.known_solution)
+    report = harness.build_report(cfg, problem, trace, problem.start, 0.0)
+    assert report["regularity_estimate"]["error"].startswith("no-K-oracle")
+    assert report["predicted_bounds"] == {"error": "no-beta-estimate"}
+
+    sweep = {"problem": CROSSING_LINES, "algorithm": "map", "sweep": {"tau": [0.0, 0.1]}}
+    code, out = harness.run_sweep(sweep, out_dir=str(tmp_path))
+    assert code == 0
+    assert [row["predicted_contraction"] for row in out["rows"]] == [None, None]
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        assert [r["predicted_contraction"] for r in csv.DictReader(fh)] == ["", ""]
+    assert [row["status"] for row in out["rows"]] == ["converged", "converged"]
 
 
 # Two circles through (0, 1) and (0, -1), with no known solution.
