@@ -124,8 +124,9 @@ def _config_value(draw, schema, slips):
     if kind == "object":
         out = {}
         for name, sub in schema["properties"].items():
-            required = name in schema.get("required", ())
-            if draw(st.integers(0, 11)) < (11 + (not slips) if required else 3):
+            # In twelfths: a required key is left out only with slips.
+            odds = 3 if name not in schema.get("required", ()) else 11 if slips else 12
+            if draw(st.integers(0, 11)) < odds:
                 out[name] = draw(_config_value(sub, slips))
         for name in ("bogus", "zz", "Tau"):
             if slips and draw(st.integers(0, 15)) == 0:
