@@ -9,6 +9,7 @@ codes: 0 converged, 2 iteration budget exhausted, 3 no further progress,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -52,23 +53,11 @@ def _load_config(args) -> dict:
 
 
 def _apply_overrides(data: dict, args) -> dict:
-    overrides = {
-        "problem": args.problem,
-        "algorithm": args.algorithm,
-        "x0": None if args.x0 is None else _parse_vector(args.x0),
-        "x0_seed": args.x0_seed,
-        "x0_radius": args.x0_radius,
-        "tau": args.tau,
-        "pbar": args.pbar,
-        "seed": args.seed,
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "out_dir": args.out_dir,
-        "format": args.format,
-    }
-    for key, value in overrides.items():
+    """Set each config field given by the run flag of that dest (a list as comma-separated text)."""
+    for field in dataclasses.fields(harness.ExperimentConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            data[key] = value
+            data[field.name] = _parse_vector(value) if field.type.startswith("list") else value
     return data
 
 

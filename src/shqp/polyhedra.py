@@ -993,7 +993,7 @@ def derived_halfspace(poly: Polyhedron, x_prev) -> Halfspace:
     gap = np.asarray(x_prev, dtype=float) - res.point
     if np.linalg.norm(gap) <= 1e-12:
         raise NoSeparationError("point already lies in the polyhedron")
-    return Halfspace(gap, float(gap @ res.point), "inequality")
+    return _supporting_cut(gap, res.point, False, 0.0)[0]
 
 
 def eta(normals) -> float:

@@ -392,12 +392,7 @@ def _qp_attempt(constraints, x):
             continue
         break
     if any(h.kind == "equality" for h in work):
-        relaxed = [
-            polyhedra.Halfspace(
-                h.normal, h.offset, "inequality", h.source_set, h.outer_iteration, h.inner_step
-            )
-            for h in work
-        ]
+        relaxed = [dataclasses.replace(h, kind="inequality") for h in work]
         res = polyhedra.project_onto_polyhedron(polyhedra.Polyhedron(relaxed), x)
         if res.status == "optimal":
             return res, "qp-inequality-relaxation"
@@ -475,9 +470,7 @@ class _PooledRule:
                 if manifold:
                     v = _zero_gap_tangent(proj, l, x, self.came_from)
                     if v is not None:
-                        fresh.append(
-                            (polyhedra.Halfspace(v, float(v @ x), "equality", l, i, j), None)
-                        )
+                        fresh.append((polyhedra._supporting_cut(v, x, True, 0.0, l, i, j)[0], None))
                 continue
             tau = config.tau_at(i)
             if manifold or (config.tau_zero_for_convex and s.is_convex):
@@ -628,8 +621,8 @@ def _two_shqp_step(proj, x, i, trace):
     degenerate = sets_mod._norm(u) <= 1e-14 or sets_mod._norm(w) <= 1e-14
     if not degenerate and u @ w > 0.0:
         cons = [
-            polyhedra.Halfspace(u, float(u @ x1), "inequality", 0, i, 0),
-            polyhedra.Halfspace(x1 - x2, float((x1 - x2) @ x2), "inequality", 1, i, 0),
+            polyhedra._supporting_cut(u, x1, False, 0.0, 0, i, 0)[0],
+            polyhedra._supporting_cut(x1 - x2, x2, False, 0.0, 1, i, 0)[0],
         ]
         res, kind = _qp_attempt(cons, x2)
         if res is not None:

@@ -645,3 +645,72 @@ def test_two_shqp_projects_an_unrecorded_copy_only_if_the_run_goes_on(monkeypatc
     # The start and x1 are recorded; the second run also projects the
     # copied x2 at its stop test, and converges there.
     assert counts == [("max-iterations", 1, 2, 4), ("converged", 1, 2, 6)]
+
+
+def test_every_solver_qp_row_is_a_supporting_cut(monkeypatch):
+    """Every row of every solver QP, over every gallery run from every start,
+    is a cut that polyhedra._supporting_cut returned in that run, or
+    _qp_attempt's inequality relaxation of one: the same normal array,
+    offset and tags, with the kind relaxed.  The gallery never reaches the
+    relaxation rung, so the parallel lines' runs join it."""
+    from test_trace_pins import _runs, _starts
+
+    made, foreign, relaxations = {}, [], []
+    cut, project = polyhedra._supporting_cut, polyhedra.project_onto_polyhedron
+
+    def recording_cut(*args):
+        out = cut(*args)
+        made[id(out[0].normal)] = out[0]  # the cut keeps its normal alive
+        return out
+
+    def checking_qp(poly, *args, **kwargs):
+        for h in poly.constraints:
+            c = made.get(id(h.normal))
+            relaxation = (
+                c is not None
+                and (c.kind, h.kind) == ("equality", "inequality")
+                and (h.offset, h.source_set, h.outer_iteration, h.inner_step)
+                == (c.offset, c.source_set, c.outer_iteration, c.inner_step)
+            )
+            relaxations.append(relaxation)
+            if c is not h and not relaxation:
+                foreign.append((label, k, h.kind))
+        return project(poly, *args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "_supporting_cut", recording_cut)
+    monkeypatch.setattr(polyhedra, "project_onto_polyhedron", checking_qp)
+    lines = _parallel_lines_problem()
+    extra = [(f"parallel-lines/{alg}", lines, solvers.SOLVERS[alg]) for alg in ("mass", "basic-shqp")]
+    for label, problem, runner in [*_runs(), *extra]:
+        for k, x0 in enumerate(_starts(problem)):
+            made.clear()
+            try:
+                runner(problem, x0)
+            except Exception:
+                pass
+    assert foreign == []
+    # Non-vacuous: many rows were checked, and the relaxation rung ran.
+    assert len(relaxations) > 1000 and any(relaxations)
+
+
+@pytest.mark.parametrize("runner", [solvers.run_map, solvers.run_mass_projection, solvers.run_basic_shqp])
+@pytest.mark.parametrize(
+    "start, status, kinds",
+    [
+        # 5e-15 off the first axis: below the zero-gap floor, so each group
+        # gives only its tangent hyperplane through x, which x satisfies,
+        # and no group moves; the fallback projects onto the farthest set.
+        (5e-15, "converged", ["start", "fallback-projection"]),
+        # 1e-16 off: the fallback's projection moves by less than the
+        # no-move floor, and the run ends at its start.
+        (1e-16, "qp-infeasible-fallback-exhausted", ["start"]),
+    ],
+)
+def test_pooled_rule_falls_back_when_no_group_moves(runner, start, status, kinds):
+    lines = [sets.HyperplaneSet([1.0, 0.0], 0.0), sets.HyperplaneSet([0.0, 1.0], 0.0)]
+    prob = solvers.ProblemInstance("axis-lines", lines, [start, 0.0])
+    trace = runner(prob, config=solvers.SolverConfig(stop_tolerance=1e-17))
+    assert trace.status == status
+    assert [r.step_kind for r in trace.records] == kinds
+    if status == "converged":
+        np.testing.assert_array_equal(trace.final_point(), [0.0, 0.0])
