@@ -514,6 +514,7 @@ def validate_experiment(config) -> tuple[ExperimentConfig, solvers.ProblemInstan
     compatibility, and solver parameter ranges.  Raises UsageError."""
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
     problem = problem_from_config(cfg.problem)
+    _num(vars(cfg), "x0_radius", "$")
     _check_algorithm(cfg, problem)
     if cfg.schedule is not None:
         _schedule_from_config(cfg, len(problem.sets))

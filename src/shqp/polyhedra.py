@@ -23,20 +23,10 @@ A projection is two parts: the steps that compute the point (the prelude
 ``_prelude``: scale, pairwise reduction, split, equality elimination and
 h; the dual active set; and x), and the report tail that only
 project_onto_polyhedron adds (multipliers, KKT residual, active set and
-the QPResult).  ``_nearest_points(poly, X)`` runs only the first part on
-a batch of points, for a polyhedral set's projections; each point gets
-project_onto_polyhedron's point, bit for bit, or its exception.  The
-points that keep the prepared split run the Goldfarb–Idnani steps in
-lockstep (``_dual_active_set_rows``): each keeps its own active set,
-factor and multipliers, every decision is made per point by the helpers
-the scalar kernel also calls, and only the numpy products are stacked:
-the scan's G u, the factor's split for the points of each active-set
-size, z.z and g.u.  Their bits match the scalar kernel's because each is
-one matmul whose stack elements make the same BLAS call as the single
-product (a gemv or a ddot), on elements strided as the single operands
-are; the factor's columns are a slice of each point's own d x d array,
-never padded, since a padded product would sum in another order or take
-another BLAS path.
+the QPResult).  ``_nearest_points(poly, X)`` runs only the first part, one
+point at a time through the same dual active-set kernel, for a polyhedral
+set's projections; each point gets project_onto_polyhedron's point, bit
+for bit, or its exception.
 
 Arithmetic.  The problems are tiny (a few rows in a few dimensions), so
 most of a projection's cost is numpy's fixed cost per call on 1-4 element
@@ -314,16 +304,16 @@ def _back_substitute(R, y):
 class _ActiveFactor:
     """Thin QR factor N = Q R of the active normals N (one column each).
 
-    The first q columns of Q (a d x d C-contiguous array, the factor's own
-    or one element of the lockstep kernel's stack) are orthonormal and R is
-    q x q upper triangular, kept as nested lists because q <= d stays tiny.
+    The first q columns of Q (a d x d C-contiguous array) are orthonormal
+    and R is q x q upper triangular, kept as nested lists because q <= d
+    stays tiny.
     A row enters by Gram–Schmidt with one reorthogonalization and leaves by
     Givens rotations, so the factor is never rebuilt and N^T N is never
     formed.
     """
 
-    def __init__(self, Q):
-        self.Q = Q
+    def __init__(self, d):
+        self.Q = np.empty((d, d))
         self.R: list[list[float]] = []
 
     def split(self, g):
@@ -369,42 +359,11 @@ class _ActiveFactor:
         return self.Q[:, : len(y)] @ y, [-v for v in _back_substitute(R, y)]
 
 
-def _split_rows(Q, g):
-    """_ActiveFactor.split of r factors at once: Q is an r x d x q stack of
-    their first q columns, each element strided as the factor's own
-    Q[:, :q] (a slice of its d x d array, so no column is padded), and g
-    is r x d.  Returns (Q^T g + s as r lists, the r x d parts off the
-    spans).  Every stack element of a matmul here makes the BLAS call that
-    the factor's own product makes, with the same strides."""
-    Qt = Q.transpose(0, 2, 1)
-    dv = np.matmul(Qt, g[:, :, None])
-    z = g[:, :, None] - np.matmul(Q, dv)
-    s = np.matmul(Qt, z)
-    return (dv + s)[:, :, 0].tolist(), (z - np.matmul(Q, s))[:, :, 0]
-
-
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A[i].dot(B[i]) for each row i of two C-contiguous 2-d float arrays,
-    bit for bit.  matmul over the stack of 1 x n by n x 1 products calls
-    BLAS ddot once per row, as dot does; so the square root of
-    _row_dots(D, D) is the norm math.sqrt(d.dot(d)) of each row.  einsum
-    and sums of elementwise products round otherwise: ddot fuses its
-    multiply-adds."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
 @functools.lru_cache(maxsize=256)
 def _step_bound(m, d):
     """_dual_active_set's step bound on m rows in R^d: d + 1 times the
     number of row subsets of size <= d."""
     return (d + 1) * sum(math.comb(m, s) for s in range(min(m, d) + 1))
-
-
-def _count_step(steps, cap):
-    """steps + 1, unless that passes the step bound cap."""
-    if steps >= cap:
-        raise QPBreakdownError(f"dual active-set QP passed its bound of {cap} steps")
-    return steps + 1
 
 
 def _most_violated(values, active):
@@ -429,13 +388,6 @@ def _ratio_test(lam, r):
         if rj > _DEPENDENT and lj / rj < t1:
             t1, k = lj / rj, j
     return t1, k
-
-
-def _drop(fac, active, lam, k):
-    """A partial step's end: active row k leaves the factor (by Givens
-    rotations), the active set and the multipliers."""
-    fac.remove(k)
-    del active[k], lam[k]
 
 
 def _ray(m, p, active, r):
@@ -482,7 +434,7 @@ def _dual_active_set(G, h, warm, feas_tol):
     if m == 0:
         return np.zeros(d), [], [], None
     hl = h.tolist()
-    fac = _ActiveFactor(np.empty((d, d)))
+    fac = _ActiveFactor(d)
     active: list[int] = []
     for i in warm:
         if i not in active and len(active) < d:
@@ -508,7 +460,9 @@ def _dual_active_set(G, h, warm, feas_tol):
             return _optimum(fac, active, hl)
         g, lam_p = G[p], 0.0
         while True:
-            steps = _count_step(steps, cap)
+            if steps >= cap:
+                raise QPBreakdownError(f"dual active-set QP passed its bound of {cap} steps")
+            steps += 1
             dv, z = fac.split(g)
             zz = float(z @ z)
             r = _back_substitute(fac.R, dv)
@@ -523,126 +477,13 @@ def _dual_active_set(G, h, warm, feas_tol):
             lam = [lj - t * rj for lj, rj in zip(lam, r)]
             lam_p += t
             if t == t1:
-                _drop(fac, active, lam, k)
+                fac.remove(k)
+                del active[k], lam[k]
                 continue
             fac.add(dv, z, math.sqrt(zz))
             active.append(p)
             lam.append(lam_p)
             break
-
-
-def _dual_active_set_rows(G, H, feas_tols):
-    """_dual_active_set(G, h, (), feas_tol) for every row h of the n x m
-    array H and its feas_tol, run in lockstep: a list with, for each row,
-    the tuple that _dual_active_set returns there, or the exception it
-    raises (QPBreakdownError past the step bound; a NaN in h ends in an
-    IndexError on both kernels).
-
-    Each row keeps its own active set, factor (one d x d element of a
-    stack), multipliers, entering row and step count, and every decision
-    comes from the helpers that _dual_active_set calls (_most_violated,
-    _ratio_test, _count_step, _drop).  A pass scans the rows that finished
-    a full step, then makes one step on every row that has an entering
-    row, so a row runs the scalar kernel's steps in the scalar kernel's
-    order.  Only the numpy products are stacked, each as one matmul whose
-    stack elements make the call the scalar kernel makes on that row:
-    G u for the scanning rows (one gemv each), the factor's split for the
-    rows of each active-set size (_split_rows), z.z and g.u (_row_dots, one
-    ddot each); the update u - t z is elementwise.  Every shape stacks
-    with the scalar kernel's bits (the random fixtures of
-    tests/test_prepared_polyhedron.py run m = 1-8 rows in d = 1-5);
-    a factor's add, Givens drop and final solve run per row, through its
-    own _ActiveFactor methods, as they do in the scalar kernel.
-
-    Cold starts only.  Why two kernels: on the 18 polyhedral batches of a
-    seed-0 cli-report round (2,160 points in 3-d on 2-3 rows, batches of
-    40 and 160), a row costs 13 us here against 20 us in the scalar
-    kernel (17 against 25 us through _nearest_points, prelude and point
-    included), but a batch of one costs 91 us here against 33 us there,
-    so _nearest_points sends a lone row to the scalar kernel (best of 9
-    passes, numpy 2.4 with OpenBLAS on a 2-core shared x86_64 host).
-    """
-    n, (m, d) = len(H), G.shape
-    if m == 0:
-        return [(np.zeros(d), [], [], None) for _ in range(n)]
-    hl = H.tolist()
-    U = np.zeros((n, d))
-    Q = np.empty((n, d, d))
-    facs = [_ActiveFactor(Q[i]) for i in range(n)]
-    actives = [[] for _ in range(n)]
-    lams = [[] for _ in range(n)]
-    steps = [0] * n
-    entering = [None] * n  # [p, lam_p] while row i brings p in
-    out = [None] * n
-    cap = _step_bound(m, d)
-    scan, stepping = list(range(n)), []
-    while scan or stepping:
-        if scan:
-            V = (np.matmul(G, U[scan][:, :, None])[:, :, 0] - H[scan]).tolist()
-            for i, values in zip(scan, V):
-                p, top = _most_violated(values, actives[i])
-                if p < 0 or top <= feas_tols[i]:
-                    out[i] = _optimum(facs[i], actives[i], hl[i])
-                else:
-                    entering[i] = [p, 0.0]
-                    stepping.append(i)
-            scan = []
-        live = []
-        for i in stepping:
-            try:
-                steps[i] = _count_step(steps[i], cap)
-                live.append(i)
-            except QPBreakdownError as exc:
-                out[i] = exc
-        stepping = []
-        if not live:
-            continue
-        Gp = G[[entering[i][0] for i in live]]
-        Z = Gp.copy()
-        dvs = [[] for _ in live]
-        sizes = {}
-        for j, i in enumerate(live):
-            sizes.setdefault(len(facs[i].R), []).append(j)
-        for q, js in sizes.items():
-            if q:
-                Qq = Q[[live[j] for j in js]][:, :, :q]
-                dv, Z[js] = _split_rows(Qq, Gp[js])
-                for j, v in zip(js, dv):
-                    dvs[j] = v
-        zzs = _row_dots(Z, Z).tolist()
-        gus = _row_dots(Gp, U[live]).tolist()
-        moved, ts = [], []
-        for j, i in enumerate(live):
-            fac, active, lam, (p, lam_p) = facs[i], actives[i], lams[i], entering[i]
-            try:
-                zz = zzs[j]
-                r = _back_substitute(fac.R, dvs[j])
-                t1, k = _ratio_test(lam, r)
-                if zz <= _DEPENDENT**2:
-                    if k < 0:
-                        out[i] = None, None, None, _ray(m, p, active, r)
-                        continue
-                    t = t1
-                else:
-                    t = min(t1, (gus[j] - hl[i][p]) / zz)
-                    moved.append(j)
-                    ts.append(t)
-                lam[:] = [lj - t * rj for lj, rj in zip(lam, r)]
-                entering[i][1] = lam_p + t
-                if t == t1:
-                    _drop(fac, active, lam, k)
-                    stepping.append(i)
-                    continue
-                fac.add(dvs[j], Z[j], math.sqrt(zz))
-                active.append(p)
-                lam.append(lam_p + t)
-                scan.append(i)
-            except Exception as exc:  # a NaN in h: the scalar kernel raises it too
-                out[i] = exc
-        if moved:
-            rows = [live[j] for j in moved]
-            U[rows] = U[rows] - np.array(ts)[:, None] * Z[moved]
-    return out
 
 
 def _abs_max(values):
@@ -892,42 +733,21 @@ def _nearest_points(poly: Polyhedron, X) -> list:
     exception it raises there (QPBreakdownError).
 
     X holds 1-d float arrays of the polyhedron's dimension, unchecked.
-    Each point runs the prelude on its own.  The points that keep the
-    prepared split, when there are two or more, run the dual active set in
-    lockstep (_dual_active_set_rows); any other point runs the scalar
-    kernel, as project_onto_polyhedron does.
+    Each point runs the prelude and the dual active set on its own
+    (_nearest_point), as project_onto_polyhedron does without a warm start.
     """
     prep = poly._prepared
     if prep is None:
         prep = _Prepared(poly.constraints)
-    queries = [_outcome(_prelude, prep, x0) for x0 in X]
-    # (scale, split, x_p, h, cert): no certificate yet, and the shared split
-    rows = [
-        i for i, q in enumerate(queries)
-        if not isinstance(q, Exception) and q[4] is None and q[1] is prep.split
-    ]
-    ends = {}
-    if len(rows) > 1:
-        H = np.array([queries[i][3] for i in rows])
-        tols = [1e-11 * queries[i][0] for i in rows]
-        ends = dict(zip(rows, _dual_active_set_rows(prep.split.G, H, tols)))
-    return [
-        q if isinstance(q, Exception) else _outcome(_finish, prep, x0, q, ends.get(i))
-        for i, (x0, q) in enumerate(zip(X, queries))
-    ]
+    return [_outcome(_nearest_point, prep, x0) for x0 in X]
 
 
-def _finish(prep, x0, query, end):
-    """The nearest point to x0 from its prelude ``query`` and, when the
-    lockstep kernel ran it, its ``end`` there; raises what
-    project_onto_polyhedron raises, or InfeasiblePolyhedronError."""
-    scale, split, x_p, h, cert = query
+def _nearest_point(prep, x0):
+    """The nearest point to x0; raises what project_onto_polyhedron
+    raises, or InfeasiblePolyhedronError with the verified certificate."""
+    scale, split, x_p, h, cert = _prelude(prep, x0)
     if cert is None:
-        if end is None:
-            end = _dual_active_set(split.G, h, (), 1e-11 * scale)
-        elif isinstance(end, Exception):
-            raise end
-        u, _, _, ray = end
+        u, _, _, ray = _dual_active_set(split.G, h, (), 1e-11 * scale)
         if ray is None:
             return _point(x0, split, x_p, u)
         cert = _kernel_certificate(prep, split, ray)

@@ -19,8 +19,8 @@ set's ``_nearest_rows`` hook together, and takes each row's distance inside
 that row's own outcome.  The hook runs _project on each row, except on
 three kinds, whose _project is the hook's one-row case.  The polyhedron
 (``PolyhedralSet``) hands its rows to ``polyhedra._nearest_points``, the
-QP without its report tail, which runs the dual active set of the rows
-in lockstep.  The level set and manifold curve (``_SmoothSet``) make the
+QP without its report tail, which runs the one dual active-set kernel
+point by point.  The level set and manifold curve (``_SmoothSet``) make the
 interior test, then run the Newton starts of the points left as stacks
 (``_newton_stationarity_stack``) and the ray scans of the points that
 restart as one lockstep scan (``_ray_scan_rows``).  The intersection
@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from . import polyhedra
-from .polyhedra import _outcome, _row_dots
+from .polyhedra import _outcome
 
 __all__ = [
     "SetOracle",
@@ -123,6 +123,15 @@ def _norm(v: np.ndarray) -> float:
     point an oracle sees is contiguous (_as_point), and so is every array
     computed from them."""
     return math.sqrt(v.dot(v))
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[i].dot(B[i]) for each row i of two C-contiguous 2-d float arrays,
+    bit for bit.  matmul over the stack of 1 x n by n x 1 products calls
+    BLAS ddot once per row, as dot does; so the square root of
+    _row_dots(D, D) is the norm _norm(d) of each row.  einsum and sums of
+    elementwise products round otherwise: ddot fuses its multiply-adds."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def _nearest(candidates: Sequence[np.ndarray], dists) -> np.ndarray:
@@ -202,6 +211,8 @@ class _LinearSet(SetOracle):
         a = _as_point(normal)
         if np.linalg.norm(a) <= 1e-14:
             raise ValueError(f"{self.kind} normal must be nonzero")
+        if not math.isfinite(offset):
+            raise ValueError(f"{self.kind} offset must be finite")
         super().__init__(a.shape[0])
         self.row = polyhedra.Halfspace(a, offset, "equality" if self.is_manifold else "inequality")
         self.normal, self.offset = self.row.normal, self.row.offset
@@ -276,6 +287,8 @@ class _RoundSet(SetOracle):
 
     def __init__(self, center, radius: float):
         c = _as_point(center)
+        if not math.isfinite(radius):
+            raise ValueError(f"{self.kind} radius must be finite")
         if radius <= 0:
             raise ValueError(f"{self.kind} radius must be positive")
         super().__init__(c.shape[0])
@@ -463,7 +476,11 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
 
     Fewer than two rows run the scalar kernel, faster on one row (113 us
     against 173 us over 400 near points on the cubic): the solvers' starts
-    have one row, the regularity report's stacks three or more."""
+    have one row, the regularity report's stacks three or more.  End to
+    end, the stack path on one row made a seed-0 gallery-solve round 3.4 %
+    slower over 8 alternating in-process rounds a side (the scalar path
+    faster in 7) and 23.3 % slower over 16 (faster in 15), medians, numpy
+    2.4.6 on a 2-core shared Intel Xeon."""
     if len(X) < 2:
         out = []
         for x, y0, l0 in zip(X, Y0, lam0):
@@ -809,6 +826,8 @@ class PointSet(SetOracle):
         P = np.atleast_2d(np.asarray(points, dtype=float))
         if P.shape[0] < 1:
             raise ValueError("point-set needs at least one point")
+        if not np.isfinite(P).all():
+            raise ValueError("point-set points must be finite")
         super().__init__(P.shape[1])
         self.points = P
         self.is_convex = P.shape[0] == 1
@@ -869,7 +888,7 @@ class PolyhedralSet(SetOracle):
     once (Polyhedron.prepare): its unit rows, parallel pairs and equality
     elimination are shared by every projection, and each projection does
     only the QP work that depends on the point, without the QP's report
-    tail (polyhedra._nearest_points); a batch runs in lockstep.
+    tail (polyhedra._nearest_points); a batch runs its points one by one.
     """
 
     kind = "polyhedron"
@@ -1101,8 +1120,12 @@ def _pair_ratios(members: np.ndarray, bases: np.ndarray, directions: np.ndarray)
     (medians of three runs of the best of 7 x 2,000 calls).  That running
     sum has the bits of np.add.reduce over an axis shorter than 8 (pinned
     against it in the tests); from 8 on, add.reduce sums pairwise, so the
-    broadcast form stays.  The numerators are one matmul over the tensor in
-    either case; its rounding is the pinned one."""
+    broadcast form stays.  End to end, the broadcast form below 8
+    dimensions made a seed-0 cli-report round 12.7 % slower over 8
+    alternating in-process rounds a side (the loop faster in 7) and 13.4 %
+    slower over 16 (faster in 11), medians, same host.  The numerators are
+    one matmul over the tensor in either case; its rounding is the pinned
+    one."""
     n = members.shape[1]
     if n < 8:
         diff = np.empty((len(bases), len(members), n))

@@ -38,6 +38,7 @@ the last point's projections again costs a ``tobytes`` and one comparison.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -181,8 +182,14 @@ class SolverConfig:
             raise ValueError("pbar must be nonnegative")
         if self.max_outer_iterations < 1:
             raise ValueError("need at least one outer iteration")
-        if self.stop_tolerance <= 0.0:
-            raise ValueError("stop tolerance must be positive")
+        if not 0.0 < self.stop_tolerance < math.inf:
+            raise ValueError("stop tolerance must be finite and positive")
+        # A callable schedule is checked cut by cut (_supporting_cut).
+        if self.tau_schedule is not None and not callable(self.tau_schedule):
+            if not len(self.tau_schedule):
+                raise ValueError("tau schedule must not be empty")
+            if not all(0.0 <= v < 1.0 for v in self.tau_schedule):
+                raise ValueError("tau schedule entries must lie in [0, 1)")
 
     def tau_at(self, outer_iteration: int) -> float:
         if self.tau_schedule is None:

@@ -612,10 +612,12 @@ def _set_field(field, value):
         (_set_field(["start", 1], math.inf), [], "$.problem.start"),
         (lambda p: None, ["--x0=nan,0"], "$.x0"),
         (lambda p: None, ["--x0=0,-inf"], "$.x0"),
+        (_set_field(["known_solution"], [0.5, 0.5]), ["--x0-seed=1", "--x0-radius=nan"], "$.x0_radius"),
+        (_set_field(["known_solution"], [0.5, 0.5]), ["--x0-seed=1", "--x0-radius=inf"], "$.x0_radius"),
     ],
     ids=[
         "finite", "normal-nan", "polyhedron-offset-inf", "halfspace-offset-inf", "halfspace-normal-inf",
-        "radius-nan", "radius-inf", "start-inf", "x0-nan", "x0-inf",
+        "radius-nan", "radius-inf", "start-inf", "x0-nan", "x0-inf", "x0-radius-nan", "x0-radius-inf",
     ],
 )
 def test_cli_run_rejects_non_finite_numbers(tmp_path, capsys, mutate, flags, where):
@@ -636,6 +638,28 @@ def test_cli_run_rejects_non_finite_numbers(tmp_path, capsys, mutate, flags, whe
     assert err.startswith(f"error: {where}: expected ") and "finite" in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"tol": math.nan}, "stop tolerance must be finite and positive"),
+        ({"tol": math.inf}, "stop tolerance must be finite and positive"),
+        ({"tau_schedule": [math.nan]}, "tau schedule entries must lie in [0, 1)"),
+    ],
+    ids=["tol-nan", "tol-inf", "tau-schedule-nan"],
+)
+def test_cli_run_rejects_non_finite_run_parameters(tmp_path, capsys, fields, message):
+    # The schema's bounds let NaN through; a NaN tol used to turn a zero
+    # gap into a cut, and a NaN schedule entry failed in the first cut.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "two-parabolas", "algorithm": "memory-shqp", **fields}))
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", str(path), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 64
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 

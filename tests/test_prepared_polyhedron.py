@@ -2,8 +2,7 @@
 fresh one-shot project_onto_polyhedron does, and its prepared arrays are
 read-only and never change.  The point-only batch entry
 (polyhedra._nearest_points) gives each point what project_onto_polyhedron
-gives it, and its lockstep dual active set (_dual_active_set_rows) gives
-each row what the scalar kernel gives it.
+gives it.
 
 The polyhedra mix equality and inequality rows with parallel and
 antiparallel copies whose offsets differ by 0 .. 1e-3, so the pairwise
@@ -11,20 +10,16 @@ reduction drops, keeps or conflicts on them depending on the query point's
 scale; query points run from 1e-3 to 1e6 in norm.
 """
 
-import collections
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shqp import gallery, polyhedra, sets
-from shqp.diagnostics import estimate_regularity
+from shqp import polyhedra, sets
 from shqp.polyhedra import (
     Halfspace,
     InfeasiblePolyhedronError,
     Polyhedron,
-    QPBreakdownError,
     project_onto_polyhedron,
 )
 
@@ -177,7 +172,7 @@ def _one_shot(poly, x0):
 
 # Rescaled copies of a query point move it across the pairwise reduction's
 # 1e-9 * scale tests, so one batch mixes rows that keep the prepared split
-# (the lockstep rows) with rows that drop a parallel twin (scalar rows).
+# with rows that drop a parallel twin.
 RESCALES = (1e-6, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e6)
 
 
@@ -193,116 +188,16 @@ def test_batch_equals_per_point(problem, size, shift):
         assert [_row_bits(y) for y in polyhedra._nearest_points(poly, batch)] == want
 
 
-def _kernel_bits(end):
-    if isinstance(end, Exception):
-        return type(end).__name__, str(end)
-    u, active, lam, ray = end
-    return (
-        None if u is None else u.tobytes(),
-        active,
-        None if lam is None else [float(v).hex() for v in lam],
-        None if ray is None else ray.tobytes(),
-    )
-
-
-def _kernel_problems(count, seed=0):
-    """(G, H, tols): random unit rows G (m <= 8 in d <= 5) and right-hand
-    sides H with 2-12 rows, most of them violated at u = 0 so that several
-    rows enter; some H rows carry a NaN entry."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        m, d = int(rng.integers(1, 9)), int(rng.integers(1, 6))
-        G = rng.standard_normal((m, d))
-        G /= np.linalg.norm(G, axis=1)[:, None]
-        n = int(rng.integers(2, 13))
-        H = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1)) - rng.uniform(0, 1, (n, 1))
-        if rng.random() < 0.2:
-            H[int(rng.integers(n)), int(rng.integers(m))] = np.nan
-        scales = np.maximum(1.0, np.abs(H).max(axis=1, initial=0.0))
-        yield G, H, [1e-11 * float(v) for v in scales]
-
-
-def _compare_kernels(problems):
-    """Each row of _dual_active_set_rows against _dual_active_set on it;
-    returns how many rows ended at a point, in a ray, past the step bound
-    and with a NaN in h (which ends in the same IndexError on both)."""
-    ends = collections.Counter()
-    for G, H, tols in problems:
-        got = polyhedra._dual_active_set_rows(G, H, tols)
-        assert len(got) == len(H)
-        for h, tol, end in zip(H, tols, got):
-            try:
-                want = polyhedra._dual_active_set(G, h, (), tol)
-            except Exception as exc:
-                want = exc
-            assert _kernel_bits(end) == _kernel_bits(want)
-            if isinstance(end, QPBreakdownError):
-                ends["bound"] += 1
-            elif np.isnan(h).any():
-                ends["nan"] += 1
-            else:
-                ends["ray" if end[3] is not None else "point"] += 1
-    return ends
-
-
-def test_lockstep_kernel_equals_scalar_kernel(monkeypatch):
-    """The fixture reaches partial steps (drops), dual rays, rows of every
-    active-set size up to 5, and NaN entries of h."""
-    drops, sizes = [0], set()
-    drop, most_violated = polyhedra._drop, polyhedra._most_violated
-
-    def counting_drop(fac, active, lam, k):
-        drops[0] += 1
-        return drop(fac, active, lam, k)
-
-    def recording_scan(values, active):
-        sizes.add(len(active))
-        return most_violated(values, active)
-
-    monkeypatch.setattr(polyhedra, "_drop", counting_drop)
-    monkeypatch.setattr(polyhedra, "_most_violated", recording_scan)
-    ends = _compare_kernels(_kernel_problems(600))
-    assert drops[0] > 500 and ends["ray"] > 500 and ends["nan"] > 50 and ends["point"] > 1000
-    assert ends["bound"] == 0 and sizes >= {0, 1, 2, 3, 4, 5}
-
-
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_step_bound_per_row(monkeypatch, cap):
     """With the bound cut to a few steps, some rows of one batch raise as
-    the scalar kernel raises on them, and the others finish."""
+    the one-shot projection raises on them, and the others finish."""
     monkeypatch.setattr(polyhedra, "_step_bound", lambda m, d: cap)
-    ends = _compare_kernels(_kernel_problems(150, seed=cap))
-    assert ends["bound"] > 200 and ends["point"] > 100
     corner = Polyhedron([Halfspace((1.0, 0.0), 1.0), Halfspace((0.0, 1.0), 1.0)]).prepare()
     batch = [np.array(v) for v in ([0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [0.5, 4.0], [2.0, 2.0])]
     got = [_row_bits(y) for y in polyhedra._nearest_points(corner, batch)]
     assert got == [_point_bits(_one_shot(corner, x0)) for x0 in batch]
     assert {g[0] for g in got if isinstance(g, tuple)} == ({"QPBreakdownError"} if cap < 2 else set())
-
-
-def test_report_batches_run_the_lockstep_kernel(monkeypatch):
-    """The regularity report's polyhedral batches go through the lockstep
-    kernel; a single sets.project on the same set runs the scalar one."""
-    calls = {"rows": [], "scalar": 0}
-    rows, scalar = polyhedra._dual_active_set_rows, polyhedra._dual_active_set
-
-    def spy_rows(G, H, tols):
-        calls["rows"].append(len(H))
-        return rows(G, H, tols)
-
-    def spy_scalar(*args):
-        calls["scalar"] += 1
-        return scalar(*args)
-
-    monkeypatch.setattr(polyhedra, "_dual_active_set_rows", spy_rows)
-    monkeypatch.setattr(polyhedra, "_dual_active_set", spy_scalar)
-    prob = gallery.get_entry("backtrack-example").problem
-    estimate_regularity(prob, prob.known_solution, samples=20)
-    assert len(calls["rows"]) >= 4 and min(calls["rows"]) >= 20
-    calls["rows"].clear()
-    calls["scalar"] = 0
-    sets.project(prob.sets[1], np.array([1.0, 2.0, 3.0]))
-    assert calls == {"rows": [], "scalar": 1}
 
 
 def test_polyhedral_set_errors_keep_their_messages():

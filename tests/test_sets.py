@@ -156,6 +156,26 @@ def test_polyhedral_set_rejects_a_non_finite_halfspace(normal, offset):
         PolyhedralSet([good, polyhedra.Halfspace(normal, offset)])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda v: HalfspaceSet([1.0, 0.0], v), "halfspace offset"),
+        (lambda v: HyperplaneSet([1.0, 0.0], v), "hyperplane offset"),
+        (lambda v: Ball([0.0, 0.0], v), "ball radius"),
+        (lambda v: Sphere([0.0, 0.0], v), "sphere radius"),
+        (lambda v: PointSet([(v, 0.0), (1.0, 0.0)]), "point-set points"),
+    ],
+    ids=["halfspace", "hyperplane", "ball", "sphere", "point-set"],
+)
+def test_set_constructors_reject_non_finite_numbers(build, field, value):
+    # All but a -inf radius used to build: a NaN offset or radius projected
+    # every point to NaN, and a NaN point made every point-set projection
+    # fail in min().
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        build(value)
+
+
 def test_a_finite_polyhedral_set_still_solves():
     with pytest.raises(ValueError, match="halfspace 0 "):
         PolyhedralSet([polyhedra.Halfspace([1.0, math.nan], 0.5), polyhedra.Halfspace([0.0, 1.0], 1.0)])

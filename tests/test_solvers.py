@@ -1,5 +1,7 @@
 """Solver-level behavior: trajectories, schedules, statuses, trace shape."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,10 @@ def test_schedule_constructors_and_validation():
 
 def test_solver_config_validation():
     for bad in (dict(tau=1.0), dict(tau=-0.1), dict(pbar=-1),
-                dict(max_outer_iterations=0), dict(stop_tolerance=0.0)):
+                dict(max_outer_iterations=0), dict(stop_tolerance=0.0),
+                dict(stop_tolerance=math.nan), dict(stop_tolerance=math.inf),
+                dict(tau_schedule=()), dict(tau_schedule=(1.5,)),
+                dict(tau_schedule=(0.1, math.nan)), dict(tau_schedule=(-0.1,))):
         with pytest.raises(ValueError):
             solvers.SolverConfig(**bad)
 
