@@ -13,7 +13,7 @@ import dataclasses
 import json
 import sys
 
-from . import gallery, harness, solvers
+from . import gallery, harness
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,29 +62,20 @@ def _apply_overrides(data: dict, args) -> dict:
 
 
 def _add_run_flags(sub) -> None:
+    """--config, then the run flag of each config field that declares one."""
     sub.add_argument("--config", help="JSON config file; flags override its fields")
-    sub.add_argument("--problem", help="gallery name (see `list`)")
-    sub.add_argument(
-        "--algorithm",
-        help="one of: " + ", ".join(solvers.SOLVERS),
-    )
-    sub.add_argument("--x0", help="starting point, comma-separated (e.g. 0,1,0)")
-    sub.add_argument("--x0-seed", type=int, dest="x0_seed", help="seed a random start near the known solution")
-    sub.add_argument("--x0-radius", type=float, dest="x0_radius", help="radius of the seeded-start ball")
-    sub.add_argument("--tau", type=float, help="halfspace relaxation parameter in [0,1)")
-    sub.add_argument("--pbar", type=int, help="memory depth in outer iterations")
-    sub.add_argument("--seed", type=int, help="seed for the report's regularity sampling (no solver draws from it)")
-    sub.add_argument("--max-iters", type=int, dest="max_iters", help="outer iteration cap")
-    sub.add_argument("--tol", type=float, help="stop when every set distance is below this")
-    sub.add_argument("--out-dir", dest="out_dir", help="directory for trace and report files")
-    sub.add_argument("--format", choices=["csv", "json"], help="trace file format (default csv)")
+    for field in dataclasses.fields(harness.ExperimentConfig):
+        flag = field.metadata["flag"]
+        if flag is not None:
+            name = "--" + field.name.replace("_", "-")
+            sub.add_argument(name, dest=field.name, type=harness._field_type(field), **flag)
 
 
 def _require_keys(data: dict) -> None:
-    if "problem" not in data:
-        raise harness.UsageError("a problem is required (--problem or config file)")
-    if "algorithm" not in data:
-        raise harness.UsageError("an algorithm is required (--algorithm or config file)")
+    for name in harness.CONFIG_SCHEMA["required"]:
+        if name not in data:
+            article = "an" if name[0] in "aeiou" else "a"
+            raise harness.UsageError(f"{article} {name} is required (--{name} or config file)")
 
 
 def _cmd_run(args) -> int:

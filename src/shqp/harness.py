@@ -71,6 +71,15 @@ class UsageError(ValueError):
 
 
 _VECTOR = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+_NONNEGATIVE_INT = {"type": "integer", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_RELAXATION = {"type": "number", "minimum": 0, "exclusiveMaximum": 1}
+_TRACE_FORMATS = ["csv", "json"]
+
+
+def _nullable(schema: dict) -> dict:
+    return {"oneOf": [schema, {"type": "null"}]}
+
 
 _SET_SCHEMA = {
     "type": "object",
@@ -86,105 +95,99 @@ _PROBLEM_SCHEMA = {
         "name": {"type": "string", "minLength": 1},
         "sets": {"type": "array", "items": _SET_SCHEMA, "minItems": 1},
         "start": _VECTOR,
-        "known_solution": {"oneOf": [_VECTOR, {"type": "null"}]},
-        "intersection": {"oneOf": [_SET_SCHEMA, {"type": "null"}]},
+        "known_solution": _nullable(_VECTOR),
+        "intersection": _nullable(_SET_SCHEMA),
     },
 }
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["problem", "algorithm"],
-    "additionalProperties": False,
-    "properties": {
-        "problem": {"oneOf": [{"type": "string", "minLength": 1}, _PROBLEM_SCHEMA]},
-        "algorithm": {"enum": list(solvers.SOLVERS)},
-        "x0": {"oneOf": [_VECTOR, {"type": "null"}]},
-        "x0_seed": {"oneOf": [{"type": "integer", "minimum": 0}, {"type": "null"}]},
-        "x0_radius": {"type": "number", "exclusiveMinimum": 0},
-        "tau": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        "tau_schedule": {
-            "oneOf": [
-                {
-                    "type": "array",
-                    "items": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                    "minItems": 1,
-                },
-                {"type": "null"},
-            ]
-        },
-        "pbar": {"type": "integer", "minimum": 0},
-        "schedule": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["blocks", "farthest"]},
-                        "blocks": {
-                            "type": "array",
-                            "items": {
-                                "type": "array",
-                                "items": {"type": "integer", "minimum": 0},
-                                "minItems": 1,
-                            },
-                        },
-                        "pairing": {"enum": ["latest", "fixed"]},
-                    },
-                },
-                {"type": "null"},
-            ]
-        },
-        "merit": {"enum": ["sum-of-squares", "max-distance", "intersection-distance"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "max_iters": {"type": "integer", "minimum": 1},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "out_dir": {"oneOf": [{"type": "string"}, {"type": "null"}]},
-        "format": {"enum": ["csv", "json"]},
-        "sweep": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "tau": {"type": "array", "items": {"type": "number"}},
-                        "pbar": {"type": "array", "items": {"type": "integer"}},
-                        "x0_seeds": {"type": "array", "items": {"type": "integer"}},
-                    },
-                },
-                {"type": "null"},
-            ]
-        },
-    },
-}
+
+def _param(schema: dict, help: str | None = None, default=dataclasses.MISSING, **flag):
+    """A run parameter's field and its default, with its CONFIG_SCHEMA
+    property and, given help, the argparse keywords of its run flag."""
+    flag = None if help is None else dict(flag, help=help)
+    return dataclasses.field(default=default, metadata={"schema": schema, "flag": flag})
+
+
+def _field_type(field: dataclasses.Field):
+    """int or float for a field annotated so (None allowed), else None."""
+    return {"int": int, "float": float}.get(field.type.split(" ")[0])
 
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    """One experiment: a problem, an algorithm, and solver parameters."""
+    """One experiment: a problem, an algorithm, and solver parameters.
 
-    problem: object
-    algorithm: str
-    x0: list | None = None
-    x0_seed: int | None = None
-    x0_radius: float = 0.25
-    tau: float = 0.1
-    tau_schedule: list | None = None
-    pbar: int = 8
-    schedule: dict | None = None
-    merit: str = "sum-of-squares"
-    seed: int = 0
-    max_iters: int = 500
-    tol: float = 1e-10
-    out_dir: str | None = None
-    format: str = "csv"
-    sweep: dict | None = None
+    Each field declares its run parameter once.  CONFIG_SCHEMA's properties
+    are the fields' schemas in field order, and it requires each field
+    without a default.  A field with help gets the run flag
+    --name-with-dashes, typed by its int or float annotation.
+    """
+
+    problem: object = _param(
+        {"oneOf": [{"type": "string", "minLength": 1}, _PROBLEM_SCHEMA]}, "gallery name (see `list`)"
+    )
+    algorithm: str = _param({"enum": list(solvers.SOLVERS)}, "one of: " + ", ".join(solvers.SOLVERS))
+    x0: list | None = _param(_nullable(_VECTOR), "starting point, comma-separated (e.g. 0,1,0)", None)
+    x0_seed: int | None = _param(
+        _nullable(_NONNEGATIVE_INT), "seed a random start near the known solution", None
+    )
+    x0_radius: float = _param(_POSITIVE, "radius of the seeded-start ball", 0.25)
+    tau: float = _param(_RELAXATION, "halfspace relaxation parameter in [0,1)", 0.1)
+    tau_schedule: list | None = _param(
+        _nullable({"type": "array", "items": _RELAXATION, "minItems": 1}), default=None
+    )
+    pbar: int = _param(_NONNEGATIVE_INT, "memory depth in outer iterations", 8)
+    schedule: dict | None = _param(
+        _nullable(
+            {
+                "type": "object",
+                "required": ["kind"],
+                "additionalProperties": False,
+                "properties": {
+                    "kind": {"enum": ["blocks", "farthest"]},
+                    "blocks": {
+                        "type": "array",
+                        "items": {"type": "array", "items": _NONNEGATIVE_INT, "minItems": 1},
+                    },
+                    "pairing": {"enum": ["latest", "fixed"]},
+                },
+            }
+        ),
+        default=None,
+    )
+    merit: str = _param(
+        {"enum": ["sum-of-squares", "max-distance", "intersection-distance"]}, default="sum-of-squares"
+    )
+    seed: int = _param(
+        _NONNEGATIVE_INT, "seed for the report's regularity sampling (no solver draws from it)", 0
+    )
+    max_iters: int = _param({"type": "integer", "minimum": 1}, "outer iteration cap", 500)
+    tol: float = _param(_POSITIVE, "stop when every set distance is below this", 1e-10)
+    out_dir: str | None = _param(_nullable({"type": "string"}), "directory for trace and report files", None)
+    format: str = _param(
+        {"enum": _TRACE_FORMATS}, "trace file format (default csv)", "csv", choices=_TRACE_FORMATS
+    )
+    sweep: dict | None = _param(
+        _nullable(
+            {
+                "type": "object",
+                "additionalProperties": False,
+                "properties": {
+                    "tau": {"type": "array", "items": {"type": "number"}},
+                    "pbar": {"type": "array", "items": {"type": "integer"}},
+                    "x0_seeds": {"type": "array", "items": {"type": "integer"}},
+                },
+            }
+        ),
+        default=None,
+    )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         validate_config(data)
-        return cls(**data)
+        # The schema counts an integral float such as 50.0 as an integer.
+        ints = {f.name for f in dataclasses.fields(cls) if _field_type(f) is int}
+        return cls(**{k: int(v) if k in ints and v is not None else v for k, v in data.items()})
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -198,6 +201,15 @@ class ExperimentConfig:
             max_outer_iterations=self.max_iters,
             stop_tolerance=self.tol,
         )
+
+
+CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": [f.name for f in dataclasses.fields(ExperimentConfig) if f.default is dataclasses.MISSING],
+    "additionalProperties": False,
+    "properties": {f.name: f.metadata["schema"] for f in dataclasses.fields(ExperimentConfig)},
+}
 
 
 # The JSON types as Draft 2020-12 reads them: a bool is not a number, and
@@ -476,10 +488,6 @@ def resolve_x0(problem: solvers.ProblemInstance, cfg: ExperimentConfig):
 
 def _check_algorithm(cfg: ExperimentConfig, problem: solvers.ProblemInstance) -> None:
     """Algorithm compatibility and solver parameter ranges."""
-    if cfg.algorithm not in solvers.SOLVERS:
-        raise UsageError(
-            f"unknown algorithm {cfg.algorithm!r}; available: {', '.join(sorted(solvers.SOLVERS))}"
-        )
     if cfg.algorithm == "two-shqp" and len(problem.sets) != 2:
         raise UsageError("two-shqp requires exactly 2 sets")
     if cfg.algorithm == "memory-shqp" and cfg.pbar < 1:
@@ -511,8 +519,9 @@ def _schedule_from_config(cfg: ExperimentConfig, set_count: int):
 
 def validate_experiment(config) -> tuple[ExperimentConfig, solvers.ProblemInstance]:
     """Full pre-run validation: schema, problem resolution, algorithm
-    compatibility, and solver parameter ranges.  Raises UsageError."""
-    cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_dict(config)
+    compatibility, and solver parameter ranges.  Raises UsageError.  An
+    ExperimentConfig gets the checks of its to_dict()."""
+    cfg = ExperimentConfig.from_dict(config.to_dict() if isinstance(config, ExperimentConfig) else config)
     problem = problem_from_config(cfg.problem)
     _num(vars(cfg), "x0_radius", "$")
     _check_algorithm(cfg, problem)
@@ -719,9 +728,9 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
     cfg, problem = validate_experiment(config)
     grid = cfg.sweep or {}
     taus = [float(t) for t in grid.get("tau", [cfg.tau])]
-    pbars = [int(p) for p in grid.get("pbar", [cfg.pbar])]
+    pbars = grid.get("pbar", [cfg.pbar])
     if "x0_seeds" in grid:
-        seeds = [int(s) for s in grid["x0_seeds"]]
+        seeds = grid["x0_seeds"]
     elif cfg.x0_seed is not None:
         seeds = [cfg.x0_seed]
     else:
@@ -735,8 +744,7 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
     for tau, pbar, seed in itertools.product(taus, pbars, seeds):
         if not 0.0 <= tau < 1.0:
             raise UsageError(f"sweep tau value {tau} outside [0, 1)")
-        cell = dataclasses.replace(cfg, tau=tau, pbar=pbar, x0_seed=seed)
-        validate_config(cell.to_dict())
+        cell = ExperimentConfig.from_dict({**cfg.to_dict(), "tau": tau, "pbar": pbar, "x0_seed": seed})
         _check_algorithm(cell, problem)
         cells.append((cell, resolve_x0(problem, cell)))
 

@@ -259,8 +259,15 @@ class AffineSubspace(SetOracle):
         B = np.atleast_2d(np.asarray(basis, dtype=float))
         if B.shape[1] != q.shape[0]:
             raise DimensionMismatchError("basis rows must match point dimension")
+        if not np.isfinite(B).all():
+            raise ValueError("affine-subspace basis entries must be finite")
         # Orthonormalize once; zero rows are rejected rather than dropped.
         Q, R = np.linalg.qr(B.T)
+        if not (np.isfinite(Q).all() and np.isfinite(R).all()):
+            # Huge rows overflow the QR; each row over its largest magnitude
+            # spans the same subspace.
+            scale = np.abs(B).max(axis=1, keepdims=True)
+            Q, R = np.linalg.qr((B / np.where(scale > 0, scale, 1.0)).T)
         rank = int(np.sum(np.abs(np.diag(R)) > 1e-12))
         if rank < B.shape[0]:
             raise ValueError("affine-subspace basis rows are linearly dependent")

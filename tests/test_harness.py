@@ -229,6 +229,104 @@ def test_validate_config_imports_no_json_schema_library(tmp_path):
     assert run.stdout.splitlines() == ["ok", "[]"]
 
 
+_FROZEN_VECTOR = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+_FROZEN_SET = {"type": "object", "required": ["kind"], "properties": {"kind": {"type": "string"}}}
+
+# CONFIG_SCHEMA as it was written out by hand before ExperimentConfig's
+# fields declared it.
+FROZEN_CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["problem", "algorithm"],
+    "additionalProperties": False,
+    "properties": {
+        "problem": {
+            "oneOf": [
+                {"type": "string", "minLength": 1},
+                {
+                    "type": "object",
+                    "required": ["name", "sets", "start"],
+                    "additionalProperties": False,
+                    "properties": {
+                        "name": {"type": "string", "minLength": 1},
+                        "sets": {"type": "array", "items": _FROZEN_SET, "minItems": 1},
+                        "start": _FROZEN_VECTOR,
+                        "known_solution": {"oneOf": [_FROZEN_VECTOR, {"type": "null"}]},
+                        "intersection": {"oneOf": [_FROZEN_SET, {"type": "null"}]},
+                    },
+                },
+            ]
+        },
+        "algorithm": {
+            "enum": ["map", "basic-shqp", "mass", "memory-shqp", "two-shqp", "averaged", "global"]
+        },
+        "x0": {"oneOf": [_FROZEN_VECTOR, {"type": "null"}]},
+        "x0_seed": {"oneOf": [{"type": "integer", "minimum": 0}, {"type": "null"}]},
+        "x0_radius": {"type": "number", "exclusiveMinimum": 0},
+        "tau": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+        "tau_schedule": {
+            "oneOf": [
+                {
+                    "type": "array",
+                    "items": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+                    "minItems": 1,
+                },
+                {"type": "null"},
+            ]
+        },
+        "pbar": {"type": "integer", "minimum": 0},
+        "schedule": {
+            "oneOf": [
+                {
+                    "type": "object",
+                    "required": ["kind"],
+                    "additionalProperties": False,
+                    "properties": {
+                        "kind": {"enum": ["blocks", "farthest"]},
+                        "blocks": {
+                            "type": "array",
+                            "items": {
+                                "type": "array",
+                                "items": {"type": "integer", "minimum": 0},
+                                "minItems": 1,
+                            },
+                        },
+                        "pairing": {"enum": ["latest", "fixed"]},
+                    },
+                },
+                {"type": "null"},
+            ]
+        },
+        "merit": {"enum": ["sum-of-squares", "max-distance", "intersection-distance"]},
+        "seed": {"type": "integer", "minimum": 0},
+        "max_iters": {"type": "integer", "minimum": 1},
+        "tol": {"type": "number", "exclusiveMinimum": 0},
+        "out_dir": {"oneOf": [{"type": "string"}, {"type": "null"}]},
+        "format": {"enum": ["csv", "json"]},
+        "sweep": {
+            "oneOf": [
+                {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {
+                        "tau": {"type": "array", "items": {"type": "number"}},
+                        "pbar": {"type": "array", "items": {"type": "integer"}},
+                        "x0_seeds": {"type": "array", "items": {"type": "integer"}},
+                    },
+                },
+                {"type": "null"},
+            ]
+        },
+    },
+}
+
+
+def test_config_schema_built_from_the_fields_is_the_frozen_schema():
+    # json.dumps keeps key order, which fixes the order of the schema walk's errors.
+    assert json.dumps(harness.CONFIG_SCHEMA) == json.dumps(FROZEN_CONFIG_SCHEMA)
+    assert harness.CONFIG_SCHEMA == FROZEN_CONFIG_SCHEMA
+
+
 # ---------------------------------------------------- set descriptions
 
 
@@ -382,7 +480,7 @@ def test_validate_experiment_compatibility_rules():
         harness.validate_experiment(_cfg(algorithm="memory-shqp", pbar=0))
     with pytest.raises(harness.UsageError, match="schedule applies only to basic-shqp"):
         harness.validate_experiment(_cfg(schedule={"kind": "farthest"}))
-    with pytest.raises(harness.UsageError, match="unknown algorithm 'bogus'"):
+    with pytest.raises(harness.UsageError, match=r"config invalid at \$\.algorithm: 'bogus' is not one of "):
         harness.validate_experiment(
             harness.ExperimentConfig(problem="circle-line", algorithm="bogus")
         )
@@ -395,6 +493,25 @@ def test_validate_experiment_compatibility_rules():
         harness.validate_experiment(
             _cfg(algorithm="basic-shqp", schedule={"kind": "blocks", "blocks": [[0]]})
         )
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"format": "xml"}, {"pbar": 2.5}, {"tau": "0.1"}, {"merit": "bogus"}],
+    ids=["format", "pbar", "tau", "merit"],
+)
+def test_run_experiment_checks_an_instance_as_its_dict(tmp_path, field):
+    """An ExperimentConfig gets the schema's checks, and the same message,
+    as the dict it holds, before any output is written."""
+    out = tmp_path / "out"
+    cfg = harness.ExperimentConfig(problem="circle-line", algorithm="mass", out_dir=str(out), **field)
+    with pytest.raises(harness.UsageError) as from_dict:
+        harness.validate_config(cfg.to_dict())
+    assert str(from_dict.value).startswith(f"config invalid at $.{next(iter(field))}: ")
+    with pytest.raises(harness.UsageError) as from_instance:
+        harness.run_experiment(cfg)
+    assert str(from_instance.value) == str(from_dict.value)
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ runs
@@ -1127,3 +1244,94 @@ def test_cli_config_file_with_flag_overrides(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config_echo"]["algorithm"] == "mass"
     assert report["config_echo"]["tau"] == 0.2
+
+
+def test_integral_floats_in_integer_fields_run_as_integers(tmp_path, capsys):
+    """Draft 2020-12 counts 50.0 as an integer, so the schema passes it; the
+    run then writes what the config with 50 writes."""
+    whole = {"max_iters": 50, "pbar": 3, "x0_seed": 2, "seed": 1}
+    outputs = []
+    for fields in (whole, {k: float(v) for k, v in whole.items()}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"problem": "two-parabolas", "algorithm": "memory-shqp", **fields}))
+        cfg, _ = harness.validate_experiment(json.loads(path.read_text()))
+        assert all(type(getattr(cfg, name)) is int for name in whole)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report.pop("wallclock_ms")
+        outputs.append(((out / "trace.csv").read_bytes(), report))
+    assert outputs[0] == outputs[1]
+    assert "Traceback" not in capsys.readouterr().err
+    # A sweep cell is checked as a config, so its grid values are made ints too.
+    grid = {"pbar": [2.0], "x0_seeds": [1.0]}
+    _, sweep = harness.run_sweep(
+        {"problem": "two-parabolas", "algorithm": "memory-shqp", "sweep": grid}, out_dir=str(tmp_path / "sweep")
+    )
+    assert [(type(row["pbar"]), type(row["x0_seed"])) for row in sweep["rows"]] == [(int, int)]
+
+
+def test_solver_config_takes_an_integral_float_as_an_int():
+    cfg = solvers.SolverConfig(pbar=3.0, max_outer_iterations=5.0)
+    assert (cfg.pbar, cfg.max_outer_iterations) == (3, 5)
+    assert type(cfg.pbar) is int and type(cfg.max_outer_iterations) is int
+
+
+@pytest.mark.parametrize("algorithm", ["mass", "map"])
+def test_cli_runs_an_affine_subspace_whose_qr_overflows(tmp_path, capsys, algorithm):
+    path = tmp_path / "huge.json"
+    problem = {
+        "name": "huge-line-ball",
+        "sets": [
+            {"kind": "affine-subspace", "point": [0, 0], "basis": [[1e308, 1e308]]},
+            {"kind": "ball", "center": [0, 0], "radius": 1},
+        ],
+        "start": [2.0, 0.5],
+    }
+    path.write_text(json.dumps({"problem": problem, "algorithm": algorithm}))
+    rc = cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc in (0, 2, 3)
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+# The run and sweep flags as they were written out by hand before
+# ExperimentConfig's fields declared them: option string, dest, type,
+# choices and help, in order (every default is None).
+_ALGORITHMS = "map, basic-shqp, mass, memory-shqp, two-shqp, averaged, global"
+FROZEN_RUN_FLAGS = [
+    ("--config", "config", None, None, "JSON config file; flags override its fields"),
+    ("--problem", "problem", None, None, "gallery name (see `list`)"),
+    ("--algorithm", "algorithm", None, None, "one of: " + _ALGORITHMS),
+    ("--x0", "x0", None, None, "starting point, comma-separated (e.g. 0,1,0)"),
+    ("--x0-seed", "x0_seed", int, None, "seed a random start near the known solution"),
+    ("--x0-radius", "x0_radius", float, None, "radius of the seeded-start ball"),
+    ("--tau", "tau", float, None, "halfspace relaxation parameter in [0,1)"),
+    ("--pbar", "pbar", int, None, "memory depth in outer iterations"),
+    ("--seed", "seed", int, None, "seed for the report's regularity sampling (no solver draws from it)"),
+    ("--max-iters", "max_iters", int, None, "outer iteration cap"),
+    ("--tol", "tol", float, None, "stop when every set distance is below this"),
+    ("--out-dir", "out_dir", None, None, "directory for trace and report files"),
+    ("--format", "format", None, ["csv", "json"], "trace file format (default csv)"),
+]
+FROZEN_SWEEP_FLAGS = FROZEN_RUN_FLAGS + [
+    ("--tau-grid", "tau_grid", None, None, "comma-separated tau values"),
+    ("--pbar-grid", "pbar_grid", None, None, "comma-separated pbar values"),
+    ("--x0-seeds", "x0_seeds", None, None, "comma-separated start seeds"),
+]
+
+
+@pytest.mark.parametrize("command, flags", [("run", FROZEN_RUN_FLAGS), ("sweep", FROZEN_SWEEP_FLAGS)])
+def test_run_and_sweep_flags_are_the_frozen_flags(monkeypatch, command, flags):
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    parser = commands.choices[command]
+    got = [
+        (a.option_strings, a.dest, a.type, a.choices, a.default, a.help)
+        for a in parser._actions
+        if a.dest != "help"
+    ]
+    assert got == [([flag], dest, kind, choices, None, text) for flag, dest, kind, choices, text in flags]
+    reference = cli._Parser(prog=f"shqp {command}")
+    for flag, dest, kind, choices, text in flags:
+        reference.add_argument(flag, dest=dest, type=kind, choices=choices, help=text)
+    assert parser.format_help() == reference.format_help()

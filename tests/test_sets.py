@@ -26,6 +26,15 @@ from shqp.sets import (
 from shqp.gallery import polynomial_curve, polynomial_level_set
 
 
+def test_affine_subspace_whose_qr_overflows():
+    # The row's norm overflows, and the QR then returns a basis of inf and
+    # NaN; the row over its largest magnitude spans the same line.
+    line = AffineSubspace([0, 0], [[1e308, 1e308]])
+    np.testing.assert_allclose(project(line, (1.0, 2.0))[0], [1.5, 1.5], rtol=1e-15)
+    with pytest.raises(ValueError, match="finite"):
+        AffineSubspace([0, 0], [[math.inf, 1.0]])
+
+
 def test_ball_projection_closed_form():
     ball = Ball((1.0, -2.0), 2.0)
     rng = np.random.default_rng(0)

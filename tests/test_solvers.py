@@ -60,7 +60,10 @@ def test_solver_config_validation():
                 dict(max_outer_iterations=0), dict(stop_tolerance=0.0),
                 dict(stop_tolerance=math.nan), dict(stop_tolerance=math.inf),
                 dict(tau_schedule=()), dict(tau_schedule=(1.5,)),
-                dict(tau_schedule=(0.1, math.nan)), dict(tau_schedule=(-0.1,))):
+                dict(tau_schedule=(0.1, math.nan)), dict(tau_schedule=(-0.1,)),
+                dict(pbar=2.5), dict(pbar=math.nan), dict(pbar=True),
+                dict(max_outer_iterations=2.5), dict(max_outer_iterations=math.nan),
+                dict(max_outer_iterations=True)):
         with pytest.raises(ValueError):
             solvers.SolverConfig(**bad)
 
