@@ -317,9 +317,10 @@ def validate_config(data: dict) -> None:
 
 
 def _vec(obj, path, dimension=None):
-    v = np.asarray(obj, dtype=float)
-    if v.ndim != 1 or v.size == 0:
+    # A list of JSON numbers: a string, a bool or a nested list is no component.
+    if not (isinstance(obj, list) and obj and all(map(_JSON_TYPES["number"], obj))):
         raise UsageError(f"{path}: expected a flat nonempty vector")
+    v = np.asarray(obj, dtype=float)
     if dimension is not None and v.size != dimension:
         raise UsageError(f"{path}: expected {dimension} components, got {v.size}")
     # JSON's NaN and Infinity parse, and so do "nan" and "inf" in --x0.
@@ -328,25 +329,93 @@ def _vec(obj, path, dimension=None):
     return v
 
 
-def _num(obj: dict, key: str, path: str) -> float:
-    v = float(obj[key])
-    if not math.isfinite(v):
-        raise UsageError(f"{path}.{key}: expected a finite number")
-    return v
+def _number(value, path) -> float:
+    if not (_JSON_TYPES["number"](value) and math.isfinite(value)):
+        raise UsageError(f"{path}: expected a finite number")
+    return float(value)
 
 
-def _require(obj: dict, keys, path):
-    for key in keys:
+def _json_number(value, path):
+    """A JSON number, NaN and the infinities included, for a constructor that checks it."""
+    if not _JSON_TYPES["number"](value):
+        raise UsageError(f"{path}: expected a number")
+    return value
+
+
+def _as_given(value, path):
+    return value
+
+
+def _each(read):
+    """A reader of a JSON list that reads each item with read, at the item's path."""
+
+    def read_list(items, path):
+        if not isinstance(items, list):
+            raise UsageError(f"{path}: expected a list")
+        return [read(item, f"{path}[{i}]") for i, item in enumerate(items)]
+
+    return read_list
+
+
+def _build(obj, path, make, fields, known=("kind",)):
+    """make(*args), args being obj's fields read in the order of fields (a
+    dict of name: reader); obj may also carry the known names.  A ValueError
+    from make is a UsageError at path."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path}: expected an object")
+    for key in fields:
         if key not in obj:
             raise UsageError(f"{path}: missing required field {key!r}")
-    known = set(keys) | {"kind"}
-    extra = set(obj) - known
+    extra = set(obj) - set(fields) - set(known)
     if extra:
         raise UsageError(f"{path}: unknown field(s) {sorted(extra)}")
+    args = [read(obj[key], f"{path}.{key}") for key, read in fields.items()]
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _row(obj, path):
+    """A polyhedron's row: a halfspace's fields and an optional constraint kind."""
+    kind = obj.get("kind", "inequality") if isinstance(obj, dict) else None
+    return _build(obj, path, lambda normal, offset: polyhedra.Halfspace(normal, offset, kind), _LINEAR)
+
+
+_LINEAR = {"normal": _vec, "offset": _number}
+# Members are built through the module's name, so that a wrapper put in
+# its place sees the nested sets too.
+_MEMBERS = {"members": _each(lambda obj, path: set_from_json(obj, path))}
+_COEFFICIENTS = {"coefficients": _each(_json_number)}
+
+# Each set kind's constructor and its fields' readers, in the constructor's
+# argument order; a smooth kind maps each function name to such an entry.
+# The readers check a field's JSON shape, and the constructor its value.
+_SET_KINDS = {
+    "halfspace": (sets_mod.HalfspaceSet, _LINEAR),
+    "hyperplane": (sets_mod.HyperplaneSet, _LINEAR),
+    "affine-subspace": (sets_mod.AffineSubspace, {"point": _vec, "basis": _each(_vec)}),
+    "ball": (sets_mod.Ball, {"center": _vec, "radius": _number}),
+    "sphere": (sets_mod.Sphere, {"center": _vec, "radius": _number}),
+    "box": (sets_mod.Box, {"lower": _vec, "upper": _vec}),
+    "point-set": (sets_mod.PointSet, {"points": _each(_vec)}),
+    "polyhedron": (sets_mod.PolyhedralSet, {"halfspaces": _each(_row)}),
+    "finite-union-of-convex": (sets_mod.UnionOfConvex, _MEMBERS),
+    "intersection": (sets_mod.IntersectionSet, _MEMBERS),
+    "fixed-rank-matrix-set": (sets_mod.FixedRankSet, dict.fromkeys(["rows", "cols", "rank"], _as_given)),
+    "smooth-level-set": {
+        "polynomial-curve": (
+            gallery.polynomial_level_set,
+            {**_COEFFICIENTS, "side": _as_given, "convex": _as_given},
+        ),
+        "power-cusp": (gallery.PowerCusp, {"exponent": _number}),
+    },
+    "smooth-manifold": {"polynomial-curve": (gallery.polynomial_curve, _COEFFICIENTS)},
+}
 
 
 def set_from_json(obj: dict, path: str = "$.set") -> sets_mod.SetOracle:
-    """Build a SetOracle from its JSON description.
+    """Build a SetOracle from its JSON description (_SET_KINDS).
 
     Smooth sets are named through a function registry ('polynomial-curve'
     with coefficients, 'power-cusp' with an exponent) since JSON cannot
@@ -354,94 +423,15 @@ def set_from_json(obj: dict, path: str = "$.set") -> sets_mod.SetOracle:
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise UsageError(f"{path}: set description must be an object with a 'kind'")
-    kind = obj["kind"]
-    try:
-        if kind == "halfspace":
-            _require(obj, ["normal", "offset"], path)
-            return sets_mod.HalfspaceSet(_vec(obj["normal"], f"{path}.normal"), _num(obj, "offset", path))
-        if kind == "hyperplane":
-            _require(obj, ["normal", "offset"], path)
-            return sets_mod.HyperplaneSet(_vec(obj["normal"], f"{path}.normal"), _num(obj, "offset", path))
-        if kind == "affine-subspace":
-            _require(obj, ["point", "basis"], path)
-            point = _vec(obj["point"], f"{path}.point")
-            basis = [_vec(b, f"{path}.basis[{i}]", point.size) for i, b in enumerate(obj["basis"])]
-            return sets_mod.AffineSubspace(point, basis)
-        if kind == "ball":
-            _require(obj, ["center", "radius"], path)
-            return sets_mod.Ball(_vec(obj["center"], f"{path}.center"), _num(obj, "radius", path))
-        if kind == "sphere":
-            _require(obj, ["center", "radius"], path)
-            return sets_mod.Sphere(_vec(obj["center"], f"{path}.center"), _num(obj, "radius", path))
-        if kind == "box":
-            _require(obj, ["lower", "upper"], path)
-            lower = _vec(obj["lower"], f"{path}.lower")
-            return sets_mod.Box(lower, _vec(obj["upper"], f"{path}.upper", lower.size))
-        if kind == "point-set":
-            _require(obj, ["points"], path)
-            pts = [_vec(p, f"{path}.points[{i}]") for i, p in enumerate(obj["points"])]
-            return sets_mod.PointSet(pts)
-        if kind == "polyhedron":
-            _require(obj, ["halfspaces"], path)
-            halves = []
-            for i, h in enumerate(obj["halfspaces"]):
-                hpath = f"{path}.halfspaces[{i}]"
-                if not isinstance(h, dict):
-                    raise UsageError(f"{hpath}: expected an object")
-                _require(h, ["normal", "offset"], hpath)
-                halves.append(
-                    polyhedra.Halfspace(
-                        _vec(h["normal"], f"{hpath}.normal"),
-                        _num(h, "offset", hpath),
-                        kind=h.get("kind", "inequality"),
-                    )
-                )
-            return sets_mod.PolyhedralSet(halves)
-        if kind == "finite-union-of-convex":
-            _require(obj, ["members"], path)
-            members = [
-                set_from_json(s, f"{path}.members[{i}]") for i, s in enumerate(obj["members"])
-            ]
-            return sets_mod.UnionOfConvex(members)
-        if kind == "intersection":
-            _require(obj, ["members"], path)
-            members = [
-                set_from_json(s, f"{path}.members[{i}]") for i, s in enumerate(obj["members"])
-            ]
-            return sets_mod.IntersectionSet(members)
-        if kind == "fixed-rank-matrix-set":
-            _require(obj, ["rows", "cols", "rank"], path)
-            return sets_mod.FixedRankSet(int(obj["rows"]), int(obj["cols"]), int(obj["rank"]))
-        if kind == "smooth-level-set":
-            func = obj.get("function")
-            if func == "polynomial-curve":
-                _require(obj, ["function", "coefficients", "side", "convex"], path)
-                return gallery.polynomial_level_set(
-                    [float(c) for c in obj["coefficients"]],
-                    obj["side"],
-                    convex=bool(obj["convex"]),
-                )
-            if func == "power-cusp":
-                _require(obj, ["function", "exponent"], path)
-                return gallery.PowerCusp(float(obj["exponent"]))
-            raise UsageError(
-                f"{path}.function: unknown smooth-level-set function {func!r} "
-                "(available: polynomial-curve, power-cusp)"
-            )
-        if kind == "smooth-manifold":
-            func = obj.get("function")
-            if func == "polynomial-curve":
-                _require(obj, ["function", "coefficients"], path)
-                return gallery.polynomial_curve([float(c) for c in obj["coefficients"]])
-            raise UsageError(
-                f"{path}.function: unknown smooth-manifold function {func!r} "
-                "(available: polynomial-curve)"
-            )
-    except (ValueError, sets_mod.DimensionMismatchError) as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(f"{path}: {exc}") from exc
-    raise UsageError(f"{path}.kind: unknown set kind {kind!r}")
+    kind, func = obj["kind"], obj.get("function")
+    entry = _SET_KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise UsageError(f"{path}.kind: unknown set kind {kind!r}")
+    if not isinstance(entry, dict):
+        return _build(obj, path, *entry)
+    if not (isinstance(func, str) and func in entry):
+        raise UsageError(f"{path}.function: unknown {kind} function {func!r} (available: {', '.join(entry)})")
+    return _build(obj, path, *entry[func], known=("kind", "function"))
 
 
 def problem_from_config(problem_field) -> solvers.ProblemInstance:
@@ -455,18 +445,12 @@ def problem_from_config(problem_field) -> solvers.ProblemInstance:
     sets = [set_from_json(s, f"$.problem.sets[{i}]") for i, s in enumerate(spec["sets"])]
     start = _vec(spec["start"], "$.problem.start", sets[0].dimension)
     known = spec.get("known_solution")
+    known = None if known is None else _vec(known, "$.problem.known_solution")
     oracle = spec.get("intersection")
+    oracle = None if oracle is None else set_from_json(oracle, "$.problem.intersection")
     try:
-        return solvers.ProblemInstance(
-            spec["name"],
-            sets,
-            start=start,
-            known_solution=None if known is None else _vec(known, "$.problem.known_solution"),
-            intersection_oracle=None
-            if oracle is None
-            else set_from_json(oracle, "$.problem.intersection"),
-        )
-    except (ValueError, sets_mod.DimensionMismatchError) as exc:
+        return solvers.ProblemInstance(spec["name"], sets, start, known, oracle)
+    except ValueError as exc:
         raise UsageError(f"$.problem: {exc}") from exc
 
 
@@ -523,7 +507,7 @@ def validate_experiment(config) -> tuple[ExperimentConfig, solvers.ProblemInstan
     ExperimentConfig gets the checks of its to_dict()."""
     cfg = ExperimentConfig.from_dict(config.to_dict() if isinstance(config, ExperimentConfig) else config)
     problem = problem_from_config(cfg.problem)
-    _num(vars(cfg), "x0_radius", "$")
+    _number(cfg.x0_radius, "$.x0_radius")
     _check_algorithm(cfg, problem)
     if cfg.schedule is not None:
         _schedule_from_config(cfg, len(problem.sets))

@@ -63,7 +63,6 @@ __all__ = [
     "QPResult",
     "project_onto_polyhedron",
     "halfspace_from_projection",
-    "relaxed_point",
     "derived_halfspace",
     "eta",
     "ZeroGapError",
@@ -762,17 +761,6 @@ def _outcome(fn, *args):
         return exc
 
 
-def relaxed_point(nearest, x_prev, tau: float) -> np.ndarray:
-    """The point (1 - tau) * nearest + tau * x_prev, formed as every relaxed
-    cut forms its boundary point (_supporting_cut)."""
-    nearest = np.asarray(nearest, dtype=float)
-    return _relaxed(nearest, np.asarray(x_prev, dtype=float) - nearest, tau)
-
-
-def _relaxed(nearest, gap, tau):
-    return nearest + tau * gap
-
-
 def halfspace_from_projection(
     x_prev,
     nearest,
@@ -799,7 +787,7 @@ def _supporting_cut(gap, nearest, is_manifold, tau, *tags):
     through the tau-relaxed point nearest + tau * gap."""
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
-    kind, point = ("equality", nearest) if is_manifold else ("inequality", _relaxed(nearest, gap, tau))
+    kind, point = ("equality", nearest) if is_manifold else ("inequality", nearest + tau * gap)
     return Halfspace(gap, float(gap @ point), kind, *tags), point
 
 

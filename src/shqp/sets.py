@@ -117,6 +117,27 @@ def _as_point(x, dimension: int | None = None) -> np.ndarray:
     return p
 
 
+def _rows(rows, owner: str, row: str, width: int | None = None) -> np.ndarray:
+    """rows as a (k, width) float array, k >= 1, width by default the first
+    row's length; a row that is not a vector of that length is named."""
+    R = [np.asarray(r, dtype=float) for r in rows]
+    if not R:
+        raise ValueError(f"{owner} needs at least one {row}")
+    width = R[0].size if width is None else width
+    for i, r in enumerate(R):
+        if r.shape != (width,):
+            raise DimensionMismatchError(f"{owner} {row} {i} has shape {r.shape}, expected ({width},)")
+    return np.array(R)
+
+
+def _integer(value, name: str) -> int:
+    """value as an int: an integral float such as 3.0 counts, a bool does not."""
+    whole = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
+
+
 def _norm(v: np.ndarray) -> float:
     """np.linalg.norm(v) for a contiguous 1-d float array, bit for bit,
     without its dispatch.  A strided view can sum in another order; every
@@ -256,9 +277,7 @@ class AffineSubspace(SetOracle):
 
     def __init__(self, point, basis):
         q = _as_point(point)
-        B = np.atleast_2d(np.asarray(basis, dtype=float))
-        if B.shape[1] != q.shape[0]:
-            raise DimensionMismatchError("basis rows must match point dimension")
+        B = _rows(basis, "affine-subspace", "basis row", q.shape[0])
         if not np.isfinite(B).all():
             raise ValueError("affine-subspace basis entries must be finite")
         # Orthonormalize once; zero rows are rejected rather than dropped.
@@ -327,8 +346,9 @@ class Box(SetOracle):
     is_convex = True
 
     def __init__(self, lower, upper):
-        lo = _as_point(lower)
-        hi = _as_point(upper, lo.shape[0])
+        lo, hi = _as_point(lower), _as_point(upper)
+        if hi.shape != lo.shape:
+            raise DimensionMismatchError(f"box bounds have dimensions {lo.shape[0]} and {hi.shape[0]}")
         if np.any(lo > hi):
             raise ValueError("box lower bound exceeds upper bound")
         super().__init__(lo.shape[0])
@@ -767,6 +787,8 @@ class LevelSet(_SmoothSet):
     kind = "smooth-level-set"
 
     def __init__(self, dimension, f, grad, hess, name: str = "", convex: bool = False):
+        if not isinstance(convex, (bool, np.bool_)):
+            raise ValueError(f"convex must be a bool, got {convex!r}")
         super().__init__(dimension, f, grad, hess, name)
         self.is_convex = bool(convex)
 
@@ -806,12 +828,11 @@ class FixedRankSet(SetOracle):
     is_manifold = True
 
     def __init__(self, rows: int, cols: int, rank: int):
+        rows, cols, rank = _integer(rows, "rows"), _integer(cols, "cols"), _integer(rank, "rank")
         if rank < 1 or rank > min(rows, cols):
             raise ValueError("rank must be between 1 and min(rows, cols)")
         super().__init__(rows * cols)
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.rank = int(rank)
+        self.rows, self.cols, self.rank = rows, cols, rank
 
     def _project(self, x):
         M = x.reshape(self.rows, self.cols)
@@ -830,9 +851,7 @@ class PointSet(SetOracle):
     kind = "point-set"
 
     def __init__(self, points):
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        if P.shape[0] < 1:
-            raise ValueError("point-set needs at least one point")
+        P = _rows(points, "point-set", "point")
         if not np.isfinite(P).all():
             raise ValueError("point-set points must be finite")
         super().__init__(P.shape[1])

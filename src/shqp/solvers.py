@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -179,13 +178,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 <= self.tau < 1.0:
             raise ValueError("tau must lie in [0, 1)")
-        # An integral float such as 3.0 counts as an integer; a bool does not.
         for name in ("pbar", "max_outer_iterations"):
-            value = getattr(self, name)
-            whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-            if isinstance(value, bool) or not whole:
-                raise ValueError(f"{name} must be an integer")
-            setattr(self, name, int(value))
+            setattr(self, name, sets_mod._integer(getattr(self, name), name))
         if self.pbar < 0:
             raise ValueError("pbar must be nonnegative")
         if self.max_outer_iterations < 1:

@@ -1,9 +1,11 @@
 """Config validation, JSON set descriptions, experiment runs, sweeps, CLI."""
 
 import csv
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -421,6 +423,125 @@ def test_set_from_json_error_paths():
         harness.set_from_json({"kind": "smooth-level-set", "function": "spline"})
     with pytest.raises(harness.UsageError, match="set description must be an object"):
         harness.set_from_json("ball")
+
+
+# One description per _SET_KINDS entry, keyed by (kind, function).
+SET_DESCRIPTIONS = {
+    ("halfspace", None): {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.0},
+    ("hyperplane", None): {"kind": "hyperplane", "normal": [0.0, 1.0], "offset": 1.0},
+    ("affine-subspace", None): {"kind": "affine-subspace", "point": [1.0, 0.0], "basis": [[0.0, 1.0]]},
+    ("ball", None): {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    ("sphere", None): {"kind": "sphere", "center": [0.0, 0.0], "radius": 1.0},
+    ("box", None): {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    ("point-set", None): {"kind": "point-set", "points": [[0.0, 0.0], [1.0, 0.0]]},
+    ("polyhedron", None): {
+        "kind": "polyhedron",
+        "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.0, "kind": "equality"}],
+    },
+    ("finite-union-of-convex", None): {
+        "kind": "finite-union-of-convex",
+        "members": [{"kind": "ball", "center": [0.0, 0.0], "radius": 0.5}],
+    },
+    ("intersection", None): {
+        "kind": "intersection",
+        "members": [{"kind": "halfspace", "normal": [1.0, 0.0], "offset": 1.0}],
+    },
+    ("fixed-rank-matrix-set", None): {"kind": "fixed-rank-matrix-set", "rows": 2, "cols": 2, "rank": 1},
+    ("smooth-level-set", "polynomial-curve"): {
+        "kind": "smooth-level-set",
+        "function": "polynomial-curve",
+        "coefficients": [0.0, 0.0, 1.0],
+        "side": "above",
+        "convex": True,
+    },
+    ("smooth-level-set", "power-cusp"): {"kind": "smooth-level-set", "function": "power-cusp", "exponent": 1.5},
+    ("smooth-manifold", "polynomial-curve"): {
+        "kind": "smooth-manifold",
+        "function": "polynomial-curve",
+        "coefficients": [0.0, 0.0, 1.0],
+    },
+}
+
+
+def _set_kind_entries():
+    """{(kind, function): field names} of harness._SET_KINDS."""
+    entries = {}
+    for kind, entry in harness._SET_KINDS.items():
+        for func, (_, fields) in entry.items() if isinstance(entry, dict) else [(None, entry)]:
+            entries[kind, func] = list(fields)
+    return entries
+
+
+def _field_paths(obj, path=()):
+    """The key path of every field of obj, through nested objects and lists."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        if isinstance(obj, dict):
+            yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+def _malformed_descriptions():
+    for entry, description in SET_DESCRIPTIONS.items():
+        for fields in _field_paths(description):
+            for value in (None, "1", True, {}, [], [[1]], math.nan):
+                obj = json.loads(json.dumps(description))
+                *keys, last = fields
+                target = obj
+                for key in keys:
+                    target = target[key]
+                target[last] = value
+                yield pytest.param(obj, id=f"{entry[0]}-{entry[1]}-{'.'.join(map(str, fields))}-{value!r}")
+
+
+def test_every_set_kind_has_a_description():
+    assert set(SET_DESCRIPTIONS) == set(_set_kind_entries())
+    for (kind, _), description in SET_DESCRIPTIONS.items():
+        assert harness.set_from_json(description).kind == kind
+
+
+@pytest.mark.parametrize("obj", list(_malformed_descriptions()))
+def test_malformed_set_descriptions_build_or_name_their_path(obj):
+    # Each field of each kind, nested rows and members included, replaced
+    # by a JSON value of another shape: either the set still builds, or a
+    # UsageError names a path under $.set; never another exception.
+    try:
+        oracle = harness.set_from_json(obj)
+    except harness.UsageError as exc:
+        message = str(exc)
+        assert message.startswith("$.set") and message[len("$.set")] in ":.[", message
+        assert "\n" not in message
+    else:
+        assert isinstance(oracle, sets.SetOracle) and oracle.dimension >= 1
+
+
+def test_readme_lists_every_set_kind_and_its_fields():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| `kind` | `function` | fields |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:]):
+        kind, func, fields = (cell.strip() for cell in line.strip("|").split("|"))
+        names = re.findall(r"`([^`]+)`", fields)
+        table[kind.strip("`"), func.strip("`") or None] = names
+    assert table == _set_kind_entries()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("known_solution", [math.nan, 0.0], "$.problem.known_solution: expected finite components"),
+        ("intersection", {"kind": "frisbee"}, "$.problem.intersection.kind: unknown set kind 'frisbee'"),
+    ],
+    ids=["known-solution", "intersection"],
+)
+def test_problem_fields_are_named_once(field, value, message):
+    # Both used to be read inside the problem's own wrap, which put
+    # "$.problem: " before their message.
+    spec = {"name": "p", "sets": [SET_DESCRIPTIONS["ball", None]], "start": [0.0, 0.0], field: value}
+    with pytest.raises(harness.UsageError) as err:
+        harness.problem_from_config(spec)
+    assert str(err.value) == message
 
 
 def test_problem_from_config_gallery_and_inline():
@@ -1158,6 +1279,36 @@ def test_cli_run_rejects_bad_coefficients(tmp_path, capsys, smooth):
     assert rc == 64
     err = capsys.readouterr().err
     assert err.startswith("error: $.problem.sets[1]: polynomial coefficients must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad_set, start, message",
+    [
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": None}, [0.5, 0.5],
+         "$.problem.sets[0].radius: expected a finite number"),
+        ({"kind": "smooth-level-set", "function": "polynomial-curve", "coefficients": [0.0, 0.0, 1.0],
+          "side": "above", "convex": "no"}, [0.5, 0.5],
+         "$.problem.sets[0]: convex must be a bool, got 'no'"),
+        ({"kind": "fixed-rank-matrix-set", "rows": 2.5, "cols": 2, "rank": 1}, [1.0, 0.0, 0.0, 1.0],
+         "$.problem.sets[0]: rows must be an integer"),
+    ],
+    ids=["radius-null", "convex-string", "rows-fractional"],
+)
+@pytest.mark.parametrize("command", ["run", "validate-config"])
+def test_cli_rejects_a_malformed_set_field(tmp_path, capsys, bad_set, start, message, command):
+    # A null radius was a TypeError traceback (exit 1); "convex": "no" ran
+    # as a convex set, and rows 2.5 as 2, each with exit 0.
+    path = tmp_path / "config.json"
+    problem = {"name": "p", "start": start, "sets": [bad_set]}
+    path.write_text(json.dumps({"problem": problem, "algorithm": "map"}))
+    out = tmp_path / "out"
+    flags = ["--out-dir", str(out)] if command == "run" else []
+    rc = cli.main([command, "--config", str(path), *flags])
+    err = capsys.readouterr().err
+    assert rc == 64
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -252,7 +252,7 @@ def test_halfspace_from_projection_inequality_contract():
     assert (h.source_set, h.outer_iteration, h.inner_step) == (4, 7, 2)
     # boundary passes through the relaxed point, depth (1 - tau) * gap
     assert h.violation(x_prev) == pytest.approx(0.75 * 2.0, abs=1e-12)
-    relaxed = polyhedra.relaxed_point(nearest, x_prev, 0.25)
+    relaxed = nearest + 0.25 * (x_prev - nearest)
     assert abs(h.normal @ relaxed - h.offset) <= 1e-12
     # nearest itself is strictly inside for tau > 0
     assert h.violation(nearest) == 0.0
@@ -268,15 +268,6 @@ def test_halfspace_from_projection_manifold_ignores_tau():
         polyhedra.halfspace_from_projection(nearest, nearest)
     with pytest.raises(ValueError):
         polyhedra.halfspace_from_projection(x_prev, nearest, tau=1.0)
-
-
-def test_relaxed_point_formula():
-    nearest = np.array([1.0, -2.0])
-    x_prev = np.array([3.0, 2.0])
-    assert np.allclose(polyhedra.relaxed_point(nearest, x_prev, 0.0), nearest)
-    assert np.allclose(
-        polyhedra.relaxed_point(nearest, x_prev, 0.5), [2.0, 0.0], atol=1e-15
-    )
 
 
 def test_derived_halfspace_depth_equals_distance():

@@ -185,6 +185,52 @@ def test_set_constructors_reject_non_finite_numbers(build, field, value):
         build(value)
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((2.5, 2, 1), "^rows must be an integer$"),
+        ((2, 2, True), "^rank must be an integer$"),
+        ((2, "2", 1), "^cols must be an integer$"),
+    ],
+    ids=["fractional-rows", "bool-rank", "string-cols"],
+)
+def test_fixed_rank_set_rejects_non_integer_sizes(sizes, message):
+    # (2.5, 2.9, 1) used to build a set of dimension 7 whose every
+    # projection failed to reshape; JSON's int() truncated it to 2 x 2.
+    with pytest.raises(ValueError, match=message):
+        FixedRankSet(*sizes)
+
+
+def test_fixed_rank_set_takes_an_integral_float():
+    s = FixedRankSet(2.0, 2, 1)
+    assert s.dimension == 4 and type(s.rows) is int
+    assert project(s, np.array([1.0, 0.0, 0.0, 1.0]))[1] == pytest.approx(1.0)
+
+
+def test_level_set_rejects_a_non_bool_convex():
+    # "no" is truthy: it used to build a convex set, whose cuts lose tau.
+    with pytest.raises(ValueError, match="convex must be a bool"):
+        polynomial_level_set([0.0, 0.0, 1.0], "above", convex="no")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PointSet([]), "^point-set needs at least one point$"),
+        (lambda: PointSet([(0.0, 0.0), (1.0,)]), r"^point-set point 1 has shape \(1,\), expected \(2,\)$"),
+        (lambda: AffineSubspace([0.0, 0.0], [[1.0, 0.0], [1.0]]), r"^affine-subspace basis row 1 has shape"),
+        (lambda: AffineSubspace([0.0, 0.0], []), "^affine-subspace needs at least one basis row$"),
+        (lambda: Box([0.0, 0.0], [1.0]), "^box bounds have dimensions 2 and 1$"),
+    ],
+    ids=["empty-points", "ragged-points", "ragged-basis", "empty-basis", "box-bounds"],
+)
+def test_row_lists_name_the_bad_row(build, message):
+    # PointSet([]) used to build a 0-dimensional set, and a ragged list
+    # raised numpy's "inhomogeneous shape" error.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_a_finite_polyhedral_set_still_solves():
     with pytest.raises(ValueError, match="halfspace 0 "):
         PolyhedralSet([polyhedra.Halfspace([1.0, math.nan], 0.5), polyhedra.Halfspace([0.0, 1.0], 1.0)])
