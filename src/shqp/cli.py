@@ -23,18 +23,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(harness.EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_vector(text: str) -> list[float]:
+def _parse_list(text: str, kind, what: str) -> list:
+    """The comma-separated values of ``text`` as ``kind``; empty items are skipped."""
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise harness.UsageError(f"bad vector {text!r}: {exc}") from exc
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise harness.UsageError(f"bad integer list {text!r}: {exc}") from exc
+        raise harness.UsageError(f"bad {what} {text!r}: {exc}") from exc
 
 
 def _load_config(args) -> dict:
@@ -57,7 +51,7 @@ def _apply_overrides(data: dict, args) -> dict:
     for field in dataclasses.fields(harness.ExperimentConfig):
         value = getattr(args, field.name, None)
         if value is not None:
-            data[field.name] = _parse_vector(value) if field.type.startswith("list") else value
+            data[field.name] = _parse_list(value, float, "vector") if field.type.startswith("list") else value
     return data
 
 
@@ -95,11 +89,11 @@ def _cmd_sweep(args) -> int:
     _require_keys(data)
     sweep = dict(data.get("sweep") or {})
     if args.tau_grid is not None:
-        sweep["tau"] = _parse_vector(args.tau_grid)
+        sweep["tau"] = _parse_list(args.tau_grid, float, "vector")
     if args.pbar_grid is not None:
-        sweep["pbar"] = _parse_int_list(args.pbar_grid)
+        sweep["pbar"] = _parse_list(args.pbar_grid, int, "integer list")
     if args.x0_seeds is not None:
-        sweep["x0_seeds"] = _parse_int_list(args.x0_seeds)
+        sweep["x0_seeds"] = _parse_list(args.x0_seeds, int, "integer list")
     if not sweep:
         raise harness.UsageError(
             "sweep requires at least one grid axis (--tau-grid, --pbar-grid, --x0-seeds)"

@@ -223,7 +223,7 @@ def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> tuple[f
     for s in problem.sets:
         center, d = sets_mod.project(s, xstar)
         if d > 1e-7:
-            raise ValueError("xstar must lie in the intersection (within 1e-8)")
+            raise ValueError("xstar must lie in the intersection (within 1e-7)")
         centers.append(center)
     radii = tuple(float(r) for r in radii)
     if not radii or min(radii) <= 0:
@@ -262,7 +262,7 @@ def estimate_regularity(
 ) -> RegularityEstimate:
     """Probe the geometry of a problem near an intersection point.
 
-    xstar must belong to every set within 1e-8.  d(x, K) uses the problem's
+    xstar must lie within 1e-7 of every set.  d(x, K) uses the problem's
     intersection oracle when present; otherwise a pooled-halfspace run from
     each probe supplies an upper proxy (recorded in distance_oracle).
 

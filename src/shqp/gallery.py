@@ -217,17 +217,14 @@ def two_lines_problem(theta: float, name: str) -> ProblemInstance:
     )
 
 
+def _crossing(theta: float) -> dict:
+    """beta and eta of two curves crossing transversally at angle theta."""
+    return {"beta": 1.0 / math.sin(theta / 2.0), "eta": min(math.sin(theta / 2.0), math.cos(theta / 2.0))}
+
+
 def _two_lines_entry(theta: float, name: str, note: str) -> GalleryEntry:
-    beta = 1.0 / math.sin(theta / 2.0)
-    eta = min(math.sin(theta / 2.0), math.cos(theta / 2.0))
     return GalleryEntry(
-        name,
-        two_lines_problem(theta, name),
-        convex=True,
-        sosh=True,
-        beta=beta,
-        eta=eta,
-        note=note,
+        name, two_lines_problem(theta, name), convex=True, sosh=True, note=note, **_crossing(theta)
     )
 
 
@@ -298,15 +295,13 @@ def _circle_line_entry() -> GalleryEntry:
         intersection_oracle=sets_mod.PointSet(crossings),
     )
     # The curves cross at angle pi/6 (circle tangent is vertical at (1,0)).
-    theta = math.pi / 6.0
     return GalleryEntry(
         "circle-line",
         problem,
         convex=False,
         sosh=True,
-        beta=1.0 / math.sin(theta / 2.0),
-        eta=min(math.sin(theta / 2.0), math.cos(theta / 2.0)),
         note="unit circle and a secant line, transversal crossings at two points",
+        **_crossing(math.pi / 6.0),
     )
 
 
@@ -322,15 +317,13 @@ def _two_parabolas_entry() -> GalleryEntry:
     )
     # Tangents at (1,1) are (1,2)/sqrt(5) and (1,0): crossing angle
     # arccos(1/sqrt(5)).
-    theta = math.acos(1.0 / math.sqrt(5.0))
     return GalleryEntry(
         "two-parabolas",
         problem,
         convex=False,
         sosh=True,
-        beta=1.0 / math.sin(theta / 2.0),
-        eta=min(math.sin(theta / 2.0), math.cos(theta / 2.0)),
         note="two smooth curves crossing transversally at (0,0) and (1,1)",
+        **_crossing(math.acos(1.0 / math.sqrt(5.0))),
     )
 
 
@@ -526,6 +519,8 @@ _BUILDERS = {
 
 
 def gallery_names() -> list[str]:
+    """The problem names in listing order; public because bench/workloads.py
+    lists the gallery with it (nothing in the package calls it)."""
     return list(_BUILDERS)
 
 

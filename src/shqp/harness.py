@@ -542,6 +542,10 @@ def _jsonable(obj):
     return obj
 
 
+# The errors that turn the regularity estimate into an "error" entry.
+_ESTIMATE_ERRORS = (diagnostics.NoDistanceOracleError, sets_mod.ProjectionNotConvergedError, ValueError)
+
+
 def build_report(cfg: ExperimentConfig, problem, trace: solvers.Trace, x0, wallclock_ms: float) -> dict:
     """Assemble the run report: config echo, terminal status, measured rates,
     sampled geometry constants, and the closed-form predictions."""
@@ -570,11 +574,7 @@ def build_report(cfg: ExperimentConfig, problem, trace: solvers.Trace, x0, wallc
                     diagnostics.predicted_bounds(len(problem.sets), est.beta_hat, cfg.tau)
                 )
             )
-        except (
-            diagnostics.NoDistanceOracleError,
-            sets_mod.ProjectionNotConvergedError,
-            ValueError,
-        ) as exc:
+        except _ESTIMATE_ERRORS as exc:
             regularity = {"error": str(exc)}
             bounds = {"error": "no-beta-estimate"}
 
@@ -737,11 +737,7 @@ def run_sweep(config, out_dir: str | None = None) -> tuple[int, dict]:
         # Only beta feeds the rows; the rest of estimate_regularity is skipped.
         try:
             beta_hat, _ = diagnostics._beta_probe(problem, problem.known_solution, cfg.seed)
-        except (
-            diagnostics.NoDistanceOracleError,
-            sets_mod.ProjectionNotConvergedError,
-            ValueError,
-        ):
+        except _ESTIMATE_ERRORS:
             beta_hat = None
 
     rows = [_sweep_cell(cell, problem, beta_hat, x0) for cell, x0 in cells]

@@ -19,14 +19,14 @@ query point) and the dual active-set solve, and returns what the one-shot
 path returns, bit for bit.  The one-shot path, for the solvers' pooled
 QPs, prepares the same data on the fly and keeps none of it.
 
-A projection is two parts: the steps that compute the point (the prelude
-``_prelude``: scale, pairwise reduction, split, equality elimination and
-h; the dual active set; and x), and the report tail that only
-project_onto_polyhedron adds (multipliers, KKT residual, active set and
-the QPResult).  ``_nearest_points(poly, X)`` runs only the first part, one
-point at a time through the same dual active-set kernel, for a polyhedral
-set's projections; each point gets project_onto_polyhedron's point, bit
-for bit, or its exception.
+A projection is two parts: ``_solve``, the steps that compute the point
+(the prelude ``_prelude``: scale, pairwise reduction, split, equality
+elimination and h; the dual active set; and x or the verified
+certificate), and the report tail that only project_onto_polyhedron adds
+(multipliers, KKT residual, active set and the QPResult).
+``_nearest_points(poly, X)`` runs only ``_solve``, one point at a time,
+for a polyhedral set's projections; each point gets
+project_onto_polyhedron's point, bit for bit, or its exception.
 
 Arithmetic.  The problems are tiny (a few rows in a few dimensions), so
 most of a projection's cost is numpy's fixed cost per call on 1-4 element
@@ -655,9 +655,23 @@ def _verified(prep, cert, scale):
     return cert / prep.row_norms
 
 
-def _point(x0, split, x_p, u):
-    """The nearest point from the subproblem's solution u."""
-    return x0 + u if split.Z is None else x_p + split.Z @ u
+def _solve(poly, x0, warm_start):
+    """The prelude, the dual active set warm-started from the rows of
+    ``warm_start`` that survive the reduction, and the nearest point x:
+    (prep, split, active, lam, x, None), or (prep, None, None, None, None,
+    certificate) with the verified certificate of an empty polyhedron."""
+    prep = poly._prepared or _Prepared(poly.constraints)
+    scale, split, x_p, h, cert = _prelude(prep, x0)
+    if cert is None:
+        warm = []
+        if len(warm_start):
+            position = {i: j for j, i in enumerate(split.in_idx)}
+            warm = [position[w] for w in warm_start if w in position]
+        u, active, lam, ray = _dual_active_set(split.G, h, warm, 1e-11 * scale)
+        if ray is None:
+            return prep, split, active, lam, x0 + u if split.Z is None else x_p + split.Z @ u, None
+        cert = _kernel_certificate(prep, split, ray)
+    return prep, None, None, None, None, _verified(prep, cert, scale)
 
 
 def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
@@ -675,29 +689,16 @@ def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.shape[0] != poly.dimension:
         raise ValueError("query point dimension mismatch")
-    prep = poly._prepared
-    if prep is None:
-        prep = _Prepared(poly.constraints)
+    prep, split, active, lam, x, cert = _solve(poly, x0, warm_start)
     A, b, is_eq = prep.A, prep.b, prep.is_eq
     k = b.shape[0]
-    scale, split, x_p, h, cert = _prelude(prep, x0)
-    if cert is None:
-        in_idx, gn = split.in_idx, split.gn
-        warm = []
-        if len(warm_start):
-            position = {i: j for j, i in enumerate(in_idx)}
-            warm = [position[w] for w in warm_start if w in position]
-        u, active, lam, ray = _dual_active_set(split.G, h, warm, 1e-11 * scale)
-        if ray is not None:
-            cert = _kernel_certificate(prep, split, ray)
     if cert is not None:
         return QPResult(
             point=x0.copy(), status="infeasible", active_set=(), multipliers=np.zeros(k),
-            kkt_residual=np.inf, certificate=_verified(prep, cert, scale),
+            kkt_residual=np.inf, certificate=cert,
         )
 
-    x = _point(x0, split, x_p, u)
-    eq_idx = split.eq_idx
+    in_idx, gn, eq_idx = split.in_idx, split.gn, split.eq_idx
     mult = [0.0] * k
     for j, v in zip(active, lam):
         mult[in_idx[j]] = v if gn is None else v / gn[j]
@@ -732,25 +733,19 @@ def _nearest_points(poly: Polyhedron, X) -> list:
     exception it raises there (QPBreakdownError).
 
     X holds 1-d float arrays of the polyhedron's dimension, unchecked.
-    Each point runs the prelude and the dual active set on its own
-    (_nearest_point), as project_onto_polyhedron does without a warm start.
+    Each point runs _solve on its own, as project_onto_polyhedron does
+    without a warm start.
     """
-    prep = poly._prepared
-    if prep is None:
-        prep = _Prepared(poly.constraints)
-    return [_outcome(_nearest_point, prep, x0) for x0 in X]
+    return [_outcome(_nearest_point, poly, x0) for x0 in X]
 
 
-def _nearest_point(prep, x0):
+def _nearest_point(poly, x0):
     """The nearest point to x0; raises what project_onto_polyhedron
     raises, or InfeasiblePolyhedronError with the verified certificate."""
-    scale, split, x_p, h, cert = _prelude(prep, x0)
+    *_, x, cert = _solve(poly, x0, ())
     if cert is None:
-        u, _, _, ray = _dual_active_set(split.G, h, (), 1e-11 * scale)
-        if ray is None:
-            return _point(x0, split, x_p, u)
-        cert = _kernel_certificate(prep, split, ray)
-    raise InfeasiblePolyhedronError("empty polyhedron", _verified(prep, cert, scale))
+        return x
+    raise InfeasiblePolyhedronError("empty polyhedron", cert)
 
 
 def _outcome(fn, *args):
@@ -816,7 +811,8 @@ def eta(normals) -> float:
     polyhedron and eta = 0, meaning some convex combination of the normals
     vanishes and no direction w has <v_i, w> > 0 for every i.
     """
-    V = np.column_stack([np.asarray(v, dtype=float) for v in normals])
+    columns = [np.asarray(v, dtype=float) for v in normals]
+    V = np.column_stack(columns) if columns else np.empty((0, 0))
     if V.ndim != 2 or V.shape[1] < 1:
         raise ValueError("eta needs at least one normal")
     lens = np.linalg.norm(V, axis=0)

@@ -146,6 +146,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _unit(v) -> np.ndarray | None:
+    """v / ||v||, or None when ||v|| <= 1e-14."""
+    nv = np.linalg.norm(v)
+    return None if nv <= 1e-14 else v / nv
+
+
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A[i].dot(B[i]) for each row i of two C-contiguous 2-d float arrays,
     bit for bit.  matmul over the stack of 1 x n by n x 1 products calls
@@ -170,14 +176,10 @@ class SetOracle:
     kind = "abstract"
     is_convex = False
     is_manifold = False
-    iterative = False
+    membership_tol = MEMBERSHIP_TOL_ANALYTIC
 
     def __init__(self, dimension: int):
         self.dimension = int(dimension)
-
-    @property
-    def membership_tol(self) -> float:
-        return MEMBERSHIP_TOL_ITERATIVE if self.iterative else MEMBERSHIP_TOL_ANALYTIC
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -223,8 +225,9 @@ class SetOracle:
 class _LinearSet(SetOracle):
     """Base of HalfspaceSet and HyperplaneSet: the row <a, x> <= b (= b on a
     hyperplane), a != 0, kept as a polyhedra.Halfspace whose violation is
-    the membership residual (normal and offset are the row's own), and the
-    unit normal a / ||a||."""
+    the membership residual (normal and offset are the row's own), the
+    unit normal a / ||a||, and one projection formula, which leaves a
+    halfspace's members where they are."""
 
     is_convex = True
 
@@ -239,10 +242,16 @@ class _LinearSet(SetOracle):
         self.normal, self.offset = self.row.normal, self.row.offset
 
     def analytic_normal(self, x):
-        return self.normal / np.linalg.norm(self.normal)
+        return _unit(self.normal)
 
     def _residual(self, p):
         return self.row.violation(p)
+
+    def _project(self, x):
+        s = (self.normal @ x - self.offset) / (self.normal @ self.normal)
+        if s <= 0.0 and not self.is_manifold:
+            return x.copy()
+        return x - s * self.normal
 
 
 class HalfspaceSet(_LinearSet):
@@ -250,22 +259,12 @@ class HalfspaceSet(_LinearSet):
 
     kind = "halfspace"
 
-    def _project(self, x):
-        s = (self.normal @ x - self.offset) / (self.normal @ self.normal)
-        if s <= 0.0:
-            return x.copy()
-        return x - s * self.normal
-
 
 class HyperplaneSet(_LinearSet):
     """{x : <a, x> = b}; a manifold, and convex."""
 
     kind = "hyperplane"
     is_manifold = True
-
-    def _project(self, x):
-        s = (self.normal @ x - self.offset) / (self.normal @ self.normal)
-        return x - s * self.normal
 
 
 class AffineSubspace(SetOracle):
@@ -382,11 +381,7 @@ class Sphere(_RoundSet):
         return abs(np.linalg.norm(p - self.center) - self.radius)
 
     def analytic_normal(self, x):
-        v = x - self.center
-        nv = np.linalg.norm(v)
-        if nv <= 1e-14:
-            return None
-        return v / nv
+        return _unit(x - self.center)
 
 
 # The Newton projection's iteration budget and residual tolerance.
@@ -770,11 +765,7 @@ class _SmoothSet(SetOracle):
     _project = _one_row
 
     def analytic_normal(self, x):
-        g = self.grad(x)
-        ng = np.linalg.norm(g)
-        if ng <= 1e-14:
-            return None
-        return g / ng
+        return _unit(self.grad(x))
 
 
 class LevelSet(_SmoothSet):
@@ -885,8 +876,7 @@ class UnionOfConvex(SetOracle):
         self.is_convex = len(members) == 1
 
     def _project(self, x):
-        candidates = [project(mem, x)[0] for mem in self.members]
-        return _nearest(candidates, [np.linalg.norm(x - y) for y in candidates])
+        return _nearest(*zip(*(project(mem, x) for mem in self.members)))
 
     def _residual(self, p):
         return min(mem.membership_residual(p) for mem in self.members)
@@ -965,7 +955,7 @@ class IntersectionSet(SetOracle):
     """
 
     kind = "intersection"
-    iterative = True
+    membership_tol = MEMBERSHIP_TOL_ITERATIVE
 
     def __init__(self, members: Sequence[SetOracle]):
         members = list(members)

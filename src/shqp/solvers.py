@@ -378,6 +378,8 @@ def merit_value(problem: ProblemInstance, merit: str, x) -> float:
     "sum-of-squares" is the sum of squared set distances, "max-distance"
     the largest set distance, and "intersection-distance" the distance to
     the intersection itself (requires problem.intersection_oracle).
+    Nothing in the package calls it; it stays public because the
+    benchmark's span table hooks it (bench/spans.py).
     """
     return _merit(_Projections(problem), merit, np.asarray(x, dtype=float))
 

@@ -141,6 +141,16 @@ def test_estimate_regularity_proxy_fallback():
     assert est.eta_hat == pytest.approx(0.3827, abs=1e-3)
 
 
+def test_estimate_regularity_states_the_distance_it_checks():
+    """xstar is rejected when a set lies farther than 1e-7 from it, and the
+    message states that distance."""
+    prob = gallery.get_entry("two-lines-45").problem
+    with pytest.raises(ValueError, match=r"^xstar must lie in the intersection \(within 1e-7\)$"):
+        diagnostics.estimate_regularity(prob, [0.0, 2e-7])
+    beta_hat, _ = diagnostics._beta_probe(prob, [0.0, 5e-8], 0)
+    assert beta_hat >= 1.0
+
+
 def test_estimate_regularity_input_validation():
     prob = gallery.get_entry("two-lines-45").problem
     with pytest.raises(ValueError, match="must lie in the intersection"):

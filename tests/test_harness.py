@@ -930,7 +930,7 @@ def test_cli_intersection_merit_needs_an_intersection_oracle(tmp_path, capsys):
         assert cli.main(argv) == 64
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "'intersection-distance'" in captured.err
+        assert captured.err == "error: merit 'intersection-distance' needs a problem with an intersection\n"
     # Any other method ignores the merit.
     path.write_text(
         json.dumps(
@@ -1361,6 +1361,105 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["run", "--bogus-flag"]) == 64
     assert "shqp: error: unrecognized arguments" in capsys.readouterr().err
     assert cli.main(["--help"]) == 0
+
+
+_BALL = {"kind": "ball", "center": [0, 0], "radius": 1}
+_BALL_3D = {"kind": "ball", "center": [0, 0, 0], "radius": 1}
+
+
+def _inline(*sets, start=(0, 0)):
+    return {"problem": {"name": "p", "start": list(start), "sets": list(sets)}, "algorithm": "map"}
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["validate-config"], _inline(_BALL, start=[0, 0, 0]), "$.problem.start: expected 2 components, got 3"),
+        (
+            ["validate-config"],
+            _inline({"kind": "polyhedron", "halfspaces": [
+                {"normal": [1, 0], "offset": 1}, {"normal": [1, 0, 0], "offset": 1}]}),
+            "$.problem.sets[0]: constraints disagree on dimension",
+        ),
+        (
+            ["run", "--problem", "circle-line", "--algorithm", "map", "--x0", "1,a"],
+            None,
+            "bad vector '1,a': could not convert string to float: 'a'",
+        ),
+        (
+            ["sweep", "--problem", "circle-line", "--algorithm", "map", "--pbar-grid", "1,x"],
+            None,
+            "bad integer list '1,x': invalid literal for int() with base 10: 'x'",
+        ),
+        (["validate-config"], "not json", "config file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (
+            ["validate-config"],
+            _inline({"kind": "ball", "center": [0, 0], "radius": 0}),
+            "$.problem.sets[0]: ball radius must be positive",
+        ),
+        (
+            ["validate-config"],
+            _inline({"kind": "fixed-rank-matrix-set", "rows": 2, "cols": 2, "rank": 3}, start=[0] * 4),
+            "$.problem.sets[0]: rank must be between 1 and min(rows, cols)",
+        ),
+        (
+            ["validate-config"],
+            _inline({"kind": "finite-union-of-convex", "members": [{"kind": "sphere", "center": [0, 0], "radius": 1}]}),
+            "$.problem.sets[0]: union members must be convex oracles",
+        ),
+        (
+            ["validate-config"],
+            _inline({"kind": "finite-union-of-convex", "members": [_BALL, _BALL_3D]}),
+            "$.problem.sets[0]: union members disagree on dimension",
+        ),
+        (
+            ["validate-config"],
+            _inline({"kind": "intersection", "members": [_BALL, _BALL_3D]}),
+            "$.problem.sets[0]: members disagree on dimension",
+        ),
+    ],
+)
+def test_cli_input_checks_exit_64_with_their_message(tmp_path, capsys, argv, config, message):
+    """Each input check that a config file or a flag reaches: exit 64, its
+    one-line message, and no output directory."""
+    out = tmp_path / "out"
+    argv = list(argv)
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv[1:1] = ["--config", str(path)]
+    if argv[0] != "validate-config":
+        argv += ["--out-dir", str(out)]
+    assert cli.main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_sweep_takes_the_start_seed_flag_without_a_seed_axis(tmp_path, capsys):
+    """Without an x0_seeds grid axis, --x0-seed is the sweep's one seed."""
+    out = tmp_path / "out"
+    argv = ["sweep", "--problem", "circle-line", "--algorithm", "map", "--x0-seed", "2", "--tau-grid", "0.1"]
+    assert cli.main([*argv, "--out-dir", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["x0_seed"], r["status"]) for r in rows] == [("2", "converged")]
+
+
+@pytest.mark.parametrize("merit", ["sum-of-squares", "max-distance", "intersection-distance"])
+def test_cli_runs_the_global_method_from_a_config(tmp_path, capsys, merit):
+    """algorithm "global" through the harness (harness._dispatch's global
+    branch), with each merit, on a problem with an intersection oracle."""
+    path = tmp_path / "global.json"
+    path.write_text(json.dumps({"problem": "two-parabolas", "algorithm": "global", "merit": merit}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("global: converged (exit 0)")
+    report = json.loads((out / "report.json").read_text())
+    assert report["config_echo"]["merit"] == merit
+    assert report["terminal_status"] == "converged"
+    assert (out / "trace.csv").exists()
 
 
 def test_cli_sweep_and_overrides(tmp_path, capsys):

@@ -244,7 +244,7 @@ def _reference_beta_probe(problem, xstar, rng, radii=diagnostics._RADII, samples
     for s in problem.sets:
         center, d = sets.project(s, xstar)
         if d > 1e-7:
-            raise ValueError("xstar must lie in the intersection (within 1e-8)")
+            raise ValueError("xstar must lie in the intersection (within 1e-7)")
         centers.append(center)
     radii = tuple(float(r) for r in radii)
     if not radii or min(radii) <= 0:

@@ -324,6 +324,14 @@ def test_eta_analytic_values():
     assert polyhedra.eta([v, v]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("bundle", [[], (), iter([])])
+def test_eta_rejects_an_empty_bundle(bundle):
+    """An empty bundle raises eta's own message, not numpy's from stacking
+    no columns."""
+    with pytest.raises(ValueError, match="^eta needs at least one normal$"):
+        polyhedra.eta(bundle)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_eta_rejects_non_finite_normals(bad):
     """A NaN normal has a NaN length, which the unit-length check rejects

@@ -373,3 +373,21 @@ def test_check_sosh_halfspace_is_flat():
     assert ok and worst <= 1e-9  # flat boundary has zero support curvature
     with pytest.raises(ValueError):
         sets.check_sosh(hs, (0.0, 1.0), 1.0, 0.5)  # xbar outside
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: project(Ball((0.0, 0.0), 1.0), np.zeros((1, 2))), r"expected a 1-d point, got shape \(1, 2\)"),
+        (
+            lambda: polyhedra.project_onto_polyhedron(
+                polyhedra.Polyhedron([polyhedra.Halfspace((1.0, 0.0), 1.0)]), np.zeros(3)
+            ),
+            "query point dimension mismatch",
+        ),
+    ],
+)
+def test_library_query_point_checks(call, message):
+    """The library entry points reject a query point of the wrong shape."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

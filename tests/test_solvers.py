@@ -55,6 +55,15 @@ def test_schedule_constructors_and_validation():
     assert cyc.groups(np.array([1.0, 0.0, 0.0])) == [(0,), (1,), (2,)]
 
 
+def test_basic_shqp_runs_the_farthest_schedule():
+    """The farthest schedule needs no cover check, and the pooled method
+    runs it to the corner of two orthogonal halfspaces."""
+    problem = gallery.get_entry("halfspace-pair").problem
+    trace = solvers.run_basic_shqp(problem, problem.start, schedule=solvers.Schedule.farthest())
+    assert trace.status == "converged"
+    np.testing.assert_array_equal(trace.final_point(), [0.0, 0.0])
+
+
 def test_solver_config_validation():
     for bad in (dict(tau=1.0), dict(tau=-0.1), dict(pbar=-1),
                 dict(max_outer_iterations=0), dict(stop_tolerance=0.0),
