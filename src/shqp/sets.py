@@ -13,11 +13,16 @@ The regularity report projects its draws as batches, through
 refinement onto its members; the solvers never call it.  Its entries are
 bit for bit what :func:`project` returns on each point, or the exception it
 raises there, and no nearest point shares memory with another entry or with
-an input.  There is one such method, on the base class: it checks each
-point as project does (_as_point), passes the points that check to the
-set's ``_nearest_rows`` hook together, and takes each row's distance inside
-that row's own outcome.  The hook runs _project on each row, except on
-three kinds, whose _project is the hook's one-row case.  The polyhedron
+an input.  There is one such method, on the base class.  A clean batch, one
+that stacks as a finite 2-d array as wide as the set, is checked once as a
+whole (_clean_stack); any other batch is checked point by point as project
+checks it (_as_point), so that each bad point keeps its own error.  The
+stack of checked points goes to the set's ``_nearest_rows`` hook, and the
+distances of all the rows it answers are one stacked row dot, the bits of
+_norm; a row whose distance is not finite takes it again on its own, so
+that an overflow there raises or warns on that row alone
+(_stacked_outcomes).  The hook runs _project on each row, except on three
+kinds, whose _project is the hook's one-row case.  The polyhedron
 (``PolyhedralSet``) hands its rows to ``polyhedra._nearest_points``, the
 QP without its report tail, which runs the one dual active-set kernel
 point by point.  The level set and manifold curve (``_SmoothSet``) make the
@@ -141,8 +146,8 @@ def _integer(value, name: str) -> int:
 def _norm(v: np.ndarray) -> float:
     """np.linalg.norm(v) for a contiguous 1-d float array, bit for bit,
     without its dispatch.  A strided view can sum in another order; every
-    point an oracle sees is contiguous (_as_point), and so is every array
-    computed from them."""
+    point an oracle sees is contiguous (_as_point, or a row of a batch's
+    C-contiguous stack), and so is every array computed from them."""
     return math.sqrt(v.dot(v))
 
 
@@ -159,6 +164,20 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     _row_dots(D, D) is the norm _norm(d) of each row.  einsum and sums of
     elementwise products round otherwise: ddot fuses its multiply-adds."""
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _clean_stack(points, dimension: int) -> np.ndarray | None:
+    """points stacked as a (k, dimension) float array if they stack so and
+    every entry is finite, each row with the values _as_point gives its
+    point; None otherwise (a ragged batch, an empty list, a point of another
+    shape or width, a NaN or an infinity)."""
+    try:
+        P = np.array(points, dtype=float)
+    except Exception:  # the points are checked one by one, each with its error
+        return None
+    if P.ndim == 2 and P.shape[1] == dimension and np.isfinite(P).all():
+        return P
+    return None
 
 
 def _nearest(candidates: Sequence[np.ndarray], dists) -> np.ndarray:
@@ -185,24 +204,38 @@ class SetOracle:
         raise NotImplementedError
 
     def _nearest_rows(self, X) -> list:
-        """The nearest point to each checked point of X, or the exception
-        that _project raises there; by default _project row by row."""
-        return [_outcome(self._project, x) for x in X]
+        """The nearest point to each checked point (row) of X, or the
+        exception that _project raises there; by default _project row by
+        row."""
+        out = []
+        for x in X:
+            try:
+                out.append(self._project(x))
+            except Exception as exc:
+                out.append(exc)
+        return out
 
     def _project_rows(self, points) -> list:
         """project(self, x) for each x in points, in order, bit for bit: an
         entry is project's ``(nearest, distance)``, or the exception that
         project raises on that point, and no nearest point shares memory
         with another entry or with an input.  The regularity report's batch
-        projection (the module docstring has the contract).  Each point is
-        checked as project checks it, the points that check go to
-        _nearest_rows together, and each row's distance is taken inside its
-        own outcome, so an error there (an overflow, say) stays with its
-        row."""
+        projection (the module docstring has the contract).
+
+        A clean batch, one that stacks as a finite 2-d array as wide as the
+        set (_clean_stack), is checked once, as a whole.  Any other batch is
+        checked point by point as project checks it (_as_point), so that
+        each bad point keeps its own error, and the points that check are
+        stacked.  The stack then goes to _stacked_outcomes."""
+        points = points if isinstance(points, (list, np.ndarray)) else list(points)
+        P = _clean_stack(points, self.dimension)
+        if P is not None:
+            return _stacked_outcomes(self, P)
         out = [_outcome(_as_point, x, self.dimension) for x in points]
         rows = [i for i, p in enumerate(out) if not isinstance(p, Exception)]
-        for i, y in zip(rows, self._nearest_rows([out[i] for i in rows])):
-            out[i] = y if isinstance(y, Exception) else _outcome(_with_distance, out[i], y)
+        P = np.array([out[i] for i in rows]).reshape(len(rows), self.dimension)
+        for i, y in zip(rows, _stacked_outcomes(self, P)):
+            out[i] = y
         return out
 
     def membership_residual(self, x) -> float:
@@ -1034,6 +1067,23 @@ def project(oracle: SetOracle, x) -> tuple[np.ndarray, float]:
 def _with_distance(p: np.ndarray, nearest: np.ndarray) -> tuple[np.ndarray, float]:
     """(nearest, ||p - nearest||), as project returns them."""
     return nearest, _norm(p - nearest)
+
+
+def _stacked_outcomes(oracle: SetOracle, P: np.ndarray) -> list:
+    """project(oracle, p) for each row p of P, a (k, dimension) stack of
+    checked points: the set's _nearest_rows on the whole stack, and the
+    distances of all rows it answers as one stacked row dot (_row_dots),
+    the bits of _norm, with numpy's errors ignored.  A row whose distance
+    is not finite takes it again on its own (_with_distance), so that an
+    overflow there raises or warns on that row alone, as in project."""
+    Y = oracle._nearest_rows(P)
+    done = [j for j, y in enumerate(Y) if not isinstance(y, Exception)]
+    with np.errstate(all="ignore"):
+        D = P[done] - np.array([Y[j] for j in done]).reshape(len(done), oracle.dimension)
+        dists = np.sqrt(_row_dots(D, D)).tolist()
+    for j, d in zip(done, dists):
+        Y[j] = (Y[j], d) if math.isfinite(d) else _outcome(_with_distance, P[j], Y[j])
+    return Y
 
 
 def _member_center(oracle: SetOracle, center, name: str) -> np.ndarray:
