@@ -128,22 +128,7 @@ def _warning_bits(caught):
     return sorted((w.category.__name__, str(w.message)) for w in caught)
 
 
-def _batch_and_points(oracle, batch, points, mode):
-    """The outcomes of _project_rows on batch and of project on each point,
-    as _outcome_bits, each followed by the warnings it recorded."""
-    with _error_state(mode) as caught:
-        got = oracle._project_rows(batch)
-    with _error_state(mode) as caught_want:
-        want = [sets._outcome(sets.project, oracle, x) for x in points]
-    return got, [_outcome_bits(o) for o in got], _warning_bits(caught), [
-        _outcome_bits(o) for o in want
-    ], _warning_bits(caught_want)
-
-
-MODES = ["default", "over-raise", "warnings-error"]
-
-
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", ["default", "over-raise", "warnings-error"])
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(case=_edge_batch())
 def test_every_batch_equals_project_bit_for_bit(mode, case):
@@ -151,8 +136,12 @@ def test_every_batch_equals_project_bit_for_bit(mode, case):
     inputs = [p for p in points if isinstance(p, np.ndarray)]
     if isinstance(batch, np.ndarray):
         inputs.append(batch)
-    got, *bits = _batch_and_points(oracle, batch, points, mode)
-    assert bits[:2] == bits[2:]
+    with _error_state(mode) as caught:
+        got = oracle._project_rows(batch)
+    with _error_state(mode) as caught_want:
+        want = [sets._outcome(sets.project, oracle, x) for x in points]
+    assert [_outcome_bits(o) for o in got] == [_outcome_bits(o) for o in want]
+    assert _warning_bits(caught) == _warning_bits(caught_want)
     nearest = [o[0] for o in got if not isinstance(o, Exception)]
     assert not any(
         np.shares_memory(y, z) for i, y in enumerate(nearest) for z in nearest[i + 1 :] + inputs
@@ -165,10 +154,9 @@ SCALES = [1e-150, 1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100, 1e150]
 @pytest.mark.parametrize("n", range(1, 33))
 def test_stacked_distances_are_norm_bit_for_bit(n):
     # The batch distances rest on this: sqrt of the stacked row dots of
-    # D = P - stack(Y) is _norm(p - y) on each row, at every width a set
-    # can have here (a fixed-rank set has rows x cols coordinates) and
-    # every scale.  The last row's D is finite but D.D overflows: inf on
-    # both paths.
+    # D = P - stack(Y) is _norm(p - y) on each row, up to 32 coordinates (a
+    # fixed-rank set has rows x cols of them) and at every scale.  The last
+    # row's D is finite but D.D overflows: inf on both paths.
     rng = np.random.default_rng(2900 + n)
     for scale in SCALES:
         P = rng.standard_normal((9, n)) * scale
