@@ -226,8 +226,8 @@ def _beta_probe(problem, xstar, rng, radii=_RADII, samples: int = 40) -> tuple[f
             raise ValueError("xstar must lie in the intersection (within 1e-7)")
         centers.append(center)
     radii = tuple(float(r) for r in radii)
-    if not radii or min(radii) <= 0:
-        raise ValueError("radii must be positive")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise ValueError("radii must be positive and finite")
     rng = np.random.default_rng(rng)
     big = max(radii)
     probes = []

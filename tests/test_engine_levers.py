@@ -4,8 +4,9 @@ for bit, and the linear baselines' closed-form rate.
 The engine averages with ``np.add.reduce(P, axis=0) / k`` where it took
 ``np.mean(P, axis=0)``, takes the norm of a fresh contiguous difference as
 ``sets._norm`` where it took ``np.linalg.norm``, and the report's ball draws
-call ``rng.random()`` where they called ``rng.uniform()``.  Each is checked
-here on the values and on the warnings numpy prints.
+call ``rng.random()`` where they called ``rng.uniform()`` and fill a row with
+``rng.standard_normal(out=row)`` where they took ``rng.standard_normal(n)``.
+Each is checked here on the values and on the warnings numpy prints.
 """
 
 import math
@@ -108,6 +109,23 @@ def test_random_gives_the_uniform_doubles(seed):
     for _ in range(10_000):
         got.append((a.standard_normal(2).tobytes(), a.random().hex()))
         want.append((b.standard_normal(2).tobytes(), b.uniform().hex()))
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+@pytest.mark.parametrize("seed", range(4))
+def test_standard_normal_fills_a_row_from_the_same_stream(seed, n):
+    """_ball_draws fills each row of its stack with
+    rng.standard_normal(out=row), its per-point reference takes
+    rng.standard_normal(n): the same doubles from the same stream,
+    interleaved with the uniforms as the draws take them."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    G = np.empty((2_000, n))
+    got, want = [], []
+    for g in G:
+        a.standard_normal(out=g)
+        got.append((g.tobytes(), a.random().hex()))
+        want.append((b.standard_normal(n).tobytes(), b.uniform().hex()))
     assert got == want
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from shqp import polyhedra, sets, solvers
+from shqp import diagnostics, gallery, polyhedra, sets, solvers
 from shqp.sets import (
     AffineSubspace,
     Ball,
@@ -373,6 +373,42 @@ def test_check_sosh_halfspace_is_flat():
     assert ok and worst <= 1e-9  # flat boundary has zero support curvature
     with pytest.raises(ValueError):
         sets.check_sosh(hs, (0.0, 1.0), 1.0, 0.5)  # xbar outside
+
+
+SAMPLER_ARGUMENTS = [
+    ({"sample_count": -1}, "sample_count must be nonnegative"),
+    ({"sample_count": 2.5}, "sample_count must be an integer"),
+    ({"sample_count": True}, "sample_count must be an integer"),
+    ({"radius": -0.3}, "radius must be positive and finite"),
+    ({"radius": 0.0}, "radius must be positive and finite"),
+    ({"radius": math.nan}, "radius must be positive and finite"),
+    ({"radius": math.inf}, "radius must be positive and finite"),
+    ({"radius": -math.inf}, "radius must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("check", [sets.check_super_regular, sets.check_sosh])
+@pytest.mark.parametrize("bad, message", SAMPLER_ARGUMENTS)
+def test_samplers_name_a_bad_argument(check, bad, message):
+    """A bad draw count or radius is a ValueError naming it, not numpy's
+    error, a TypeError, a sampling failure or a non-finite point."""
+    args = {"radius": 0.3, "sample_count": 40, **bad}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(Ball((0.0, 0.0), 1.0), (1.0, 0.0), 0.0, **args)
+
+
+def test_samplers_take_an_integral_float_count():
+    ball = Ball((0.0, 0.0), 1.0)
+    assert sets.check_super_regular(ball, (1.0, 0.0), 0.0, 0.3, sample_count=40.0) == sets.check_super_regular(
+        ball, (1.0, 0.0), 0.0, 0.3, sample_count=40
+    )
+
+
+@pytest.mark.parametrize("radii", [(0.1, math.inf), (math.nan,), (0.1, -math.inf), (0.0,)])
+def test_estimate_regularity_rejects_non_finite_radii(radii):
+    prob = gallery.get_entry("two-lines-45").problem
+    with pytest.raises(ValueError, match="^radii must be positive and finite$"):
+        diagnostics.estimate_regularity(prob, prob.known_solution, radii=radii)
 
 
 @pytest.mark.parametrize(
