@@ -23,11 +23,10 @@ _norm; a row whose distance is not finite takes it again on its own, so
 that an overflow there raises or warns on that row alone
 (_stacked_outcomes).  The hook runs _project on each row, except on four
 kinds.  The fixed-rank set (``FixedRankSet``) takes one np.linalg.svd over
-the stack of two or more matrices and truncates the stack of factors, the
-bits of _project on each; one row keeps _project, which is faster there
-(15.0 us against 17.0 us a row, with numpy 2.4.6 on a 2-core shared x86_64
-host; 160 rows take 0.49 ms stacked against 2.4 ms row by row).  On the
-other three, _project is the hook's one-row case.  The polyhedron
+the stack of matrices, which runs gesdd once per matrix, and truncates the
+stack of factors with products that round as the single ones do, the bits
+of _project on each row; the solvers' single points still take _project.
+On the other three, _project is the hook's one-row case.  The polyhedron
 (``PolyhedralSet``) hands its rows to ``polyhedra._nearest_points``, the QP
 without its report tail, which runs the one dual active-set kernel point by
 point.  The level set and manifold curve (``_SmoothSet``) make the interior
@@ -876,18 +875,13 @@ class FixedRankSet(SetOracle):
         return self._truncate(U, s, Vt).reshape(-1)
 
     def _nearest_rows(self, X):
-        """_project on each checked point of X: two or more rows take one
-        np.linalg.svd over the (k, rows, cols) stack, which runs LAPACK's
-        gesdd once per matrix as a single svd does, and one _truncate over
-        the stack, whose products are the single ones matrix by matrix.  If
-        the stacked svd raises (a matrix did not converge), or a floating
-        point error would have been signalled by the truncation, every row
-        runs _project on its own, so that it keeps its own outcome, error
-        and warning.  One row runs _project, 15.0 us against the stack's
-        17.0 us (numpy 2.4.6, 2-core shared x86_64 host): the solvers
-        project one point at a time, 3,466 SVDs a gallery-solve round."""
-        if len(X) < 2:
-            return super()._nearest_rows(X)
+        """_project on each checked point of X: one np.linalg.svd over the
+        (k, rows, cols) stack, which runs LAPACK's gesdd once per matrix as
+        a single svd does, and one _truncate over the stack, whose products
+        are the single ones matrix by matrix.  If the stacked svd raises (a
+        matrix did not converge), or a floating point error would have been
+        signalled by the truncation, every row runs _project on its own, so
+        that it keeps its own outcome, error and warning."""
         try:
             U, s, Vt = np.linalg.svd(X.reshape(len(X), self.rows, self.cols), full_matrices=False)
         except np.linalg.LinAlgError:
@@ -1171,15 +1165,15 @@ def _ball_draws(oracle: SetOracle, center, radius: float, count: int, seed: int)
     draws, so each draw has the bits it had alone: the norms ||g|| and the
     filter's ||y - center|| as stacked row dots (_row_dots), the divide,
     scale and shift elementwise.  All draws are made first and then
-    projected as one batch (SetOracle._project_rows).  When every
-    projection succeeds and every filter norm is finite, one mask keeps the
-    draws.  Otherwise the outcomes are walked in draw order, so the errors
-    keep it: any error other than a projection that did not converge is
-    raised for the first draw that has one, and a filter norm that
-    overflows is taken again by _norm on its own draw, so that it raises or
-    warns where the draw-by-draw loop did, after the errors of the draws
-    before it.  Raises ValueError unless radius is positive and finite and
-    count a nonnegative integer.
+    projected as one batch (SetOracle._project_rows), and one mask keeps
+    the draws in the ball.  Only the draws without a finite filter norm are
+    then visited, in draw order, so the errors keep it: a projection that
+    did not converge is dropped, any other error is raised for the first
+    draw that has one, and a filter norm that overflows is taken again by
+    _norm on its own draw, so that it raises or warns where the
+    draw-by-draw loop did, after the errors of the draws before it.  Raises
+    ValueError unless radius is positive and finite and count a nonnegative
+    integer.
     """
     count = _integer(count, "sample_count")
     if count < 0:
@@ -1197,27 +1191,22 @@ def _ball_draws(oracle: SetOracle, center, radius: float, count: int, seed: int)
     ws = center + radius * (G * np.array(shrink)[:, None])
     outs = oracle._project_rows(ws)
     done = [out for out in outs if not isinstance(out, Exception)]
+    ok = slice(None) if len(done) == count else np.array([not isinstance(out, Exception) for out in outs])
     Y = np.array([y for y, _ in done]).reshape(len(done), n)
+    dists = np.full(count, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         D = Y - center
-        dists = np.sqrt(_row_dots(D, D))
-    if len(done) == count and np.isfinite(dists).all():
+        dists[ok] = np.sqrt(_row_dots(D, D))
         keep = dists <= radius
-        return _Draws(ws[keep], Y[keep], np.array([gap for _, gap in done])[keep])
-    draws, dists = [], iter(dists.tolist())
-    for w, out in zip(ws, outs):
+    for j in np.flatnonzero(~np.isfinite(dists)).tolist():
+        out = outs[j]
         if isinstance(out, ProjectionNotConvergedError):
             continue
         if isinstance(out, Exception):
             raise out
-        y, gap = out
-        dist = next(dists)
-        if not math.isfinite(dist):
-            dist = _norm(y - center)
-        if dist > radius:
-            continue
-        draws.append((w, y, gap))
-    return _stacks(draws, n)
+        keep[j] = not _norm(out[0] - center) > radius
+    kept = keep[ok]
+    return _Draws(ws[keep], Y[kept], np.array([gap for _, gap in done])[kept])
 
 
 def check_super_regular(

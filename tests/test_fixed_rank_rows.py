@@ -1,7 +1,7 @@
 """The fixed-rank set's batch hook against its one-point projection, bit for
 bit.
 
-`FixedRankSet._nearest_rows` projects two or more rows with one
+`FixedRankSet._nearest_rows` projects its rows, one or more, with one
 `np.linalg.svd` over the (k, rows, cols) stack and one truncation over the
 stack of factors.  Each row must get the bits `_project` gives it alone:
 that rests on numpy running LAPACK's gesdd once per matrix of a stack, as it
@@ -64,6 +64,10 @@ def test_stacked_svd_equals_project_bit_for_bit(monkeypatch, rows, cols, rank):
             got = oracle._nearest_rows(X)
         want = [project(oracle, x) for x in X]
         assert [y.tobytes() for y in got] == [y.tobytes() for y in want], f"numpy {np.__version__}: scale {scale}"
+        # A stack of one row has the same bits.
+        for x, y in zip(X, want):
+            (alone,) = oracle._nearest_rows(x[None])
+            assert alone.tobytes() == y.tobytes(), f"numpy {np.__version__}: scale {scale}"
         assert X.tobytes() == inputs.tobytes()
         assert not any(np.shares_memory(y, z) for i, y in enumerate(got) for z in got[i + 1 :] + [X])
         # And _project_rows gives what project gives, distances included.
@@ -72,23 +76,6 @@ def test_stacked_svd_equals_project_bit_for_bit(monkeypatch, rows, cols, rank):
         assert not single, f"scale {scale}"
         assert [_outcome_bits(o) for o in outcomes] == [_outcome_bits(sets.project(oracle, x)) for x in X]
         single.clear()
-
-
-def test_one_row_takes_project(monkeypatch):
-    # A single point is projected by _project itself, not as a stack of one.
-    calls = []
-    svd = np.linalg.svd
-
-    def recording(a, *args, **kwargs):
-        calls.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    oracle = FixedRankSet(2, 3, 1)
-    x = np.arange(6.0)
-    (y,) = oracle._nearest_rows(x[None])
-    assert calls == [(2, 3)]
-    assert y.tobytes() == FixedRankSet._project(oracle, x).tobytes()
 
 
 def test_a_stack_the_svd_refuses_is_projected_row_by_row(monkeypatch):

@@ -1,8 +1,8 @@
 """The report's draws kept as stacks from the generator to the reductions.
 
-`sets._ball_draws` returns its kept draws as one `_Draws` (the stacks W, Y
-and gaps) when every projection succeeds and every filter norm is finite,
-and walks the outcomes in draw order otherwise.  The reductions read the
+`sets._ball_draws` keeps its draws with one mask and returns them as one
+`_Draws` (the stacks W, Y and gaps).  Only the draws without a finite
+filter norm are visited one by one, in draw order.  The reductions read the
 stacks, and a list of (w, y, gap) tuples the same way.
 """
 
@@ -46,8 +46,8 @@ def _drawn_under(mode, fn):
 
 @pytest.mark.parametrize("mode", ["raise", "warn", "ignore"])
 def test_a_filter_overflow_without_errors_keeps_the_draw_order(mode):
-    # No projection fails, so only the filter norm's overflow can send the
-    # draws through the ordered walk, which raises or warns on draw 3 alone.
+    # No projection fails, so only draw 3, whose filter norm overflows, is
+    # visited on its own, and it raises or warns there alone.
     want = _drawn_under(mode, _reference_ball_draws)
     assert _drawn_under(mode, sets._ball_draws) == want
     if mode == "ignore":
@@ -82,9 +82,9 @@ def test_reductions_read_stacks_and_tuples_alike(name):
             assert reduce(oracle, center, draws).hex() == reduce(oracle, center, tuples).hex()
 
 
-def test_the_ordered_walk_returns_stacks_too():
-    # A projection that does not converge is dropped by the walk, which
-    # hands its draws on as stacks like the mask does.
+def test_a_projection_that_does_not_converge_is_dropped():
+    # The draw whose projection does not converge is left out, and the
+    # others are handed on as stacks.
     class Refusing(sets.Ball):
         calls = 0
 
