@@ -272,9 +272,15 @@ def estimate_regularity(
     with seed rng_seed + 31l.  Draws with the same (set, radius, seed) are
     made and projected once and feed both checks; with the default radii
     that is set 0's sosh draws, which are its first super-regularity draws.
-    Each batch of draws, and the beta probes on each set and on the
-    intersection oracle, are drawn in full and then projected as one batch
-    (SetOracle._project_rows), bit for bit as one at a time.
+    All draw batches of a set are drawn in full and projected as one batch
+    (SetOracle._project_rows), bit for bit as one at a time, when the first
+    reduction on that set asks for its draws; the beta probes on each set
+    and on the intersection oracle are one batch each too.  A batch is kept
+    (its errors raised, its draws filtered to the ball) only when its
+    reduction asks for it, radius by radius and within a radius set by set,
+    then the second-order bound's; so the error raised is the first in
+    that order, and a set without samples at one radius is skipped there
+    alone.
     """
     rng = np.random.default_rng(rng_seed)
     beta_hat, centers = _beta_probe(problem, xstar, rng, radii, samples)
@@ -294,27 +300,40 @@ def estimate_regularity(
     eta_hat = float(min(polyhedra.eta(list(b)) for b in itertools.product(*signs))) if signs else 1.0
 
     centers = [sets_mod._member_center(s, c, "center") for s, c in zip(problem.sets, centers)]
+    # Set l's draw batches as (radius, seed): the profile's at each radius,
+    # then the second-order bound's.
+    keys = [
+        [(r, rng_seed + 7 * k + li) for k, r in enumerate(radii)] + [(big, rng_seed + 31 * li)]
+        for li in range(len(problem.sets))
+    ]
 
     @functools.cache
-    def draws(li, radius, seed):
-        return sets_mod._ball_draws(problem.sets[li], centers[li], radius, 160, seed)
+    def projected(li):
+        """Each distinct draw batch of set li with its projections, from one
+        batch projection of them all."""
+        s, unique = problem.sets[li], list(dict.fromkeys(keys[li]))
+        ws = [sets_mod._draw_ball(s.dimension, centers[li], r, 160, seed) for r, seed in unique]
+        outs = iter(s._project_rows(np.concatenate(ws)))
+        return {key: (w, list(itertools.islice(outs, len(w)))) for key, w in zip(unique, ws)}
 
-    def worst_over_sets(reduce, radius, seed_of):
-        """The largest reduction of set l's draws with seed seed_of(l) over
-        the sets that have samples, or 0.0 if none has."""
+    @functools.cache
+    def draws(li, key):
+        w, outs = projected(li)[key]
+        return sets_mod._keep_draws(w, outs, centers[li], key[0])
+
+    def worst_over_sets(reduce, j):
+        """The largest reduction of each set's j-th draw batch over the sets
+        that have samples, or 0.0 if none has."""
         found = []
         for li, (s, center) in enumerate(zip(problem.sets, centers)):
             try:
-                found.append(reduce(s, center, draws(li, radius, seed_of(li))))
+                found.append(reduce(s, center, draws(li, keys[li][j])))
             except sets_mod.InsufficientSamplesError:
                 continue
         return float(max(found, default=0.0))
 
-    delta_profile = {
-        r: worst_over_sets(sets_mod._super_regular_worst, r, lambda li: rng_seed + 7 * k + li)
-        for k, r in enumerate(radii)
-    }
-    sosh = worst_over_sets(sets_mod._sosh_worst, big, lambda li: rng_seed + 31 * li)
+    delta_profile = {r: worst_over_sets(sets_mod._super_regular_worst, k) for k, r in enumerate(radii)}
+    sosh = worst_over_sets(sets_mod._sosh_worst, len(radii))
 
     return RegularityEstimate(
         beta_hat=float(beta_hat),

@@ -32,10 +32,10 @@ Arithmetic.  The problems are tiny (a few rows in a few dimensions), so
 most of a projection's cost is numpy's fixed cost per call on 1-4 element
 arrays.  Every dot, matrix product, einsum and SVD, and every array that
 feeds one, stays in numpy, because that is where the rounding happens:
-numpy's 1-d dot differs from a sequential Python sum of the same
-products in 25 % (n = 2) to 49 % (n = 8) of random standard-normal pairs
-(20,000 pairs each, numpy 2.4 with its bundled OpenBLAS on an Intel
-Xeon), and gemv and the einsum row norms sum in orders of their own.
+numpy's 1-d dot (BLAS ddot, with fused multiply-adds) differs from a
+sequential Python sum of the same products on a large share of random
+pairs (measured in BENCH_31.json, "docstring_measurements"), and gemv and
+the einsum row norms sum in orders of their own.
 What runs on Python floats and lists rounds the same in both:
 comparisons, max and min, abs, single elementwise products and quotients,
 and index bookkeeping.  The most violated row, the KKT residual's maxima

@@ -19,10 +19,10 @@ whole (_clean_stack); any other batch is checked point by point as project
 checks it (_as_point), so that each bad point keeps its own error.  The
 stack of checked points goes to the set's ``_nearest_rows`` hook, and the
 distances of all the rows it answers are one stacked row dot, the bits of
-_norm; a row whose distance is not finite takes it again on its own, so
-that an overflow there raises or warns on that row alone
-(_stacked_outcomes).  The hook runs _project on each row, except on four
-kinds.  The fixed-rank set (``FixedRankSet``) takes one np.linalg.svd over
+_norm; if that arithmetic signals a floating point error, every row takes
+its distance again on its own, so that an overflow or underflow raises or
+warns on its own row, as in project (_stacked_outcomes).  The hook runs
+_project on each row, except on four kinds.  The fixed-rank set (``FixedRankSet``) takes one np.linalg.svd over
 the stack of matrices, which runs gesdd once per matrix, and truncates the
 stack of factors with products that round as the single ones do, the bits
 of _project on each row; the solvers' single points still take _project.
@@ -45,11 +45,15 @@ with ``_pair_ratios``, ``_sosh_worst``) make a few numpy calls over all of
 their draws, with the bits a loop over the draws would give.  Only the
 generator is called draw by draw.  The draws stay stacked from the generator
 to the reductions (``_Draws``), which read a list of (w, y, gap) tuples the
-same way.  Every norm and dot product of a draw is a stacked row dot
-(``_row_dots``): a matmul of 1 x n by n x 1 rows, which calls BLAS ddot on
-each row as ``a.dot(b)`` and ``_norm`` do.  einsum and sums of elementwise
-products are not used, because ddot fuses multiply-adds and they do not, so
-they differ from it in the last bit on most rows.
+same way.  ``_ball_draws`` is three steps, drawing (``_draw_ball``), one
+batch projection and keeping (``_keep_draws``), so that the regularity
+estimate can project all of a set's draw batches as one.  On a manifold
+the ratio reduction takes both signs of a draw's normal from one
+difference tensor.  Every norm and dot product of a draw is a stacked row
+dot (``_row_dots``): a matmul of 1 x n by n x 1 rows, which calls BLAS
+ddot on each row as ``a.dot(b)`` and ``_norm`` do.  einsum and sums of
+elementwise products are not used, because ddot fuses multiply-adds and
+they do not, so they differ from it in the last bit on most rows.
 """
 
 from __future__ import annotations
@@ -535,13 +539,10 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
     take each row's norm as _norm does (_row_dots), so the cap makes the
     same decisions on the same bits.
 
-    Fewer than two rows run the scalar kernel, faster on one row (113 us
-    against 173 us over 400 near points on the cubic): the solvers' starts
-    have one row, the regularity report's stacks three or more.  End to
-    end, the stack path on one row made a seed-0 gallery-solve round 3.4 %
-    slower over 8 alternating in-process rounds a side (the scalar path
-    faster in 7) and 23.3 % slower over 16 (faster in 15), medians, numpy
-    2.4.6 on a 2-core shared Intel Xeon."""
+    Fewer than two rows run the scalar kernel, which is faster on one row,
+    where the stack's fixed cost per call is not shared: the solvers'
+    starts have one row, the regularity report's stacks three or more
+    (measured in BENCH_31.json, "docstring_measurements")."""
     if len(X) < 2:
         out = []
         for x, y0, l0 in zip(X, Y0, lam0):
@@ -1100,16 +1101,19 @@ def _stacked_outcomes(oracle: SetOracle, P: np.ndarray) -> list:
     """project(oracle, p) for each row p of P, a (k, dimension) stack of
     checked points: the set's _nearest_rows on the whole stack, and the
     distances of all rows it answers as one stacked row dot (_row_dots),
-    the bits of _norm, with numpy's errors ignored.  A row whose distance
-    is not finite takes it again on its own (_with_distance), so that an
-    overflow there raises or warns on that row alone, as in project."""
+    the bits of _norm.  If that arithmetic signals any floating point
+    error (an overflow, an underflow), every answered row takes its
+    distance again on its own (_with_distance), under the caller's error
+    state, so that each row raises or warns as project does on it.  A NaN
+    distance signals nothing, and is what project gives."""
     Y = oracle._nearest_rows(P)
     done = [j for j, y in enumerate(Y) if not isinstance(y, Exception)]
-    with np.errstate(all="ignore"):
+    signalled = []
+    with np.errstate(all="call", call=lambda *_: signalled.append(True)):
         D = P[done] - np.array([Y[j] for j in done]).reshape(len(done), oracle.dimension)
         dists = np.sqrt(_row_dots(D, D)).tolist()
     for j, d in zip(done, dists):
-        Y[j] = (Y[j], d) if math.isfinite(d) else _outcome(_with_distance, P[j], Y[j])
+        Y[j] = _outcome(_with_distance, P[j], Y[j]) if signalled else (Y[j], d)
     return Y
 
 
@@ -1155,41 +1159,54 @@ def _ball_draws(oracle: SetOracle, center, radius: float, count: int, seed: int)
 
     Returns the draws whose projection y converged and lies in the ball,
     with gap = ||w - y||, as a _Draws.  Both samplers below reduce these
-    draws; the same arguments always give the same draws.  Each draw takes
-    a standard normal direction g and then a uniform u from the generator,
-    draw after draw, and is w = center + radius * (g / ||g||) * u ** (1/n),
-    with the power taken on Python floats; ``standard_normal(out=row)``
-    fills a row of the stack from the same stream as ``standard_normal(n)``,
-    and ``random()`` gives the same u as ``uniform()``, without their
-    argument handling.  Everything after the generator runs once over all
-    draws, so each draw has the bits it had alone: the norms ||g|| and the
-    filter's ||y - center|| as stacked row dots (_row_dots), the divide,
-    scale and shift elementwise.  All draws are made first and then
-    projected as one batch (SetOracle._project_rows), and one mask keeps
-    the draws in the ball.  Only the draws without a finite filter norm are
-    then visited, in draw order, so the errors keep it: a projection that
-    did not converge is dropped, any other error is raised for the first
-    draw that has one, and a filter norm that overflows is taken again by
-    _norm on its own draw, so that it raises or warns where the
-    draw-by-draw loop did, after the errors of the draws before it.  Raises
-    ValueError unless radius is positive and finite and count a nonnegative
-    integer.
+    draws; the same arguments always give the same draws.  The draws are
+    made first (_draw_ball), projected as one batch
+    (SetOracle._project_rows) and then kept (_keep_draws); the regularity
+    estimate runs the same three steps with one batch for all of a set's
+    draws.  Raises ValueError unless radius is positive and finite and
+    count a nonnegative integer.
     """
+    ws = _draw_ball(oracle.dimension, center, radius, count, seed)
+    return _keep_draws(ws, oracle._project_rows(ws), center, radius)
+
+
+def _draw_ball(n: int, center, radius: float, count: int, seed: int) -> np.ndarray:
+    """The (count, n) stack of _ball_draws' uniform draws from
+    B(center, radius), before projection.  Each draw takes a standard
+    normal direction g and then a uniform u from the generator, draw after
+    draw, and is w = center + radius * (g / ||g||) * u ** (1/n), with the
+    power taken on Python floats; ``standard_normal(out=row)`` fills a row
+    of the stack from the same stream as ``standard_normal(n)``, and
+    ``random()`` gives the same u as ``uniform()``, without their argument
+    handling.  Everything after the generator runs once over all draws, so
+    each draw has the bits it had alone: the norms ||g|| as stacked row
+    dots (_row_dots), the divide, scale and shift elementwise."""
     count = _integer(count, "sample_count")
     if count < 0:
         raise ValueError("sample_count must be nonnegative")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError("radius must be positive and finite")
     rng = np.random.default_rng(seed)
-    n = oracle.dimension
     G, shrink, power = np.empty((count, n)), [], 1.0 / n
     normal, uniform = rng.standard_normal, rng.random
     for g in G:
         normal(out=g)
         shrink.append(uniform() ** power)
     G /= np.sqrt(_row_dots(G, G))[:, None]
-    ws = center + radius * (G * np.array(shrink)[:, None])
-    outs = oracle._project_rows(ws)
+    return center + radius * (G * np.array(shrink)[:, None])
+
+
+def _keep_draws(ws: np.ndarray, outs: list, center, radius: float) -> _Draws:
+    """The draws ws whose projection (outs, _project_rows' entries for
+    them) converged and lies in B(center, radius), as _ball_draws returns
+    them.  One mask keeps the draws in the ball, by the filter norms
+    ||y - center|| as stacked row dots.  Only the draws without a finite
+    filter norm are then visited, in draw order, so the errors keep it: a
+    projection that did not converge is dropped, any other error is raised
+    for the first draw that has one, and a filter norm that overflows is
+    taken again by _norm on its own draw, so that it raises or warns where
+    the draw-by-draw loop did, after the errors of the draws before it."""
+    count, n = ws.shape
     done = [out for out in outs if not isinstance(out, Exception)]
     ok = slice(None) if len(done) == count else np.array([not isinstance(out, Exception) for out in outs])
     Y = np.array([y for y, _ in done]).reshape(len(done), n)
@@ -1231,34 +1248,42 @@ def check_super_regular(
     return (worst <= delta + 1e-9, worst)
 
 
-# Normals reduced together by _super_regular_worst.  A block holds a
-# (normals x members x n) difference tensor; one tensor over all normals
-# grows with the square of the draw count, blocks of 16 stay small.
+# Rows of ratios whose maximum _super_regular_worst takes together, in
+# draw order: a block whose maximum is NaN adds nothing, so the block size
+# is part of the output.
 _RATIO_BLOCK = 16
+# Bases (normals y, one per draw) whose (bases x members x n) difference
+# tensor _super_regular_worst builds at once: up to _RATIO_BASES, fewer where
+# the tensor would pass _RATIO_TENSOR entries, but at least one block's.  One
+# tensor over all draws would grow with the square of the draw count, and
+# a large tensor falls out of cache (measured in BENCH_31.json,
+# "ratio_tensor_size").  The count is a multiple of a block's bases
+# (_RATIO_BLOCK, or half of it on a manifold, where a base gives two rows),
+# so the blocks stay whole.
+_RATIO_BASES = 64
+_RATIO_TENSOR = 2**16
 
 
-def _pair_ratios(members: np.ndarray, bases: np.ndarray, directions: np.ndarray):
+def _pair_ratios(members: np.ndarray, bases: np.ndarray, directions: np.ndarray, both_signs: bool = False):
     """<z - y, v> / ||z - y|| for each normal (y, v) in the rows of bases and
-    directions (one row of the result) against every member z (one column).
-    Pairs much closer than the probe scale measure projection roundoff, not
-    geometry: the numerator carries the projectors' absolute error, so tiny
+    directions (one row of the result) against every member z (one column);
+    with both_signs, each row is followed by the row of (y, -v).  Pairs much
+    closer than the probe scale measure projection roundoff, not geometry:
+    the numerator carries the projectors' absolute error, so tiny
     denominators amplify it arbitrarily.  Such pairs read -inf.
 
     Below 8 dimensions the (normals x members x n) difference tensor is
     filled one coordinate at a time, and the squared distances are summed
     the same way, coordinate after coordinate, which avoids numpy's cost per
-    element on a last axis of length 2 to 4: with numpy 2.4.6 on a 2-core
-    Intel Xeon, one block of 16 normals against 161 members took 70, 63 and
-    82 us this way against 159, 132 and 132 us broadcast, for n = 2, 3 and 4
-    (medians of three runs of the best of 7 x 2,000 calls).  That running
-    sum has the bits of np.add.reduce over an axis shorter than 8 (pinned
-    against it in the tests); from 8 on, add.reduce sums pairwise, so the
-    broadcast form stays.  End to end, the broadcast form below 8
-    dimensions made a seed-0 cli-report round 12.7 % slower over 8
-    alternating in-process rounds a side (the loop faster in 7) and 13.4 %
-    slower over 16 (faster in 11), medians, same host.  The numerators are
-    one matmul over the tensor in either case; its rounding is the pinned
-    one."""
+    element on a last axis of length 2 to 4 (measured in BENCH_31.json,
+    "docstring_measurements").  That running sum has the bits of
+    np.add.reduce over an axis shorter than 8 (pinned against it in the
+    tests); from 8 on, add.reduce sums pairwise, so the broadcast form
+    stays.  The numerators are one matmul over the tensor in either case;
+    its rounding is the pinned one.  The (y, -v) numerators are the (y, v)
+    ones as 0.0 - num, the bits a dot product with -v gives: rounding is
+    symmetric in sign, and a sum that is exactly zero is +0 for either
+    sign, which 0.0 - num keeps and -num would not."""
     n = members.shape[1]
     if n < 8:
         diff = np.empty((len(bases), len(members), n))
@@ -1280,16 +1305,21 @@ def _pair_ratios(members: np.ndarray, bases: np.ndarray, directions: np.ndarray)
     for b in np.flatnonzero(keep.sum(axis=1) == 1):
         i = np.flatnonzero(keep[b])[0]
         num[b, i] = diff[b, i] @ directions[b]
-    return np.divide(num, nd, out=np.full_like(nd, -np.inf), where=keep)
+    if both_signs:
+        num = np.stack([num, 0.0 - num], axis=1)
+        nd, keep = nd[:, None], keep[:, None]
+    ratios = np.divide(num, nd, out=np.full(num.shape, -np.inf), where=keep)
+    return ratios.reshape(-1, len(members))
 
 
 def _super_regular_worst(oracle: SetOracle, center: np.ndarray, draws) -> float:
     """check_super_regular's worst ratio over the members and normals of
     draws (a _Draws, or (w, y, gap) tuples): the members are the center and
     every y, the normals (y, v) come from the draws with gap > 1e-12, v =
-    (w - y) / gap, followed by (y, -v) on a manifold.  The normals are
-    reduced in blocks of _RATIO_BLOCK, in draw order; a block whose maximum
-    is NaN adds nothing."""
+    (w - y) / gap, each followed by (y, -v) on a manifold.  The ratios are
+    reduced in blocks of _RATIO_BLOCK rows, in that order; a block whose
+    maximum is NaN adds nothing.  One _pair_ratios call covers the normals
+    of up to _RATIO_BASES draws, on a manifold with both signs."""
     d = _stacks(draws, len(center))
     M = np.concatenate([center[None], d.Y])
     rounded = np.round(M, 12)
@@ -1301,13 +1331,13 @@ def _super_regular_worst(oracle: SetOracle, center: np.ndarray, draws) -> float:
 
     Y = d.Y[normal]
     V = (d.W[normal] - Y) / d.gaps[normal][:, None]
-    if oracle.is_manifold:
-        Y = np.repeat(Y, 2, axis=0)
-        V = np.stack([V, -V], axis=1).reshape(Y.shape)
+    block = _RATIO_BLOCK // 2 if oracle.is_manifold else _RATIO_BLOCK
+    step = max(block, min(_RATIO_BASES, _RATIO_TENSOR // M.size) // block * block)
     worst = -np.inf
-    for s in range(0, len(Y), _RATIO_BLOCK):
-        block = _pair_ratios(M, Y[s : s + _RATIO_BLOCK], V[s : s + _RATIO_BLOCK])
-        worst = max(worst, float(block.max()))
+    for s in range(0, len(Y), step):
+        ratios = _pair_ratios(M, Y[s : s + step], V[s : s + step], oracle.is_manifold)
+        for t in range(0, len(ratios), _RATIO_BLOCK):
+            worst = max(worst, float(ratios[t : t + _RATIO_BLOCK].max()))
     if not np.isfinite(worst):
         raise InsufficientSamplesError("no usable member/normal pairs")
     return worst
@@ -1341,8 +1371,10 @@ def _sosh_worst(oracle: SetOracle, xbar: np.ndarray, draws) -> float:
     1e-12 and r = ||y - xbar|| > 1e-9, each with v = (w - y) / gap, and on
     a manifold the larger of the quotients of v and -v.  r and the
     numerators are stacked row dots (_row_dots), so each has the bits of its
-    draw's own dot; r**2 is taken on Python floats, and the maximum by
-    Python's max in draw order, so a NaN quotient adds nothing."""
+    draw's own dot, and the -v numerators are 0.0 - num, the bits of the
+    dot with -v (_pair_ratios says why); r**2 is taken on Python floats,
+    and the maximum by Python's max in draw order, so a NaN quotient adds
+    nothing."""
     d = _stacks(draws, len(xbar))
     D = d.Y - xbar
     r = np.sqrt(_row_dots(D, D))
@@ -1352,7 +1384,8 @@ def _sosh_worst(oracle: SetOracle, xbar: np.ndarray, draws) -> float:
     D = D[used]
     V = (d.W[used] - d.Y[used]) / d.gaps[used][:, None]
     r2 = np.array([v**2 for v in r[used].tolist()])
-    quotients = (_row_dots(V, D) / r2).tolist()
+    num = _row_dots(V, D)
+    quotients = (num / r2).tolist()
     if oracle.is_manifold:
-        quotients = list(map(max, quotients, (_row_dots(-V, D) / r2).tolist()))
+        quotients = list(map(max, quotients, ((0.0 - num) / r2).tolist()))
     return float(max([-np.inf] + quotients))

@@ -4,13 +4,15 @@ edges.
 `SetOracle._project_rows` checks a clean batch (one that stacks as a finite
 2-d array as wide as the set) once as a whole, and takes the distances of a
 batch as one stacked row dot; any other batch is checked point by point,
-and a row whose stacked distance is not finite takes it again on its own.
+and if that stacked arithmetic signals a floating point error, every row
+takes its distance again on its own.
 Whatever a batch holds (NaN and infinite rows, rows of another length, a
 2-d row, nothing at all, a row whose distance overflows) and however it is
 given (a list, a 2-d array, an iterator), each entry must be what
 `sets.project` returns on its point alone, or the exception it raises
 there, under numpy's default error state, with overflow raising, and with
-warnings as errors.  The stacked distance itself is pinned against
+warnings as errors, and a row whose distance underflows under underflow
+ignored, warning or raising.  The stacked distance itself is pinned against
 `_norm`, one BLAS ddot per row.
 """
 
@@ -146,6 +148,36 @@ def test_every_batch_equals_project_bit_for_bit(mode, case):
     assert not any(
         np.shares_memory(y, z) for i, y in enumerate(nearest) for z in nearest[i + 1 :] + inputs
     )
+
+
+# Batches with a row whose distance underflows: its square, 1e-320, is
+# subnormal.  project signals that underflow on the row, so the batch must
+# too, under any error state of the caller, and the rows after it must
+# still be answered.  Each case has its count of such rows.
+UNDERFLOWING = {
+    "box": (sets.Box([0.0, 0.0], [1.0, 1.0]), [[-1e-160, 0.5], [2.0, 0.5]], 1),
+    "point-set": (sets.PointSet([[0.0, 0.0], [3.0, 3.0]]), [[1.0, 1.0], [1e-160, 0.0], [0.0, -1e-161], [2.0, 2.0]], 2),
+    "halfspace": (sets.HalfspaceSet([1.0, 0.0], 0.0), [[1e-160, 7.0], [-1.0, 0.0], [3.0, 0.0]], 1),
+}
+
+
+@pytest.mark.parametrize("under", ["ignore", "warn", "raise"])
+@pytest.mark.parametrize("name", sorted(UNDERFLOWING))
+def test_a_row_whose_distance_underflows_signals_as_project(name, under):
+    oracle, points, tiny = UNDERFLOWING[name]
+    points = [np.array(p) for p in points]
+
+    def outcomes(run):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(under=under):
+            warnings.simplefilter("always")
+            return [_outcome_bits(o) for o in run()], _warning_bits(caught)
+
+    got = outcomes(lambda: oracle._project_rows(points))
+    want = outcomes(lambda: [sets._outcome(sets.project, oracle, x) for x in points])
+    assert got == want
+    raised = [o for o in got[0] if o[0] is FloatingPointError]
+    assert len(raised) == (tiny if under == "raise" else 0)
+    assert bool(got[1]) == (under == "warn")
 
 
 SCALES = [1e-150, 1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100, 1e150]

@@ -190,6 +190,117 @@ def test_estimate_regularity_projects_each_sample_once(monkeypatch):
     assert calls[0] == 1244
 
 
+def test_estimate_regularity_projects_each_set_in_one_draw_batch(monkeypatch):
+    """All of a set's draw batches go through one _project_rows call: set
+    0's three distinct (radius, seed) batches of 160 draws, and the four of
+    every other set.  The beta probes (40 per set, then those outside some
+    set on the intersection oracle) are the other top-level calls."""
+    calls = []
+    depth = [0]
+    batch = sets.SetOracle._project_rows
+
+    def counted(oracle, points):
+        if depth[0] == 0:
+            calls.append((oracle, len(points)))
+        depth[0] += 1
+        try:
+            return batch(oracle, points)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(sets.SetOracle, "_project_rows", counted)
+    for name in ("circle-line", "parabola-lens", "rank1-affine"):
+        prob = gallery.get_entry(name).problem
+        calls.clear()
+        diagnostics.estimate_regularity(prob, prob.known_solution, rng_seed=0)
+        draw_batches = [(oracle, rows) for oracle, rows in calls if rows > 40]
+        assert draw_batches == [(s, 480 if li == 0 else 640) for li, s in enumerate(prob.sets)]
+
+
+class _Trapped(sets.HyperplaneSet):
+    """A hyperplane whose projection raises a chosen exception at chosen
+    points (by their bytes)."""
+
+    def __init__(self, normal, traps):
+        super().__init__(normal, 0.0)
+        self.traps = traps
+
+    def _project(self, x):
+        trap = self.traps.get(x.tobytes())
+        if trap is not None:
+            raise trap
+        return super()._project(x)
+
+
+_TRAP_NORMALS = ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
+_TRAP_RADII = (0.25, 0.1, 0.05)
+
+
+def _trapped_problem(chosen):
+    """Three lines through the origin, with the point set {0} as the
+    intersection oracle.  chosen maps (batch, set, draw index) to the
+    exception that draw's projection raises; batch k < 3 is the profile's
+    batch at radius k, batch 3 the second-order one, at the estimate's
+    seeds for rng_seed 0."""
+    traps = [{} for _ in _TRAP_NORMALS]
+    for (k, li, j), exc in chosen.items():
+        center = sets.project(sets.HyperplaneSet(_TRAP_NORMALS[li], 0.0), np.zeros(2))[0]
+        radius, seed = (_TRAP_RADII[k], 7 * k + li) if k < 3 else (0.25, 31 * li)
+        for i in range(160) if j == "all" else [j]:
+            traps[li][sets._draw_ball(2, center, radius, 160, seed)[i].tobytes()] = exc
+    trapped = [_Trapped(v, t) for v, t in zip(_TRAP_NORMALS, traps)]
+    return solvers.ProblemInstance(
+        "trapped-lines", trapped, [1.0, 1.0], known_solution=[0.0, 0.0],
+        intersection_oracle=sets.PointSet([[0.0, 0.0]]),
+    )
+
+
+def _trap(label):
+    return RuntimeError(f"trap {label}")
+
+
+_NOT_CONVERGED = sets.ProjectionNotConvergedError("trap", last_iterate=np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "chosen, want",
+    [
+        # Set 0's batches are projected first, but (radius 0, set 2) comes
+        # first in (radius, set) order.
+        ({(1, 0, 5): _trap("a"), (0, 2, 150): _trap("b")}, "b"),
+        ({(2, 1, 2): _trap("a"), (3, 2, 0): _trap("b")}, "a"),
+        ({(3, 1, 159): _trap("a"), (3, 2, 0): _trap("b")}, "a"),
+        # Within a batch, the first draw in draw order.
+        ({(0, 1, 40): _trap("a"), (0, 1, 7): _trap("b")}, "b"),
+        # Set 0's second-order draws are its radius-0 draws.
+        ({(0, 0, 100): _trap("a"), (0, 1, 0): _trap("b")}, "a"),
+        # No draw of (radius 0, set 1) converges: that reduction has no
+        # samples and skips its set, and the next error is set 1's own, at
+        # radius 1.  (Not set 0: its radius-0 draws come from the beta
+        # probes' generator, and many of its first 40 are probe points.)
+        ({(0, 1, "all"): _NOT_CONVERGED, (1, 1, 3): _trap("a"), (2, 2, 0): _trap("b")}, "a"),
+        ({(0, 1, "all"): _NOT_CONVERGED, (0, 2, 11): _trap("a")}, "a"),
+    ],
+)
+def test_estimate_regularity_raises_the_first_error_in_radius_then_set_order(chosen, want):
+    prob = _trapped_problem(chosen)
+    with pytest.raises(RuntimeError, match=f"^trap {want}$"):
+        diagnostics.estimate_regularity(prob, prob.known_solution, radii=_TRAP_RADII, rng_seed=0)
+    # The same error as the public samplers, walked batch by batch in that
+    # order, raise.
+    centers = [sets.project(s, prob.known_solution)[0] for s in prob.sets]
+    first = None
+    for radius, seed_of in [(r, lambda li, k=k: 7 * k + li) for k, r in enumerate(_TRAP_RADII)] + [
+        (0.25, lambda li: 31 * li)
+    ]:
+        for li, (s, c) in enumerate(zip(prob.sets, centers)):
+            try:
+                sets._ball_draws(s, c, radius, 160, seed_of(li))
+            except RuntimeError as exc:
+                first = first or exc
+    assert str(first) == f"trap {want}"
+
+
 @pytest.mark.parametrize("name", ["two-parabolas", "parabola-lens"])
 @pytest.mark.parametrize("radii", [(0.25, 0.1, 0.05), (0.1, 0.25)])
 def test_shared_draws_equal_the_public_checks(name, radii):

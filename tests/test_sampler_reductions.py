@@ -421,3 +421,96 @@ def test_blocked_ratio_reduction_keeps_the_blocks(geometry, is_manifold, nan_at)
     c = np.array(GEOMETRIES[geometry][1])
     got = _outcome(sets._super_regular_worst, flag, c, draws)
     assert got == _outcome(_reference_blocked_worst, flag, c, draws)
+
+
+# The reduction of each base's ratios for both signs of its normal in one
+# tensor, against _reference_blocked_worst, which keeps the earlier
+# algorithm: the (v, -v) rows interleaved and reduced 16 rows at a time,
+# each sign's numerators from a matmul of its own.  Normal counts cross the
+# 16-row blocks and the tensors of up to 64 bases.
+NORMAL_COUNTS = [1, 7, 8, 9, 63, 64, 65, 160]
+VARIANTS = ["plain", "nan-direction", "one-kept-member", "within-1e-9", "flat", "gaps-at-1e-12"]
+
+
+def _synthetic_draws(n, normals, variant, seed):
+    """(center, draws) with ``normals`` draws that carry a normal (gap >
+    1e-12), among draws that do not; some members repeat, so some pairs
+    read -inf.  The variant shapes the rest:
+
+    - nan-direction: one normal's w is NaN, so one block holds NaN ratios;
+    - one-kept-member: every member is within 1e-10 of the center but one,
+      so each base near the center keeps one member;
+    - within-1e-9: every member is within 1e-10 of the center;
+    - flat: members have last coordinate 0 and normals along that axis,
+      so every numerator is exactly zero, of either sign;
+    - gaps-at-1e-12: the draws without a normal have gap 1e-12 exactly,
+      the ones with a normal the next double above it."""
+    rng = np.random.default_rng(seed)
+    center = rng.standard_normal(n) * 0.1
+    draws, seen = [], 0
+    while seen < normals:
+        j = len(draws)
+        if variant in ("one-kept-member", "within-1e-9"):
+            far = variant == "one-kept-member" and j == normals // 2
+            y = center + (0.3 if far else 1e-10) * rng.uniform(-1.0, 1.0, n)
+        elif j > 2 and j % 5 == 0:
+            y = draws[int(rng.integers(0, j))][1].copy()
+        else:
+            y = center + 0.2 * rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        if variant == "flat":
+            y[-1] = 0.0
+            v = np.zeros(n)
+            v[-1] = rng.choice([-1.0, 1.0])
+        normal = j % 3 != 1
+        if variant == "gaps-at-1e-12":
+            gap = np.nextafter(1e-12, 1.0) if normal else 1e-12
+        else:
+            gap = rng.uniform(0.01, 0.3) if normal else rng.choice([0.0, 1e-13])
+        w = y + gap * v
+        if variant == "nan-direction" and normal and seen == normals // 2:
+            w = np.full(n, np.nan)
+        draws.append((w, y, gap))
+        seen += normal
+    return center, draws
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sign_paired_reduction_equals_the_interleaved_blocks(n, variant):
+    # Below 8 dimensions _pair_ratios fills its tensor a coordinate at a
+    # time, from 8 on by broadcasting; both must reduce as the reference.
+    for normals in NORMAL_COUNTS:
+        for is_manifold in (False, True):
+            flag = types.SimpleNamespace(is_manifold=is_manifold)
+            center, draws = _synthetic_draws(n, normals, variant, 1000 * n + normals)
+            got = _outcome(sets._super_regular_worst, flag, center, draws)
+            assert got == _outcome(_reference_blocked_worst, flag, center, draws), (normals, is_manifold)
+            got = _outcome(sets._sosh_worst, flag, center, draws)
+            assert got == _outcome(_reference_sosh_worst, flag, center, draws), (normals, is_manifold)
+
+
+@pytest.mark.parametrize("nan_at", [None, 3, 40, 70, 130])
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_sign_paired_reduction_of_sampled_draws(geometry, nan_at):
+    # The sampler's own draws on a manifold and off one, with their own
+    # flag, and a NaN direction in one block of the first or a later tensor.
+    oracle, center, _ = GEOMETRIES[geometry]
+    draws = list(_draws_with_normals(geometry, 160))
+    if nan_at is not None:
+        w, y, gap = draws[nan_at]
+        draws[nan_at] = (np.full_like(w, np.nan), y, gap if gap > 1e-12 else 1.0)
+    c = np.array(center)
+    for reduce, reference in ((sets._super_regular_worst, _reference_blocked_worst), (sets._sosh_worst, _reference_sosh_worst)):
+        assert _outcome(reduce, oracle, c, draws) == _outcome(reference, oracle, c, draws)
+
+
+def test_flat_ratios_keep_the_sign_of_zero():
+    # Every numerator is exactly zero: a dot product with v or with -v
+    # returns +0 whatever the signs of its terms, so the -v numerators must
+    # not be taken as -num, whose zeros are -0.
+    flag = types.SimpleNamespace(is_manifold=True)
+    draws = [(np.array([t, -1.0]), np.array([t, 0.0]), 1.0) for t in np.linspace(-1.0, 1.0, 40)]
+    c = np.zeros(2)
+    got = sets._super_regular_worst(flag, c, draws)
+    assert got.hex() == _reference_blocked_worst(flag, c, draws).hex() == "0x0.0p+0"

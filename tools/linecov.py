@@ -16,12 +16,9 @@ not seen.
 
 A line counts as reached when any of its bytecode runs, so both arms of
 a conditional expression or a one-line ``if`` read as reached once
-either of them has run.  In ``sets._stacked_outcomes``, ``Y[j] = (Y[j],
-d) if math.isfinite(d) else _outcome(_with_distance, P[j], Y[j])`` reads
-as reached on any finite distance; whether a test reaches the redo of a
-non-finite one was shown by a mutation check instead: deleting the redo
-fails ``tests/test_batch_boundary.py``.  An arm that matters needs such
-a check, or a line of its own.
+either of them has run.  Whether a test reaches an arm that matters is
+shown by a mutation check instead (delete the arm in a copy and see a
+test fail), or by giving the arm a line of its own.
 
 Tracing roughly doubles the time Tier-1 takes, so this is a tool to run
 by hand, not a CI step.  pytest's report and the count of unreached
