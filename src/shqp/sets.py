@@ -19,23 +19,24 @@ whole (_clean_stack); any other batch is checked point by point as project
 checks it (_as_point), so that each bad point keeps its own error.  The
 stack of checked points goes to the set's ``_nearest_rows`` hook, and the
 distances of all the rows it answers are one stacked row dot, the bits of
-_norm; if that arithmetic signals a floating point error, every row takes
-its distance again on its own, so that an overflow or underflow raises or
-warns on its own row, as in project (_stacked_outcomes).  The hook runs
-_project on each row, except on four kinds.  The fixed-rank set (``FixedRankSet``) takes one np.linalg.svd over
-the stack of matrices, which runs gesdd once per matrix, and truncates the
-stack of factors with products that round as the single ones do, the bits
-of _project on each row; the solvers' single points still take _project.
-On the other three, _project is the hook's one-row case.  The polyhedron
-(``PolyhedralSet``) hands its rows to ``polyhedra._nearest_points``, the QP
-without its report tail, which runs the one dual active-set kernel point by
-point.  The level set and manifold curve (``_SmoothSet``) make the interior
-test, then run the Newton starts of the points left as stacks
-(``_newton_stationarity_stack``) and the ray scans of the points that
-restart as one lockstep scan (``_ray_scan_rows``).  The intersection
-(``IntersectionSet``) refines its rows in lockstep, with one member
-``_project_rows`` call per sweep.  Every evaluation of f, grad or hess over
-several points goes through ``_rows_of``: the callable's row form
+_norm (_stacked_outcomes).  All of it runs under one watch (_watch): if it
+signals a floating point error that the caller's error state does not
+ignore, the batch is project on each point instead, under the caller's
+state.  The samplers' ball filter (_keep_draws) uses the same watch.  The
+hook runs _project on each row, except on four kinds.  The fixed-rank set
+(``FixedRankSet``) takes one np.linalg.svd over the stack of matrices, which
+runs gesdd once per matrix, and truncates the stack of factors with products
+that round as the single ones do, the bits of _project on each row; the
+solvers' single points still take _project.  On the other three, _project is
+the hook's one-row case.  The polyhedron (``PolyhedralSet``) hands its rows
+to ``polyhedra._nearest_points``, the QP without its report tail, which runs
+the one dual active-set kernel point by point.  The level set and manifold
+curve (``_SmoothSet``) make the interior test, then run the Newton starts of
+the points left as stacks (``_newton_stationarity_stack``) and the ray scans
+of the points that restart as one lockstep scan (``_ray_scan_rows``).  The
+intersection (``IntersectionSet``) refines its rows in lockstep, with one
+member ``_project_rows`` call per sweep.  Every evaluation of f, grad or
+hess over several points goes through ``_rows_of``: the callable's row form
 ``.rows``, looked up at each call, where it has one (the polynomial sets of
 the gallery supply them) and it does not raise, and otherwise the callable
 row by row, each row keeping its own exception.
@@ -58,6 +59,7 @@ they do not, so they differ from it in the last bit on most rows.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from typing import Sequence
@@ -232,21 +234,22 @@ class SetOracle:
         with another entry or with an input.  The regularity report's batch
         projection (the module docstring has the contract).
 
-        A clean batch, one that stacks as a finite 2-d array as wide as the
-        set (_clean_stack), is checked once, as a whole.  Any other batch is
-        checked point by point as project checks it (_as_point), so that
-        each bad point keeps its own error, and the points that check are
-        stacked.  The stack then goes to _stacked_outcomes."""
+        A clean batch is checked as a whole (_clean_stack), any other point
+        by point (_as_point), and the stack of the points that check goes to
+        _stacked_outcomes, all under one _watch; if it signals, the entries
+        are project's on each point, under the caller's error state."""
         points = points if isinstance(points, (list, np.ndarray)) else list(points)
-        P = _clean_stack(points, self.dimension)
-        if P is not None:
-            return _stacked_outcomes(self, P)
-        out = [_outcome(_as_point, x, self.dimension) for x in points]
-        rows = [i for i, p in enumerate(out) if not isinstance(p, Exception)]
-        P = np.array([out[i] for i in rows]).reshape(len(rows), self.dimension)
-        for i, y in zip(rows, _stacked_outcomes(self, P)):
-            out[i] = y
-        return out
+        with _watch() as signalled:
+            P = _clean_stack(points, self.dimension)
+            if P is not None:
+                out = _stacked_outcomes(self, P)
+            else:
+                out = [_outcome(_as_point, x, self.dimension) for x in points]
+                rows = [i for i, p in enumerate(out) if not isinstance(p, Exception)]
+                P = np.array([out[i] for i in rows]).reshape(len(rows), self.dimension)
+                for i, y in zip(rows, _stacked_outcomes(self, P)):
+                    out[i] = y
+        return [_outcome(project, self, x) for x in points] if signalled else out
 
     def membership_residual(self, x) -> float:
         """How far x is from satisfying the set's defining conditions."""
@@ -880,17 +883,13 @@ class FixedRankSet(SetOracle):
         (k, rows, cols) stack, which runs LAPACK's gesdd once per matrix as
         a single svd does, and one _truncate over the stack, whose products
         are the single ones matrix by matrix.  If the stacked svd raises (a
-        matrix did not converge), or a floating point error would have been
-        signalled by the truncation, every row runs _project on its own, so
-        that it keeps its own outcome, error and warning."""
+        matrix did not converge), every row runs _project on its own, so
+        that it keeps its own outcome."""
         try:
             U, s, Vt = np.linalg.svd(X.reshape(len(X), self.rows, self.cols), full_matrices=False)
         except np.linalg.LinAlgError:
             return super()._nearest_rows(X)
-        signalled = []
-        with np.errstate(all="call", call=lambda *_: signalled.append(True)):
-            Y = self._truncate(U, s, Vt).reshape(len(X), -1)
-        return super()._nearest_rows(X) if signalled else list(Y)
+        return list(self._truncate(U, s, Vt).reshape(len(X), -1))
 
     def _residual(self, p):
         s = np.linalg.svd(p.reshape(self.rows, self.cols), compute_uv=False)
@@ -1089,31 +1088,32 @@ def project(oracle: SetOracle, x) -> tuple[np.ndarray, float]:
     lexicographically by the individual oracles.
     """
     p = _as_point(x, oracle.dimension)
-    return _with_distance(p, oracle._project(p))
-
-
-def _with_distance(p: np.ndarray, nearest: np.ndarray) -> tuple[np.ndarray, float]:
-    """(nearest, ||p - nearest||), as project returns them."""
+    nearest = oracle._project(p)
     return nearest, _norm(p - nearest)
+
+
+@contextlib.contextmanager
+def _watch():
+    """Run the block with "call" on each floating point error category the
+    caller's error state does not ignore (numpy ignores underflow by
+    default), and yield a list that is non-empty once one has signalled."""
+    signalled = []
+    watched = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
+    with np.errstate(call=lambda *_: signalled.append(True), **watched):
+        yield signalled
 
 
 def _stacked_outcomes(oracle: SetOracle, P: np.ndarray) -> list:
     """project(oracle, p) for each row p of P, a (k, dimension) stack of
-    checked points: the set's _nearest_rows on the whole stack, and the
-    distances of all rows it answers as one stacked row dot (_row_dots),
-    the bits of _norm.  If that arithmetic signals any floating point
-    error (an overflow, an underflow), every answered row takes its
-    distance again on its own (_with_distance), under the caller's error
-    state, so that each row raises or warns as project does on it.  A NaN
-    distance signals nothing, and is what project gives."""
+    checked points, under _project_rows' watch: the set's _nearest_rows on
+    the whole stack, and the distances of all rows it answers as one
+    stacked row dot (_row_dots), the bits of _norm.  A NaN distance signals
+    nothing, and is what project gives."""
     Y = oracle._nearest_rows(P)
     done = [j for j, y in enumerate(Y) if not isinstance(y, Exception)]
-    signalled = []
-    with np.errstate(all="call", call=lambda *_: signalled.append(True)):
-        D = P[done] - np.array([Y[j] for j in done]).reshape(len(done), oracle.dimension)
-        dists = np.sqrt(_row_dots(D, D)).tolist()
-    for j, d in zip(done, dists):
-        Y[j] = _outcome(_with_distance, P[j], Y[j]) if signalled else (Y[j], d)
+    D = P[done] - np.array([Y[j] for j in done]).reshape(len(done), oracle.dimension)
+    for j, d in zip(done, np.sqrt(_row_dots(D, D)).tolist()):
+        Y[j] = (Y[j], d)
     return Y
 
 
@@ -1200,22 +1200,22 @@ def _keep_draws(ws: np.ndarray, outs: list, center, radius: float) -> _Draws:
     """The draws ws whose projection (outs, _project_rows' entries for
     them) converged and lies in B(center, radius), as _ball_draws returns
     them.  One mask keeps the draws in the ball, by the filter norms
-    ||y - center|| as stacked row dots.  Only the draws without a finite
-    filter norm are then visited, in draw order, so the errors keep it: a
-    projection that did not converge is dropped, any other error is raised
-    for the first draw that has one, and a filter norm that overflows is
-    taken again by _norm on its own draw, so that it raises or warns where
-    the draw-by-draw loop did, after the errors of the draws before it."""
+    ||y - center|| as stacked row dots under one _watch; a NaN norm stays,
+    as in the draw-by-draw loop.  The draws with an error are then visited
+    in draw order: one that did not converge is dropped, any other error is
+    raised.  If the norms signalled, every draw is visited, and takes its
+    norm again by _norm under the caller's state, so that it raises or warns
+    where the loop did, after the errors of the draws before it."""
     count, n = ws.shape
     done = [out for out in outs if not isinstance(out, Exception)]
     ok = slice(None) if len(done) == count else np.array([not isinstance(out, Exception) for out in outs])
     Y = np.array([y for y, _ in done]).reshape(len(done), n)
     dists = np.full(count, np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _watch() as signalled:
         D = Y - center
         dists[ok] = np.sqrt(_row_dots(D, D))
-        keep = dists <= radius
-    for j in np.flatnonzero(~np.isfinite(dists)).tolist():
+        keep = ~(dists > radius)
+    for j in range(count) if signalled else np.flatnonzero(dists == np.inf).tolist():
         out = outs[j]
         if isinstance(out, ProjectionNotConvergedError):
             continue

@@ -3,17 +3,21 @@ edges.
 
 `SetOracle._project_rows` checks a clean batch (one that stacks as a finite
 2-d array as wide as the set) once as a whole, and takes the distances of a
-batch as one stacked row dot; any other batch is checked point by point,
-and if that stacked arithmetic signals a floating point error, every row
-takes its distance again on its own.
+batch as one stacked row dot; any other batch is checked point by point.
+The whole batch runs under one watch: if anything in it, from the checks
+through the set's hook to the distances, signals a floating point error
+that the caller's error state does not ignore, the batch is projected again
+point by point, by `sets.project` under the caller's state.
 Whatever a batch holds (NaN and infinite rows, rows of another length, a
 2-d row, nothing at all, a row whose distance overflows) and however it is
 given (a list, a 2-d array, an iterator), each entry must be what
 `sets.project` returns on its point alone, or the exception it raises
-there, under numpy's default error state, with overflow raising, and with
-warnings as errors, and a row whose distance underflows under underflow
-ignored, warning or raising.  The stacked distance itself is pinned against
-`_norm`, one BLAS ddot per row.
+there, with the same warnings, under numpy's default error state, with
+overflow raising, and with warnings as errors; a row whose distance or
+whose smooth-set projection underflows, under underflow ignored, warning or
+raising; and batches of every kind with subnormal-sized coordinates, under
+five error states.  The stacked distance itself is pinned against `_norm`,
+one BLAS ddot per row.
 """
 
 import contextlib
@@ -158,6 +162,14 @@ UNDERFLOWING = {
     "box": (sets.Box([0.0, 0.0], [1.0, 1.0]), [[-1e-160, 0.5], [2.0, 0.5]], 1),
     "point-set": (sets.PointSet([[0.0, 0.0], [3.0, 3.0]]), [[1.0, 1.0], [1e-160, 0.0], [0.0, -1e-161], [2.0, 2.0]], 2),
     "halfspace": (sets.HalfspaceSet([1.0, 0.0], 0.0), [[1e-160, 7.0], [-1.0, 0.0], [3.0, 0.0]], 1),
+    # The smooth sets' Newton kernel underflows on the tiny row: stacked,
+    # it signals once for the whole batch, and project on that row alone.
+    "smooth-level-set": (
+        gallery.polynomial_level_set([0.0, 0.0, 1.0], "above", convex=True),
+        [[1e-160, -1.0], [0.3, -1.0], [2.0, 0.5]],
+        1,
+    ),
+    "smooth-manifold": (gallery.polynomial_curve([0.0, 0.0, 1.0]), [[1e-160, -1.0], [0.3, -1.0], [2.0, 0.5]], 1),
 }
 
 
@@ -178,6 +190,55 @@ def test_a_row_whose_distance_underflows_signals_as_project(name, under):
     raised = [o for o in got[0] if o[0] is FloatingPointError]
     assert len(raised) == (tiny if under == "raise" else 0)
     assert bool(got[1]) == (under == "warn")
+
+
+# Error states a caller may set, each with some category that signals on a
+# subnormal-sized row and that the caller does not ignore, or with none.
+ERROR_STATES = {
+    "under-raise": {"under": "raise"},
+    "under-warn": {"under": "warn"},
+    "all-raise": {"all": "raise"},
+    "all-ignore": {"all": "ignore"},
+    "divide-raise-under-warn": {"divide": "raise", "under": "warn"},
+}
+_tiny = st.sampled_from([1e-160, -1e-160, 3e-170, 0.0])
+
+
+@st.composite
+def _tiny_batch(draw):
+    """(oracle, points): a set of any batch kind, the ten of
+    test_closed_form_rows with their batches or the smooth kinds, the cusp
+    and the intersection with points in [-3, 3]^2, and its points with some
+    coordinates set to +-1e-160, 3e-170 or 0, and some points scaled by
+    1e-160 as a whole."""
+    if draw(st.booleans()):
+        oracle, points = draw(_batch())
+    else:
+        oracle = SMOOTH[draw(st.sampled_from(sorted(SMOOTH)))]()
+        points = draw(st.lists(st.lists(_small, min_size=2, max_size=2).map(np.array), min_size=1, max_size=4))
+    out = []
+    for p in points:
+        p = np.array(p, dtype=float)
+        for i in draw(st.lists(st.integers(0, p.size - 1), max_size=p.size)):
+            p.flat[i] = draw(_tiny)
+        out.append(p * 1e-160 if draw(st.booleans()) else p)
+    return oracle, out
+
+
+@pytest.mark.parametrize("state", sorted(ERROR_STATES))
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(case=_tiny_batch())
+def test_every_batch_kind_signals_as_project_under_each_error_state(state, case):
+    oracle, points = case
+
+    def outcomes(run):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(**ERROR_STATES[state]):
+            warnings.simplefilter("always")
+            return [_outcome_bits(o) for o in run()], _warning_bits(caught)
+
+    got = outcomes(lambda: oracle._project_rows(points))
+    want = outcomes(lambda: [sets._outcome(sets.project, oracle, x) for x in points])
+    assert got == want
 
 
 SCALES = [1e-150, 1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100, 1e150]

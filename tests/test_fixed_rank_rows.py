@@ -6,9 +6,10 @@ bit.
 stack of factors.  Each row must get the bits `_project` gives it alone:
 that rests on numpy running LAPACK's gesdd once per matrix of a stack, as it
 does on one matrix, and on the stacked products rounding as the single ones
-do.  A stack the svd refuses, or whose truncation signals a floating point
-error, is projected row by row, so that every row keeps its own outcome and
-its own warning.
+do.  A stack the svd refuses is projected row by row, so that every row
+keeps its own outcome.  A batch whose truncation signals a floating point
+error is projected point by point by `SetOracle._project_rows`, the batch
+boundary, so that every row keeps its own warning or error.
 """
 
 import warnings
@@ -102,9 +103,9 @@ def test_a_stack_the_svd_refuses_is_projected_row_by_row(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["warn", "raise"])
 def test_a_truncation_that_underflows_is_projected_row_by_row(mode):
-    # Two subnormal matrices: their truncation underflows.  Row by row, each
-    # warns or raises on its own; one truncation of the stack would warn
-    # once, or raise for every row.
+    # Two subnormal matrices: their truncation underflows.  Point by point,
+    # each warns or raises on its own; one truncation of the stack would
+    # warn once, or raise for every row.
     oracle = FixedRankSet(2, 2, 1)
     rng = np.random.default_rng(7)
     X = rng.standard_normal((4, 4))
@@ -115,14 +116,15 @@ def test_a_truncation_that_underflows_is_projected_row_by_row(mode):
         with warnings.catch_warnings(record=True) as caught, np.errstate(under=mode):
             warnings.simplefilter("always")
             outcomes = fn()
-        bits = [(type(y), str(y)) if isinstance(y, Exception) else y.tobytes() for y in outcomes]
-        return bits, sorted(str(w.message) for w in caught)
+        return [_outcome_bits(o) for o in outcomes], sorted(str(w.message) for w in caught)
 
-    got = run(lambda: oracle._nearest_rows(X))
-    want = run(lambda: [sets._outcome(oracle._project, x) for x in X])
+    got = run(lambda: oracle._project_rows(X))
+    want = run(lambda: [sets._outcome(sets.project, oracle, x) for x in X])
     assert got == want
     # The fixture is only a check if both tiny rows signal on their own.
     if mode == "warn":
-        assert want[1] == ["underflow encountered in matmul"] * 2 + ["underflow encountered in multiply"] * 2
+        assert want[1] == [
+            f"underflow encountered in {op}" for op in ("dot", "matmul", "multiply") for _ in range(2)
+        ]
     else:
-        assert [b[0] for b in want[0] if isinstance(b, tuple)] == [FloatingPointError] * 2
+        assert [b[0] is FloatingPointError for b in want[0]] == [False, True, False, True]

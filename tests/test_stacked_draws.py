@@ -1,9 +1,13 @@
 """The report's draws kept as stacks from the generator to the reductions.
 
 `sets._ball_draws` keeps its draws with one mask and returns them as one
-`_Draws` (the stacks W, Y and gaps).  Only the draws without a finite
-filter norm are visited one by one, in draw order.  The reductions read the
-stacks, and a list of (w, y, gap) tuples the same way.
+`_Draws` (the stacks W, Y and gaps).  The draws whose projection failed are
+visited one by one, in draw order.  If the filter norms signal a floating
+point error that the caller's error state does not ignore (an overflow, an
+underflow), every draw is visited, and each takes its norm again on its
+own, so that it raises or warns where the draw-by-draw loop did.  A draw
+whose filter norm is NaN is kept, as the loop keeps it.  The reductions
+read the stacks, and a list of (w, y, gap) tuples the same way.
 """
 
 import warnings
@@ -46,14 +50,63 @@ def _drawn_under(mode, fn):
 
 @pytest.mark.parametrize("mode", ["raise", "warn", "ignore"])
 def test_a_filter_overflow_without_errors_keeps_the_draw_order(mode):
-    # No projection fails, so only draw 3, whose filter norm overflows, is
-    # visited on its own, and it raises or warns there alone.
+    # No projection fails, and only draw 3's filter norm overflows: it
+    # raises or warns there alone, as in the loop.
     want = _drawn_under(mode, _reference_ball_draws)
     assert _drawn_under(mode, sets._ball_draws) == want
     if mode == "ignore":
         assert len(want) == 7
     else:
         assert want[1] == "overflow encountered in dot"
+
+
+@pytest.mark.parametrize("under", ["raise", "warn"])
+def test_filter_norms_that_underflow_signal_draw_by_draw(under):
+    # A ball of radius 1e-160 on the box's edge x = 0: a draw inside the box
+    # is its own projection, and the square of its filter norm underflows;
+    # a draw outside has a filter norm of 0, and the square of its gap
+    # underflows.  Each draw signals once, on its own, as in the loop, and
+    # under raise the first draw raises.
+    def drawn(fn):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(under=under):
+            warnings.simplefilter("always")
+            try:
+                out = [_bits(d) for d in fn(sets.Box([0.0, 0.0], [1.0, 1.0]), np.array([0.0, 0.5]), 1e-160, 10, 0)]
+            except Exception as exc:
+                out = type(exc), str(exc)
+        return out, sorted(str(w.message) for w in caught)
+
+    want = drawn(_reference_ball_draws)
+    assert drawn(sets._ball_draws) == want
+    if under == "raise":
+        assert want == ((FloatingPointError, "underflow encountered in dot"), [])
+    else:
+        assert len(want[0]) == len(want[1]) == 10
+
+
+class _NanOnce(sets.SetOracle):
+    """Projects every point onto itself, except that call 3 returns NaNs:
+    that draw's gap and filter norm are NaN, and no arithmetic on them
+    signals."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.calls = 0
+
+    def _project(self, x):
+        self.calls += 1
+        return np.full(2, np.nan) if self.calls == 4 else x.copy()
+
+
+@pytest.mark.parametrize("mode", ["raise", "warn"])
+def test_a_draw_whose_filter_norm_is_nan_is_kept(mode):
+    # The loop keeps it: not NaN > radius.
+    with warnings.catch_warnings(), np.errstate(all=mode):
+        warnings.simplefilter("error")
+        got = sets._ball_draws(_NanOnce(), np.zeros(2), 1.0, 8, 0)
+        want = _reference_ball_draws(_NanOnce(), np.zeros(2), 1.0, 8, 0)
+    assert len(want) == 8 and np.isnan(want[3][1]).all()
+    assert [_bits(d) for d in got] == [_bits(d) for d in want]
 
 
 def _rank_one():
