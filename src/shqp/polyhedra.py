@@ -774,15 +774,25 @@ def halfspace_from_projection(
     return _supporting_cut(gap, nearest, is_manifold, tau, source_set, outer_iteration, inner_step)[0]
 
 
+def _boundary_point(gap, nearest, is_manifold, tau):
+    """The point that the supporting cut of projecting nearest + gap to
+    nearest passes through, and where projecting nearest + gap onto that cut
+    alone lands: nearest for a manifold (tau is ignored: equalities are never
+    relaxed), the tau-relaxed point nearest + tau * gap for any other set.
+    Raises ValueError unless tau lies in [0, 1), for a manifold too."""
+    if not 0.0 <= tau < 1.0:
+        raise ValueError("tau must lie in [0, 1)")
+    return nearest if is_manifold else nearest + tau * gap
+
+
 def _supporting_cut(gap, nearest, is_manifold, tau, *tags):
     """(cut, boundary point) of projecting nearest + gap to nearest, a nonzero
     gap: the one construction of every supporting cut, tags being Halfspace's.
-    The normal is gap.  A manifold gives an equality through nearest (tau is
-    ignored: equalities are never relaxed), any other set an inequality
-    through the tau-relaxed point nearest + tau * gap."""
-    if not 0.0 <= tau < 1.0:
-        raise ValueError("tau must lie in [0, 1)")
-    kind, point = ("equality", nearest) if is_manifold else ("inequality", nearest + tau * gap)
+    The normal is gap and the boundary point is _boundary_point's, which a
+    solver step that reads no cut moves to without calling this.  A manifold
+    gives an equality, any other set an inequality."""
+    point = _boundary_point(gap, nearest, is_manifold, tau)
+    kind = "equality" if is_manifold else "inequality"
     return Halfspace(gap, float(gap @ point), kind, *tags), point
 
 

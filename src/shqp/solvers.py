@@ -21,18 +21,26 @@ projections.  An oracle that fails to converge ends the run with status
 Arithmetic.  Past the oracles and the QP, a step's cost is mostly numpy's
 fixed cost per call on arrays of two or three entries, so the engine takes
 a cheaper call wherever it gives the same bits, and keeps numpy wherever a
-reduction decides.  The averaged step's mean is ``np.add.reduce(P,
-axis=0) / k``: the sum and the divide that ``np.mean`` runs on float64
-points, without its dispatch.  The no-move and degeneracy tests take the
-norm of a fresh difference of two points with ``sets._norm``, the dot and
-square root that ``np.linalg.norm`` takes on a C-contiguous 1-d array, and
-that overflows in the same dot with the same warning.  A normal that may
-be a strided view (an oracle's analytic normal, a caller's Halfspace
-normal) goes through ``polyhedra._vector_norm``, which keeps numpy's norm
-for it, since a dot over a strided view can sum in another order.  The
-stop test and the fallback's choice stay numpy's max and argmax of the
-distance column, so a NaN distance never counts as converged.  Asking for
-the last point's projections again costs a ``tobytes`` and one comparison.
+reduction decides.  The averaged and global means are ``_mean``, the bits
+of ``np.add.reduce(P, axis=0) / k``, the sum and the divide that
+``np.mean`` runs on float64 points: numpy adds the rows of a (k, n) stack
+in order, starting from 0.0, so fewer than 8 points of two or more
+coordinates are added that way without stacking the tuple into an array,
+and 8 or more points, or 1-d points, whose column numpy sums pairwise,
+keep the reduce.  The no-move and degeneracy tests take the norm of a
+fresh difference of two points with ``sets._norm``, the dot and square
+root that ``np.linalg.norm`` takes on a C-contiguous 1-d array, and that
+overflows in the same dot with the same warning.  A normal that may be a
+strided view (an oracle's analytic normal, a caller's Halfspace normal)
+goes through ``polyhedra._vector_norm``, which keeps numpy's norm for it,
+since a dot over a strided view can sum in another order.  The stop test
+compares each distance, as a Python float, with the tolerance, and
+``NaN <= tol`` is false, so as with numpy's max a NaN distance never counts
+as converged; the fallback's choice stays numpy's max and argmax of the
+distance column.  A step that reads no cut builds none: a fixed-pairing
+step on one set moves to the cut's boundary point
+(``polyhedra._boundary_point``) without the Halfspace.  Asking for the
+last point's projections again costs a ``tobytes`` and one comparison.
 """
 
 from __future__ import annotations
@@ -186,7 +194,8 @@ class SolverConfig:
             raise ValueError("need at least one outer iteration")
         if not 0.0 < self.stop_tolerance < math.inf:
             raise ValueError("stop tolerance must be finite and positive")
-        # A callable schedule is checked cut by cut (_supporting_cut).
+        # A callable schedule is checked at each boundary point
+        # (polyhedra._boundary_point), whether or not a cut is built there.
         if self.tau_schedule is not None and not callable(self.tau_schedule):
             if not len(self.tau_schedule):
                 raise ValueError("tau schedule must not be empty")
@@ -338,10 +347,12 @@ def _run(problem: ProblemInstance, x0, config: SolverConfig, step) -> Trace:
     proj = _Projections(problem)
     x = np.asarray(x0 if x0 is not None else problem.start, dtype=float).copy()
     trace = Trace([])
+    tol = config.stop_tolerance
     try:
         _record(proj, trace, 0, -1, "start", x)
         for i in range(config.max_outer_iterations):
-            if proj.at(x)[1].max() <= config.stop_tolerance:
+            # NaN <= tol is False, so a NaN distance never converges.
+            if all(d <= tol for d in proj.at(x)[1].tolist()):
                 trace.status = "converged"
                 return trace
             out = step(proj, x, i, trace)
@@ -460,15 +471,19 @@ class _PooledRule:
         oldest = i - self.config.pbar
         self.pool = [h for h in self.pool if h.kind == "inequality" and h.outer_iteration >= oldest]
 
-    def cuts(self, proj, x, i, j, group):
+    def cuts(self, proj, x, i, j, group, build=True):
         """(cut, target) for each set of ``group`` that x is not on.
 
         target is where projecting x onto the cut alone lands: the boundary
-        point that polyhedra._supporting_cut builds the cut through, from
-        the one gap x - nearest.  Its distance is above the zero-gap floor,
-        so the gap is nonzero without taking its norm again.  target is None
-        for the tangent hyperplane of a manifold the iterate already sits
-        on.  A convex set that x already belongs to drops out.
+        point (polyhedra._boundary_point) that polyhedra._supporting_cut
+        builds the cut through, from the one gap x - nearest.  Its distance
+        is above the zero-gap floor, so the gap is nonzero without taking its
+        norm again.  With ``build`` false the cut of a gap is None, for a
+        caller that moves to target and reads no cut: the boundary point and
+        its tau check are computed, the Halfspace is not.  target is None for
+        the tangent hyperplane of a manifold the iterate already sits on,
+        which is always built, since its violation is read.  A convex set
+        that x already belongs to drops out.
         """
         config = self.config
         zero_gap = max(config.stop_tolerance, _ZERO_GAP_FLOOR)
@@ -486,7 +501,11 @@ class _PooledRule:
             tau = config.tau_at(i)
             if manifold or (config.tau_zero_for_convex and s.is_convex):
                 tau = 0.0
-            fresh.append(polyhedra._supporting_cut(x - nearest[l], nearest[l], manifold, tau, l, i, j))
+            gap = x - nearest[l]
+            if build:
+                fresh.append(polyhedra._supporting_cut(gap, nearest[l], manifold, tau, l, i, j))
+            else:
+                fresh.append((None, polyhedra._boundary_point(gap, nearest[l], manifold, tau)))
         return fresh
 
     def admit(self, fresh):
@@ -517,21 +536,26 @@ class _PooledRule:
     def __call__(self, proj, x, i, trace):
         self.window(i)
         moved = False
+        latest = self.schedule.pairing == "latest"
         for j, group in enumerate(self.schedule.groups(proj.at(x)[1])):
-            fresh = self.cuts(proj, x, i, j, group)
+            # A fixed-pairing step on one set moves to its target (below)
+            # and reads no cut, unless the cut is a tangent hyperplane.
+            fresh = self.cuts(proj, x, i, j, group, build=latest or len(group) > 1)
             if not fresh:
                 continue
-            latest = self.schedule.pairing == "latest"
             qp_cons = self.admit(fresh) if latest else [hs for hs, _ in fresh]
             if all(t is None for _, t in fresh) and all(h.violation(x) <= 1e-12 for h in qp_cons):
                 # Only tangent constraints, all satisfied at x: nothing to
                 # project onto, leave the iterate alone.
                 continue
             hs, target = fresh[-1]
-            if len(qp_cons) == 1 and qp_cons[0] is hs and target is not None:
+            if len(qp_cons) == 1 and target is not None:
                 # Projecting onto a single supporting constraint built from x
-                # lands exactly on the relaxation target; skip the QP.
-                kind = f"set-projection-{hs.source_set + 1}"
+                # lands exactly on the relaxation target; skip the QP.  The
+                # pool holds every fresh cut, so that constraint is hs, or
+                # the unbuilt cut of a one-set group.
+                source = group[0] if hs is None else hs.source_set
+                kind = f"set-projection-{source + 1}"
                 x = self.move(proj, trace, x, target, i, j, kind, 1)
             else:
                 res, kind = _qp_attempt(qp_cons, x)
@@ -659,9 +683,26 @@ def _averaged_step(proj, x, i, trace, x_avg=None):
     """Move to x_avg, the mean of x's projections unless the caller passes
     it in; a fixed point of the averaging map stops the run."""
     if x_avg is None:
-        nearest = proj.at(x)[0]
-        x_avg = np.add.reduce(nearest, axis=0) / len(nearest)
+        x_avg = _mean(proj.at(x)[0])
     return _settle(proj, trace, x, x_avg, i, "averaged-step")
+
+
+def _mean(points):
+    """np.add.reduce(points, axis=0) / len(points) of a tuple of 1-d float
+    arrays, bit for bit.  numpy reduces a (k, n) stack along axis 0 by adding
+    its rows in order to add's identity 0.0, so fewer than 8 points of two
+    or more coordinates are added here in that order, without stacking them.
+    A 1-d problem's column is one contiguous run, which numpy sums pairwise
+    from 8 entries on and with NaN bits of its own below, so it keeps the
+    reduce, as does any sum of 8 or more points (BENCH_33.json,
+    "mean_bits")."""
+    k = len(points)
+    if k >= 8 or points[0].shape[0] == 1:
+        return np.add.reduce(points, axis=0) / k
+    total = 0.0 + points[0]
+    for p in points[1:]:
+        total += p
+    return total / k
 
 
 def _settle(proj, trace, x, x_new, i, kind, active=0, kkt=0.0):
@@ -702,8 +743,7 @@ class _GlobalRule(_PooledRule):
 
     def __call__(self, proj, x, i, trace):
         self.window(i)
-        nearest = proj.at(x)[0]
-        x_avg = np.add.reduce(nearest, axis=0) / len(nearest)
+        x_avg = _mean(proj.at(x)[0])
         pool = self.admit(self.cuts(proj, x, i, 0, range(len(proj.problem.sets))))
         if not pool:
             return _averaged_step(proj, x, i, trace, x_avg)

@@ -2,7 +2,8 @@
 for bit, and the linear baselines' closed-form rate.
 
 The engine averages with ``np.add.reduce(P, axis=0) / k`` where it took
-``np.mean(P, axis=0)``, takes the norm of a fresh contiguous difference as
+``np.mean(P, axis=0)``, and below 8 points of two or more coordinates adds
+them in order (``solvers._mean``) in place of that reduce; it takes the norm of a fresh contiguous difference as
 ``sets._norm`` where it took ``np.linalg.norm``, and the report's ball draws
 call ``rng.random()`` where they called ``rng.uniform()`` and fill a row with
 ``rng.standard_normal(out=row)`` where they took ``rng.standard_normal(n)``.
@@ -49,6 +50,56 @@ def test_add_reduce_over_k_is_the_mean(points):
     """The averaged step's mean of k projections, as a tuple of 1-d arrays."""
     got = _outcome(lambda: np.add.reduce(points, axis=0) / len(points))
     assert got == _outcome(lambda: np.mean(points, axis=0))
+
+
+# Entries that reach every branch of a sum: signed zeros, subnormals, sums
+# that overflow (1e300 + 1.7e308), infinities, and NaNs with three payloads.
+SUMMANDS = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.7e308, np.inf, -np.inf, np.nan],
+    np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64).view(np.float64),
+    [1.0, -1.0, 0.1, 3.0, 1e-16],
+])
+
+
+def _signalled(fn):
+    """fn()'s value as bytes, with the kinds of RuntimeWarning it printed
+    ("overflow", "invalid value", ...): numpy names the loop they came
+    from, add for the engine's sums and reduce for the reference."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        value = fn()
+    kinds = {str(w.message).split(" encountered")[0] for w in caught}
+    return np.asarray(value, dtype=float).tobytes(), sorted(kinds)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 13))
+def test_the_engine_mean_is_add_reduce_over_k(k, n):
+    """solvers._mean of k projections in n dimensions, bit for bit, signed
+    zeros and NaN payloads included, and with the same kinds of signal.
+    The 1-d shapes with 8 or more points are where numpy sums pairwise."""
+    rng = np.random.default_rng(100 * k + n)
+    for trial in range(100):
+        if trial % 2:
+            points = tuple(rng.choice(SUMMANDS, n) for _ in range(k))
+        else:
+            points = tuple(rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n) for _ in range(k))
+        want = _signalled(lambda: np.add.reduce(points, axis=0) / k)
+        assert _signalled(lambda: solvers._mean(points)) == want, points
+
+
+def test_numpy_sums_a_1d_column_pairwise_from_8_points():
+    """Why _mean keeps the reduce for 8 or more points in 1-d: there a
+    sum in order differs from numpy's on some random inputs."""
+    rng = np.random.default_rng(0)
+    differ = 0
+    for _ in range(200):
+        points = tuple(rng.standard_normal(1) for _ in range(8))
+        total = 0.0 + points[0]
+        for p in points[1:]:
+            total = total + p
+        differ += total.tobytes() != np.add.reduce(points, axis=0).tobytes()
+    assert differ > 0
 
 
 @st.composite

@@ -731,3 +731,106 @@ def test_pooled_rule_falls_back_when_no_group_moves(runner, start, status, kinds
     assert [r.step_kind for r in trace.records] == kinds
     if status == "converged":
         np.testing.assert_array_equal(trace.final_point(), [0.0, 0.0])
+
+
+def test_a_step_on_one_set_builds_no_cut(monkeypatch):
+    """A fixed-pairing step on one set (every map step) moves to the cut's
+    boundary point and reads no Halfspace, so polyhedra._supporting_cut
+    runs only for the tangent hyperplane of a manifold the iterate already
+    sits on, whose violation is read.  Over every gallery map run from
+    test_trace_pins' starts, each step moves to one _boundary_point (each
+    cut takes one more), and the problems without a manifold build no cut
+    at all."""
+    from test_trace_pins import _starts
+
+    cuts, targets = [], []
+    cut, target = polyhedra._supporting_cut, polyhedra._boundary_point
+
+    def counting_cut(*args):
+        cuts.append(args)
+        return cut(*args)
+
+    def counting_target(*args):
+        targets.append(args)
+        return target(*args)
+
+    monkeypatch.setattr(polyhedra, "_supporting_cut", counting_cut)
+    monkeypatch.setattr(polyhedra, "_boundary_point", counting_target)
+    convex_steps = 0
+    for name in gallery.gallery_names():
+        problem = gallery.get_entry(name).problem
+        for x0 in _starts(problem):
+            cuts.clear()
+            targets.clear()
+            trace = solvers.run_map(problem, x0)
+            steps = [r for r in trace.records if r.step_kind.startswith("set-projection-")]
+            assert len(targets) == len(steps) + len(cuts)
+            # A tangent hyperplane: the unit normal through the iterate.
+            assert all(is_manifold and tau == 0.0 for _, _, is_manifold, tau, *_ in cuts)
+            if not any(s.is_manifold for s in problem.sets):
+                assert cuts == []
+                convex_steps += len(steps)
+    assert convex_steps > 2000  # backtrack-example's runs alone take 2,000 steps
+
+
+def test_a_callable_tau_of_one_is_refused_on_a_step_without_a_cut(monkeypatch):
+    """The boundary point checks tau whether or not a cut is built."""
+
+    def no_cut(*args):
+        raise AssertionError("a step on one set built a cut")
+
+    monkeypatch.setattr(polyhedra, "_supporting_cut", no_cut)
+    problem = gallery.get_entry("halfspace-pair").problem
+    config = solvers.SolverConfig(tau_schedule=lambda i: 1.0, tau_zero_for_convex=False)
+    schedule = solvers.Schedule.cyclic(len(problem.sets), "fixed")
+    with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\)"):
+        solvers.run_basic_shqp(problem, schedule=schedule, config=config)
+
+
+def test_map_from_a_far_start_on_the_cusp_converges_as_before():
+    """From (1e154, 1e154) the first gap overflows: the start's distance is
+    inf, and the cut map used to build there had offset -inf, yet nothing
+    read it and the run converged in one step.  It still does, now without
+    the cut.  The cusp oracle overflows on the way (RuntimeWarnings)."""
+    import warnings
+
+    problem = gallery.get_entry("cusp-three-halves").problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        trace = solvers.run_map(problem, np.array([1e154, 1e154]))
+    assert trace.status == "converged"
+    assert [r.step_kind for r in trace.records] == ["start", "set-projection-1"]
+    assert trace.records[0].distances.tolist() == [math.inf]
+
+
+class _NanDistance(sets.SetOracle):
+    """A broken oracle: its nearest point has a NaN coordinate, so the
+    distance sets.project gives is NaN."""
+
+    kind = "nan-distance"
+
+    def __init__(self):
+        super().__init__(2)
+
+    def _project(self, x):
+        return np.array([np.nan, x[1]])
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_a_nan_distance_never_converges(nan_first):
+    """The stop test reads every distance and takes NaN <= tol as false:
+    with a step rule that stays put, a NaN distance beside a zero one
+    spends the budget; no solver ends such a run as converged."""
+    line = sets.HyperplaneSet([0.0, 1.0], 0.0)
+    family = [_NanDistance(), line] if nan_first else [line, _NanDistance()]
+    problem = solvers.ProblemInstance("nan-distance", family, [1.0, 0.0])
+    config = solvers.SolverConfig(max_outer_iterations=3)
+    trace = solvers._run(problem, None, config, lambda proj, x, i, trace: x)
+    assert trace.status == "max-iterations"
+    assert np.isnan(trace.records[0].distances).tolist() == [nan_first, not nan_first]
+    for runner in solvers.SOLVERS.values():
+        try:
+            status = runner(problem, config=config).status
+        except Exception as exc:  # a NaN nearest point breaks later steps
+            status = type(exc).__name__
+        assert status != "converged"

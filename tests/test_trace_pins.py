@@ -70,3 +70,25 @@ def test_every_gallery_trace_is_bit_identical():
             count += 1
     assert count == 3 * 94
     assert digest.hexdigest() == DIGEST
+
+
+# run_basic_shqp with Schedule.cyclic(m, "fixed"), the schedule of run_map
+# with its own tau: each step on one set moves to that set's cut target
+# without a QP, so no Halfspace of it is read.  Recorded with the digest
+# above's conventions while every such step still built its cut.
+FIXED_CYCLIC_DIGEST = "1bf13615032afefe44f3bb047e5cf824536eeb6136cbe53cc01b5c7539318929"
+
+
+def test_every_fixed_cyclic_trace_is_bit_identical():
+    digest = hashlib.sha256()
+    count = 0
+    for name in gallery.gallery_names():
+        problem = gallery.get_entry(name).problem
+        schedule = solvers.Schedule.cyclic(len(problem.sets), "fixed")
+        for k, x0 in enumerate(_starts(problem)):
+            digest.update(f"{name}@{k}".encode())
+            run = lambda: solvers.run_basic_shqp(problem, x0, schedule=schedule)
+            digest.update(_trace_bytes(run).encode())
+            count += 1
+    assert count == 3 * 12
+    assert digest.hexdigest() == FIXED_CYCLIC_DIGEST
