@@ -174,16 +174,16 @@ def _intersection_distances(problem, points):
             if isinstance(out, Exception):
                 raise out
             yield float(out[1])
-        return
-    proxy_config = solvers.SolverConfig(stop_tolerance=1e-12, max_outer_iterations=300)
-    for x in points:
-        trace = solvers.run_mass_projection(problem, x, proxy_config)
-        if trace.status != "converged":
-            raise NoDistanceOracleError(
-                "no-K-oracle: proxy run from a probe did not converge "
-                f"(status {trace.status})"
-            )
-        yield float(np.linalg.norm(np.asarray(x, float) - trace.final_point()))
+    else:
+        proxy_config = solvers.SolverConfig(stop_tolerance=1e-12, max_outer_iterations=300)
+        for x in points:
+            trace = solvers.run_mass_projection(problem, x, proxy_config)
+            if trace.status != "converged":
+                raise NoDistanceOracleError(
+                    "no-K-oracle: proxy run from a probe did not converge "
+                    f"(status {trace.status})"
+                )
+            yield float(np.linalg.norm(np.asarray(x, float) - trace.final_point()))
 
 
 def _sample_normal(oracle, xstar, radius, rng, tries: int = 50):

@@ -303,16 +303,18 @@ def _back_substitute(R, y):
 class _ActiveFactor:
     """Thin QR factor N = Q R of the active normals N (one column each).
 
-    The first q columns of Q (a d x d C-contiguous array) are orthonormal
-    and R is q x q upper triangular, kept as nested lists because q <= d
-    stays tiny.
+    Q is a d x width array, width the most active rows there can be
+    (min(m, d) for m rows in R^d: active rows are distinct and
+    independent), so its size follows the rows and not d x d.  Its first q
+    columns are orthonormal and R is q x q upper triangular, kept as nested
+    lists because q <= width stays tiny.
     A row enters by Gram–Schmidt with one reorthogonalization and leaves by
     Givens rotations, so the factor is never rebuilt and N^T N is never
     formed.
     """
 
-    def __init__(self, d):
-        self.Q = np.empty((d, d))
+    def __init__(self, d, width):
+        self.Q = np.empty((d, width))
         self.R: list[list[float]] = []
 
     def split(self, g):
@@ -433,7 +435,7 @@ def _dual_active_set(G, h, warm, feas_tol):
     if m == 0:
         return np.zeros(d), [], [], None
     hl = h.tolist()
-    fac = _ActiveFactor(d)
+    fac = _ActiveFactor(d, min(m, d))
     active: list[int] = []
     for i in warm:
         if i not in active and len(active) < d:

@@ -13,33 +13,39 @@ The regularity report projects its draws as batches, through
 refinement onto its members; the solvers never call it.  Its entries are bit
 for bit what :func:`project` returns on each point, or the exception it
 raises there, and no nearest point shares memory with another entry or with
-an input.  There is one such method, on the base class.  A clean batch, one
-that stacks as a finite 2-d array as wide as the set, is checked once as a
-whole (_clean_stack); any other batch is checked point by point as project
-checks it (_as_point), so that each bad point keeps its own error.  The
-stack of checked points goes to the set's ``_nearest_rows`` hook, and the
+an input.  There is one such method, on the base class.
+
+Every stacked path follows one rule: it answers only when it answers for
+the whole stack, and otherwise each row goes to its one-point reference.
+At the batch boundary the reference is project.  A clean batch, one that
+stacks as a finite 2-d array as wide as the set, is checked once as a whole
+(_clean_stack); the stack goes to the set's ``_nearest_rows`` hook, and the
 distances of all the rows it answers are one stacked row dot, the bits of
-_norm (_stacked_outcomes).  All of it runs under one watch (_watch): if it
-signals a floating point error that the caller's error state does not
-ignore, the batch is project on each point instead, under the caller's
-state.  The samplers' ball filter (_keep_draws) uses the same watch.  The
-hook runs _project on each row, except on four kinds.  The fixed-rank set
-(``FixedRankSet``) takes one np.linalg.svd over the stack of matrices, which
-runs gesdd once per matrix, and truncates the stack of factors with products
-that round as the single ones do, the bits of _project on each row; the
-solvers' single points still take _project.  On the other three, _project is
-the hook's one-row case.  The polyhedron (``PolyhedralSet``) hands its rows
-to ``polyhedra._nearest_points``, the QP without its report tail, which runs
-the one dual active-set kernel point by point.  The level set and manifold
-curve (``_SmoothSet``) make the interior test, then run the Newton starts of
-the points left as stacks (``_newton_stationarity_stack``) and the ray scans
-of the points that restart as one lockstep scan (``_ray_scan_rows``).  The
-intersection (``IntersectionSet``) refines its rows in lockstep, with one
-member ``_project_rows`` call per sweep.  Every evaluation of f, grad or
-hess over several points goes through ``_rows_of``: the callable's row form
-``.rows``, looked up at each call, where it has one (the polynomial sets of
-the gallery supply them) and it does not raise, and otherwise the callable
-row by row, each row keeping its own exception.
+_norm (_stacked_outcomes).  All of it runs under one watch (_watch).  A
+batch that is not clean, whose stacked path raises, or that signals a
+floating point error the caller's error state does not ignore, is project
+on each point instead, under the caller's state.  The samplers' ball filter
+(_keep_draws) uses the same watch.  The hook answers for each row on its
+own, with _project or the exception it raises there, except on four kinds.
+The fixed-rank set (``FixedRankSet``) takes one np.linalg.svd over the
+stack of matrices, which runs gesdd once per matrix, and truncates the
+stack of factors with products that round as the single ones do, the bits
+of _project on each row; the solvers' single points still take _project.
+On the other three, _project is the hook's one-row case.  The polyhedron
+(``PolyhedralSet``) hands its rows to ``polyhedra._nearest_points``, the QP
+without its report tail, which runs the one dual active-set kernel point by
+point.  The level set and manifold curve (``_SmoothSet``) make the interior
+test, then run the Newton starts of the points left as stacks
+(``_newton_stationarity_stack``), whose one-point reference is the scalar
+kernel ``_newton_stationarity``, and the ray scans of the points that
+restart as one lockstep scan (``_ray_scan_rows``), in which a ray whose f
+raises stops on its own.  The intersection (``IntersectionSet``) refines
+its rows in lockstep, with one member ``_project_rows`` call per sweep.
+Every evaluation of f, grad or hess over several points goes through
+``_rows_of``: the callable's row form ``.rows``, looked up at each call,
+where it has one (the polynomial sets of the gallery supply them) and it
+does not raise, and otherwise the callable row by row, each row keeping its
+own exception.
 
 The samplers behind the report (``_ball_draws``, ``_super_regular_worst``
 with ``_pair_ratios``, ``_sosh_worst``) make a few numpy calls over all of
@@ -185,7 +191,7 @@ def _clean_stack(points, dimension: int) -> np.ndarray | None:
     shape or width, a NaN or an infinity)."""
     try:
         P = np.array(points, dtype=float)
-    except Exception:  # the points are checked one by one, each with its error
+    except Exception:  # each point goes to project, with its own error
         return None
     if P.ndim == 2 and P.shape[1] == dimension and np.isfinite(P).all():
         return P
@@ -234,22 +240,18 @@ class SetOracle:
         with another entry or with an input.  The regularity report's batch
         projection (the module docstring has the contract).
 
-        A clean batch is checked as a whole (_clean_stack), any other point
-        by point (_as_point), and the stack of the points that check goes to
-        _stacked_outcomes, all under one _watch; if it signals, the entries
-        are project's on each point, under the caller's error state."""
+        A clean batch is checked as a whole (_clean_stack) and goes to
+        _stacked_outcomes as one stack, under one _watch.  That answer
+        stands only for the whole batch: if the batch is not clean, or the
+        stacked path raises or signals, the entries are project's on each
+        point, under the caller's error state."""
         points = points if isinstance(points, (list, np.ndarray)) else list(points)
         with _watch() as signalled:
             P = _clean_stack(points, self.dimension)
-            if P is not None:
-                out = _stacked_outcomes(self, P)
-            else:
-                out = [_outcome(_as_point, x, self.dimension) for x in points]
-                rows = [i for i, p in enumerate(out) if not isinstance(p, Exception)]
-                P = np.array([out[i] for i in rows]).reshape(len(rows), self.dimension)
-                for i, y in zip(rows, _stacked_outcomes(self, P)):
-                    out[i] = y
-        return [_outcome(project, self, x) for x in points] if signalled else out
+            out = None if P is None else _outcome(_stacked_outcomes, self, P)
+        if isinstance(out, list) and not signalled:
+            return out
+        return [_outcome(project, self, x) for x in points]
 
     def membership_residual(self, x) -> float:
         """How far x is from satisfying the set's defining conditions."""
@@ -489,7 +491,7 @@ def _newton_stationarity(f, grad, hess, x, y0, lam0, max_iterations, tol):
     return None
 
 
-def _rows_of(fn, Y, shape=(), skip=()) -> tuple:
+def _rows_of(fn, Y, shape=()) -> tuple:
     """fn at each row of Y (a 2-d array, or a list of 1-d arrays), stacked
     as a (len(Y),) + shape array, and a dict of the rows where fn raised,
     each with its own exception.
@@ -498,7 +500,7 @@ def _rows_of(fn, Y, shape=(), skip=()) -> tuple:
     at the rows of Y, stacked, bit for bit), where fn has one and it does
     not raise; it is looked up on the callable at each call, so a callable
     replaced on a set is used as given.  Otherwise, and on one row, fn is
-    called on each row but those in ``skip``, whose entries stay 0."""
+    called on each row."""
     rows = getattr(fn, "rows", None)
     if rows is not None and len(Y) > 1:
         try:
@@ -507,11 +509,10 @@ def _rows_of(fn, Y, shape=(), skip=()) -> tuple:
             pass
     V, raised = np.zeros((len(Y),) + shape), {}
     for j, y in enumerate(Y):
-        if j not in skip:
-            try:
-                V[j] = fn(y)
-            except Exception as exc:
-                raised[j] = exc
+        try:
+            V[j] = fn(y)
+        except Exception as exc:
+            raised[j] = exc
     return V, raised
 
 
@@ -523,37 +524,45 @@ def _unraised(m: int, raised) -> np.ndarray:
 
 
 def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) -> list:
-    """_newton_stationarity on k starts in lockstep: row i runs toward X[i]
-    from (Y0[i], lam0[i]).  Entry i of the result is what the scalar kernel
+    """_newton_stationarity on k starts: row i runs toward X[i] from
+    (Y0[i], lam0[i]).  Entry i of the result is what the scalar kernel
     returns on row i alone, bit for bit: the solution, None, or the
     exception it raises.
+
+    Two or more rows run in lockstep (_newton_lockstep), which answers only
+    for the whole stack.  Where it does not (f, grad or hess raised on a
+    row, or a bordered system of the stack is singular), and on fewer than
+    two rows, every row runs the scalar kernel, its one-point reference.
+    The scalar kernel is faster on one row, where the stack's fixed cost
+    per call is not shared: the solvers' starts have one row, the
+    regularity report's stacks three or more (measured in BENCH_31.json,
+    "docstring_measurements")."""
+    if len(X) > 1:
+        out = _outcome(_newton_lockstep, f, grad, hess, X, Y0, lam0, max_iterations, tol)
+        if isinstance(out, list):
+            return out
+    return [
+        _outcome(_newton_stationarity, f, grad, hess, x, y0, l0, max_iterations, tol)
+        for x, y0, l0 in zip(X, Y0, lam0)
+    ]
+
+
+def _newton_lockstep(f, grad, hess, X, Y0, lam0, max_iterations, tol) -> list | None:
+    """_newton_stationarity_stack's stacked path: the scalar kernel's
+    result on every row, or, where it cannot answer for the whole stack,
+    None (a row's f, grad or hess raised) or LinAlgError (a bordered system
+    is singular).
 
     The rows still running sit in one array per quantity, and each
     elementwise step of the scalar kernel runs once over the array, so every
     row gets the same products and sums in the same order.  f, grad and
-    hess are evaluated over the stack once per iteration (_rows_of), grad
-    before f as the scalar kernel calls them, and a row whose call raises
-    keeps that exception.  The bordered systems are one np.linalg.solve on
-    the (k, n+1, n+1) stack, which calls LAPACK's gesv once per matrix as a
-    single solve does; the right-hand side is shaped (k, n+1, 1), a stack
-    of columns in every numpy version.  If a matrix of the stack is
-    singular, every row takes _newton_step on its own.  Rows that converge,
-    go non-finite or raise leave the stack.  The step norms and the caps
-    take each row's norm as _norm does (_row_dots), so the cap makes the
-    same decisions on the same bits.
-
-    Fewer than two rows run the scalar kernel, which is faster on one row,
-    where the stack's fixed cost per call is not shared: the solvers'
-    starts have one row, the regularity report's stacks three or more
-    (measured in BENCH_31.json, "docstring_measurements")."""
-    if len(X) < 2:
-        out = []
-        for x, y0, l0 in zip(X, Y0, lam0):
-            try:
-                out.append(_newton_stationarity(f, grad, hess, x, y0, l0, max_iterations, tol))
-            except Exception as exc:
-                out.append(exc)
-        return out
+    hess are evaluated over the stack once per iteration (_rows_of).  The
+    bordered systems are one np.linalg.solve on the (k, n+1, n+1) stack,
+    which calls LAPACK's gesv once per matrix as a single solve does; the
+    right-hand side is shaped (k, n+1, 1), a stack of columns in every
+    numpy version.  Rows that converge or go non-finite leave the stack.
+    The step norms and the caps take each row's norm as _norm does
+    (_row_dots), so the cap makes the same decisions on the same bits."""
     out = [None] * len(X)
     n = X[0].shape[0]
     idx = np.arange(len(X))
@@ -562,24 +571,19 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
     L = np.array(lam0, dtype=float)
     caps = 10.0 * (1.0 + np.sqrt(_row_dots(X, X)))
     eye = np.eye(n)
-    dead = set()  # rows whose start has raised; the next compaction drops them
     for _ in range(max_iterations):
         m = len(idx)
-        G, raised = _rows_of(grad, Y, (n,), dead)
-        F, raised_f = _rows_of(f, Y, (), dead.union(raised))
-        raised.update(raised_f)
-        for j, exc in raised.items():
-            out[idx[j]] = exc
-        dead.update(raised)
+        G, raised = _rows_of(grad, Y, (n,))
+        F, raised_f = _rows_of(f, Y)
+        if raised or raised_f:
+            return None
         R = np.empty((m, n + 1))
         R[:, :n] = Y - X + L[:, None] * G
         R[:, n] = F
         # The scalar kernel's tests, row by row: a NaN is neither converged
-        # nor finite.  A dead row's R is not its residual; it takes neither.
+        # nor finite.
         converged = (np.abs(R) <= tol).all(axis=1)
         running = ~converged & np.isfinite(R).all(axis=1)
-        if dead:
-            converged[list(dead)] = running[list(dead)] = False
         for j in np.flatnonzero(converged):
             out[idx[j]] = Y[j].copy()
         keep = np.flatnonzero(running)
@@ -590,26 +594,14 @@ def _newton_stationarity_stack(f, grad, hess, X, Y0, lam0, max_iterations, tol) 
             X, Y, L, G, R = X[keep], Y[keep], L[keep], G[keep], R[keep]
             m = len(keep)
         H, raised = _rows_of(hess, Y, (n, n))
-        for j, exc in raised.items():
-            out[idx[j]] = exc
-        dead = set(raised)
+        if raised:
+            return None
         J = np.zeros((m, n + 1, n + 1))
         np.multiply(H, L[:, None, None], out=J[:, :n, :n])
         J[:, :n, :n] += eye
         J[:, :n, n] = G
         J[:, n, :n] = G
-        try:
-            S = np.linalg.solve(J, -R[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            S = np.zeros((m, n + 1))
-            for j in range(m):
-                if j in dead:
-                    continue
-                try:
-                    S[j] = _newton_step(J[j], R[j])
-                except Exception as exc:
-                    out[idx[j]] = exc
-                    dead.add(j)
+        S = np.linalg.solve(J, -R[:, :, None])[:, :, 0]
         ns = np.sqrt(_row_dots(S, S))
         for j in np.flatnonzero(ns > caps):
             S[j] *= caps[j] / ns[j]
@@ -883,12 +875,9 @@ class FixedRankSet(SetOracle):
         (k, rows, cols) stack, which runs LAPACK's gesdd once per matrix as
         a single svd does, and one _truncate over the stack, whose products
         are the single ones matrix by matrix.  If the stacked svd raises (a
-        matrix did not converge), every row runs _project on its own, so
-        that it keeps its own outcome."""
-        try:
-            U, s, Vt = np.linalg.svd(X.reshape(len(X), self.rows, self.cols), full_matrices=False)
-        except np.linalg.LinAlgError:
-            return super()._nearest_rows(X)
+        matrix did not converge), so does the hook, and the batch boundary
+        (_project_rows) gives each row project's outcome."""
+        U, s, Vt = np.linalg.svd(X.reshape(len(X), self.rows, self.cols), full_matrices=False)
         return list(self._truncate(U, s, Vt).reshape(len(X), -1))
 
     def _residual(self, p):

@@ -3,11 +3,11 @@ edges.
 
 `SetOracle._project_rows` checks a clean batch (one that stacks as a finite
 2-d array as wide as the set) once as a whole, and takes the distances of a
-batch as one stacked row dot; any other batch is checked point by point.
-The whole batch runs under one watch: if anything in it, from the checks
-through the set's hook to the distances, signals a floating point error
-that the caller's error state does not ignore, the batch is projected again
-point by point, by `sets.project` under the caller's state.
+batch as one stacked row dot.  The whole batch runs under one watch.  Any
+other batch, and one in which anything, from the check through the set's
+hook to the distances, raises or signals a floating point error that the
+caller's error state does not ignore, is projected point by point, by
+`sets.project` under the caller's state.
 Whatever a batch holds (NaN and infinite rows, rows of another length, a
 2-d row, nothing at all, a row whose distance overflows) and however it is
 given (a list, a 2-d array, an iterator), each entry must be what
@@ -261,3 +261,30 @@ def test_stacked_distances_are_norm_bit_for_bit(n):
             want = [sets._norm(p - y) for p, y in zip(P, Y)]
         assert [g.hex() for g in got] == [w.hex() for w in want], f"numpy {np.__version__}: n = {n}, scale {scale}"
         assert got[-1] == np.inf
+
+
+class _RaisingBall(sets.Ball):
+    """A ball whose batch hook raises, whatever the batch."""
+
+    def _nearest_rows(self, X):
+        raise RuntimeError("the hook refuses the stack")
+
+
+@pytest.mark.parametrize("state", [{}, {"over": "raise"}], ids=["default", "over-raise"])
+def test_a_hook_that_raises_gives_each_point_projects_outcome(state):
+    # A stacked path that raises does not answer for the batch: each point
+    # gets what project gives it alone, with the same warnings, and a point
+    # that does not check keeps its own error.  The last clean point's
+    # distance overflows.
+    oracle = _RaisingBall([0.0, 0.0], 1.0)
+    clean = [np.array([2.0, 0.0]), np.array([0.1, -0.2]), np.array([3.0, 4.0]), np.array([1e308, 1e308])]
+
+    def outcomes(run):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(**state):
+            warnings.simplefilter("always")
+            return [_outcome_bits(o) for o in run()], _warning_bits(caught)
+
+    for points in (clean, clean[:2] + [np.array([np.nan, 0.0]), np.array([1.0])]):
+        got = outcomes(lambda: oracle._project_rows(points))
+        assert got == outcomes(lambda: [sets._outcome(sets.project, oracle, x) for x in points])
+        assert RuntimeError not in [o[0] for o in got[0]]

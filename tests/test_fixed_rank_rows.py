@@ -6,10 +6,10 @@ bit.
 stack of factors.  Each row must get the bits `_project` gives it alone:
 that rests on numpy running LAPACK's gesdd once per matrix of a stack, as it
 does on one matrix, and on the stacked products rounding as the single ones
-do.  A stack the svd refuses is projected row by row, so that every row
-keeps its own outcome.  A batch whose truncation signals a floating point
-error is projected point by point by `SetOracle._project_rows`, the batch
-boundary, so that every row keeps its own warning or error.
+do.  A stack the svd refuses makes the hook raise.  Such a batch, and one
+whose truncation signals a floating point error, is projected point by
+point by `SetOracle._project_rows`, the batch boundary, so that every row
+keeps its own outcome, warning or error.
 """
 
 import warnings
@@ -80,8 +80,9 @@ def test_stacked_svd_equals_project_bit_for_bit(monkeypatch, rows, cols, rank):
 
 
 def test_a_stack_the_svd_refuses_is_projected_row_by_row(monkeypatch):
-    # The stack raises LinAlgError, and so does row 2 alone: that row keeps
-    # its error, and every other row its projection.
+    # The stack raises LinAlgError, and so does row 2 alone.  The hook
+    # raises with the stack; the batch boundary then projects each row on
+    # its own, so row 2 keeps its error and every other row its projection.
     svd = np.linalg.svd
 
     def refusing(a, *args, **kwargs):
@@ -94,10 +95,13 @@ def test_a_stack_the_svd_refuses_is_projected_row_by_row(monkeypatch):
     X[2, 0] = 7.0
     want = [FixedRankSet._project(oracle, x) for x in X]
     monkeypatch.setattr(np.linalg, "svd", refusing)
-    got = oracle._nearest_rows(X)
-    assert isinstance(got[2], np.linalg.LinAlgError)
-    assert [y.tobytes() for i, y in enumerate(got) if i != 2] == [y.tobytes() for i, y in enumerate(want) if i != 2]
+    with pytest.raises(np.linalg.LinAlgError):
+        oracle._nearest_rows(X)
     outcomes = oracle._project_rows(X)
+    assert isinstance(outcomes[2], np.linalg.LinAlgError)
+    assert [o[0].tobytes() for i, o in enumerate(outcomes) if i != 2] == [
+        y.tobytes() for i, y in enumerate(want) if i != 2
+    ]
     assert [_outcome_bits(o) for o in outcomes] == [_outcome_bits(sets._outcome(sets.project, oracle, x)) for x in X]
 
 

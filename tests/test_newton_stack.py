@@ -176,6 +176,22 @@ def test_rows_that_raise_get_the_scalar_kernels_exception():
     assert sum(isinstance(r, Exception) for r in got) >= 2
 
 
+def test_rows_whose_f_raises_get_the_scalar_kernels_exception():
+    # f refuses where grad and hess do not: a stacked kernel that read a
+    # refused row's f as 0 would answer there.
+    def f(y):
+        if y[0] > 1.0:
+            raise ValueError(f"f refuses {y[0]!r}")
+        return float(y[1] - y[0] ** 2)
+
+    curve = sets.ManifoldCurve(2, f, lambda y: np.array([-2.0 * y[0], 1.0]), lambda y: np.diag([-2.0, 0.0]))
+    points = [(0.3, 0.1), (1.5, 0.0), (-0.4, -0.2), (0.9, 3.0), (2.0, 1.0)]
+    got = _assert_rows_match(curve, [(np.array(p), np.array(p), 0.0) for p in points], 100)
+    errors = [type(r) for r in got if isinstance(r, Exception)]
+    assert len(errors) >= 2 and set(errors) == {ValueError}
+    assert sum(isinstance(r, np.ndarray) for r in got) >= 2
+
+
 def test_non_finite_start_stops_at_once():
     # Far out on the cubic, x1^3 overflows: every start's residual turns
     # non-finite, which no later iteration can undo.  The projection still
@@ -575,15 +591,18 @@ def test_project_rows_equal_the_per_seed_projection(oracle, monkeypatch):
 
     monkeypatch.setattr(sets, "_ray_scan_rows", spy)
     rng = np.random.default_rng(5)
-    points = [np.array(p) for p in CUBIC_POINTS] + list(rng.uniform(-2.0, 2.0, size=(40, 2)))
+    points = [np.array(p) for p in CUBIC_POINTS[:-2]] + list(rng.uniform(-2.0, 2.0, size=(40, 2)))
     want = _assert_projections_match(oracle, points)
+    # The two points the check rejects make a batch of their own: a batch
+    # that is not clean is projected point by point.
+    rejected = _assert_projections_match(oracle, [np.array(p) for p in CUBIC_POINTS[-2:]])
     # The fixture is only a check if it reaches each path: restarts in the
     # batch, whose ray scans run in lockstep over several points, scans of
     # one point (single-point sets.project), a converged answer, a point
     # that does not converge, and a point the check rejects.
     assert max(scans) >= 2
     assert 1 in scans
-    kinds = {w[0] if isinstance(w[0], type) else "point" for w in want}
+    kinds = {w[0] if isinstance(w[0], type) else "point" for w in want + rejected}
     assert {"point", sets.ProjectionNotConvergedError, ValueError} <= kinds
 
 

@@ -3,6 +3,7 @@ after (d + 1) times the number of row subsets of size <= d steps, and
 passing that bound raises QPBreakdownError instead of returning a point."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,3 +38,24 @@ def test_a_qp_that_passes_its_bound_raises(monkeypatch):
     # eta is one call of the same QP and carries the same bound.
     with pytest.raises(QPBreakdownError, match="passed its bound of 1 steps"):
         polyhedra.eta([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_an_inequality_qp_takes_memory_in_its_rows_not_n_squared(n):
+    # Five halfspaces that the start violates, in R^n: the active factor
+    # holds one column per row that can be active (min(m, n)), so the QP's
+    # peak stays a small multiple of the m x n rows, far below n x n.
+    m = 5
+    rng = np.random.default_rng(n)
+    normals = rng.standard_normal((m, n))
+    poly = Polyhedron([Halfspace(a, -1.0) for a in normals])
+    x0 = normals.sum(axis=0)
+    tracemalloc.start()
+    try:
+        result = project_onto_polyhedron(poly, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "optimal"
+    assert len(result.active_set) >= 2
+    assert peak < 8 * m * n * 8, peak
