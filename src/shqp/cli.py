@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -159,10 +160,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads its arguments with: built on the first call
+    and shared by every later one in the process.  Building one costs about
+    a millisecond (argparse makes a help formatter, which asks for the
+    terminal size, for each of some 35 flags), and parsing leaves it as it
+    was: no flag has a default that a parse could change."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse --help (0) or flag errors (64)
         return int(exc.code or 0)
     try:

@@ -37,10 +37,12 @@ without its report tail, which runs the one dual active-set kernel point by
 point.  The level set and manifold curve (``_SmoothSet``) make the interior
 test, then run the Newton starts of the points left as stacks
 (``_newton_stationarity_stack``), whose one-point reference is the scalar
-kernel ``_newton_stationarity``, and the ray scans of the points that
-restart as one lockstep scan (``_ray_scan_rows``), in which a ray whose f
-raises stops on its own.  The intersection (``IntersectionSet``) refines
-its rows in lockstep, with one member ``_project_rows`` call per sweep.
+kernel ``_newton_stationarity``.  Which points restart is one stacked test
+(``_far_rows``), and most batches end there, with no point to restart; the
+ray scans of the points that do restart run as one lockstep scan
+(``_ray_scan_rows``), in which a ray whose f raises stops on its own.  The
+intersection (``IntersectionSet``) refines its rows in lockstep, with one
+member ``_project_rows`` call per sweep.
 Every evaluation of f, grad or hess over several points goes through
 ``_rows_of``: the callable's row form ``.rows``, looked up at each call,
 where it has one (the polynomial sets of the gallery supply them) and it
@@ -368,6 +370,18 @@ class _RoundSet(SetOracle):
         self.center = c
         self.radius = float(radius)
 
+    def _radial(self, x, v, nv):
+        """The point at the radius from the center toward x, given v = x - c
+        and its norm nv > 0.  Where nv overflows, the direction comes from v
+        over its largest magnitude, taken from the halves of x and c so that
+        v itself cannot overflow: halving is exact, so this is v's direction
+        whenever v is finite."""
+        if nv == math.inf:
+            v = 0.5 * x - 0.5 * self.center
+            v = v / np.abs(v).max()
+            nv = _norm(v)
+        return self.center + (self.radius / nv) * v
+
 
 class Ball(_RoundSet):
     """Closed Euclidean ball {x : ||x - c|| <= r}."""
@@ -380,7 +394,7 @@ class Ball(_RoundSet):
         nv = _norm(v)
         if nv <= self.radius:
             return x.copy()
-        return self.center + (self.radius / nv) * v
+        return self._radial(x, v, nv)
 
     def _residual(self, p):
         return max(0.0, np.linalg.norm(p - self.center) - self.radius)
@@ -423,7 +437,7 @@ class Sphere(_RoundSet):
             out = self.center.copy()
             out[0] -= self.radius
             return out
-        return self.center + (self.radius / nv) * v
+        return self._radial(x, v, nv)
 
     def _residual(self, p):
         return abs(np.linalg.norm(p - self.center) - self.radius)
@@ -435,6 +449,14 @@ class Sphere(_RoundSet):
 # The Newton projection's iteration budget and residual tolerance.
 _NEWTON_ITERATIONS = 100
 _NEWTON_TOL = 1e-12
+
+
+@functools.lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """np.eye(n), built once per n and shared, so read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _newton_step(J, residual):
@@ -460,7 +482,7 @@ def _newton_stationarity(f, grad, hess, x, y0, lam0, max_iterations, tol):
     # few corrections without changing the local quadratic phase.  x is an
     # oracle's point, so contiguous, and _norm is np.linalg.norm.
     cap = 10.0 * (1.0 + _norm(x))
-    eye = np.eye(n)
+    eye = _identity(n)
     # The bordered Jacobian [[I + lam H, g], [g^T, 0]] and the residual are
     # rewritten in place; J[n, n] stays 0.
     J = np.zeros((n + 1, n + 1))
@@ -560,9 +582,16 @@ def _newton_lockstep(f, grad, hess, X, Y0, lam0, max_iterations, tol) -> list | 
     bordered systems are one np.linalg.solve on the (k, n+1, n+1) stack,
     which calls LAPACK's gesv once per matrix as a single solve does; the
     right-hand side is shaped (k, n+1, 1), a stack of columns in every
-    numpy version.  Rows that converge or go non-finite leave the stack.
-    The step norms and the caps take each row's norm as _norm does
-    (_row_dots), so the cap makes the same decisions on the same bits."""
+    numpy version.  The stack of bordered matrices is rewritten in place
+    and built anew only when rows leave; the last diagonal entry of each
+    matrix stays 0.
+
+    The scalar kernel's two tests read each row's largest magnitude, which
+    max makes NaN when the row holds a NaN: the row has converged if it is
+    at most tol, and runs on if it is finite and above.  Rows that converge
+    or go non-finite leave the stack.  The step norms and the caps take
+    each row's norm as _norm does (_row_dots), so the cap makes the same
+    decisions on the same bits; only a step over its cap is scaled."""
     out = [None] * len(X)
     n = X[0].shape[0]
     idx = np.arange(len(X))
@@ -570,41 +599,40 @@ def _newton_lockstep(f, grad, hess, X, Y0, lam0, max_iterations, tol) -> list | 
     Y = np.array(Y0, dtype=float)
     L = np.array(lam0, dtype=float)
     caps = 10.0 * (1.0 + np.sqrt(_row_dots(X, X)))
-    eye = np.eye(n)
+    eye = _identity(n)
+    J = np.zeros((len(X), n + 1, n + 1))
     for _ in range(max_iterations):
-        m = len(idx)
         G, raised = _rows_of(grad, Y, (n,))
         F, raised_f = _rows_of(f, Y)
         if raised or raised_f:
             return None
-        R = np.empty((m, n + 1))
+        R = np.empty((len(Y), n + 1))
         R[:, :n] = Y - X + L[:, None] * G
         R[:, n] = F
-        # The scalar kernel's tests, row by row: a NaN is neither converged
-        # nor finite.
-        converged = (np.abs(R) <= tol).all(axis=1)
-        running = ~converged & np.isfinite(R).all(axis=1)
-        for j in np.flatnonzero(converged):
-            out[idx[j]] = Y[j].copy()
-        keep = np.flatnonzero(running)
-        if not len(keep):
-            break
-        if len(keep) < m:
+        top = np.abs(R).max(axis=1)
+        running = np.isfinite(top) & (top > tol)
+        if not running.all():
+            for j in np.flatnonzero(top <= tol):
+                out[idx[j]] = Y[j].copy()
+            keep = np.flatnonzero(running)
+            if not len(keep):
+                break
             idx, caps = idx[keep], caps[keep]
             X, Y, L, G, R = X[keep], Y[keep], L[keep], G[keep], R[keep]
-            m = len(keep)
+            J = np.zeros((len(keep), n + 1, n + 1))
         H, raised = _rows_of(hess, Y, (n, n))
         if raised:
             return None
-        J = np.zeros((m, n + 1, n + 1))
         np.multiply(H, L[:, None, None], out=J[:, :n, :n])
         J[:, :n, :n] += eye
         J[:, :n, n] = G
         J[:, n, :n] = G
         S = np.linalg.solve(J, -R[:, :, None])[:, :, 0]
         ns = np.sqrt(_row_dots(S, S))
-        for j in np.flatnonzero(ns > caps):
-            S[j] *= caps[j] / ns[j]
+        over = ns > caps
+        if over.any():
+            for j in np.flatnonzero(over):
+                S[j] *= caps[j] / ns[j]
         Y = Y + S[:, :n]
         L = L + S[:, n]
     return out
@@ -707,6 +735,28 @@ def _one_row(oracle: SetOracle, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _far_rows(points, firsts) -> list:
+    """The indices of the points that restart: those whose first start did
+    not converge (None), or converged farther than 0.15 (1 + ||x||) from
+    the point.  A point whose first start raised never restarts.
+
+    Two or more points take both norms as stacked row dots (_row_dots), the
+    bits of _norm; one point, the solvers' case, takes _norm, which costs
+    less than the stack's fixed cost."""
+    if len(points) == 1:
+        (x,), (y,) = points, firsts
+        near = isinstance(y, np.ndarray) and _norm(y - x) <= 0.15 * (1.0 + _norm(x))
+        return [] if near or isinstance(y, Exception) else [0]
+    X = np.array(points)
+    D = np.array([y if isinstance(y, np.ndarray) else x for x, y in zip(X, firsts)]) - X
+    near = np.sqrt(_row_dots(D, D)) <= 0.15 * (1.0 + np.sqrt(_row_dots(X, X)))
+    return [
+        i
+        for i, (y, ok) in enumerate(zip(firsts, near.tolist()))
+        if y is None or isinstance(y, np.ndarray) and not ok
+    ]
+
+
 def _newton_projections(f, grad, hess, points) -> list:
     """The nearest point on {f = 0} to each checked point, or the error its
     projection raises, by Newton on the stationarity system.
@@ -714,20 +764,20 @@ def _newton_projections(f, grad, hess, points) -> list:
     The first start, from (x, 0), finds the closest stationary point of the
     distance when x is near the set.  A point whose answer lies farther
     than 0.15 (1 + ||x||) restarts from boundary seeds on a fan of rays and
-    keeps the closest result (on a tie, the earlier).  All first starts run
-    as one stack, the ray scans of the points that restart as one lockstep
-    scan (_ray_scan_rows), and all restarts as another stack.  A point's
-    error is its scan's, or else the first in seed order, from grad at a
-    seed or from that seed's start.  Overflow far out only makes a start
-    fail; the caller keeps numpy from warning of it."""
+    keeps the closest result (on a tie, the earlier); _far_rows makes that
+    test.  All first starts run as one stack, and when no point restarts,
+    which is most batches, their answers are the result.  Otherwise the ray
+    scans of the points that restart run as one lockstep scan
+    (_ray_scan_rows), and all restarts as another stack.  A point's error
+    is its scan's, or else the first in seed order, from grad at a seed or
+    from that seed's start.  Overflow far out only makes a start fail; the
+    caller keeps numpy from warning of it."""
     out = _newton_stationarity_stack(
         f, grad, hess, points, points, [0.0] * len(points), _NEWTON_ITERATIONS, _NEWTON_TOL
     )
-    far = [
-        i
-        for i, (x, best) in enumerate(zip(points, out))
-        if not (isinstance(best, Exception) or best is not None and _norm(best - x) <= 0.15 * (1.0 + _norm(x)))
-    ]
+    far = _far_rows(points, out)
+    if not far:
+        return out
     plans, X, Y0, L0 = {}, [], [], []  # plans[i]: point i's restart rows, or an error
     for i, seeds in zip(far, _ray_scan_rows(f, [points[i] for i in far])):
         x = points[i]

@@ -1363,6 +1363,38 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["--help"]) == 0
 
 
+def _config_echo(argv, out):
+    assert cli.main([*argv, "--out-dir", str(out)]) in (0, 2)
+    with open(out / "report.json") as fh:
+        return json.load(fh)["config_echo"]
+
+
+def test_cli_main_shares_one_parser_and_no_flag_outlives_its_command(tmp_path, capsys):
+    # main builds its parser once per process; a command's flags must not
+    # reach the next command, whichever ran first on the shared parser.
+    run = ["run", "--problem", "circle-line", "--algorithm", "map"]
+    flagged = [*run, "--tau", "0.3", "--max-iters", "5"]
+    cli._parser.cache_clear()
+    first = _config_echo(run, tmp_path / "plain")
+    assert _config_echo(flagged, tmp_path / "flagged")["max_iters"] == 5
+    assert cli._parser.cache_info().misses == 1
+    assert _config_echo(run, tmp_path / "plain") == first
+    assert first["tau"] == 0.1 and first["max_iters"] == 500
+    capsys.readouterr()
+    # A usage error and --help give the same exit and the same output twice.
+    for argv, code in [(["run", "--bogus-flag"], 64), (["--help"], 0), (["run", "--help"], 0)]:
+        outputs = []
+        for _ in range(2):
+            assert cli.main(argv) == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out or outputs[0].err
+    assert cli._parser.cache_info().misses == 1
+    # build_parser stays public, and each call builds a new parser.
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
+
+
 _BALL = {"kind": "ball", "center": [0, 0], "radius": 1}
 _BALL_3D = {"kind": "ball", "center": [0, 0, 0], "radius": 1}
 

@@ -9,6 +9,7 @@ raise the error the per-point loops raised first.  The loops the
 projection and the samplers ran before are kept here as references.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -889,3 +890,97 @@ def test_a_raising_row_form_falls_back_to_per_row_calls(kind, refusal, which):
     kinds = {w[0] if isinstance(w[0], type) else "point" for w in want}
     assert "point" in kinds
     assert (ArithmeticError in kinds) == (refusal == "x1 > 1.5")
+
+
+TOL = 1e-12
+ABOVE_TOL = math.nextafter(TOL, math.inf)
+
+
+def _tabled_curve(f_at, grad_at):
+    """The line x2 = x1 / 2, except at the starts keyed (by their bytes) in
+    f_at and grad_at, where f and grad return the tabled value.  With
+    y0 = x and lam0 = 1 a start's first residual is its tabled grad, then
+    its tabled f, entry for entry (0.0 + g is g, except that -0.0 turns
+    into 0.0)."""
+
+    def f(y):
+        return f_at.get(y.tobytes(), float(y[1] - 0.5 * y[0]))
+
+    def grad(y):
+        return np.array(grad_at.get(y.tobytes(), (-0.5, 1.0)))
+
+    return sets.ManifoldCurve(2, f, grad, lambda y: np.zeros((2, 2)))
+
+
+def _lockstep_answers(oracle, rows, iterations):
+    """_newton_lockstep on rows: it must answer for the whole stack, not
+    hand it to the scalar kernel."""
+    X, Y0, L0 = (list(column) for column in zip(*rows))
+    return sets._newton_lockstep(oracle.f, oracle.grad, oracle.hess, X, Y0, L0, iterations, TOL)
+
+
+def test_lockstep_row_tests_on_nan_inf_signed_zero_and_tol():
+    # Every first residual whose grad part is drawn from NaN, +-inf, +-tol
+    # and +-(the next float above tol), and whose f is one of those or
+    # -0.0: a row converges only if each entry is at most tol in magnitude,
+    # leaves if any entry is NaN or infinite, and otherwise runs on.  A
+    # grad part is never zero, so the bordered systems of the rows that run
+    # on stay regular.
+    special = [math.nan, math.inf, -math.inf, TOL, -TOL, ABOVE_TOL, -ABOVE_TOL]
+    f_at, grad_at, rows = {}, {}, []
+    for g0 in special:
+        for g1 in special:
+            for value in special + [-0.0]:
+                x = np.array([0.001 * len(rows), 0.3])
+                f_at[x.tobytes()], grad_at[x.tobytes()] = value, (g0, g1)
+                rows.append((x, x.copy(), 1.0))
+    curve = _tabled_curve(f_at, grad_at)
+    got = _assert_rows_match(curve, rows, 100)
+    assert [y is None for y in _lockstep_answers(curve, rows, 100)] == [y is None for y in got]
+    # The fixture is only a check if it reaches each outcome at the first
+    # test: converged (all entries within tol, -0.0 among them), stopped
+    # (NaN or inf), and running on to converge later.
+    first = _lockstep_answers(curve, rows, 1)
+    converged_at_once = sum(isinstance(y, np.ndarray) for y in first)
+    assert converged_at_once == 2 * 2 * 3
+    assert sum(isinstance(y, np.ndarray) for y in got) == 4 * 4 * 5
+    assert sum(y is None for y in got) == len(rows) - 4 * 4 * 5
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 100])
+def test_lockstep_rows_converge_and_go_non_finite_in_one_iteration(iterations):
+    # The line x2 = x1 / 2, whose f is NaN right of x1 = 10 and -inf left of
+    # x1 = -10.  From (x, 0) one Newton step is the projection onto the
+    # line: from (0, 1) it converges at the second test, and from
+    # (9.9, 10) and (-9.9, -10) it lands past x1 = +-10 and goes non-finite
+    # at that same test.  A start on the line converges at the first, and
+    # one with a far multiplier runs on.
+    def f(y):
+        if y[0] > 10.0:
+            return math.nan
+        if y[0] < -10.0:
+            return -math.inf
+        return float(y[1] - 0.5 * y[0])
+
+    calls = []
+
+    def counted(y):
+        calls.append(y.tobytes())
+        return f(y)
+
+    line = sets.ManifoldCurve(
+        2, counted, lambda y: np.array([-0.5, 1.0]), lambda y: np.zeros((2, 2))
+    )
+    starts = [(0.0, 1.0), (9.9, 10.0), (-9.9, -10.0), (2.0, 1.0), (1.0, 2.0)]
+    rows = [(np.array(p), np.array(p), 0.0) for p in starts[:-1]]
+    rows.append((np.array(starts[-1]), np.array([3.0, -4.0]), 7.5))
+    got = _assert_rows_match(line, rows, iterations)
+    assert _lockstep_answers(line, rows, iterations) is not None
+    if iterations > 1:
+        assert [type(y) for y in got[:4]] == [np.ndarray, type(None), type(None), np.ndarray]
+    # Each of the first three rows tests its residual twice, one after the
+    # other, when the scalar kernel runs it alone.
+    for x, y0, lam0 in rows[:3]:
+        calls.clear()
+        _scalar(line, x, y0, lam0, 100)
+        assert len(calls) == 2

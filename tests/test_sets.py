@@ -108,6 +108,32 @@ def test_sphere_projection_both_sides():
     assert sph.membership_residual(np.array([0.6, 0.8])) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", [Ball, Sphere])
+@pytest.mark.parametrize(
+    "center, x, direction",
+    [
+        # ||x - c||^2 overflows, x - c does not.
+        ((0.0, 0.0), (1e200, 1e200), (1.0, 1.0)),
+        ((1.0, -2.0), (-1e300, 3.0), (-1.0, 0.0)),
+        ((0.0, 0.0, 0.0), (3e154, -4e154, 0.0), (3.0, -4.0, 0.0)),
+        # x - c itself overflows.
+        ((1e308, 0.0), (-1e308, 1.0), (-1.0, 0.5e-308)),
+    ],
+)
+def test_round_sets_project_points_whose_distance_overflows(kind, center, x, direction):
+    # The nearest point lies on the boundary toward x, not at the center;
+    # the distance overflows and stays inf.
+    oracle = kind(center, 1.0)
+    c = np.array(center)
+    with np.errstate(over="ignore"):
+        p, d = project(oracle, x)
+        (batched,) = oracle._project_rows([x])
+    assert d == math.inf
+    assert oracle.membership_residual(p) <= oracle.membership_tol * (1.0 + np.abs(c).max())
+    np.testing.assert_allclose(p, c + np.array(direction) / np.linalg.norm(direction), rtol=1e-15)
+    assert batched[0].tobytes() == p.tobytes() and batched[1] == d
+
+
 def test_point_set_picks_nearest():
     ps = PointSet([(0.0, 0.0), (2.0, 0.0), (0.0, 3.0)])
     p, d = project(ps, np.array([1.6, 0.1]))
