@@ -37,12 +37,13 @@ without its report tail, which runs the one dual active-set kernel point by
 point.  The level set and manifold curve (``_SmoothSet``) make the interior
 test, then run the Newton starts of the points left as stacks
 (``_newton_stationarity_stack``), whose one-point reference is the scalar
-kernel ``_newton_stationarity``.  Which points restart is one stacked test
-(``_far_rows``), and most batches end there, with no point to restart; the
-ray scans of the points that do restart run as one lockstep scan
-(``_ray_scan_rows``), in which a ray whose f raises stops on its own.  The
-intersection (``IntersectionSet``) refines its rows in lockstep, with one
-member ``_project_rows`` call per sweep.
+kernel ``_newton_stationarity``.  Which points restart is one test
+(``_far_rows``, on stacked row dots from 10 points up), and most batches
+end there, with no point to restart; the ray scans of the points that do
+restart run as one lockstep scan (``_ray_scan_rows``), in which a ray
+whose f raises stops on its own.  The intersection
+(``IntersectionSet``) refines its rows in lockstep, with one member
+``_project_rows`` call per sweep.
 Every evaluation of f, grad or hess over several points goes through
 ``_rows_of``: the callable's row form ``.rows``, looked up at each call,
 where it has one (the polynomial sets of the gallery supply them) and it
@@ -451,14 +452,6 @@ _NEWTON_ITERATIONS = 100
 _NEWTON_TOL = 1e-12
 
 
-@functools.lru_cache(maxsize=64)
-def _identity(n: int) -> np.ndarray:
-    """np.eye(n), built once per n and shared, so read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
 def _newton_step(J, residual):
     """The Newton step of a bordered system: np.linalg.solve, or its
     least-squares solution when J is singular."""
@@ -482,7 +475,7 @@ def _newton_stationarity(f, grad, hess, x, y0, lam0, max_iterations, tol):
     # few corrections without changing the local quadratic phase.  x is an
     # oracle's point, so contiguous, and _norm is np.linalg.norm.
     cap = 10.0 * (1.0 + _norm(x))
-    eye = _identity(n)
+    eye = np.eye(n)
     # The bordered Jacobian [[I + lam H, g], [g^T, 0]] and the residual are
     # rewritten in place; J[n, n] stays 0.
     J = np.zeros((n + 1, n + 1))
@@ -591,7 +584,7 @@ def _newton_lockstep(f, grad, hess, X, Y0, lam0, max_iterations, tol) -> list | 
     at most tol, and runs on if it is finite and above.  Rows that converge
     or go non-finite leave the stack.  The step norms and the caps take
     each row's norm as _norm does (_row_dots), so the cap makes the same
-    decisions on the same bits; only a step over its cap is scaled."""
+    decisions on the same bits."""
     out = [None] * len(X)
     n = X[0].shape[0]
     idx = np.arange(len(X))
@@ -599,7 +592,7 @@ def _newton_lockstep(f, grad, hess, X, Y0, lam0, max_iterations, tol) -> list | 
     Y = np.array(Y0, dtype=float)
     L = np.array(lam0, dtype=float)
     caps = 10.0 * (1.0 + np.sqrt(_row_dots(X, X)))
-    eye = _identity(n)
+    eye = np.eye(n)
     J = np.zeros((len(X), n + 1, n + 1))
     for _ in range(max_iterations):
         G, raised = _rows_of(grad, Y, (n,))
@@ -629,10 +622,8 @@ def _newton_lockstep(f, grad, hess, X, Y0, lam0, max_iterations, tol) -> list | 
         J[:, n, :n] = G
         S = np.linalg.solve(J, -R[:, :, None])[:, :, 0]
         ns = np.sqrt(_row_dots(S, S))
-        over = ns > caps
-        if over.any():
-            for j in np.flatnonzero(over):
-                S[j] *= caps[j] / ns[j]
+        for j in np.flatnonzero(ns > caps):
+            S[j] *= caps[j] / ns[j]
         Y = Y + S[:, :n]
         L = L + S[:, n]
     return out
@@ -740,13 +731,16 @@ def _far_rows(points, firsts) -> list:
     not converge (None), or converged farther than 0.15 (1 + ||x||) from
     the point.  A point whose first start raised never restarts.
 
-    Two or more points take both norms as stacked row dots (_row_dots), the
-    bits of _norm; one point, the solvers' case, takes _norm, which costs
-    less than the stack's fixed cost."""
-    if len(points) == 1:
-        (x,), (y,) = points, firsts
-        near = isinstance(y, np.ndarray) and _norm(y - x) <= 0.15 * (1.0 + _norm(x))
-        return [] if near or isinstance(y, Exception) else [0]
+    From 10 points up both norms are stacked row dots (_row_dots, the bits
+    of _norm).  Fewer points, among them the solvers' single points, take
+    _norm point by point, which below 10 points costs less than the stack's
+    fixed cost."""
+    if len(points) < 10:
+        return [
+            i
+            for i, (x, y) in enumerate(zip(points, firsts))
+            if not (isinstance(y, Exception) or y is not None and _norm(y - x) <= 0.15 * (1.0 + _norm(x)))
+        ]
     X = np.array(points)
     D = np.array([y if isinstance(y, np.ndarray) else x for x, y in zip(X, firsts)]) - X
     near = np.sqrt(_row_dots(D, D)) <= 0.15 * (1.0 + np.sqrt(_row_dots(X, X)))

@@ -607,6 +607,52 @@ def test_project_rows_equal_the_per_seed_projection(oracle, monkeypatch):
     assert {"point", sets.ProjectionNotConvergedError, ValueError} <= kinds
 
 
+@pytest.mark.parametrize("oracle", _cubic_sets(), ids=["curve", "above", "below"])
+def test_small_batches_equal_the_per_seed_projection(oracle, monkeypatch):
+    # Fewer than 10 points take the far test point by point, not stacked.
+    scans = []
+    scan = sets._ray_scan_rows
+
+    def spy(f, points, max_rays=8):
+        scans.append(len(points))
+        return scan(f, points, max_rays)
+
+    monkeypatch.setattr(sets, "_ray_scan_rows", spy)
+    for size in range(2, 10):
+        _assert_projections_match(oracle, [np.array(p) for p in (CUBIC_POINTS[:6] * 2)[:size]])
+    assert max(scans) >= 2
+
+
+def _reference_far_rows(points, firsts):
+    """The per-point far test: the points whose first start did not
+    converge, or converged farther than 0.15 (1 + ||x||) from the point."""
+    return [
+        i
+        for i, (x, y) in enumerate(zip(points, firsts))
+        if not (isinstance(y, Exception) or y is not None and sets._norm(y - x) <= 0.15 * (1.0 + sets._norm(x)))
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 2, 9, 10, 11, 40])
+def test_far_rows_equal_the_per_point_test(size):
+    # Each kind of first start in turn: raised, not converged, near, far,
+    # and at the bound 0.15 (1 + ||x||) up to rounding, on either side of
+    # the switch to stacked row dots at 10 points.
+    rng = np.random.default_rng(size)
+    points, firsts = [], []
+    for k in range(size):
+        x = rng.uniform(-3.0, 3.0, size=2)
+        u = rng.standard_normal(2)
+        u /= sets._norm(u)
+        reach = 0.15 * (1.0 + sets._norm(x))
+        points.append(x)
+        firsts.append([ValueError("raised"), None, x + 0.5 * reach * u, x + 2.0 * reach * u, x + reach * u][k % 5])
+    want = _reference_far_rows(points, firsts)
+    assert sets._far_rows(points, firsts) == want
+    if size >= 5:
+        assert 1 in want and 3 in want and 0 not in want and 2 not in want
+
+
 def _refusing_curve(limit):
     """The cubic curve with a gradient that refuses x1 > limit: ray seeds
     out there, and the starts that wander there, raise."""
