@@ -6,6 +6,8 @@ built on those pieces, and diagnostics that measure convergence rates and
 sampled regularity constants.
 """
 
+from types import ModuleType as _ModuleType
+
 from .diagnostics import (
     InsufficientDataError,
     NoDistanceOracleError,
@@ -70,64 +72,8 @@ from .solvers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineSubspace",
-    "Ball",
-    "Box",
-    "DimensionMismatchError",
-    "ExperimentConfig",
-    "FixedRankSet",
-    "GalleryEntry",
-    "Halfspace",
-    "HalfspaceSet",
-    "HyperplaneSet",
-    "InfeasiblePolyhedronError",
-    "InsufficientDataError",
-    "InsufficientSamplesError",
-    "IntersectionSet",
-    "LevelSet",
-    "ManifoldCurve",
-    "NoDistanceOracleError",
-    "NoSeparationError",
-    "PointSet",
-    "PolyhedralSet",
-    "Polyhedron",
-    "PredictedBounds",
-    "ProblemInstance",
-    "ProjectionNotConvergedError",
-    "QPResult",
-    "RateReport",
-    "RegularityEstimate",
-    "Schedule",
-    "SetOracle",
-    "SolverConfig",
-    "Sphere",
-    "Trace",
-    "TraceRecord",
-    "UnionOfConvex",
-    "UsageError",
-    "ZeroGapError",
-    "analyze_trace",
-    "check_sosh",
-    "check_super_regular",
-    "derived_halfspace",
-    "estimate_regularity",
-    "eta",
-    "gallery_entries",
-    "gallery_names",
-    "get_entry",
-    "halfspace_from_projection",
-    "merit_value",
-    "predicted_bounds",
-    "project",
-    "project_onto_polyhedron",
-    "run_averaged_projections",
-    "run_basic_shqp",
-    "run_experiment",
-    "run_global",
-    "run_map",
-    "run_mass_projection",
-    "run_memory_shqp",
-    "run_sweep",
-    "run_two_shqp",
-]
+# Every public name imported above, sorted; the submodules are not exported.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shqp", description=__doc__.strip().splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run = commands.add_parser("run", parents=[], help="run one experiment")
+    run = commands.add_parser("run", help="run one experiment")
     _add_run_flags(run)
     run.set_defaults(func=_cmd_run)
 

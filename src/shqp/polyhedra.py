@@ -24,9 +24,9 @@ A projection is two parts: ``_solve``, the steps that compute the point
 elimination and h; the dual active set; and x or the verified
 certificate), and the report tail that only project_onto_polyhedron adds
 (multipliers, KKT residual, active set and the QPResult).
-``_nearest_points(poly, X)`` runs only ``_solve``, one point at a time,
-for a polyhedral set's projections; each point gets
-project_onto_polyhedron's point, bit for bit, or its exception.
+``_nearest_point(poly, x0)`` runs only ``_solve``, for a polyhedral set's
+projection (``PolyhedralSet._project``, one call per point of a batch), and
+gives project_onto_polyhedron's point, bit for bit, or its exception.
 
 Arithmetic.  The problems are tiny (a few rows in a few dimensions), so
 most of a projection's cost is numpy's fixed cost per call on 1-4 element
@@ -727,35 +727,18 @@ def project_onto_polyhedron(poly: Polyhedron, x0, warm_start=()) -> QPResult:
     )
 
 
-def _nearest_points(poly: Polyhedron, X) -> list:
-    """project_onto_polyhedron(poly, x).point for each point x of X, bit
-    for bit, without the multipliers, KKT residual and active set; or the
-    exception for that point: InfeasiblePolyhedronError carrying the
-    certificate that project_onto_polyhedron's result would carry, or the
-    exception it raises there (QPBreakdownError).
-
-    X holds 1-d float arrays of the polyhedron's dimension, unchecked.
-    Each point runs _solve on its own, as project_onto_polyhedron does
-    without a warm start.
-    """
-    return [_outcome(_nearest_point, poly, x0) for x0 in X]
-
-
 def _nearest_point(poly, x0):
-    """The nearest point to x0; raises what project_onto_polyhedron
-    raises, or InfeasiblePolyhedronError with the verified certificate."""
+    """project_onto_polyhedron(poly, x0).point, bit for bit, without the
+    multipliers, KKT residual and active set: _solve on its own, as
+    project_onto_polyhedron runs it without a warm start.  x0 is a 1-d
+    float array of the polyhedron's dimension, unchecked.  Raises what
+    project_onto_polyhedron raises (QPBreakdownError), or
+    InfeasiblePolyhedronError with the verified certificate its result
+    would carry."""
     *_, x, cert = _solve(poly, x0, ())
     if cert is None:
         return x
     raise InfeasiblePolyhedronError("empty polyhedron", cert)
-
-
-def _outcome(fn, *args):
-    """fn(*args), or the exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
 
 
 def halfspace_from_projection(

@@ -26,16 +26,15 @@ batch that is not clean, whose stacked path raises, or that signals a
 floating point error the caller's error state does not ignore, is project
 on each point instead, under the caller's state.  The samplers' ball filter
 (_keep_draws) uses the same watch.  The hook answers for each row on its
-own, with _project or the exception it raises there, except on four kinds.
+own, with _project or the exception it raises there (a polyhedral set's
+_project is the QP's one-point kernel), except on three kinds.
 The fixed-rank set (``FixedRankSet``) takes one np.linalg.svd over the
 stack of matrices, which runs gesdd once per matrix, and truncates the
 stack of factors with products that round as the single ones do, the bits
 of _project on each row; the solvers' single points still take _project.
-On the other three, _project is the hook's one-row case.  The polyhedron
-(``PolyhedralSet``) hands its rows to ``polyhedra._nearest_points``, the QP
-without its report tail, which runs the one dual active-set kernel point by
-point.  The level set and manifold curve (``_SmoothSet``) make the interior
-test, then run the Newton starts of the points left as stacks
+On the other two, _project is the hook's one-row case (_one_row).  The
+level set and manifold curve (``_SmoothSet``) make the interior test, then
+run the Newton starts of the points left as stacks
 (``_newton_stationarity_stack``), whose one-point reference is the scalar
 kernel ``_newton_stationarity``.  Which points restart is one test
 (``_far_rows``, on stacked row dots from 10 points up), and most batches
@@ -76,7 +75,6 @@ from typing import Sequence
 import numpy as np
 
 from . import polyhedra
-from .polyhedra import _outcome
 
 __all__ = [
     "SetOracle",
@@ -185,6 +183,14 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     _row_dots(D, D) is the norm _norm(d) of each row.  einsum and sums of
     elementwise products round otherwise: ddot fuses its multiply-adds."""
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
 
 def _clean_stack(points, dimension: int) -> np.ndarray | None:
@@ -719,7 +725,8 @@ def _ray_scan_rows(f, points, max_rays: int = 8) -> list:
 
 def _one_row(oracle: SetOracle, x: np.ndarray) -> np.ndarray:
     """oracle._nearest_rows on the one checked point x: _project for the
-    kinds whose batch hook does the work."""
+    kinds whose batch hook does the work (the smooth sets and the
+    intersection)."""
     (y,) = oracle._nearest_rows([x])
     if isinstance(y, Exception):
         raise y
@@ -975,21 +982,6 @@ class UnionOfConvex(SetOracle):
         return min(mem.membership_residual(p) for mem in self.members)
 
 
-def _polyhedral_failure(exc, x) -> Exception:
-    """The error of a polyhedral set's projection at x for the QP's
-    exception there: an empty polyhedron or a QP breakdown becomes a
-    ProjectionNotConvergedError, caused by it; any other stays."""
-    if isinstance(exc, polyhedra.InfeasiblePolyhedronError):
-        reason = "infeasible"
-    elif isinstance(exc, polyhedra.QPBreakdownError):
-        reason = str(exc)
-    else:
-        return exc
-    err = ProjectionNotConvergedError("polyhedral set projection failed: " + reason, x)
-    err.__cause__ = exc
-    return err
-
-
 class PolyhedralSet(SetOracle):
     """Intersection of finitely many halfspaces, projected by the QP engine.
 
@@ -997,7 +989,8 @@ class PolyhedralSet(SetOracle):
     once (Polyhedron.prepare): its unit rows, parallel pairs and equality
     elimination are shared by every projection, and each projection does
     only the QP work that depends on the point, without the QP's report
-    tail (polyhedra._nearest_points); a batch runs its points one by one.
+    tail: _project is the QP's one-point kernel (polyhedra._nearest_point),
+    and a batch runs it row by row.
     """
 
     kind = "polyhedron"
@@ -1017,16 +1010,15 @@ class PolyhedralSet(SetOracle):
         self.halfspaces = hs
         self._poly = polyhedra.Polyhedron(hs).prepare()
 
-    def _nearest_rows(self, X):
-        """polyhedra._nearest_points on the checked points X, each
-        exception mapped to the ProjectionNotConvergedError the set raises
-        at its point."""
-        return [
-            _polyhedral_failure(y, x) if isinstance(y, Exception) else y
-            for x, y in zip(X, polyhedra._nearest_points(self._poly, X))
-        ]
-
-    _project = _one_row
+    def _project(self, x):
+        """polyhedra._nearest_point at x.  An empty polyhedron or a QP
+        breakdown raises ProjectionNotConvergedError, caused by the QP's
+        exception."""
+        try:
+            return polyhedra._nearest_point(self._poly, x)
+        except (polyhedra.InfeasiblePolyhedronError, polyhedra.QPBreakdownError) as exc:
+            reason = "infeasible" if isinstance(exc, polyhedra.InfeasiblePolyhedronError) else str(exc)
+            raise ProjectionNotConvergedError("polyhedral set projection failed: " + reason, x) from exc
 
     def _residual(self, p):
         return max(0.0, *(h.violation(p) for h in self.halfspaces))

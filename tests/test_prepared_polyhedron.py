@@ -1,7 +1,7 @@
 """A prepared polyhedron (Polyhedron.prepare) projects bit for bit as a
 fresh one-shot project_onto_polyhedron does, and its prepared arrays are
-read-only and never change.  The point-only batch entry
-(polyhedra._nearest_points) gives each point what project_onto_polyhedron
+read-only and never change.  The point-only kernel
+(polyhedra._nearest_point) gives each point what project_onto_polyhedron
 gives it.
 
 The polyhedra mix equality and inequality rows with parallel and
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_harness import TWIN_EQUALITIES_PROBLEM
 
 from shqp import polyhedra, sets
 from shqp.polyhedra import (
@@ -146,7 +147,7 @@ def test_polyhedral_set_projects_as_the_one_shot_qp():
 
 
 def _point_bits(res):
-    """What _nearest_points must give for a project_onto_polyhedron outcome:
+    """What _nearest_point must give for a project_onto_polyhedron outcome:
     the point's bytes, the empty polyhedron's certificate, or the error."""
     if isinstance(res, Exception):
         return type(res).__name__, str(res)
@@ -185,7 +186,8 @@ def test_batch_equals_per_point(problem, size, shift):
     batch = [points[k % 3] * RESCALES[(k + shift) % len(RESCALES)] for k in range(size)]
     want = [_point_bits(_one_shot(Polyhedron(_halfspaces(triples)), x0)) for x0 in batch]
     for poly in (Polyhedron(_halfspaces(triples)).prepare(), Polyhedron(_halfspaces(triples))):
-        assert [_row_bits(y) for y in polyhedra._nearest_points(poly, batch)] == want
+        got = [sets._outcome(polyhedra._nearest_point, poly, x0) for x0 in batch]
+        assert [_row_bits(y) for y in got] == want
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
@@ -195,7 +197,7 @@ def test_step_bound_per_row(monkeypatch, cap):
     monkeypatch.setattr(polyhedra, "_step_bound", lambda m, d: cap)
     corner = Polyhedron([Halfspace((1.0, 0.0), 1.0), Halfspace((0.0, 1.0), 1.0)]).prepare()
     batch = [np.array(v) for v in ([0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [0.5, 4.0], [2.0, 2.0])]
-    got = [_row_bits(y) for y in polyhedra._nearest_points(corner, batch)]
+    got = [_row_bits(sets._outcome(polyhedra._nearest_point, corner, x0)) for x0 in batch]
     assert got == [_point_bits(_one_shot(corner, x0)) for x0 in batch]
     assert {g[0] for g in got if isinstance(g, tuple)} == ({"QPBreakdownError"} if cap < 2 else set())
 
@@ -212,3 +214,37 @@ def test_polyhedral_set_errors_keep_their_messages():
         assert isinstance(out.__cause__, InfeasiblePolyhedronError)
     with pytest.raises(sets.ProjectionNotConvergedError, match="failed: infeasible"):
         sets.project(empty, np.zeros(2))
+
+
+def _failure_bits(exc):
+    return type(exc).__name__, str(exc), type(exc.__cause__).__name__
+
+
+def test_single_projection_maps_the_qp_errors():
+    """sets.project on a polyhedral set raises ProjectionNotConvergedError
+    for the QP's exception, which is its cause: the empty slab's carries
+    the one-shot QP's certificate, and a breakdown keeps its message.  A
+    batch gives each row what project raises there."""
+    slab = [Halfspace((1.0, 0.0), 0.0), Halfspace((-1.0, 0.0), -1.0)]
+    twins = [
+        Halfspace(h["normal"], h["offset"], h.get("kind", "inequality"))
+        for h in TWIN_EQUALITIES_PROBLEM["sets"][0]["halfspaces"]
+    ]
+    points = [np.zeros(2), np.array([0.5, 3.0]), np.array(TWIN_EQUALITIES_PROBLEM["start"])]
+    for hs, cause, message in (
+        (slab, InfeasiblePolyhedronError, "infeasible"),
+        (twins, polyhedra.QPBreakdownError, "empty polyhedron, but its Farkas certificate does not verify"),
+    ):
+        oracle = sets.PolyhedralSet(hs)
+        raised = []
+        for x in points:
+            with pytest.raises(sets.ProjectionNotConvergedError) as info:
+                sets.project(oracle, x)
+            err = info.value
+            assert str(err) == "polyhedral set projection failed: " + message
+            assert type(err.__cause__) is cause
+            if cause is InfeasiblePolyhedronError:
+                want = project_onto_polyhedron(Polyhedron(hs), x).certificate
+                assert err.__cause__.certificate.tobytes() == want.tobytes()
+            raised.append(_failure_bits(err))
+        assert [_failure_bits(out) for out in oracle._project_rows(points)] == raised

@@ -499,22 +499,22 @@ def test_every_solver_projects_each_point_once(monkeypatch):
 
 def _count_qps(monkeypatch):
     """A list that grows by one entry per polyhedral QP: each
-    project_onto_polyhedron call, and each point of a polyhedral set's
-    batch entry (polyhedra._nearest_points), which runs the same QP
+    project_onto_polyhedron call, and each call of a polyhedral set's
+    one-point kernel (polyhedra._nearest_point), which runs the same QP
     without its report tail."""
     qps = []
-    project, nearest = polyhedra.project_onto_polyhedron, polyhedra._nearest_points
+    project, nearest = polyhedra.project_onto_polyhedron, polyhedra._nearest_point
 
     def counting_qp(*args, **kwargs):
         qps.append(1)
         return project(*args, **kwargs)
 
-    def counting_rows(poly, X):
-        qps.extend([1] * len(X))
-        return nearest(poly, X)
+    def counting_point(poly, x0):
+        qps.append(1)
+        return nearest(poly, x0)
 
     monkeypatch.setattr(polyhedra, "project_onto_polyhedron", counting_qp)
-    monkeypatch.setattr(polyhedra, "_nearest_points", counting_rows)
+    monkeypatch.setattr(polyhedra, "_nearest_point", counting_point)
     return qps
 
 

@@ -1,4 +1,5 @@
-"""The worst-case work of one smooth-set projection, pinned by counting.
+"""The worst-case work of one smooth-set projection and of one
+intersection batch, pinned by counting.
 
 A level set or manifold curve projects a point by Newton on the
 stationarity system: one start from (x, 0), and, when that answer is not
@@ -6,8 +7,9 @@ near, one restart from each boundary seed of a scan along 8 rays.  Each
 start runs at most 100 iterations, and each ray of the scan at most 10
 steps out and 60 bisections.  So one projection makes at most 1 + 8
 Newton starts of at most 100 iterations each, and at most 1 + 8 x (10 + 60)
-evaluations of f in its ray scan.  The README's "Worst-case work" table
-cites these tests.
+evaluations of f in its ray scan.  An intersection batch makes at most
+INTERSECTION_SWEEPS sweeps of member projections.  The README's
+"Worst-case work" table cites these tests.
 """
 
 import numpy as np
@@ -97,3 +99,32 @@ def test_one_smooth_projection_is_bounded_where_restarts_run_to_the_cap(monkeypa
     # rays that found a seed bisected 60 times.
     assert hess.rows_in_newton >= 3 * MAX_ITERATIONS
     assert f.rows_in_scan >= 1 + MAX_RAYS * 60
+
+
+def test_one_intersection_batch_makes_at_most_the_sweep_cap(monkeypatch):
+    """One IntersectionSet batch makes at most INTERSECTION_SWEEPS sweeps,
+    each one _project_rows call per member over the rows still running.
+    Two lines 1e-3 rad apart meet at the origin so slowly that 7 sweeps
+    leave the far rows short of membership; the origin row ends after its
+    first sweep."""
+    monkeypatch.setattr(sets, "INTERSECTION_SWEEPS", 7)
+    members = [
+        sets.HyperplaneSet((0.0, 1.0), 0.0),
+        sets.HyperplaneSet((-np.sin(1e-3), np.cos(1e-3)), 0.0),
+    ]
+    calls = [0] * len(members)
+    for k, mem in enumerate(members):
+        rows = mem._project_rows
+
+        def counted(points, k=k, rows=rows):
+            calls[k] += 1
+            return rows(points)
+
+        monkeypatch.setattr(mem, "_project_rows", counted)
+    batch = [np.array([1.0, 1.0]), np.array([5.0, -2.0]), np.zeros(2)]
+    far_a, far_b, origin = sets.IntersectionSet(members)._project_rows(batch)
+    assert calls == [7, 7]
+    assert isinstance(far_a, sets.ProjectionNotConvergedError)
+    assert isinstance(far_b, sets.ProjectionNotConvergedError)
+    nearest, distance = origin
+    assert nearest.tolist() == [0.0, 0.0] and distance == 0.0
