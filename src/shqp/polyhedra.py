@@ -25,8 +25,12 @@ elimination and h; the dual active set; and x or the verified
 certificate), and the report tail that only project_onto_polyhedron adds
 (multipliers, KKT residual, active set and the QPResult).
 ``_nearest_point(poly, x0)`` runs only ``_solve``, for a polyhedral set's
-projection (``PolyhedralSet._project``, one call per point of a batch), and
-gives project_onto_polyhedron's point, bit for bit, or its exception.
+single projection (``PolyhedralSet._project``), and gives
+project_onto_polyhedron's point, bit for bit, or its exception.  A
+polyhedral set's batch runs ``_nearest_points(poly, X)``: the same
+arithmetic on every row of the stack in lockstep, on a prepared polyhedron
+with no parallel pair and no equality row, whose rows end on full steps
+alone; otherwise it declines, and each row takes ``_nearest_point``.
 
 Arithmetic.  The problems are tiny (a few rows in a few dimensions), so
 most of a projection's cost is numpy's fixed cost per call on 1-4 element
@@ -81,6 +85,16 @@ def _vector_norm(a: np.ndarray) -> float:
     array takes its dot without the dispatch; any other keeps numpy's norm,
     since a dot over a strided view can sum in another order."""
     return math.sqrt(a.dot(a)) if a.ndim == 1 and a.flags.c_contiguous else np.linalg.norm(a)
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[i].dot(B[i]) for each row i of two C-contiguous 2-d float arrays,
+    bit for bit.  matmul over the stack of 1 x n by n x 1 products calls
+    BLAS ddot once per row, as dot does; so the square root of
+    _row_dots(D, D) is the norm _vector_norm(d) (sets._norm) of each row,
+    and _row_dots(D, E) is each row's d @ e.  einsum and sums of
+    elementwise products round otherwise: ddot fuses its multiply-adds."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 class ZeroGapError(ValueError):
@@ -739,6 +753,124 @@ def _nearest_point(poly, x0):
     if cert is None:
         return x
     raise InfeasiblePolyhedronError("empty polyhedron", cert)
+
+
+def _most_violated_rows(G, U, H, active):
+    """_most_violated on each row of a lockstep scan: (p, top) as arrays,
+    from the violations G u - h (one broadcast gemv per row, as G @ u is)
+    with the ``active`` rows masked to -inf.  argmax takes the first
+    maximum or the first NaN, as _most_violated does."""
+    V = np.matmul(G, U[:, :, None])[:, :, 0] - H
+    n = np.arange(len(V))
+    V[n[:, None], active] = -np.inf
+    p = V.argmax(axis=1)
+    return p, V[n, p]
+
+
+def _substitute(R, y, transpose):
+    """_ActiveFactor's substitutions on a stack of q x q factors R
+    (k, width, width) and right-hand sides y (k, q), as column loops in the
+    scalar order: the forward one (R^T x = y) with ``transpose``, the back
+    one (R x = y, _back_substitute) without.  Each sum starts from 0.0 and
+    adds its products in order, as sum() over Python floats does."""
+    q = y.shape[1]
+    x = np.empty(y.shape)
+    for i in range(q) if transpose else reversed(range(q)):
+        acc = np.zeros(len(y))
+        for j in range(i) if transpose else range(i + 1, q):
+            acc = acc + (R[:, j, i] if transpose else R[:, i, j]) * x[:, j]
+        x[:, i] = (y[:, i] - acc) / R[:, i, i]
+    return x
+
+
+def _nearest_points(poly, X):
+    """_nearest_point on each row of X, a C-contiguous (k, d) stack of
+    checked points, as a list of nearest points; or None, and each row then
+    goes to _nearest_point.
+
+    The stack applies to a prepared polyhedron with no parallel pair and no
+    equality row: there _prelude is h = b - G x0, and the dual active set
+    starts from no active row.  The rows run in lockstep, one scan
+    (_most_violated_rows) per step.  A row ends at its optimum or takes one
+    full step, so at scan s every running row has s active rows and its
+    factor is built by adds alone; so a batch makes at most min(m, d) + 1
+    scans.  The stack declines where that does not hold, or where the
+    scalar kernel would raise or certify an empty polyhedron: when a step
+    would be partial (t == t1, which drops a row; a NaN violation enters
+    as _most_violated picks it, and its NaN step declines here), when an
+    entering direction depends on the active rows (the dual ray's case),
+    and when the step count would reach _step_bound(m, d).  It raises no
+    QP error itself.
+
+    Each row runs _solve's arithmetic on its own entries: the scale from
+    the row dots of x0 (_row_dots, x0 @ x0) and max; h and every G u, Q^T g
+    and Q y as broadcast matmuls over the stack, which give each row the
+    gemv (or dot) of the single product, with each factor Q kept at its
+    d x width layout; the substitutions in the scalar order (_substitute);
+    t = min(t1, v) as Python's min gives it (t1 unless v < t1, a NaN v
+    too); and u at the optimum from the factor's solve, as _optimum
+    computes it, not from the iterate."""
+    prep = poly._prepared
+    if prep is None or prep.pairs or prep.split.Z is not None:
+        return None
+    G, b = prep.split.G, prep.split.b_in
+    (m, d), k = G.shape, len(X)
+    width, cap = min(m, d), _step_bound(m, d)
+    scale = np.sqrt(_row_dots(X, X))
+    scale = np.where(scale > 1.0, scale, 1.0)
+    feas = 1e-11 * np.where(prep.b_max > scale, prep.b_max, scale)
+    H = b - np.matmul(G, X[:, :, None])[:, :, 0]
+    U = np.zeros((k, d))
+    Q = np.empty((k, d, width))
+    R = np.zeros((k, width, width))
+    lam = np.empty((k, width))
+    active = np.empty((k, width), dtype=np.intp)
+    rows, out = np.arange(k), np.empty((k, d))
+    s = 0
+    while True:
+        p, top = _most_violated_rows(G, U, H, active[:, :s])
+        done = top <= feas
+        if done.any():
+            Hd = H[done]
+            y = _substitute(R[done], Hd[np.arange(len(Hd))[:, None], active[done, :s]], True)
+            out[rows[done]] = X[rows[done]] + np.matmul(Q[done][:, :, :s], y[:, :, None])[:, :, 0]
+            step = ~done
+            if not step.any():
+                return list(out)
+            rows, U, H, Q, R, lam, active, feas, p = (
+                a[step] for a in (rows, U, H, Q, R, lam, active, feas, p)
+            )
+        if s >= cap:
+            return None
+        g = G[p]
+        if s:
+            Qs = Q[:, :, :s]
+            Qt = Qs.transpose(0, 2, 1)
+            dv = np.matmul(Qt, g[:, :, None])
+            z = g - np.matmul(Qs, dv)[:, :, 0]
+            ds = np.matmul(Qt, z[:, :, None])
+            dv, z = (dv + ds)[:, :, 0], z - np.matmul(Qs, ds)[:, :, 0]
+        else:
+            dv, z = np.empty((len(g), 0)), g
+        zz = _row_dots(z, z)
+        if (zz <= _DEPENDENT**2).any():
+            return None
+        r = _substitute(R, dv, False)
+        ratios = np.full(r.shape, np.inf)
+        np.divide(lam[:, :s], r, out=ratios, where=r > _DEPENDENT)
+        t1 = ratios.min(axis=1, initial=np.inf)
+        t = (_row_dots(g, U) - H[np.arange(len(H)), p]) / zz
+        if not (t < t1).all():
+            return None
+        U = U - t[:, None] * z
+        lam[:, :s] = lam[:, :s] - t[:, None] * r
+        lam[:, s] = 0.0 + t
+        zn = np.sqrt(zz)
+        Q[:, :, s] = z / zn[:, None]
+        R[:, :s, s] = dv
+        R[:, s, s] = zn
+        active[:, s] = p
+        s += 1
 
 
 def halfspace_from_projection(

@@ -26,8 +26,14 @@ batch that is not clean, whose stacked path raises, or that signals a
 floating point error the caller's error state does not ignore, is project
 on each point instead, under the caller's state.  The samplers' ball filter
 (_keep_draws) uses the same watch.  The hook answers for each row on its
-own, with _project or the exception it raises there (a polyhedral set's
-_project is the QP's one-point kernel), except on three kinds.
+own, with _project or the exception it raises there, except on four kinds.
+The polyhedral set (``PolyhedralSet``) runs the QP's dual active set on
+the whole stack in lockstep (polyhedra._nearest_points), each row with the
+arithmetic of its one-point kernel, _project (polyhedra._nearest_point),
+which the solvers' single points still take.  The stack declines, and each
+row goes to _project, on a polyhedron with a parallel row pair or an
+equality row, and when a step would be partial or its direction depends
+on the active rows, or the step count would reach the QP's bound.
 The fixed-rank set (``FixedRankSet``) takes one np.linalg.svd over the
 stack of matrices, which runs gesdd once per matrix, and truncates the
 stack of factors with products that round as the single ones do, the bits
@@ -75,6 +81,7 @@ from typing import Sequence
 import numpy as np
 
 from . import polyhedra
+from .polyhedra import _row_dots
 
 __all__ = [
     "SetOracle",
@@ -174,15 +181,6 @@ def _unit(v) -> np.ndarray | None:
     """v / ||v||, or None when ||v|| <= 1e-14."""
     nv = np.linalg.norm(v)
     return None if nv <= 1e-14 else v / nv
-
-
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A[i].dot(B[i]) for each row i of two C-contiguous 2-d float arrays,
-    bit for bit.  matmul over the stack of 1 x n by n x 1 products calls
-    BLAS ddot once per row, as dot does; so the square root of
-    _row_dots(D, D) is the norm _norm(d) of each row.  einsum and sums of
-    elementwise products round otherwise: ddot fuses its multiply-adds."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def _outcome(fn, *args):
@@ -990,7 +988,8 @@ class PolyhedralSet(SetOracle):
     elimination are shared by every projection, and each projection does
     only the QP work that depends on the point, without the QP's report
     tail: _project is the QP's one-point kernel (polyhedra._nearest_point),
-    and a batch runs it row by row.
+    and a batch runs the same arithmetic as one lockstep stack
+    (polyhedra._nearest_points), or row by row where the stack declines.
     """
 
     kind = "polyhedron"
@@ -1009,6 +1008,12 @@ class PolyhedralSet(SetOracle):
         super().__init__(dim)
         self.halfspaces = hs
         self._poly = polyhedra.Polyhedron(hs).prepare()
+
+    def _nearest_rows(self, X):
+        """polyhedra._nearest_points on the whole stack, or, where the
+        stack declines, _project row by row with each row's exception."""
+        Y = polyhedra._nearest_points(self._poly, X)
+        return super()._nearest_rows(X) if Y is None else Y
 
     def _project(self, x):
         """polyhedra._nearest_point at x.  An empty polyhedron or a QP

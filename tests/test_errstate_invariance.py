@@ -1,6 +1,6 @@
 """A caller's numpy error state changes no result.
 
-Every gallery solver run, from the starts `test_trace_pins` uses, and two
+Every gallery solver run, from the starts `test_trace_pins` uses, and three
 `shqp run` reports through `cli.main` give the same digests under numpy's
 default error state, with every error raising, with underflow raising, and
 with every error ignored.  The digests are compared within one process, so
@@ -21,9 +21,10 @@ from test_trace_pins import _runs, _starts, _trace_bytes
 DEFAULT = {"divide": "warn", "over": "warn", "under": "ignore", "invalid": "warn"}
 STATES = {"all-raise": {"all": "raise"}, "under-raise": {"under": "raise"}, "all-ignore": {"all": "ignore"}}
 
-# The two reports put the smooth sets' Newton stacks, the intersection
-# refinement and the fixed-rank stacked SVD under the caller's state.
-REPORTS = [("parabola-lens", "mass"), ("rank1-affine", "basic-shqp")]
+# The three reports put the smooth sets' Newton stacks, the intersection
+# refinement, the fixed-rank stacked SVD, and the polyhedral stack with the
+# 3-row intersection oracle's batch under the caller's state.
+REPORTS = [("parabola-lens", "mass"), ("rank1-affine", "basic-shqp"), ("backtrack-example", "mass")]
 
 
 def _gallery_digests():
