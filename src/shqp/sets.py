@@ -25,8 +25,18 @@ _norm (_stacked_outcomes).  All of it runs under one watch (_watch).  A
 batch that is not clean, whose stacked path raises, or that signals a
 floating point error the caller's error state does not ignore, is project
 on each point instead, under the caller's state.  The samplers' ball filter
-(_keep_draws) uses the same watch.  The hook answers for each row on its
-own, with _project or the exception it raises there, except on four kinds.
+(_keep_draws) uses the same watch.  Every kind but the union stacks its
+batches.  The halfspace, hyperplane, affine subspace, ball, sphere, box
+and point set run their one-point formula, _project, over the whole stack,
+each row with the arithmetic _project gives it alone, and all but the
+point set answer with one (k, dimension) array, which the batch boundary
+reads as it is; the solvers' single points still take _project.  Their
+hooks decline, and hand the stack to the base hook, which runs _project
+row by row with each row's exception, where a subclass replaces _project,
+where a sphere row is within 1e-14 of the center, and where a ball or
+sphere row's norm is not finite (an overflow the caller ignores, which
+needs _radial's halving).  The base hook serves the union, a subclass
+that replaces _project, and a stack that declines.
 The polyhedral set (``PolyhedralSet``) runs the QP's dual active set on
 the whole stack in lockstep (polyhedra._nearest_points), each row with the
 arithmetic of its one-point kernel, _project (polyhedra._nearest_point),
@@ -230,7 +240,8 @@ class SetOracle:
 
     def _nearest_rows(self, X) -> list:
         """The nearest point to each checked point (row) of X, or the
-        exception that _project raises there; by default _project row by
+        exception that _project raises there, as a list, or as one array
+        like X where every row is answered; by default _project row by
         row."""
         out = []
         for x in X:
@@ -308,6 +319,19 @@ class _LinearSet(SetOracle):
             return x.copy()
         return x - s * self.normal
 
+    def _nearest_rows(self, X):
+        """_project on each checked point of X, as one stack: normal @ x is
+        a matmul of the normal by each n x 1 row, one ddot per row as the
+        single product, and only the rows that move take x - s * normal."""
+        if type(self)._project is not _LinearSet._project:
+            return super()._nearest_rows(X)
+        a = self.normal
+        s = (np.matmul(a, X[:, :, None])[:, 0] - self.offset) / (a @ a)
+        move = slice(None) if self.is_manifold else ~(s <= 0.0)
+        Y = X.copy()
+        Y[move] -= s[move, None] * a
+        return Y
+
 
 class HalfspaceSet(_LinearSet):
     """{x : <a, x> <= b}."""
@@ -352,6 +376,15 @@ class AffineSubspace(SetOracle):
         d = x - self.point
         return self.point + self.basis.T @ (self.basis @ d)
 
+    def _nearest_rows(self, X):
+        """_project on each checked point of X, as one stack: both products
+        are broadcast matmuls over the stack of n x 1 rows, which give each
+        row the gemv (or dot) of the single product."""
+        if type(self)._project is not AffineSubspace._project:
+            return super()._nearest_rows(X)
+        D = X - self.point
+        return self.point + np.matmul(self.basis.T, np.matmul(self.basis, D[:, :, None]))[:, :, 0]
+
     def analytic_normal(self, x):
         # Only a hyperplane-like subspace has a well-defined normal line.
         if self.dimension - self.basis.shape[0] != 1:
@@ -386,6 +419,27 @@ class _RoundSet(SetOracle):
             v = v / np.abs(v).max()
             nv = _norm(v)
         return self.center + (self.radius / nv) * v
+
+    def _nearest_rows(self, X):
+        """_project on each checked point of X, as one stack: the norms of
+        the rows v = x - c are row dots (_row_dots, the bits of _norm), and
+        each row the set moves is c + (r / nv) v: every row of a sphere, and
+        only the rows outside a ball, so that a ball row at the center
+        divides by no 0.  Row by row where a subclass replaces _project,
+        where a sphere row is within 1e-14 of the center (the set-valued
+        case), or where a norm is not finite (an overflow the caller
+        ignores, which needs _radial's halving)."""
+        sphere = self.is_manifold
+        if type(self)._project is not (Sphere._project if sphere else Ball._project):
+            return super()._nearest_rows(X)
+        V = X - self.center
+        nv = np.sqrt(_row_dots(V, V))
+        if not np.isfinite(nv).all() or sphere and not (nv > 1e-14).all():
+            return super()._nearest_rows(X)
+        move = slice(None) if sphere else nv > self.radius
+        Y = X.copy()
+        Y[move] = self.center + (self.radius / nv[move])[:, None] * V[move]
+        return Y
 
 
 class Ball(_RoundSet):
@@ -423,6 +477,15 @@ class Box(SetOracle):
 
     def _project(self, x):
         return np.clip(x, self.lower, self.upper)
+
+    def _nearest_rows(self, X):
+        """_project on each checked point of X, as one stack: np.maximum
+        then np.minimum, whose signed zeros are np.clip's on one point.
+        np.clip on a stack can return +0.0 where it gives -0.0 on the row
+        alone (numpy 2.4)."""
+        if type(self)._project is not Box._project:
+            return super()._nearest_rows(X)
+        return np.minimum(np.maximum(X, self.lower), self.upper)
 
 
 class Sphere(_RoundSet):
@@ -950,6 +1013,15 @@ class PointSet(SetOracle):
     def _project(self, x):
         return _nearest(self.points, np.linalg.norm(self.points - x, axis=1))
 
+    def _nearest_rows(self, X):
+        """_project on each checked point of X: the distances to every
+        member as one stack, each row's the sum np.linalg.norm takes along
+        its last axis, then _nearest on each row."""
+        if type(self)._project is not PointSet._project:
+            return super()._nearest_rows(X)
+        D = self.points - X[:, None, :]
+        return [_nearest(self.points, d) for d in np.sqrt(np.add.reduce(D * D, axis=2))]
+
     def _residual(self, p):
         return float(np.linalg.norm(self.points - p, axis=1).min())
 
@@ -1137,9 +1209,14 @@ def _stacked_outcomes(oracle: SetOracle, P: np.ndarray) -> list:
     """project(oracle, p) for each row p of P, a (k, dimension) stack of
     checked points, under _project_rows' watch: the set's _nearest_rows on
     the whole stack, and the distances of all rows it answers as one
-    stacked row dot (_row_dots), the bits of _norm.  A NaN distance signals
-    nothing, and is what project gives."""
+    stacked row dot (_row_dots), the bits of _norm.  A hook that answers
+    every row with one (k, dimension) array is read as it is, and each
+    entry gets a copy of its row.  A NaN distance signals nothing, and is
+    what project gives."""
     Y = oracle._nearest_rows(P)
+    if isinstance(Y, np.ndarray):
+        D = P - Y
+        return list(zip(map(np.ndarray.copy, Y), np.sqrt(_row_dots(D, D)).tolist()))
     done = [j for j, y in enumerate(Y) if not isinstance(y, Exception)]
     D = P[done] - np.array([Y[j] for j in done]).reshape(len(done), oracle.dimension)
     for j, d in zip(done, np.sqrt(_row_dots(D, D)).tolist()):
