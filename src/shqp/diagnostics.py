@@ -310,11 +310,13 @@ def estimate_regularity(
     @functools.cache
     def projected(li):
         """Each distinct draw batch of set li with its projections, from one
-        batch projection of them all."""
+        batch projection of them all: each batch's slice of the batch's
+        stacks (sets._Outcomes)."""
         s, unique = problem.sets[li], list(dict.fromkeys(keys[li]))
         ws = [sets_mod._draw_ball(s.dimension, centers[li], r, 160, seed) for r, seed in unique]
-        outs = iter(s._project_rows(np.concatenate(ws)))
-        return {key: (w, list(itertools.islice(outs, len(w)))) for key, w in zip(unique, ws)}
+        outs = s._project_rows(np.concatenate(ws))
+        ends = list(itertools.accumulate(len(w) for w in ws))
+        return {key: (w, outs[end - len(w) : end]) for key, w, end in zip(unique, ws, ends)}
 
     @functools.cache
     def draws(li, key):

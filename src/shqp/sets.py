@@ -10,10 +10,11 @@ points exist, the lexicographically smallest one is returned.
 
 The regularity report projects its draws as batches, through
 ``SetOracle._project_rows(points)``, and so does the intersection's
-refinement onto its members; the solvers never call it.  Its entries are bit
-for bit what :func:`project` returns on each point, or the exception it
-raises there, and no nearest point shares memory with another entry or with
-an input.  There is one such method, on the base class.
+refinement onto its members; the solvers never call it.  It answers with
+one ``_Outcomes``, whose entries are bit for bit what :func:`project`
+returns on each point, or the exception it raises there, and no nearest
+point it hands out shares memory with another entry or with an input.
+There is one such method, on the base class.
 
 Every stacked path follows one rule: it answers only when it answers for
 the whole stack, and otherwise each row goes to its one-point reference.
@@ -28,14 +29,14 @@ on each point instead, under the caller's state.  The samplers' ball filter
 (_keep_draws) uses the same watch.  Every kind but the union stacks its
 batches.  The halfspace, hyperplane, affine subspace, ball, sphere, box
 and point set run their one-point formula, _project, over the whole stack,
-each row with the arithmetic _project gives it alone, and all but the
-point set answer with one (k, dimension) array, which the batch boundary
-reads as it is; the solvers' single points still take _project.  Their
-hooks decline, and hand the stack to the base hook, which runs _project
-row by row with each row's exception, where a subclass replaces _project,
-where a sphere row is within 1e-14 of the center, and where a ball or
-sphere row's norm is not finite (an overflow the caller ignores, which
-needs _radial's halving).  The base hook serves the union, a subclass
+each row with the arithmetic _project gives it alone, and each answers
+with one (k, dimension) array, which the batch boundary reads as it is;
+the solvers' single points still take _project.  Their hooks decline,
+and hand the stack to the base hook, which runs _project row by row with
+each row's exception, where a subclass replaces _project, where a sphere
+row is within 1e-14 of the center, and where a ball or sphere row's norm
+is not finite (an overflow the caller ignores, which needs _radial's
+halving).  The base hook serves the union, a subclass
 that replaces _project, and a stack that declines.
 The polyhedral set (``PolyhedralSet``) runs the QP's dual active set on
 the whole stack in lockstep (polyhedra._nearest_points), each row with the
@@ -57,8 +58,10 @@ kernel ``_newton_stationarity``.  Which points restart is one test
 end there, with no point to restart; the ray scans of the points that do
 restart run as one lockstep scan (``_ray_scan_rows``), in which a ray
 whose f raises stops on its own.  The intersection
-(``IntersectionSet``) refines its rows in lockstep, with one member
-``_project_rows`` call per sweep.
+(``IntersectionSet``) refines its rows in lockstep, in one array, with
+one member ``_project_rows`` call per sweep, and takes the membership
+residuals of its running rows as one stack per member where every member
+is a level set or manifold curve (``_smooth_residuals``).
 Every evaluation of f, grad or hess over several points goes through
 ``_rows_of``: the callable's row form ``.rows``, looked up at each call,
 where it has one (the polynomial sets of the gallery supply them) and it
@@ -69,16 +72,20 @@ The samplers behind the report (``_ball_draws``, ``_super_regular_worst``
 with ``_pair_ratios``, ``_sosh_worst``) make a few numpy calls over all of
 their draws, with the bits a loop over the draws would give.  Only the
 generator is called draw by draw.  The draws stay stacked from the generator
-to the reductions (``_Draws``), which read a list of (w, y, gap) tuples the
-same way.  ``_ball_draws`` is three steps, drawing (``_draw_ball``), one
-batch projection and keeping (``_keep_draws``), so that the regularity
-estimate can project all of a set's draw batches as one.  On a manifold
-the ratio reduction takes both signs of a draw's normal from one
-difference tensor.  Every norm and dot product of a draw is a stacked row
-dot (``_row_dots``): a matmul of 1 x n by n x 1 rows, which calls BLAS
-ddot on each row as ``a.dot(b)`` and ``_norm`` do.  einsum and sums of
-elementwise products are not used, because ddot fuses multiply-adds and
-they do not, so they differ from it in the last bit on most rows.
+to the reductions: the batch projection answers with its stacks
+(``_Outcomes``: the nearest points, the distances and the rows that
+raised), which ``_keep_draws`` filters as they are, and the kept draws are
+stacks too (``_Draws``).  Each reads a list of entries, or of (w, y, gap)
+tuples, the same way.  ``_ball_draws`` is three steps, drawing
+(``_draw_ball``), one batch projection and keeping (``_keep_draws``), so
+that the regularity estimate can project all of a set's draw batches as
+one and hand each its slice.  On a manifold the ratio reduction takes one
+ratio per (normal, member) pair for both signs of the normal.  Every norm
+and dot product of a draw is a stacked row dot (``_row_dots``): a matmul
+of 1 x n by n x 1 rows, which calls BLAS ddot on each row as ``a.dot(b)``
+and ``_norm`` do.  einsum and sums of elementwise products are not used,
+because ddot fuses multiply-adds and they do not, so they differ from it
+in the last bit on most rows.
 """
 
 from __future__ import annotations
@@ -251,12 +258,12 @@ class SetOracle:
                 out.append(exc)
         return out
 
-    def _project_rows(self, points) -> list:
-        """project(self, x) for each x in points, in order, bit for bit: an
-        entry is project's ``(nearest, distance)``, or the exception that
-        project raises on that point, and no nearest point shares memory
-        with another entry or with an input.  The regularity report's batch
-        projection (the module docstring has the contract).
+    def _project_rows(self, points) -> _Outcomes:
+        """project(self, x) for each x in points, in order, bit for bit, as
+        an _Outcomes: an entry is project's ``(nearest, distance)``, or the
+        exception that project raises on that point, and no nearest point
+        shares memory with another entry or with an input.  The regularity
+        report's batch projection (the module docstring has the contract).
 
         A clean batch is checked as a whole (_clean_stack) and goes to
         _stacked_outcomes as one stack, under one _watch.  That answer
@@ -267,9 +274,9 @@ class SetOracle:
         with _watch() as signalled:
             P = _clean_stack(points, self.dimension)
             out = None if P is None else _outcome(_stacked_outcomes, self, P)
-        if isinstance(out, list) and not signalled:
+        if isinstance(out, _Outcomes) and not signalled:
             return out
-        return [_outcome(project, self, x) for x in points]
+        return _outcome_stacks([_outcome(project, self, x) for x in points], self.dimension)
 
     def membership_residual(self, x) -> float:
         """How far x is from satisfying the set's defining conditions."""
@@ -954,6 +961,34 @@ class ManifoldCurve(_SmoothSet):
         return abs(self.f(p)) / max(gn, 1.0)
 
 
+def _smooth_residuals(oracle: SetOracle, Y: np.ndarray) -> np.ndarray | None:
+    """oracle._residual on each row of Y, a stack of finite points, as one
+    array, or None where the rows take it one by one: the oracle is not a
+    LevelSet or ManifoldCurve with its class's _residual, or f or grad
+    raised on a row.  f and grad are evaluated over the stack (_rows_of);
+    max(0.0, f) and max(gn, 1.0) are np.where on the comparisons Python's
+    max makes, and the gradient norms are stacked row dots, the ddot of
+    np.linalg.norm."""
+    numerator = _RESIDUAL_NUMERATORS.get(type(oracle)._residual)
+    if numerator is None:
+        return None
+    F, raised = _rows_of(oracle.f, Y)
+    G, raised_grad = _rows_of(oracle.grad, Y, (Y.shape[1],))
+    if raised or raised_grad:
+        return None
+    G = np.ascontiguousarray(G, dtype=float)
+    gn = np.sqrt(_row_dots(G, G))
+    return numerator(F) / np.where(1.0 > gn, 1.0, gn)
+
+
+# The numerator of each smooth set's _residual over a stack of f values:
+# max(0.0, f) on a level set, abs(f) on a manifold curve.
+_RESIDUAL_NUMERATORS = {
+    LevelSet._residual: lambda F: np.where(F > 0.0, F, 0.0),
+    ManifoldCurve._residual: np.abs,
+}
+
+
 class FixedRankSet(SetOracle):
     """Matrices (flattened row-major) with rank at most ``rank``.
 
@@ -1014,13 +1049,22 @@ class PointSet(SetOracle):
         return _nearest(self.points, np.linalg.norm(self.points - x, axis=1))
 
     def _nearest_rows(self, X):
-        """_project on each checked point of X: the distances to every
-        member as one stack, each row's the sum np.linalg.norm takes along
-        its last axis, then _nearest on each row."""
+        """_project on each checked point of X, as one array: the distances
+        to every member as one stack, each row's the sum np.linalg.norm
+        takes along its last axis, then _nearest's rule over the stack: the
+        row minima, the members within 1e-12 of them, and only on a row
+        where more than one ties, the lexicographically smallest of those
+        (the first of equal ones).  The distances are finite or +inf, so
+        the minima are those of Python's min."""
         if type(self)._project is not PointSet._project:
             return super()._nearest_rows(X)
         D = self.points - X[:, None, :]
-        return [_nearest(self.points, d) for d in np.sqrt(np.add.reduce(D * D, axis=2))]
+        dists = np.sqrt(np.add.reduce(D * D, axis=2))
+        ties = dists <= (dists.min(axis=1) + 1e-12)[:, None]
+        idx = ties.argmax(axis=1)
+        for j in np.flatnonzero(ties.sum(axis=1) > 1):
+            idx[j] = min(np.flatnonzero(ties[j]), key=lambda i: tuple(self.points[i]))
+        return self.points[idx]
 
     def _residual(self, p):
         return float(np.linalg.norm(self.points - p, axis=1).min())
@@ -1136,50 +1180,82 @@ class IntersectionSet(SetOracle):
         """The refinement from each checked point of X: entry i is the point
         it reaches from X[i], or the error it raises there.
 
-        The rows run in lockstep.  Each sweep makes one _project_rows call
-        per member over the rows still running, so every row sees what
-        project gives on its iterate; then each row makes its own tests: it
-        returns below residual 1e-12, or stops once it has not moved (by
-        1e-15) in any member projection or over the whole sweep.  A stopped
-        row, and one that used every sweep, is returned if its last
-        residual meets the membership tolerance; otherwise it raises with
-        its last iterate.  A row whose projection or residual raises keeps
-        that error and leaves the lockstep."""
-        out, residual = [None] * len(X), [None] * len(X)
-        Y = [x.copy() for x in X]
-        live, stopped = list(range(len(X))), []
+        The rows run in lockstep, in one array.  Each sweep makes one
+        _project_rows call per member over the rows still running, so every
+        row sees what project gives on its iterate; then each row makes its
+        own tests: it returns below residual 1e-12, or stops once it has not
+        moved (by 1e-15) in any member projection or over the whole sweep.
+        A stopped row, and one that used every sweep, is returned if its
+        last residual meets the membership tolerance; otherwise it raises
+        with its last iterate.  A row whose projection or residual raises
+        keeps that error and leaves the lockstep.  The moves are stacked
+        row dots (_row_dots, the bits of _norm), the largest taken as
+        Python's max takes it, and the residuals are _residual_rows'."""
+        out = [None] * len(X)
+        Y = np.array(X, dtype=float)
+        residual = np.full(len(X), np.nan)
+        live, stopped = np.arange(len(X)), []
         for _ in range(INTERSECTION_SWEEPS):
-            if not live:
+            if not len(live):
                 break
-            start, moved = list(Y), [0.0] * len(X)
+            start, moved = Y[live], np.zeros(len(live))
             for mem in self.members:
-                for i, res in zip(live, mem._project_rows([Y[i] for i in live])):
-                    if isinstance(res, Exception):
-                        out[i] = res
-                    else:
-                        moved[i] = max(moved[i], _norm(res[0] - Y[i]))
-                        Y[i] = res[0]
-                live = [i for i in live if out[i] is None]
-            running = []
-            for i in live:
-                r = residual[i] = _outcome(self._residual, Y[i])
-                if isinstance(r, Exception):
-                    out[i] = r
-                elif r <= 1e-12:
-                    out[i] = Y[i]
-                elif moved[i] <= 1e-15 or _norm(Y[i] - start[i]) <= 1e-15:
-                    stopped.append(i)
-                else:
-                    running.append(i)
-            live = running
-        for i in stopped + live:
-            out[i] = Y[i] if residual[i] <= self.membership_tol else ProjectionNotConvergedError(
-                "intersection refinement stalled before reaching membership", Y[i]
+                res = mem._project_rows(Y[live])
+                ok = _unraised(len(live), res.raised)
+                for j, exc in res.raised.items():
+                    out[live[j]] = exc
+                live, start, moved, nearest = live[ok], start[ok], moved[ok], res.Y[ok]
+                D = nearest - Y[live]
+                d = np.sqrt(_row_dots(D, D))
+                moved = np.where(d > moved, d, moved)
+                Y[live] = nearest
+            R, raised = self._residual_rows(Y[live])
+            residual[live] = R
+            for j, exc in raised.items():
+                out[live[j]] = exc
+            ok = _unraised(len(live), raised)
+            done = ok & (R <= 1e-12)
+            D = Y[live] - start
+            halt = ok & ~done & ((moved <= 1e-15) | (np.sqrt(_row_dots(D, D)) <= 1e-15))
+            for i in live[done].tolist():
+                out[i] = Y[i].copy()
+            stopped += live[halt].tolist()
+            live = live[ok & ~done & ~halt]
+        for i in stopped + live.tolist():
+            out[i] = Y[i].copy() if residual[i] <= self.membership_tol else ProjectionNotConvergedError(
+                "intersection refinement stalled before reaching membership", Y[i].copy()
             )
         return out
 
     def _residual(self, p):
         return max(mem.membership_residual(p) for mem in self.members)
+
+    def _residual_rows(self, Y) -> tuple:
+        """_residual on each row of Y as a stack, and a dict of the rows
+        where it raised, each with its exception.  From two finite rows up,
+        where every member's residuals stack (_smooth_residuals: a level
+        set or manifold curve whose f and grad answer on every row, through
+        their row forms where they have them), each member's residuals are
+        one stack, and the stacks are combined by Python's max in member
+        order: a later value replaces only a smaller one, so a NaN neither
+        replaces nor is replaced.  Otherwise row by row."""
+        if len(Y) > 1 and type(self)._residual is IntersectionSet._residual and np.isfinite(Y).all():
+            R = None
+            for mem in self.members:
+                V = _smooth_residuals(mem, Y)
+                if V is None:
+                    break
+                R = V if R is None else np.where(V > R, V, R)
+            else:
+                return R, {}
+        R, raised = np.zeros(len(Y)), {}
+        for j, y in enumerate(Y):
+            r = _outcome(self._residual, y)
+            if isinstance(r, Exception):
+                raised[j] = r
+            else:
+                R[j] = r
+        return R, raised
 
 
 def project(oracle: SetOracle, x) -> tuple[np.ndarray, float]:
@@ -1205,23 +1281,73 @@ def _watch():
         yield signalled
 
 
-def _stacked_outcomes(oracle: SetOracle, P: np.ndarray) -> list:
+class _Outcomes:
+    """_project_rows' entries as stacks: Y, the (k, n) nearest points, dists,
+    their k distances, and raised, the rows that raised, each with its
+    exception (their rows of Y and dists are NaN).  It indexes, slices and
+    iterates as the list of entries, project's ``(nearest, distance)`` or
+    the exception, and each nearest point it hands out is a fresh copy of
+    its row, so that no entry shares memory with another or with an input;
+    the report reads the stacks as they are (_keep_draws)."""
+
+    __slots__ = ("Y", "dists", "raised")
+
+    def __init__(self, Y: np.ndarray, dists: np.ndarray, raised: dict):
+        self.Y, self.dists, self.raised = Y, dists, raised
+
+    def __len__(self):
+        return len(self.dists)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            rows = range(len(self))[j]
+            raised = {i: self.raised[r] for i, r in enumerate(rows) if r in self.raised} if self.raised else {}
+            return _Outcomes(self.Y[j], self.dists[j], raised)
+        j = range(len(self))[j]
+        return self.raised[j] if j in self.raised else (self.Y[j].copy(), float(self.dists[j]))
+
+    def __iter__(self):
+        raised = self.raised
+        for j, (y, d) in enumerate(zip(self.Y, self.dists.tolist())):
+            yield raised[j] if j in raised else (y.copy(), d)
+
+    def __eq__(self, other):
+        return list(self) == other
+
+
+def _answered(rows, n: int) -> tuple:
+    """rows, each a nearest point or an exception, as a (len(rows), n) stack
+    with NaN rows where a row raised, and those rows with their exceptions."""
+    raised = {j: y for j, y in enumerate(rows) if isinstance(y, Exception)}
+    Y = np.full((len(rows), n), np.nan)
+    Y[_unraised(len(rows), raised)] = np.array(
+        [y for y in rows if not isinstance(y, Exception)], dtype=float
+    ).reshape(-1, n)
+    return Y, raised
+
+
+def _outcome_stacks(outs, n: int) -> _Outcomes:
+    """outs as stacks: an _Outcomes as it is, a list of project's entries
+    (each ``(nearest, distance)`` or an exception) stacked."""
+    if isinstance(outs, _Outcomes):
+        return outs
+    Y, raised = _answered([out if isinstance(out, Exception) else out[0] for out in outs], n)
+    dists = np.array([np.nan if isinstance(out, Exception) else out[1] for out in outs], dtype=float)
+    return _Outcomes(Y, dists, raised)
+
+
+def _stacked_outcomes(oracle: SetOracle, P: np.ndarray) -> _Outcomes:
     """project(oracle, p) for each row p of P, a (k, dimension) stack of
     checked points, under _project_rows' watch: the set's _nearest_rows on
-    the whole stack, and the distances of all rows it answers as one
-    stacked row dot (_row_dots), the bits of _norm.  A hook that answers
-    every row with one (k, dimension) array is read as it is, and each
-    entry gets a copy of its row.  A NaN distance signals nothing, and is
-    what project gives."""
-    Y = oracle._nearest_rows(P)
-    if isinstance(Y, np.ndarray):
-        D = P - Y
-        return list(zip(map(np.ndarray.copy, Y), np.sqrt(_row_dots(D, D)).tolist()))
-    done = [j for j, y in enumerate(Y) if not isinstance(y, Exception)]
-    D = P[done] - np.array([Y[j] for j in done]).reshape(len(done), oracle.dimension)
-    for j, d in zip(done, np.sqrt(_row_dots(D, D)).tolist()):
-        Y[j] = (Y[j], d)
-    return Y
+    the whole stack, and the distances of all rows as one stacked row dot
+    (_row_dots), the bits of _norm.  A hook that answers every row with one
+    (k, dimension) array is read as it is; a list is stacked (_answered).
+    A NaN distance signals nothing, and is what project gives."""
+    Y, raised = oracle._nearest_rows(P), {}
+    if not isinstance(Y, np.ndarray):
+        Y, raised = _answered(Y, oracle.dimension)
+    D = P - Y
+    return _Outcomes(Y, np.sqrt(_row_dots(D, D)), raised)
 
 
 def _member_center(oracle: SetOracle, center, name: str) -> np.ndarray:
@@ -1303,23 +1429,23 @@ def _draw_ball(n: int, center, radius: float, count: int, seed: int) -> np.ndarr
     return center + radius * (G * np.array(shrink)[:, None])
 
 
-def _keep_draws(ws: np.ndarray, outs: list, center, radius: float) -> _Draws:
+def _keep_draws(ws: np.ndarray, outs, center, radius: float) -> _Draws:
     """The draws ws whose projection (outs, _project_rows' entries for
-    them) converged and lies in B(center, radius), as _ball_draws returns
-    them.  One mask keeps the draws in the ball, by the filter norms
-    ||y - center|| as stacked row dots under one _watch; a NaN norm stays,
-    as in the draw-by-draw loop.  The draws with an error are then visited
-    in draw order: one that did not converge is dropped, any other error is
+    them, an _Outcomes read as its stacks, or a list of entries) converged
+    and lies in B(center, radius), as _ball_draws returns them.  One mask
+    keeps the draws in the ball, by the filter norms ||y - center|| as
+    stacked row dots under one _watch; a NaN norm stays, as in the
+    draw-by-draw loop.  The draws with an error are then visited in draw
+    order: one that did not converge is dropped, any other error is
     raised.  If the norms signalled, every draw is visited, and takes its
     norm again by _norm under the caller's state, so that it raises or warns
     where the loop did, after the errors of the draws before it."""
     count, n = ws.shape
-    done = [out for out in outs if not isinstance(out, Exception)]
-    ok = slice(None) if len(done) == count else np.array([not isinstance(out, Exception) for out in outs])
-    Y = np.array([y for y, _ in done]).reshape(len(done), n)
+    outs = _outcome_stacks(outs, n)
+    ok = _unraised(count, outs.raised) if outs.raised else slice(None)
     dists = np.full(count, np.inf)
     with _watch() as signalled:
-        D = Y - center
+        D = outs.Y[ok] - center
         dists[ok] = np.sqrt(_row_dots(D, D))
         keep = ~(dists > radius)
     for j in range(count) if signalled else np.flatnonzero(dists == np.inf).tolist():
@@ -1329,8 +1455,7 @@ def _keep_draws(ws: np.ndarray, outs: list, center, radius: float) -> _Draws:
         if isinstance(out, Exception):
             raise out
         keep[j] = not _norm(out[0] - center) > radius
-    kept = keep[ok]
-    return _Draws(ws[keep], Y[kept], np.array([gap for _, gap in done])[kept])
+    return _Draws(ws[keep], outs.Y[keep], outs.dists[keep])
 
 
 def check_super_regular(
@@ -1371,13 +1496,10 @@ _RATIO_BASES = 64
 _RATIO_TENSOR = 2**16
 
 
-def _pair_ratios(members: np.ndarray, bases: np.ndarray, directions: np.ndarray, both_signs: bool = False):
-    """<z - y, v> / ||z - y|| for each normal (y, v) in the rows of bases and
-    directions (one row of the result) against every member z (one column);
-    with both_signs, each row is followed by the row of (y, -v).  Pairs much
-    closer than the probe scale measure projection roundoff, not geometry:
-    the numerator carries the projectors' absolute error, so tiny
-    denominators amplify it arbitrarily.  Such pairs read -inf.
+def _pair_terms(members: np.ndarray, bases: np.ndarray, directions: np.ndarray) -> tuple:
+    """The numerators <z - y, v>, the distances ||z - y|| and the mask of
+    kept pairs of _pair_ratios, for each normal (y, v) in the rows of bases
+    and directions (one row) against every member z (one column).
 
     Below 8 dimensions the (normals x members x n) difference tensor is
     filled one coordinate at a time, and the squared distances are summed
@@ -1387,10 +1509,7 @@ def _pair_ratios(members: np.ndarray, bases: np.ndarray, directions: np.ndarray,
     np.add.reduce over an axis shorter than 8 (pinned against it in the
     tests); from 8 on, add.reduce sums pairwise, so the broadcast form
     stays.  The numerators are one matmul over the tensor in either case;
-    its rounding is the pinned one.  The (y, -v) numerators are the (y, v)
-    ones as 0.0 - num, the bits a dot product with -v gives: rounding is
-    symmetric in sign, and a sum that is exactly zero is +0 for either
-    sign, which 0.0 - num keeps and -num would not."""
+    its rounding is the pinned one."""
     n = members.shape[1]
     if n < 8:
         diff = np.empty((len(bases), len(members), n))
@@ -1412,6 +1531,21 @@ def _pair_ratios(members: np.ndarray, bases: np.ndarray, directions: np.ndarray,
     for b in np.flatnonzero(keep.sum(axis=1) == 1):
         i = np.flatnonzero(keep[b])[0]
         num[b, i] = diff[b, i] @ directions[b]
+    return num, nd, keep
+
+
+def _pair_ratios(members: np.ndarray, bases: np.ndarray, directions: np.ndarray, both_signs: bool = False):
+    """<z - y, v> / ||z - y|| for each normal (y, v) in the rows of bases and
+    directions (one row of the result) against every member z (one column);
+    with both_signs, each row is followed by the row of (y, -v).  Pairs much
+    closer than the probe scale measure projection roundoff, not geometry:
+    the numerator carries the projectors' absolute error, so tiny
+    denominators amplify it arbitrarily.  Such pairs read -inf.  The terms
+    are _pair_terms'.  The (y, -v) numerators are the (y, v) ones as
+    0.0 - num, the bits a dot product with -v gives: rounding is symmetric
+    in sign, and a sum that is exactly zero is +0 for either sign, which
+    0.0 - num keeps and -num would not."""
+    num, nd, keep = _pair_terms(members, bases, directions)
     if both_signs:
         num = np.stack([num, 0.0 - num], axis=1)
         nd, keep = nd[:, None], keep[:, None]
@@ -1423,10 +1557,21 @@ def _super_regular_worst(oracle: SetOracle, center: np.ndarray, draws) -> float:
     """check_super_regular's worst ratio over the members and normals of
     draws (a _Draws, or (w, y, gap) tuples): the members are the center and
     every y, the normals (y, v) come from the draws with gap > 1e-12, v =
-    (w - y) / gap, each followed by (y, -v) on a manifold.  The ratios are
-    reduced in blocks of _RATIO_BLOCK rows, in that order; a block whose
-    maximum is NaN adds nothing.  One _pair_ratios call covers the normals
-    of up to _RATIO_BASES draws, on a manifold with both signs."""
+    (w - y) / gap, each followed by (y, -v) on a manifold.  The ratios
+    (_pair_ratios' rows) are reduced in blocks of _RATIO_BLOCK rows, in
+    that order; a block whose maximum is NaN adds nothing.
+
+    The normals of up to _RATIO_BASES draws make one chunk, and each chunk
+    takes one ratio per (normal, member) pair (_pair_terms).  On a manifold
+    that ratio is |num| / nd: for num != 0 the (y, -v) ratio, (0.0 - num) /
+    nd, is -(num / nd), so the larger of the two is |num| / nd, and a pair
+    with num = ±0 gives a zero either way.  The maximum of each block is
+    then one max over the members and one over the block's normals, and the
+    maxima are walked in order by Python's max.  Only the sign of a zero
+    maximum and the presence of a NaN tell the blocks apart from the rows
+    _pair_ratios gives; so a block whose maximum is ±0.0 or NaN is reduced
+    again from the chunk's _pair_ratios rows, as they are: off a manifold
+    the ratios themselves, on one the rows with both signs."""
     d = _stacks(draws, len(center))
     M = np.concatenate([center[None], d.Y])
     rounded = np.round(M, 12)
@@ -1438,13 +1583,21 @@ def _super_regular_worst(oracle: SetOracle, center: np.ndarray, draws) -> float:
 
     Y = d.Y[normal]
     V = (d.W[normal] - Y) / d.gaps[normal][:, None]
-    block = _RATIO_BLOCK // 2 if oracle.is_manifold else _RATIO_BLOCK
+    manifold = oracle.is_manifold
+    block = _RATIO_BLOCK // 2 if manifold else _RATIO_BLOCK
     step = max(block, min(_RATIO_BASES, _RATIO_TENSOR // M.size) // block * block)
     worst = -np.inf
     for s in range(0, len(Y), step):
-        ratios = _pair_ratios(M, Y[s : s + step], V[s : s + step], oracle.is_manifold)
-        for t in range(0, len(ratios), _RATIO_BLOCK):
-            worst = max(worst, float(ratios[t : t + _RATIO_BLOCK].max()))
+        num, nd, keep = _pair_terms(M, Y[s : s + step], V[s : s + step])
+        ratios = np.divide(np.abs(num) if manifold else num, nd, out=np.full(num.shape, -np.inf), where=keep)
+        tops = np.maximum.reduceat(ratios.max(axis=1), np.arange(0, len(ratios), block)).tolist()
+        rows = None if manifold else ratios
+        for t, top in enumerate(tops):
+            if top == 0.0 or top != top:
+                if rows is None:
+                    rows = _pair_ratios(M, Y[s : s + step], V[s : s + step], True)
+                top = float(rows[t * _RATIO_BLOCK : (t + 1) * _RATIO_BLOCK].max())
+            worst = max(worst, top)
     if not np.isfinite(worst):
         raise InsufficientSamplesError("no usable member/normal pairs")
     return worst
